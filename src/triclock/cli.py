@@ -96,15 +96,18 @@ def _analysis_params(settings: _Settings) -> CouplingParams:
 def _open_out(settings: _Settings, binary: bool = False):
     path = settings.get("out", str)
     if path is None or path == "-":
-        if binary:
-            return sys.stdout.buffer, False
-        return sys.stdout, False
+        return (sys.stdout.buffer if binary else sys.stdout), False
+    return open(_out_path(path), "wb" if binary else "w", encoding=None if binary else "utf-8"), True
+
+
+def _out_path(path: str) -> Path:
+    """Put a relative output path under ``TRICLOCK_OUTDIR`` and create its directory."""
     p = Path(path)
     outdir = os.environ.get(_ENV_OUTDIR)
     if outdir and not p.is_absolute():
         p = Path(outdir) / p
     p.parent.mkdir(parents=True, exist_ok=True)
-    return open(p, "wb" if binary else "w", encoding=None if binary else "utf-8"), True
+    return p
 
 
 def _emit(settings: _Settings, text: str) -> None:
@@ -226,10 +229,6 @@ def _cmd_basins(settings: _Settings) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
-def _splay_gap(n: int) -> float:
-    return TWO_PI / n
-
-
 def _orientation(differences: np.ndarray) -> str | None:
     if differences.size != 2:
         return None
@@ -247,14 +246,14 @@ def _run_one(
     tol: float,
     max_cycles: int,
     splay_tol: float,
-) -> dict:
+    record: bool,
+) -> tuple[dict, tuple[events.KickEvent, ...]]:
     ensemble = events.ClockEnsemble(phases, params)
-    result = events.run_until_locked(ensemble, tol=tol, max_cycles=max_cycles)
-    gap = _splay_gap(ensemble.n)
+    result = events.run_until_locked(ensemble, tol=tol, max_cycles=max_cycles, record=record)
     # Splay is measured on kick timing: in a locked splay state the kicks are
     # equally spaced within the cycle, while the phase snapshot keeps an
     # O(eps) offset from the received kicks.
-    splay_distance = float(np.max(np.abs(result.firing_gaps - gap)))
+    splay_distance = float(np.max(np.abs(result.firing_gaps - TWO_PI / ensemble.n)))
     return {
         "start_phases": [float(v) for v in phases],
         "final_phases": [float(v) for v in result.ensemble.phases],
@@ -267,7 +266,7 @@ def _run_one(
         "splay_distance": splay_distance,
         "near_splay": bool(splay_distance < splay_tol),
         "orientation": _orientation(result.differences),
-    }
+    }, result.events
 
 
 def _cmd_simulate(settings: _Settings) -> int:
@@ -302,29 +301,21 @@ def _cmd_simulate(settings: _Settings) -> int:
             if np.unique(psi).size == n:  # interior start: all phases distinct
                 starts.append(psi)
 
-    if trace_out is not None and len(starts) != 1:
+    record = trace_out is not None
+    if record and len(starts) != 1:
         raise UsageError("--trace-out needs a single-start run")
+    if record and Path(trace_out).suffix not in (".jsonl", ".csv"):
+        raise UsageError(f"--trace-out {trace_out!r} must end in .jsonl or .csv")
 
-    runs = [_run_one(psi, params, tol, max_cycles, splay_tol) for psi in starts]
+    outcomes = [_run_one(psi, params, tol, max_cycles, splay_tol, record) for psi in starts]
+    runs = [run for run, _ in outcomes]
 
-    if trace_out is not None:
-        ensemble = events.ClockEnsemble(starts[0], params)
-        trace_events: list[events.KickEvent] = []
-        state = ensemble
-        for cycle in range(runs[0]["cycles"]):
-            trace = events.run_cycle(state, cycle_index=cycle)
-            trace_events.extend(trace.events)
-            state = trace.end_state
-        path = Path(trace_out)
-        outdir = os.environ.get(_ENV_OUTDIR)
-        if outdir and not path.is_absolute():
-            path = Path(outdir) / path
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            if path.suffix == ".csv":
-                events.write_events_csv(trace_events, fh, n)
+    if record:
+        with open(_out_path(trace_out), "w", encoding="utf-8") as fh:
+            if trace_out.endswith(".csv"):
+                events.write_events_csv(outcomes[0][1], fh, n)
             else:
-                events.write_events_jsonl(trace_events, fh)
+                events.write_events_jsonl(outcomes[0][1], fh)
 
     orientations: dict[str, int] = {}
     for run in runs:
@@ -337,7 +328,7 @@ def _cmd_simulate(settings: _Settings) -> int:
         "tol": tol,
         "max_cycles": max_cycles,
         "splay_tol": splay_tol,
-        "splay_gap": _splay_gap(n),
+        "splay_gap": TWO_PI / n,
         "runs": runs,
         "summary": {
             "runs": len(runs),

@@ -13,6 +13,12 @@ the phase differences taken at those instants follow the first-order
 map in :mod:`triclock.core` up to O(eps**2), which is what makes this
 simulator an independent oracle for it.
 
+The kick rule, the time shift and the tie order exist once, in a kernel
+on a list of Python floats with no numpy call inside the cycle, and a
+kick trace is recorded by the same run that reports the lock.  The
+simulator accepts 0 <= eps < 1, where a kick cannot carry a clock
+across the threshold; the kernel raises if one ever does.
+
 Convention: in a state handed to :func:`run_cycle` (or produced by it),
 phase 0 on the reference clock means "at the threshold, about to kick".
 Mid-cycle, a clock at phase 0 has just kicked and has a full period to
@@ -59,11 +65,13 @@ class ClockEnsemble:
     params: CouplingParams
 
     def __post_init__(self) -> None:
-        phases = np.atleast_1d(np.asarray(self.phases, dtype=float))
+        phases = np.asarray(self.phases, dtype=float)
         if phases.ndim != 1 or phases.size < 2:
             raise ValueError("an ensemble needs a flat list of at least 2 phases")
-        if np.any((phases < 0.0) | (phases >= TWO_PI)):
-            raise ValueError("phases must be normalized to [0, 2*pi)")
+        if not all(0.0 <= p < TWO_PI for p in phases.tolist()):
+            raise ValueError("phases must be finite and normalized to [0, 2*pi)")
+        if self.params.epsilon >= 1.0:
+            raise ValueError(f"the simulator needs eps < 1, got eps={self.params.epsilon}")
         object.__setattr__(self, "phases", phases)
 
     @property
@@ -133,7 +141,8 @@ class LockResult:
     ``differences`` and ``gaps`` describe the phase snapshot at the final
     reference kick; ``firing_gaps`` and ``period`` describe the timing of
     the kicks within the final cycle, which is the observable that becomes
-    exactly splay in a locked state.
+    exactly splay in a locked state.  ``events`` holds every cycle's kicks
+    when the run was asked to record them, and is empty otherwise.
     """
 
     ensemble: ClockEnsemble
@@ -143,11 +152,40 @@ class LockResult:
     gaps: np.ndarray
     firing_gaps: np.ndarray
     period: float
+    events: tuple[KickEvent, ...] = ()
 
 
-def _gaps_to_threshold(phases: np.ndarray) -> np.ndarray:
-    # A clock at phase 0 has just kicked: full period to go, never gap 0.
-    return TWO_PI - phases
+def _wrapped(psi: list[float]) -> list[float]:
+    # Python's float % is numpy's (fmod, then a shift into the divisor's sign),
+    # so this equals normalize_phase bit for bit.
+    return [0.0 if r == TWO_PI else r for r in [p % TWO_PI for p in psi]]
+
+
+def _differences(psi: list[float]) -> list[float]:
+    return _wrapped([p - psi[0] for p in psi[1:]])
+
+
+def _advance(psi: list[float]) -> tuple[float, int]:
+    """Shift all phases until the next clock is due; return the time and that clock.
+
+    Kernel phases lie in [0, 2*pi]: exactly 2*pi is "due to kick now" and 0 is
+    "just kicked".  The leader lands on 2*pi; ties go to the lowest index.
+    """
+    gaps = [TWO_PI - p for p in psi]
+    shift = min(gaps)
+    if shift > 0.0:
+        k = gaps.index(shift)
+        psi[:] = [p + shift for p in psi]
+        psi[k] = TWO_PI
+    return shift, psi.index(TWO_PI)
+
+
+def _kick(psi: list[float], eps: float) -> None:
+    """The kick rule, with the kicker just fired and at 0: every clock j gains
+    eps*sin(psi_j), psi_j being its phase relative to the kicker."""
+    psi[:] = [p + eps * math.sin(p) for p in psi]
+    if not (0.0 <= min(psi) and max(psi) <= TWO_PI):
+        raise RuntimeError(f"a kick carried a clock outside [0, 2*pi] at eps={eps}")
 
 
 def advance_to_next_kick(ensemble: ClockEnsemble) -> tuple[ClockEnsemble, int]:
@@ -158,33 +196,26 @@ def advance_to_next_kick(ensemble: ClockEnsemble) -> tuple[ClockEnsemble, int]:
     ties resolve to the lowest index.  A clock sitting at phase 0 has just
     kicked, so its shift-to-threshold is a full period.
     """
-    gaps = _gaps_to_threshold(ensemble.phases)
-    kicker = int(np.argmin(gaps))
-    shift = float(gaps[kicker])
-    shifted = normalize_phase(ensemble.phases + shift)
-    shifted[kicker] = 0.0
-    return ClockEnsemble(shifted, ensemble.params), kicker
+    psi = ensemble.phases.tolist()
+    _, kicker = _advance(psi)
+    return ClockEnsemble(np.array(_wrapped(psi)), ensemble.params), kicker
 
 
 def apply_kick(ensemble: ClockEnsemble, kicker: int) -> ClockEnsemble:
     """Kick by ``kicker``: every other clock j gains P(psi_j - psi_kicker), exactly.
 
-    Requires the kicker to sit at the threshold (phase 0 modulo 2*pi).  The
-    perturbed phases are wrapped back to [0, 2*pi); for eps < 1/9 a wrap can
-    only happen within rounding of the threshold.
+    Requires the kicker to sit within 1e-9 of the threshold; it is taken to
+    be exactly on it and comes back at phase 0.  The perturbed phases are
+    wrapped back to [0, 2*pi).
     """
     if not 0 <= kicker < ensemble.n:
         raise ValueError(f"kicker index {kicker} out of range for {ensemble.n} clocks")
-    psi_k = float(ensemble.phases[kicker])
-    if min(psi_k, TWO_PI - psi_k) > 1e-9:
-        raise ValueError(
-            f"clock {kicker} is at phase {psi_k}, not at the kick threshold"
-        )
-    eps = ensemble.params.epsilon
-    diffs = normalize_phase(ensemble.phases - psi_k)
-    out = normalize_phase(ensemble.phases + eps * np.sin(diffs))
-    out[kicker] = ensemble.phases[kicker]
-    return ClockEnsemble(out, ensemble.params)
+    psi = ensemble.phases.tolist()
+    if min(psi[kicker], TWO_PI - psi[kicker]) > 1e-9:
+        raise ValueError(f"clock {kicker} is at phase {psi[kicker]}, not at the kick threshold")
+    psi[kicker] = 0.0
+    _kick(psi, ensemble.params.epsilon)
+    return ClockEnsemble(np.array(_wrapped(psi)), ensemble.params)
 
 
 def run_cycle(
@@ -201,57 +232,33 @@ def run_cycle(
     Raises RuntimeError if some clock would kick twice first, which cannot
     happen for identical clocks at small eps and signals bad parameters.
     """
-    start_phases = ensemble.phases
-    if min(start_phases[0], TWO_PI - start_phases[0]) > 1e-9:
+    psi = ensemble.phases.tolist()
+    if min(psi[0], TWO_PI - psi[0]) > 1e-9:
         raise ValueError("the reference clock must start at the kick threshold")
-
-    eps = ensemble.params.epsilon
-    n = ensemble.n
-    # Internal representation: exactly 2*pi == due to kick now, 0 == just kicked.
     # The reference is snapped onto the threshold; any other clock at exactly
     # 0 kicks in the same opening instant, after it.
-    psi = [float(p) for p in start_phases]
-    psi[0] = TWO_PI
-    for i in range(1, n):
-        if psi[i] == 0.0:
-            psi[i] = TWO_PI
-    kicked = [False] * n
+    psi = [TWO_PI] + [TWO_PI if p == 0.0 else p for p in psi[1:]]
+    kicked = [False] * len(psi)
     events: list[KickEvent] = []
     kick_times: list[tuple[int, float]] = []
     now = 0.0
-
     while True:
-        shift = min(TWO_PI - p for p in psi)
-        if shift > 0.0:
-            k = min(range(n), key=lambda i: TWO_PI - psi[i])
-            psi = [p + shift for p in psi]
-            psi[k] = TWO_PI
-            now += shift
-        k = next(i for i in range(n) if psi[i] == TWO_PI)
-        if k == 0 and kicked[0]:
-            psi[0] = 0.0
-            break
+        shift, k = _advance(psi)
+        now += shift
         if kicked[k]:
-            raise RuntimeError(
-                f"clock {k} reached the threshold twice within one reference cycle; "
-                "the coupling is too strong for the identical-clock regime"
-            )
+            if k == 0:
+                break
+            raise RuntimeError(f"clock {k} reached the threshold twice within one reference "
+                               "cycle; the coupling is too strong for identical clocks")
         psi[k] = 0.0
-        if record:
-            before = np.array(psi, dtype=float)
-        for j in range(n):
-            if j != k:
-                bumped = psi[j] + eps * math.sin(psi[j])
-                # Crossing the threshold is impossible for eps < 1; clamp anyway
-                # so that rounding at the top re-enters as an immediate kick.
-                psi[j] = min(max(bumped, 0.0), TWO_PI)
+        before = np.array(psi) if record else None
+        _kick(psi, ensemble.params.epsilon)
         kicked[k] = True
         kick_times.append((k, now))
         if record:
-            after = normalize_phase(np.array(psi, dtype=float))
-            events.append(KickEvent(cycle_index, k, before, after))
-
-    end = ClockEnsemble(normalize_phase(np.array(psi, dtype=float)), ensemble.params)
+            events.append(KickEvent(cycle_index, k, before, np.array(_wrapped(psi))))
+    psi[0] = 0.0
+    end = ClockEnsemble(np.array(_wrapped(psi)), ensemble.params)
     return CycleTrace(tuple(events), ensemble, end, tuple(kick_times), now)
 
 
@@ -264,7 +271,7 @@ def phase_differences(ensemble: ClockEnsemble) -> np.ndarray:
 
 def difference_vector(ensemble: ClockEnsemble) -> np.ndarray:
     """Differences of every clock to the reference, (psi_i - psi_0) mod 2*pi."""
-    return normalize_phase(ensemble.phases[1:] - ensemble.phases[0])
+    return np.array(_differences(ensemble.phases.tolist()))
 
 
 def cyclic_gaps(ensemble: ClockEnsemble) -> np.ndarray:
@@ -275,28 +282,29 @@ def cyclic_gaps(ensemble: ClockEnsemble) -> np.ndarray:
 
 
 def run_until_locked(
-    ensemble: ClockEnsemble, tol: float, max_cycles: int
+    ensemble: ClockEnsemble, tol: float, max_cycles: int, record: bool = False
 ) -> LockResult:
     """Iterate cycles until the difference vector moves less than ``tol``.
 
     Movement is the max-norm change of the reference-relative difference
     vector between consecutive cycles.  Returns locked=False when
     ``max_cycles`` is exhausted first; that is a result, not an error.
+    With ``record`` the result also carries every cycle's kick events.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     if max_cycles < 1:
         raise ValueError("max_cycles must be at least 1")
     state = ensemble
-    prev = difference_vector(state)
+    prev = _differences(state.phases.tolist())
     locked = False
-    cycles = 0
-    trace = None
+    recorded: list[KickEvent] = []
     for cycles in range(1, max_cycles + 1):
-        trace = run_cycle(state, record=False)
+        trace = run_cycle(state, cycle_index=cycles - 1, record=record)
+        recorded.extend(trace.events)
         state = trace.end_state
-        cur = difference_vector(state)
-        if float(np.max(np.abs(cur - prev))) < tol:
+        cur = _differences(state.phases.tolist())
+        if max([abs(c - p) for c, p in zip(cur, prev)]) < tol:
             locked = True
             break
         prev = cur
@@ -308,6 +316,7 @@ def run_until_locked(
         gaps=cyclic_gaps(state),
         firing_gaps=trace.firing_gaps(),
         period=trace.period,
+        events=tuple(recorded),
     )
 
 

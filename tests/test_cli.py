@@ -11,7 +11,8 @@ import pytest
 from triclock.analysis import FixedPointRecord
 from triclock.basin import read_grid_binary
 from triclock.cli import main
-from triclock.events import read_events_jsonl
+from triclock.core import CouplingParams
+from triclock.events import ClockEnsemble, read_events_jsonl, run_cycle
 
 PI = math.pi
 
@@ -208,6 +209,16 @@ class TestSimulate:
         )
         assert code == 2
 
+    @staticmethod
+    def cycle_by_cycle_events(phases, eps, cycles):
+        state = ClockEnsemble(np.array(phases), CouplingParams(epsilon=eps))
+        events = []
+        for cycle in range(cycles):
+            trace = run_cycle(state, cycle_index=cycle, record=True)
+            events.extend(trace.events)
+            state = trace.end_state
+        return events
+
     def test_trace_jsonl(self, capsys, tmp_path):
         target = tmp_path / "trace.jsonl"
         code, _, _ = run_cli(
@@ -219,6 +230,21 @@ class TestSimulate:
             events = read_events_jsonl(fh)
         assert len(events) == 15  # 3 kicks per cycle, 5 cycles
         assert events[0].cycle_index == 0 and events[-1].cycle_index == 4
+        expected = self.cycle_by_cycle_events([0.0, 2.0, 4.0], 0.05, 5)
+        assert [ev.to_dict() for ev in events] == [ev.to_dict() for ev in expected]
+
+    def test_trace_of_a_locked_run(self, capsys, tmp_path):
+        target = tmp_path / "trace.jsonl"
+        code, out, _ = run_cli(
+            capsys, "simulate", "--eps", "0.02", "--n-clocks", "4", "--phases", "0,1,3,5",
+            "--max-cycles", "300", "--trace-out", str(target),
+        )
+        assert code == 0
+        cycles = json.loads(out)["runs"][0]["cycles"]
+        with open(target, encoding="utf-8") as fh:
+            events = read_events_jsonl(fh)
+        expected = self.cycle_by_cycle_events([0.0, 1.0, 3.0, 5.0], 0.02, cycles)
+        assert [ev.to_dict() for ev in events] == [ev.to_dict() for ev in expected]
 
     def test_trace_csv(self, capsys, tmp_path):
         target = tmp_path / "trace.csv"
@@ -230,6 +256,37 @@ class TestSimulate:
         rows = target.read_text().strip().splitlines()
         assert rows[0] == "cycle_index,kicker,psi_1,psi_2,psi_3"
         assert len(rows) == 7
+        expected = self.cycle_by_cycle_events([0.0, 2.0, 4.0], 0.05, 2)
+        assert rows[1:] == [
+            ",".join([str(ev.cycle_index), str(ev.kicking_clock)]
+                     + [repr(float(v)) for v in ev.phases_after])
+            for ev in expected
+        ]
+
+    def test_trace_lands_under_outdir(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("TRICLOCK_OUTDIR", str(tmp_path))
+        code, _, _ = run_cli(
+            capsys, "simulate", "--eps", "0.05", "--phases", "0,2.0,4.0",
+            "--max-cycles", "2", "--tol", "1e-20", "--trace-out", "sub/trace.csv",
+        )
+        assert code == 0
+        assert (tmp_path / "sub" / "trace.csv").read_text().startswith("cycle_index,")
+
+    def test_trace_suffix_checked(self, capsys, tmp_path):
+        target = tmp_path / "trace.txt"
+        code, _, err = run_cli(
+            capsys, "simulate", "--eps", "0.05", "--phases", "0,2.0,4.0",
+            "--trace-out", str(target),
+        )
+        assert code == 2 and ".jsonl or .csv" in err
+        assert not target.exists()
+
+    @pytest.mark.parametrize(
+        "eps, phases", [("5", "0,1,2"), ("1", "0,1,2"), ("0.05", "0,nan,2"), ("0.05", "0,inf,2")]
+    )
+    def test_meaningless_coupling_or_phases_rejected(self, capsys, eps, phases):
+        code, out, _ = run_cli(capsys, "simulate", "--eps", eps, "--phases", phases)
+        assert code == 2 and out == ""
 
     def test_trace_needs_single_start(self, capsys, tmp_path):
         code, _, _ = run_cli(

@@ -1,9 +1,14 @@
 import io
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from triclock import events
 from triclock.core import TWO_PI, CouplingParams, three_clock_step
 from triclock.events import (
     ClockEnsemble,
@@ -38,6 +43,15 @@ class TestClockEnsemble:
             ensemble([0.0, TWO_PI])
         with pytest.raises(ValueError):
             ensemble([-0.1, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            ensemble([0.0, math.nan])
+        with pytest.raises(ValueError, match="finite"):
+            ensemble([0.0, math.inf])
+
+    @pytest.mark.parametrize("eps", [1.0, 5.0])
+    def test_rejects_eps_of_one_or_more(self, eps):
+        with pytest.raises(ValueError, match="eps < 1"):
+            ensemble([0.0, 1.0, 2.0], eps=eps)
 
     def test_n(self):
         assert ensemble([0.0, 1.0, 2.0, 3.0]).n == 4
@@ -129,6 +143,12 @@ class TestRunCycle:
         with pytest.raises(ValueError):
             run_cycle(ensemble([1.0, 2.0, 3.0]))
 
+    def test_kick_outside_the_circle_raises(self):
+        # Unreachable through a valid ensemble (eps < 1 keeps every kick inside
+        # [0, 2*pi]); the kernel reports it instead of clamping it away.
+        with pytest.raises(RuntimeError, match="outside"):
+            events._kick([0.0, 1.5, 5.0], 5.0)
+
     def test_all_tied_cycle(self):
         trace = run_cycle(ensemble([0.0, 0.0, 0.0]))
         assert [ev.kicking_clock for ev in trace.events] == [0, 1, 2]
@@ -195,6 +215,8 @@ class TestPhaseDifferences:
         diffs = phase_differences(ensemble([0.5, 0.2, 1.0]))
         assert diffs[0] == pytest.approx(TWO_PI - 0.3, abs=1e-12)
         assert diffs[1] == pytest.approx(0.5, abs=1e-12)
+        # A difference that rounds up to 2*pi is folded back to 0.
+        assert phase_differences(ensemble([1e-16, 5e-17, 1.0]))[0] == 0.0
 
     def test_requires_three_clocks(self):
         with pytest.raises(ValueError):
@@ -231,6 +253,102 @@ class TestRunUntilLocked:
             run_until_locked(ensemble([0.0, 1.0, 2.0]), tol=0.0, max_cycles=10)
         with pytest.raises(ValueError):
             run_until_locked(ensemble([0.0, 1.0, 2.0]), tol=1e-6, max_cycles=0)
+
+    @pytest.mark.parametrize("phases", [[0.0, 1.3, 4.1], [0.0, 0.7, 2.9, 5.1]])
+    def test_recorded_events_are_the_cycles_events(self, phases):
+        start = ensemble(phases, eps=0.02)
+        res = run_until_locked(start, tol=1e-20, max_cycles=6, record=True)
+        expected, state = [], start
+        for cycle in range(res.cycles):
+            trace = run_cycle(state, cycle_index=cycle, record=True)
+            expected.extend(trace.events)
+            state = trace.end_state
+        assert [ev.to_dict() for ev in res.events] == [ev.to_dict() for ev in expected]
+        assert np.array_equal(res.ensemble.phases, state.phases)
+        assert run_until_locked(start, tol=1e-20, max_cycles=6).events == ()
+
+
+PINNED = json.loads((Path(__file__).parent / "data" / "lock_outcomes.json").read_text())
+
+
+def test_lock_outcomes_match_the_recorded_loop():
+    """Bit-for-bit outcomes of the event loop that preceded the single kernel.
+
+    ``data/lock_outcomes.json`` was recorded with that loop: the first 40
+    starts of acceptance criterion 8 (seed 77, eps 0.05), the first 3 of
+    criterion 10 (seed 4, N=4, eps 0.02), a diagonal start and an N=5 start,
+    all with tol 1e-8 and 2000 cycles.  Floats are stored as ``repr``.
+    """
+    mismatches = []
+    for case in PINNED:
+        start = ClockEnsemble(
+            np.array([float(v) for v in case["start"]]),
+            CouplingParams(epsilon=float(case["eps"])),
+        )
+        res = run_until_locked(start, tol=1e-8, max_cycles=2000)
+        got = {
+            "final_phases": [repr(float(v)) for v in res.ensemble.phases],
+            "cycles": res.cycles,
+            "locked": res.locked,
+            "period": repr(float(res.period)),
+            "firing_gaps": [repr(float(v)) for v in res.firing_gaps],
+        }
+        if any(got[key] != case[key] for key in got):
+            mismatches.append((case["start"], got))
+    assert not mismatches, mismatches[:3]
+
+
+@st.composite
+def tie_states(draw):
+    """N = 2..6 clocks, reference at the threshold, with exact and 1-ulp ties.
+
+    Each non-reference clock is either free or tied to an earlier clock:
+    exactly, or one ulp above or below it on the circle.
+    """
+    n = draw(st.integers(2, 6))
+    phases = [0.0] + draw(
+        st.lists(st.floats(0.0, TWO_PI, exclude_max=True), min_size=n - 1, max_size=n - 1)
+    )
+    for i in range(1, n):
+        partner = draw(st.integers(0, i - 1))
+        tie = draw(st.sampled_from(("free", "exact", "ulp_up", "ulp_down")))
+        if tie == "exact":
+            phases[i] = phases[partner]
+        elif tie == "ulp_up":
+            phases[i] = math.nextafter(phases[partner], math.inf)
+        elif tie == "ulp_down":
+            phases[i] = math.nextafter(phases[partner], -math.inf)
+        if phases[i] < 0.0:
+            phases[i] = math.nextafter(TWO_PI, 0.0)
+        elif phases[i] >= TWO_PI:
+            phases[i] = 0.0
+    return phases
+
+
+class TestNearTies:
+    @settings(deadline=None, max_examples=300)
+    @given(phases=tie_states(), eps=st.floats(0.0, 0.11))
+    @example(phases=[0.0, 5e-324, 3.0], eps=0.1)
+    @example(phases=[0.0, 0.0, 0.0, 0.0, 0.0, 0.0], eps=0.11)
+    def test_cycles_run_and_stay_on_the_circle(self, phases, eps):
+        """Every clock kicks once per cycle, except that a clock reaching the
+        threshold in the same instant as the returning reference kicks in
+        the next cycle's opening instant instead (ascending tie order).
+        Clocks with equal phases kick lowest index first."""
+        n = len(phases)
+        state = ensemble(phases, eps=eps)
+        for cycle in range(3):
+            start = state.phases.tolist()
+            trace = run_cycle(state, cycle_index=cycle)
+            end = trace.end_state.phases.tolist()
+            assert all(0.0 <= p < TWO_PI for p in end)
+            assert end[0] == 0.0
+            kickers = [ev.kicking_clock for ev in trace.events]
+            assert len(kickers) == len(set(kickers))
+            assert all(end[i] == 0.0 and start[i] != 0.0 for i in set(range(n)) - set(kickers))
+            for i, j in zip(kickers, kickers[1:]):
+                assert start[i] != start[j] or i < j
+            state = trace.end_state
 
 
 class TestGaps:
