@@ -15,6 +15,16 @@ Cell centers are sampled (not corners) so lattice points avoid the
 invariant lines except for the deliberate diagonal band.  Classification
 is elementwise and order-free, so chunked multi-worker runs return
 bit-identical grids.
+
+The classifier keeps ``x`` and ``y`` as two contiguous 1-D arrays and
+steps them with :func:`~triclock.core.three_clock_step_xy`.  Rasterization
+iterates only the half lattice ``row <= col`` and mirrors it: swapping
+the two non-reference clocks maps ``(x, y)`` to ``(y, x)``, and the map
+commutes with that swap bit for bit (``g`` is computed as ``f`` with its
+arguments swapped, the sine is odd, the edge snap, the diagonal band and
+the attractor tests are symmetric, and both axes share one array of cell
+centers).  So cell ``[col, row]`` takes the iteration count of
+``[row, col]`` and its label with upper and lower exchanged.
 """
 
 from __future__ import annotations
@@ -27,7 +37,8 @@ from typing import IO
 
 import numpy as np
 
-from .core import TWO_PI, CouplingParams, in_square, three_clock_step
+from .analysis import default_max_iterations
+from .core import TWO_PI, CouplingParams, in_square, three_clock_step, three_clock_step_xy
 
 __all__ = [
     "LABEL_NAMES",
@@ -37,7 +48,6 @@ __all__ = [
     "classify_point",
     "rasterize",
     "orbit",
-    "default_max_iter",
     "write_grid_csv",
     "write_grid_binary",
     "read_grid_binary",
@@ -48,6 +58,9 @@ LABEL_NAMES = ("upper", "lower", "boundary", "unresolved")
 
 ATTRACTOR_UPPER = np.array([2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0])
 ATTRACTOR_LOWER = np.array([4.0 * math.pi / 3.0, 2.0 * math.pi / 3.0])
+
+# Label of the mirror cell: swapping x and y swaps the two attractors.
+_SWAP_LABEL = np.array([_LOWER, _UPPER, _BOUNDARY, _UNRESOLVED], dtype=np.uint8)
 
 _DIAGONAL_BAND = 1e-13
 
@@ -81,11 +94,6 @@ class BasinGrid:
         return np.stack((gx, gy), axis=-1)
 
 
-def default_max_iter(params: CouplingParams) -> int:
-    """ceil(60/eps): linear contraction near the attractors covers the tail."""
-    return math.ceil(60.0 / params.epsilon)
-
-
 def _on_invariant_boundary(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (
         (x == 0.0)
@@ -96,18 +104,15 @@ def _on_invariant_boundary(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     )
 
 
-def _classify_batch(
-    points: np.ndarray, params: CouplingParams, tol: float, max_iter: int
+def _classify(
+    x: np.ndarray, y: np.ndarray, params: CouplingParams, tol: float, max_iter: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    pts = np.asarray(points, dtype=float)
-    m = pts.shape[0]
+    """Label the points ``(x[i], y[i])``; ``x`` and ``y`` are 1-D float arrays."""
+    m = x.size
     labels = np.full(m, _UNRESOLVED, dtype=np.uint8)
     iters = np.full(m, max_iter, dtype=np.int32)
-    p = pts.copy()
     alive = np.arange(m)
     for k in range(max_iter + 1):
-        x = p[:, 0]
-        y = p[:, 1]
         done_b = _on_invariant_boundary(x, y)
         done_u = np.maximum(np.abs(x - ATTRACTOR_UPPER[0]), np.abs(y - ATTRACTOR_UPPER[1])) <= tol
         done_l = np.maximum(np.abs(x - ATTRACTOR_LOWER[0]), np.abs(y - ATTRACTOR_LOWER[1])) <= tol
@@ -119,12 +124,25 @@ def _classify_batch(
             )
             iters[idx] = k
             keep = ~done
-            p = p[keep]
+            x = x[keep]
+            y = y[keep]
             alive = alive[keep]
         if alive.size == 0 or k == max_iter:
             break
-        p = three_clock_step(p, params)
+        x, y = three_clock_step_xy(x, y, params)
     return labels, iters
+
+
+def _budget(params: CouplingParams, tol: float, max_iter: int | None) -> int:
+    """Validate the classifier's inputs and resolve the default iteration budget."""
+    params.require_analysis_range()
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    if max_iter is None:
+        return default_max_iterations(params)
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
+    return max_iter
 
 
 def classify_point(
@@ -134,13 +152,11 @@ def classify_point(
     max_iter: int | None = None,
 ) -> tuple[str, int]:
     """Label a single point and report the iterations spent deciding it."""
-    params.require_analysis_range()
-    point = np.asarray(p, dtype=float).reshape(1, 2)
-    if not bool(in_square(point[0])):
+    max_iter = _budget(params, tol, max_iter)
+    point = np.asarray(p, dtype=float).reshape(2)
+    if not bool(in_square(point)):
         raise ValueError(f"point {p} outside the square")
-    if max_iter is None:
-        max_iter = default_max_iter(params)
-    labels, iters = _classify_batch(point, params, tol, max_iter)
+    labels, iters = _classify(point[:1], point[1:], params, tol, max_iter)
     return LABEL_NAMES[int(labels[0])], int(iters[0])
 
 
@@ -153,34 +169,41 @@ def rasterize(
 ) -> BasinGrid:
     """Classify the cell-center lattice; deterministic for fixed inputs.
 
-    ``workers`` only chunks the lattice row-wise across threads; any worker
-    count produces the identical grid.
+    Only the cells with ``row <= col`` are iterated; each mirror cell
+    ``[col, row]`` gets the same iteration count and the label swapped
+    upper <-> lower, which is exact (see the module docstring).
+    ``workers`` only chunks those cells across threads; any worker count
+    produces the identical grid.
     """
-    params.require_analysis_range()
+    max_iter = _budget(params, tol, max_iter)
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    if max_iter is None:
-        max_iter = default_max_iter(params)
     h = TWO_PI / resolution
     c = (np.arange(resolution) + 0.5) * h
     gx, gy = np.meshgrid(c, c)
-    flat = np.column_stack((gx.ravel(), gy.ravel()))
+    half = np.triu(np.ones((resolution, resolution), dtype=bool))  # row <= col
+    x = gx[half]
+    y = gy[half]
 
     if workers == 1:
-        labels, iters = _classify_batch(flat, params, tol, max_iter)
+        half_labels, half_iters = _classify(x, y, params, tol, max_iter)
     else:
-        chunks = np.array_split(flat, workers * 4)
+        chunks = zip(np.array_split(x, workers * 4), np.array_split(y, workers * 4))
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda ch: _classify_batch(ch, params, tol, max_iter), chunks))
-        labels = np.concatenate([p[0] for p in parts])
-        iters = np.concatenate([p[1] for p in parts])
+            parts = list(pool.map(lambda ch: _classify(*ch, params, tol, max_iter), chunks))
+        half_labels = np.concatenate([p[0] for p in parts])
+        half_iters = np.concatenate([p[1] for p in parts])
 
+    labels = np.zeros((resolution, resolution), dtype=np.uint8)
+    iters = np.zeros((resolution, resolution), dtype=np.int32)
+    labels[half] = half_labels
+    iters[half] = half_iters
     return BasinGrid(
         resolution=resolution,
-        labels=labels.reshape(resolution, resolution),
-        iterations=iters.reshape(resolution, resolution),
+        labels=np.where(half, labels, _SWAP_LABEL[labels.T]),
+        iterations=np.where(half, iters, iters.T),
         params=params,
         tol=tol,
         max_iter=max_iter,
@@ -191,8 +214,11 @@ def orbit(p, params: CouplingParams, n: int) -> np.ndarray:
     """Forward orbit polyline (p, F(p), ..., F^n(p)), shape (n + 1, 2)."""
     if n < 0:
         raise ValueError("n must be non-negative")
+    start = np.asarray(p, dtype=float).reshape(2)
+    if not bool(in_square(start)):
+        raise ValueError(f"point {p} outside the square")
     out = np.empty((n + 1, 2), dtype=float)
-    out[0] = np.asarray(p, dtype=float)
+    out[0] = start
     for k in range(n):
         out[k + 1] = three_clock_step(out[k], params)
     return out
@@ -219,10 +245,22 @@ def write_grid_binary(grid: BasinGrid, stream: IO[bytes]) -> None:
 
 
 def read_grid_binary(stream: IO[bytes]) -> BasinGrid:
-    resolution, epsilon, tol = _HEADER.unpack(stream.read(_HEADER.size))
+    """Read what :func:`write_grid_binary` wrote; any other length is a ValueError."""
+    header = stream.read(_HEADER.size)
+    if len(header) != _HEADER.size:
+        raise ValueError(f"grid header needs {_HEADER.size} bytes, got {len(header)}")
+    resolution, epsilon, tol = _HEADER.unpack(header)
+    if resolution < 1:
+        raise ValueError(f"grid header gives resolution {resolution}")
     n = resolution * resolution
-    labels = np.frombuffer(stream.read(n), dtype=np.uint8).reshape(resolution, resolution)
-    iters = np.frombuffer(stream.read(4 * n), dtype="<i4").reshape(resolution, resolution)
+    body = stream.read()
+    if len(body) != 5 * n:
+        raise ValueError(
+            f"grid of resolution {resolution} needs {5 * n} bytes after the header, "
+            f"got {len(body)}"
+        )
+    labels = np.frombuffer(body, dtype=np.uint8, count=n).reshape(resolution, resolution)
+    iters = np.frombuffer(body, dtype="<i4", offset=n).reshape(resolution, resolution)
     return BasinGrid(
         resolution=int(resolution),
         labels=labels.copy(),

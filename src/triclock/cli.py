@@ -25,8 +25,6 @@ import numpy as np
 from . import analysis, basin, events, render
 from .core import (
     CouplingParams,
-    EPSILON_BOUND,
-    MIN_ANALYSIS_EPSILON,
     TWO_PI,
     andronov_fixed_point,
     andronov_step,
@@ -84,13 +82,9 @@ class _Settings:
 
 
 def _analysis_params(settings: _Settings) -> CouplingParams:
-    eps = settings.require("eps", float)
-    if not MIN_ANALYSIS_EPSILON < eps < EPSILON_BOUND:
-        raise UsageError(
-            f"eps={eps} is outside the analysis range "
-            f"({MIN_ANALYSIS_EPSILON}, 1/9 ~= {EPSILON_BOUND:.6f})"
-        )
-    return CouplingParams(epsilon=eps)
+    params = CouplingParams(epsilon=settings.require("eps", float))
+    params.require_analysis_range()
+    return params
 
 
 def _open_out(settings: _Settings, binary: bool = False):

@@ -44,6 +44,7 @@ __all__ = [
     "omega_field",
     "omega_jacobian",
     "three_clock_step",
+    "three_clock_step_xy",
     "jacobian",
     "in_square",
 ]
@@ -186,6 +187,24 @@ def three_clock_step(p, params: CouplingParams) -> np.ndarray:
     """
     p = np.asarray(p, dtype=float)
     return _snap_to_edges(p + params.epsilon * omega_field(p))
+
+
+def three_clock_step_xy(
+    x: np.ndarray, y: np.ndarray, params: CouplingParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`three_clock_step` on separate coordinate arrays, bit for bit.
+
+    The bulk form for classifiers that keep ``x`` and ``y`` as contiguous
+    1-D arrays: it avoids strided column reads and the ``(..., 2)`` stack.
+    """
+    sx = np.sin(x)
+    sy = np.sin(y)
+    sxy = np.sin(x - y)
+    eps = params.epsilon
+    return (
+        _snap_to_edges(x + eps * (2.0 * sx + sy + sxy)),
+        _snap_to_edges(y + eps * (sx + 2.0 * sy - sxy)),
+    )
 
 
 def jacobian(p, params: CouplingParams) -> np.ndarray:

@@ -3,21 +3,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from triclock.analysis import lyapunov_value
+from triclock.analysis import default_max_iterations, lyapunov_value
 from triclock.basin import (
     ATTRACTOR_LOWER,
     ATTRACTOR_UPPER,
     LABEL_NAMES,
+    BasinGrid,
     classify_point,
-    default_max_iter,
     orbit,
     rasterize,
     read_grid_binary,
     write_grid_binary,
     write_grid_csv,
 )
-from triclock.core import TWO_PI, CouplingParams
+from triclock.core import TWO_PI, CouplingParams, three_clock_step
 
 PI = math.pi
 
@@ -30,7 +32,7 @@ class TestClassifyPoint:
     def test_upper_triangle_point(self):
         label, iters = classify_point((PI / 2, 3 * PI / 2), params())
         assert label == "upper"
-        assert 0 < iters <= default_max_iter(params())
+        assert 0 < iters <= default_max_iterations(params())
 
     def test_lower_triangle_point(self):
         label, _ = classify_point((3 * PI / 2, PI / 2), params())
@@ -56,6 +58,46 @@ class TestClassifyPoint:
     def test_outside_square_rejected(self):
         with pytest.raises(ValueError):
             classify_point((-1.0, 1.0), params())
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"tol": -1.0}, {"tol": math.nan}, {"tol": math.inf}, {"max_iter": -3}],
+    ids=["negative-tol", "nan-tol", "inf-tol", "negative-max-iter"],
+)
+@pytest.mark.parametrize("classify", ["rasterize", "classify_point"])
+def test_meaningless_budget_rejected(classify, kwargs):
+    with pytest.raises(ValueError):
+        if classify == "rasterize":
+            rasterize(4, params(), **kwargs)
+        else:
+            classify_point((1.0, 2.0), params(), **kwargs)
+
+
+def full_lattice_reference(resolution, p, tol, max_iter):
+    """The classifier spelled out over every cell, on (n, 2) point arrays."""
+    h = TWO_PI / resolution
+    c = (np.arange(resolution) + 0.5) * h
+    gx, gy = np.meshgrid(c, c)
+    pts = np.stack((gx.ravel(), gy.ravel()), axis=-1)
+    labels = np.full(pts.shape[0], 3, dtype=np.uint8)
+    iters = np.full(pts.shape[0], max_iter, dtype=np.int32)
+    open_ = np.ones(pts.shape[0], dtype=bool)
+    for k in range(max_iter + 1):
+        x, y = pts[:, 0], pts[:, 1]
+        on_boundary = (
+            (x == 0.0) | (x == TWO_PI) | (y == 0.0) | (y == TWO_PI) | (np.abs(x - y) < 1e-13)
+        )
+        near = [np.max(np.abs(pts - a), axis=1) <= tol for a in (ATTRACTOR_UPPER, ATTRACTOR_LOWER)]
+        for code, hit in ((2, on_boundary), (0, near[0]), (1, near[1])):
+            new = open_ & hit
+            labels[new] = code
+            iters[new] = k
+            open_ &= ~new
+        if not open_.any() or k == max_iter:
+            break
+        pts = three_clock_step(pts, p)
+    return labels.reshape(resolution, resolution), iters.reshape(resolution, resolution)
 
 
 class TestRasterize:
@@ -92,6 +134,20 @@ class TestRasterize:
         assert np.array_equal(grid.labels, swap)
         assert np.array_equal(grid.iterations, grid.iterations.T)
 
+    @pytest.mark.parametrize(
+        "resolution, eps, tol, max_iter",
+        [(33, 0.05, 1e-6, None), (48, 0.08, 1e-6, None), (20, 0.05, 1e-3, 50)],
+        ids=["odd", "even", "unresolved"],
+    )
+    def test_mirror_equals_full_lattice(self, resolution, eps, tol, max_iter):
+        p = params(eps)
+        grid = rasterize(resolution, p, tol=tol, max_iter=max_iter)
+        labels, iters = full_lattice_reference(resolution, p, tol, grid.max_iter)
+        assert np.array_equal(grid.labels, labels)
+        assert np.array_equal(grid.iterations, iters)
+        if max_iter is not None:
+            assert grid.label_counts()["unresolved"] > 0
+
     def test_deterministic_and_worker_invariant(self):
         p = params()
         base = rasterize(24, p)
@@ -107,7 +163,8 @@ class TestRasterize:
         assert grid.label_counts()["unresolved"] == 0
 
     def test_default_max_iter(self):
-        assert default_max_iter(params(0.05)) == math.ceil(60 / 0.05)
+        assert default_max_iterations(params(0.05)) == math.ceil(60 / 0.05)
+        assert rasterize(4, params(0.05)).max_iter == math.ceil(60 / 0.05)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -147,6 +204,11 @@ class TestOrbit:
         with pytest.raises(ValueError):
             orbit((1.0, 2.0), params(), -1)
 
+    @pytest.mark.parametrize("start", [(7.0, -1.0), (1.0, TWO_PI + 1e-9), (math.nan, 1.0)])
+    def test_start_outside_square_rejected(self, start):
+        with pytest.raises(ValueError, match="outside the square"):
+            orbit(start, params(), 3)
+
 
 class TestGridSerialization:
     def test_csv_layout(self):
@@ -180,6 +242,46 @@ class TestGridSerialization:
         raw = buf.getvalue()
         assert len(raw) == 24 + 16 + 64
         assert int.from_bytes(raw[:8], "little") == 4
+
+    @settings(deadline=None, max_examples=50)
+    @given(
+        resolution=st.integers(1, 9),
+        eps=st.floats(0.0, 0.11),
+        tol=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_binary_round_trip_of_any_grid(self, resolution, eps, tol, seed):
+        rng = np.random.default_rng(seed)
+        shape = (resolution, resolution)
+        grid = BasinGrid(
+            resolution=resolution,
+            labels=rng.integers(0, 4, size=shape, dtype=np.uint8),
+            iterations=rng.integers(0, 2**31 - 1, size=shape, dtype=np.int32),
+            params=CouplingParams(epsilon=eps),
+            tol=tol,
+            max_iter=None,
+        )
+        buf = io.BytesIO()
+        write_grid_binary(grid, buf)
+        back = read_grid_binary(io.BytesIO(buf.getvalue()))
+        assert (back.resolution, back.params.epsilon, back.tol) == (resolution, eps, tol)
+        assert np.array_equal(back.labels, grid.labels)
+        assert np.array_equal(back.iterations, grid.iterations)
+
+    @pytest.mark.parametrize(
+        "cut, message",
+        [
+            (lambda raw: raw[:20], "header needs 24 bytes, got 20"),
+            (lambda raw: raw[:-1], "needs 80 bytes after the header, got 79"),
+            (lambda raw: raw + b"\0", "needs 80 bytes after the header, got 81"),
+        ],
+        ids=["short-header", "short-body", "trailing-bytes"],
+    )
+    def test_binary_length_checked(self, cut, message):
+        buf = io.BytesIO()
+        write_grid_binary(rasterize(4, params()), buf)
+        with pytest.raises(ValueError, match=message):
+            read_grid_binary(io.BytesIO(cut(buf.getvalue())))
 
     def test_label_counts(self):
         grid = rasterize(6, params())

@@ -57,6 +57,12 @@ class TestStep:
         assert code == 2
         assert "--y" in err
 
+    def test_start_outside_square_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "step", "--eps", "0.05", "--x", "7", "--y", "-1")
+        assert code == 2
+        assert out == ""
+        assert "outside the square" in err
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "step", "--x", "1.0", "--y", "2.0", "--eps", "0.05", "-n", "3",
@@ -148,6 +154,18 @@ class TestBasins:
         with open(target, "rb") as fh:
             grid = read_grid_binary(fh)
         assert grid.resolution == 8
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--tol", "-1"), ("--tol", "nan"), ("--max-iter", "-3")],
+    )
+    def test_meaningless_budget_is_usage_error(self, capsys, flag, value):
+        code, out, err = run_cli(
+            capsys, "basins", "--eps", "0.05", "--resolution", "6", flag, value
+        )
+        assert code == 2
+        assert out == ""
+        assert flag.lstrip("-").replace("-", "_") in err
 
     def test_svg_output(self, capsys):
         code, out, _ = run_cli(

@@ -19,6 +19,7 @@ from triclock.core import (
     omega_jacobian,
     perturbation,
     three_clock_step,
+    three_clock_step_xy,
 )
 
 PI = math.pi
@@ -26,6 +27,27 @@ PI = math.pi
 angles = st.floats(
     min_value=-50.0, max_value=50.0, allow_nan=False, allow_infinity=False
 )
+
+# Coordinates of S, with extra weight on the edges, the snap band next to
+# them (and just beyond it) and the main diagonal.
+square_coords = st.one_of(
+    st.floats(0.0, TWO_PI),
+    st.sampled_from([0.0, TWO_PI]),
+    st.floats(0.0, 2 * BOUNDARY_SNAP_TOL),
+    st.floats(TWO_PI - 2 * BOUNDARY_SNAP_TOL, TWO_PI),
+)
+
+
+@st.composite
+def square_point_arrays(draw):
+    """An (n, 2) array: drawn edge, snap-band and diagonal points, then a
+    seeded uniform batch, since a last-bit difference shows on only a few
+    percent of generic points."""
+    point = st.one_of(st.tuples(square_coords, square_coords), square_coords.map(lambda v: (v, v)))
+    special = np.array(draw(st.lists(point, min_size=1, max_size=50)), dtype=float)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bulk = rng.uniform(0.0, TWO_PI, size=(draw(st.integers(0, 200)), 2))
+    return np.concatenate((special, bulk))
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +257,22 @@ class TestThreeClockStep:
         fwd = three_clock_step((x, y), p)
         rev = three_clock_step((y, x), p)
         assert fwd[0] == rev[1] and fwd[1] == rev[0]
+
+    @settings(deadline=None, max_examples=200)
+    @given(pts=square_point_arrays(), eps=st.floats(1e-6, 0.11))
+    def test_transpose_equivariant_on_arrays(self, pts, eps):
+        # Bit for bit, snapping included: rasterize mirrors its half lattice on this.
+        p = CouplingParams(epsilon=eps)
+        fwd = three_clock_step(pts, p)
+        rev = three_clock_step(np.ascontiguousarray(pts[:, ::-1]), p)
+        assert np.ascontiguousarray(fwd[:, ::-1]).tobytes() == rev.tobytes()
+
+    @settings(deadline=None, max_examples=200)
+    @given(pts=square_point_arrays(), eps=st.floats(1e-6, 0.11))
+    def test_coordinate_array_step_is_the_same_map(self, pts, eps):
+        p = CouplingParams(epsilon=eps)
+        x, y = three_clock_step_xy(pts[:, 0].copy(), pts[:, 1].copy(), p)
+        assert np.stack((x, y), axis=-1).tobytes() == three_clock_step(pts, p).tobytes()
 
     @pytest.mark.parametrize("eps", [0.01, 0.05, 0.1])
     def test_square_invariant_on_grid(self, eps):
