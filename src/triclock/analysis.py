@@ -30,6 +30,7 @@ from .core import (
     omega_field,
     omega_jacobian,
     three_clock_step,
+    three_clock_step_scalar,
 )
 
 __all__ = [
@@ -209,13 +210,16 @@ def _newton_on_drift(
     """Damped Newton on the drift field, iterates clamped to the square.
 
     Clamping keeps corner identities intact (the drift is periodic, so an
-    escaped iterate would converge to a translated copy of a root).
+    escaped iterate would converge to a translated copy of a root).  A seed
+    whose Newton step is exactly zero (a singular Jacobian) can never move
+    again, so it is frozen where it stands, unconverged.
     Returns final iterates and a converged mask.
     """
     p = np.clip(np.asarray(seeds, dtype=float), 0.0, TWO_PI).copy()
     res = np.max(np.abs(omega_field(p)), axis=-1)
+    frozen = np.zeros(res.shape, dtype=bool)
     for _ in range(max_iter):
-        todo = res > tol
+        todo = (res > tol) & ~frozen
         if not todo.any():
             break
         q = p[todo]
@@ -226,6 +230,12 @@ def _newton_on_drift(
         dx = np.empty_like(q)
         dx[:, 0] = (-r[:, 0] * J[:, 1, 1] + r[:, 1] * J[:, 0, 1]) / safe
         dx[:, 1] = (-r[:, 1] * J[:, 0, 0] + r[:, 0] * J[:, 1, 0]) / safe
+        moving = (dx[:, 0] != 0.0) | (dx[:, 1] != 0.0)
+        if not moving.all():
+            frozen[np.flatnonzero(todo)[~moving]] = True
+            todo[todo] = moving
+            q = q[moving]
+            dx = dx[moving]
         base = res[todo]
         step = dx
         cand = np.clip(q + step, 0.0, TWO_PI)
@@ -242,6 +252,22 @@ def _newton_on_drift(
     return p, res <= tol
 
 
+def _dedupe_roots(roots: np.ndarray, radius: float) -> list[np.ndarray]:
+    """First-seen representatives of ``roots`` (shape ``(n, 2)``).
+
+    A root is kept unless it lies within ``radius`` (max-norm) of a root
+    kept before it.  One vector pass per kept root: keep the first remaining
+    root, then drop every remaining root within ``radius`` of it.
+    """
+    unique: list[np.ndarray] = []
+    rest = roots
+    while rest.shape[0]:
+        first = rest[0]
+        unique.append(first)
+        rest = rest[1:][~(np.max(np.abs(rest[1:] - first), axis=-1) < radius)]
+    return unique
+
+
 def find_fixed_points(
     seed_grid: int = 50, tol: float = 1e-12, params: CouplingParams | None = None
 ) -> FixedPointSearch:
@@ -256,20 +282,13 @@ def find_fixed_points(
     params.require_analysis_range()
     if seed_grid < 2:
         raise ValueError("seed_grid must be at least 2")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     axis = np.linspace(0.0, TWO_PI, seed_grid)
     gx, gy = np.meshgrid(axis, axis)
     seeds = np.column_stack((gx.ravel(), gy.ravel()))
     roots, ok = _newton_on_drift(seeds, tol)
-
-    unique: list[np.ndarray] = []
-    for root in roots[ok]:
-        for seen in unique:
-            if np.max(np.abs(root - seen)) < 1e-6:
-                break
-        else:
-            unique.append(root)
+    unique = _dedupe_roots(roots[ok], 1e-6)
     # Roots within rounding of an edge are boundary roots; snap them onto it
     # when that does not cost residual accuracy.
     snapped: list[np.ndarray] = []
@@ -312,7 +331,9 @@ class InvariantSegment:
         return o + np.multiply.outer(t, d)
 
     def restriction(self, t, params: CouplingParams) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
+        """``t + eps * drift(t)``; a float ``t`` gives a float, not a 0-d array."""
+        if not isinstance(t, float):
+            t = np.asarray(t, dtype=float)
         return t + params.epsilon * self.drift(t)
 
 
@@ -544,25 +565,34 @@ def trace_heteroclinic(
     if not bool(in_square(p)):
         raise ValueError("seed point leaves the square; try the opposite sign")
     fps = known_fixed_points()
-    samples = [p]
+    fp_xy = [(float(fx), float(fy)) for fx, fy in fps]
+    src_x, src_y = (float(v) for v in source.location)
+    fp_x = sorted({fx for fx, _ in fp_xy})
+    off_source = [max(abs(fx - src_x), abs(fy - src_y)) > capture_tol for fx, fy in fp_xy]
+    eps = params.epsilon
+    x, y = float(p[0]), float(p[1])
+    samples = [(x, y)]
     for _ in range(max_iter):
-        p = three_clock_step(p, params)
-        if not bool(in_square(p)):  # impossible while S is invariant
-            raise RuntimeError(f"orbit escaped the square at {p}")
-        samples.append(p)
-        dists = np.max(np.abs(fps - p), axis=-1)
-        j = int(np.argmin(dists))
-        if dists[j] <= capture_tol and np.max(np.abs(fps[j] - source.location)) > capture_tol:
+        x, y = three_clock_step_scalar(x, y, eps)
+        if not (0.0 <= x <= TWO_PI and 0.0 <= y <= TWO_PI):  # impossible while S is invariant
+            raise RuntimeError(f"orbit escaped the square at {np.array((x, y))}")
+        samples.append((x, y))
+        if all(abs(fx - x) > capture_tol for fx in fp_x):
+            continue  # a capture needs some fixed point's x within capture_tol
+        dists = [max(abs(fx - x), abs(fy - y)) for fx, fy in fp_xy]
+        nearest = min(dists)
+        j = dists.index(nearest)  # the first minimum, as np.argmin
+        if nearest <= capture_tol and off_source[j]:
             target = classify(fps[j], params)
             return HeteroclinicOrbit(
                 source=source,
                 target=target,
                 kind=_orbit_kind(source, target),
-                samples=np.asarray(samples),
+                samples=np.array(samples),
             )
     raise RuntimeError(
         f"no fixed point captured within {max_iter} iterations from "
-        f"{source.location}; last point {p}"
+        f"{source.location}; last point {np.array((x, y))}"
     )
 
 

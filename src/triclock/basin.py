@@ -38,7 +38,14 @@ from typing import IO
 import numpy as np
 
 from .analysis import default_max_iterations
-from .core import TWO_PI, CouplingParams, in_square, three_clock_step, three_clock_step_xy
+from .core import (
+    TWO_PI,
+    CouplingParams,
+    in_square,
+    three_clock_step,  # noqa: F401 -- perfbench's traced run wraps basin.three_clock_step
+    three_clock_step_scalar,
+    three_clock_step_xy,
+)
 
 __all__ = [
     "LABEL_NAMES",
@@ -217,11 +224,12 @@ def orbit(p, params: CouplingParams, n: int) -> np.ndarray:
     start = np.asarray(p, dtype=float).reshape(2)
     if not bool(in_square(start)):
         raise ValueError(f"point {p} outside the square")
-    out = np.empty((n + 1, 2), dtype=float)
-    out[0] = start
-    for k in range(n):
-        out[k + 1] = three_clock_step(out[k], params)
-    return out
+    x, y = float(start[0]), float(start[1])
+    points = [(x, y)]
+    for _ in range(n):
+        x, y = three_clock_step_scalar(x, y, params.epsilon)
+        points.append((x, y))
+    return np.array(points)
 
 
 def write_grid_csv(grid: BasinGrid, stream: IO[str]) -> None:

@@ -16,10 +16,13 @@ functions of their arguments:
   together with its exact Jacobian.
 
 State points for the square are plain ``(..., 2)`` float arrays; every
-function broadcasts, so the same code serves single-point analysis and
-bulk grid scans.  The square is kept CLOSED: there is no modular
-wrapping of map states, because the edges and the main diagonal are
-invariant sets that the analysis layer has to see exactly.  A separate
+array function broadcasts, so the same code serves bulk grid scans and
+the batched Newton search.  Per-point loops (orbits, the heteroclinic
+census) step Python floats through :func:`three_clock_step_scalar`, the
+same map bit for bit without numpy's per-call cost.  The square is kept
+CLOSED: there is no modular wrapping of map states, because the edges
+and the main diagonal are invariant sets that the analysis layer has to
+see exactly.  A separate
 :func:`normalize_phase` exists for absolute clock phases, which do wrap.
 """
 
@@ -45,6 +48,7 @@ __all__ = [
     "omega_jacobian",
     "three_clock_step",
     "three_clock_step_xy",
+    "three_clock_step_scalar",
     "jacobian",
     "in_square",
 ]
@@ -204,6 +208,30 @@ def three_clock_step_xy(
     return (
         _snap_to_edges(x + eps * (2.0 * sx + sy + sxy)),
         _snap_to_edges(y + eps * (sx + 2.0 * sy - sxy)),
+    )
+
+
+def _snap_scalar(q: float) -> float:
+    if abs(q) < BOUNDARY_SNAP_TOL:
+        return 0.0
+    if abs(q - TWO_PI) < BOUNDARY_SNAP_TOL:
+        return TWO_PI
+    return q
+
+
+def three_clock_step_scalar(x: float, y: float, eps: float) -> tuple[float, float]:
+    """:func:`three_clock_step` of one point given as two floats, bit for bit.
+
+    The per-point form for loops over a single orbit.  It keeps the array
+    form's operation order and edge snap; ``math.sin`` and ``np.sin`` agree
+    bit for bit on the platforms the tests run on (they check it).
+    """
+    sx = math.sin(x)
+    sy = math.sin(y)
+    sxy = math.sin(x - y)
+    return (
+        _snap_scalar(x + eps * (2.0 * sx + sy + sxy)),
+        _snap_scalar(y + eps * (sx + 2.0 * sy - sxy)),
     )
 
 

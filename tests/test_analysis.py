@@ -1,9 +1,17 @@
+import contextlib
+import hashlib
+import io
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from triclock import analysis
 from triclock.analysis import (
+    _dedupe_roots,
+    _newton_on_drift,
     classify,
     default_max_iterations,
     find_fixed_points,
@@ -18,6 +26,7 @@ from triclock.analysis import (
     trace_heteroclinic,
     verify_invariance,
 )
+from triclock.cli import main as cli_main
 from triclock.core import TWO_PI, CouplingParams, omega_field, three_clock_step
 
 PI = math.pi
@@ -86,8 +95,47 @@ class TestFindFixedPoints:
             find_fixed_points(seed_grid=1, tol=1e-12, params=params())
         with pytest.raises(ValueError):
             find_fixed_points(seed_grid=20, tol=0.0, params=params())
+        for tol in (math.nan, math.inf, -math.inf, -1e-12):
+            with pytest.raises(ValueError, match="tol must be finite"):
+                find_fixed_points(seed_grid=20, tol=tol, params=params())
         with pytest.raises(ValueError):
             find_fixed_points(params=None)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_dedupe_keeps_the_pairwise_loops_representatives(self, seed):
+        def pairwise(roots):
+            unique = []
+            for root in roots:
+                for seen in unique:
+                    if np.max(np.abs(root - seen)) < 1e-6:
+                        break
+                else:
+                    unique.append(root)
+            return unique
+
+        # Clusters around a few centres, with members straddling 1e-6 from
+        # each other in one or both coordinates, in shuffled order.
+        rng = np.random.default_rng(seed)
+        centres = rng.uniform(0.0, TWO_PI, size=(5, 2))
+        offsets = rng.choice([0.0, 0.4e-6, 0.9999e-6, 1e-6, 1.0001e-6, 1.6e-6], size=(300, 2))
+        offsets *= rng.choice([-1.0, 1.0], size=(300, 2))
+        roots = centres[rng.integers(0, 5, size=300)] + offsets
+        kept = _dedupe_roots(roots, 1e-6)
+        expected = pairwise(roots)
+        assert len(kept) > 5
+        assert np.array(kept).tobytes() == np.array(expected).tobytes()
+        assert _dedupe_roots(roots[:0], 1e-6) == []
+
+    def test_zero_newton_step_freezes_the_seed(self, monkeypatch):
+        # At (pi/2, pi/2) the drift Jacobian is singular, so the step is zero.
+        calls = []
+        real = analysis.omega_field
+        monkeypatch.setattr(analysis, "omega_field", lambda p: calls.append(1) or real(p))
+        seeds = np.array([[PI / 2, PI / 2], [3.0, 3.1]])
+        final, ok = _newton_on_drift(seeds, 1e-12)
+        assert final[0].tobytes() == seeds[0].tobytes()
+        assert ok.tolist() == [False, True]
+        assert len(calls) < 50
 
 
 class TestClassify:
@@ -252,9 +300,8 @@ class TestTraceHeteroclinic:
     def test_consecutive_samples_related_by_map(self):
         p = params()
         orbit = trace_heteroclinic(classify((0.0, PI), p), (2.0, 1.0), p)
-        for i in (0, 10, 100, orbit.samples.shape[0] - 2):
-            step = three_clock_step(orbit.samples[i], p)
-            assert np.max(np.abs(step - orbit.samples[i + 1])) < 1e-14
+        stepped = three_clock_step(orbit.samples[:-1], p)
+        assert stepped.tobytes() == orbit.samples[1:].tobytes()
 
     def test_seed_outside_square_rejected(self):
         p = params()
@@ -396,3 +443,73 @@ class TestOrbitalDerivativeScan:
     def test_grid_floor_enforced(self):
         with pytest.raises(ValueError):
             orbital_derivative_scan("upper", params(), grid=50)
+
+
+# ---------------------------------------------------------------------------
+# pinned outcomes
+# ---------------------------------------------------------------------------
+
+# Couplings of the pinned census, and the (eps, seed grid) pairs of the pinned
+# fixed-point searches.  Seed grids 33 and 45 put seeds on singular-Jacobian
+# points (grid - 1 divisible by 4), 16 and 72 are even grids.
+PINNED_CENSUS_EPS = (0.01, 0.013, 0.02, 0.03, 0.045, 0.05, 0.066, 0.08, 0.1, 0.109)
+PINNED_SEARCHES = (
+    (0.05, 2), (0.05, 5), (0.05, 16), (0.05, 33), (0.05, 45), (0.05, 72), (0.05, 100),
+    (0.01, 33), (0.01, 72), (0.1, 45), (0.1, 16),
+)
+
+
+def census_outcome(eps):
+    """Counts and per-orbit sample digests of ``heteroclinic_census``."""
+    census = heteroclinic_census(params(eps))
+    return {
+        "eps": repr(eps),
+        "counts": census.counts,
+        "orbits": [
+            {
+                "kind": orb.kind,
+                "source": [repr(float(v)) for v in orb.source.location],
+                "target": [repr(float(v)) for v in orb.target.location],
+                "length": int(orb.samples.shape[0]),
+                "sha256": hashlib.sha256(orb.samples.tobytes()).hexdigest(),
+            }
+            for orb in census.orbits
+        ],
+    }
+
+
+def fixed_points_outcome(eps, seed_grid):
+    """Digests of the ``fixed-points`` JSON and CSV reports."""
+    out = {"eps": repr(eps), "seed_grid": seed_grid}
+    for fmt in ("json", "csv"):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli_main(["fixed-points", "--eps", repr(eps), "--seed-grid", str(seed_grid),
+                             "--format", fmt])
+        assert code == 0
+        out[f"{fmt}_sha256"] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    return out
+
+
+def analysis_outcomes():
+    return {
+        "census": [census_outcome(eps) for eps in PINNED_CENSUS_EPS],
+        "fixed_points": [fixed_points_outcome(eps, g) for eps, g in PINNED_SEARCHES],
+    }
+
+
+def test_analysis_outcomes_match_the_recorded_numpy_loops():
+    """Bit-for-bit census and fixed-point reports of the numpy-per-step analysis.
+
+    ``data/analysis_outcomes.json`` is ``analysis_outcomes()`` recorded with
+    the analysis layer that stepped the census through ``three_clock_step``
+    one 2-vector at a time and deduplicated roots pairwise.
+    """
+    pinned = json.loads((Path(__file__).parent / "data" / "analysis_outcomes.json").read_text())
+    got = analysis_outcomes()
+    for old, new in zip(pinned["census"], got["census"]):
+        assert new == old, f"census at eps {old['eps']}"
+    for old, new in zip(pinned["fixed_points"], got["fixed_points"]):
+        assert new == old, f"fixed points at eps {old['eps']}, seed grid {old['seed_grid']}"
+    assert len(got["census"]) == len(pinned["census"])
+    assert len(got["fixed_points"]) == len(pinned["fixed_points"])

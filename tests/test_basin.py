@@ -200,6 +200,18 @@ class TestOrbit:
             line = orbit((x, y), p, 300)
             assert np.all(line[:, 1] > line[:, 0])
 
+    @pytest.mark.parametrize(
+        "start", [(PI / 2, 3 * PI / 2), (0.0, 1.0), (2.5, 2.5), (TWO_PI, 4.0), (1e-15, 3.0)]
+    )
+    @pytest.mark.parametrize("eps", [0.013, 0.1])
+    def test_iterates_of_the_array_step(self, start, eps):
+        # step and the portrait's sample orbits must walk the raster's orbits.
+        p = params(eps)
+        expected = [np.asarray(start, dtype=float)]
+        for _ in range(200):
+            expected.append(three_clock_step(expected[-1], p))
+        assert orbit(start, p, 200).tobytes() == np.array(expected).tobytes()
+
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
             orbit((1.0, 2.0), params(), -1)

@@ -123,6 +123,13 @@ class TestFixedPoints:
         code, _, _ = run_cli(capsys, "fixed-points", "--eps", "0.0")
         assert code == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+    def test_meaningless_tolerance_refused(self, capsys, tol):
+        code, out, err = run_cli(capsys, "fixed-points", "--eps", "0.05", "--tol", tol)
+        assert code == 2
+        assert out == ""
+        assert "tol must be finite and > 0" in err
+
 
 # ---------------------------------------------------------------------------
 # basins

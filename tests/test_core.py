@@ -19,6 +19,7 @@ from triclock.core import (
     omega_jacobian,
     perturbation,
     three_clock_step,
+    three_clock_step_scalar,
     three_clock_step_xy,
 )
 
@@ -273,6 +274,27 @@ class TestThreeClockStep:
         p = CouplingParams(epsilon=eps)
         x, y = three_clock_step_xy(pts[:, 0].copy(), pts[:, 1].copy(), p)
         assert np.stack((x, y), axis=-1).tobytes() == three_clock_step(pts, p).tobytes()
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        pts=square_point_arrays(),
+        eps=st.floats(1e-8, 1 / 9, exclude_min=True, exclude_max=True),
+    )
+    def test_scalar_step_is_the_same_map(self, pts, eps):
+        # The census and orbits step floats; the raster steps arrays.  Both
+        # must walk the same orbit, snapping included.
+        stepped = [three_clock_step_scalar(x, y, eps) for x, y in pts.tolist()]
+        assert all(type(v) is float for xy in stepped for v in xy)
+        expected = three_clock_step(pts, CouplingParams(epsilon=eps))
+        assert np.array(stepped).tobytes() == expected.tobytes()
+
+    @settings(deadline=None, max_examples=500)
+    @given(t=st.floats(allow_nan=False, allow_infinity=False))
+    def test_math_sin_is_numpy_sin(self, t):
+        # three_clock_step_scalar equals three_clock_step only while this holds.
+        expected = np.sin(np.full(16, t))
+        assert np.array([math.sin(t)]).tobytes() == expected[:1].tobytes()
+        assert np.float64(np.sin(t)).tobytes() == expected[:1].tobytes()
 
     @pytest.mark.parametrize("eps", [0.01, 0.05, 0.1])
     def test_square_invariant_on_grid(self, eps):
