@@ -84,16 +84,6 @@ class FixedPointRecord:
     kind: str  # attractor | repeller | saddle | non-hyperbolic
     residual: float
 
-    def to_dict(self) -> dict:
-        return {
-            "location": [float(v) for v in self.location],
-            "jacobian": [[float(v) for v in row] for row in self.jacobian],
-            "eigenvalues": [float(v) for v in self.eigenvalues],
-            "eigenvectors": [[float(v) for v in vec] for vec in self.eigenvectors],
-            "kind": self.kind,
-            "residual": float(self.residual),
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "FixedPointRecord":
         return cls(
@@ -348,16 +338,6 @@ class InvarianceCheck:
     monotone: bool
     min_slope: float
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "max_deviation": float(self.max_deviation),
-            "worst_point": [float(v) for v in self.worst_point],
-            "monotone": self.monotone,
-            "min_slope": float(self.min_slope),
-        }
-
 
 def _g_drift(t):
     return 3.0 * np.sin(t)
@@ -506,14 +486,6 @@ class HeteroclinicOrbit:
     target: FixedPointRecord
     kind: str  # sa | rs | ra (source/target class initials)
     samples: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {
-            "source": [float(v) for v in self.source.location],
-            "target": [float(v) for v in self.target.location],
-            "kind": self.kind,
-            "samples": [[float(v) for v in p] for p in self.samples],
-        }
 
 
 @dataclass(frozen=True)
@@ -732,16 +704,6 @@ class LyapunovReport:
     zero_set: np.ndarray
     passed: bool
     cell: float
-
-    def to_dict(self) -> dict:
-        return {
-            "region": self.region,
-            "grid_resolution": self.grid_resolution,
-            "max_df": float(self.max_df),
-            "zero_set": [[float(v) for v in p] for p in self.zero_set],
-            "passed": self.passed,
-            "cell": float(self.cell),
-        }
 
 
 def orbital_derivative_scan(

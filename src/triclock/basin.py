@@ -12,9 +12,7 @@ each cell center:
 * ``unresolved``: the iteration budget ran out; reported, never coerced.
 
 Cell centers are sampled (not corners) so lattice points avoid the
-invariant lines except for the deliberate diagonal band.  Classification
-is elementwise and order-free, so chunked multi-worker runs return
-bit-identical grids.
+invariant lines except for the deliberate diagonal band.
 
 The classifier keeps ``x`` and ``y`` as two contiguous 1-D arrays and
 steps them with :func:`~triclock.core.three_clock_step_xy`.  Rasterization
@@ -31,7 +29,6 @@ from __future__ import annotations
 
 import math
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import IO
 
@@ -93,12 +90,6 @@ class BasinGrid:
             name: int(np.count_nonzero(self.labels == code))
             for code, name in enumerate(LABEL_NAMES)
         }
-
-    def cell_centers(self) -> np.ndarray:
-        h = TWO_PI / self.resolution
-        c = (np.arange(self.resolution) + 0.5) * h
-        gx, gy = np.meshgrid(c, c)
-        return np.stack((gx, gy), axis=-1)
 
 
 def _on_invariant_boundary(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -179,8 +170,8 @@ def rasterize(
     Only the cells with ``row <= col`` are iterated; each mirror cell
     ``[col, row]`` gets the same iteration count and the label swapped
     upper <-> lower, which is exact (see the module docstring).
-    ``workers`` only chunks those cells across threads; any worker count
-    produces the identical grid.
+    ``workers`` is accepted and checked to be at least 1, but it changes
+    nothing: the raster always runs in the calling thread.
     """
     max_iter = _budget(params, tol, max_iter)
     if resolution < 2:
@@ -191,17 +182,7 @@ def rasterize(
     c = (np.arange(resolution) + 0.5) * h
     gx, gy = np.meshgrid(c, c)
     half = np.triu(np.ones((resolution, resolution), dtype=bool))  # row <= col
-    x = gx[half]
-    y = gy[half]
-
-    if workers == 1:
-        half_labels, half_iters = _classify(x, y, params, tol, max_iter)
-    else:
-        chunks = zip(np.array_split(x, workers * 4), np.array_split(y, workers * 4))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda ch: _classify(*ch, params, tol, max_iter), chunks))
-        half_labels = np.concatenate([p[0] for p in parts])
-        half_iters = np.concatenate([p[1] for p in parts])
+    half_labels, half_iters = _classify(gx[half], gy[half], params, tol, max_iter)
 
     labels = np.zeros((resolution, resolution), dtype=np.uint8)
     iters = np.zeros((resolution, resolution), dtype=np.int32)

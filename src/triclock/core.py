@@ -28,8 +28,9 @@ see exactly.  A separate
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -51,6 +52,7 @@ __all__ = [
     "three_clock_step_scalar",
     "jacobian",
     "in_square",
+    "json_data",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -70,19 +72,16 @@ BOUNDARY_SNAP_TOL = 1e-14
 
 @dataclass(frozen=True)
 class CouplingParams:
-    """Coupling strength plus the physical constants it summarizes.
+    """Coupling strength plus the escapement constants.
 
-    ``epsilon`` is the primary free parameter; ``mu`` (dry friction),
-    ``h`` (energy-kick velocity scale) and ``alpha`` (interaction
-    constant) only matter for the one-clock escapement map and for
-    documentation.  The common angular frequency is fixed at 1.
+    ``epsilon`` is the primary free parameter; ``mu`` (dry friction) and
+    ``h`` (energy-kick velocity scale) only matter for the one-clock
+    escapement map.  The common angular frequency is fixed at 1.
     """
 
     epsilon: float
     mu: float = 0.1
     h: float = 1.0
-    alpha: float = 0.0
-    omega: float = 1.0
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.epsilon) or self.epsilon < 0.0:
@@ -91,10 +90,6 @@ class CouplingParams:
             raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
         if not math.isfinite(self.h) or self.h <= 0.0:
             raise ValueError(f"h must be finite and > 0, got {self.h}")
-        if not math.isfinite(self.alpha) or self.alpha < 0.0:
-            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
-        if self.omega != 1.0:
-            raise ValueError("the model fixes the common angular frequency at 1")
 
     def require_analysis_range(self) -> None:
         """Reject couplings outside (1e-8, 1/9), where analysis is unsound."""
@@ -245,3 +240,24 @@ def in_square(p, tol: float = 0.0) -> np.ndarray:
     """Whether each point lies in the closed square S, with optional slack."""
     p = np.asarray(p, dtype=float)
     return np.all((p >= -tol) & (p <= TWO_PI + tol), axis=-1)
+
+
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    # Once per type: ``fields()`` costs about as much as a kick event's data.
+    return tuple(f.name for f in fields(cls))
+
+
+def json_data(obj):
+    """A dataclass as plain JSON data, field by field in declaration order.
+
+    Nested dataclasses become dicts, arrays (nested) lists of Python
+    scalars, tuples and lists lists; any other value is returned as is.
+    """
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if is_dataclass(obj):
+        return {name: json_data(getattr(obj, name)) for name in _field_names(type(obj))}
+    if isinstance(obj, (tuple, list)):
+        return [json_data(v) for v in obj]
+    return obj

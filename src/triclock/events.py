@@ -37,7 +37,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .core import TWO_PI, CouplingParams, normalize_phase
+from .core import TWO_PI, CouplingParams, json_data, normalize_phase
 
 __all__ = [
     "ClockEnsemble",
@@ -87,14 +87,6 @@ class KickEvent:
     kicking_clock: int
     phases_before: np.ndarray
     phases_after: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {
-            "cycle_index": self.cycle_index,
-            "kicking_clock": self.kicking_clock,
-            "phases_before": [float(v) for v in self.phases_before],
-            "phases_after": [float(v) for v in self.phases_after],
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "KickEvent":
@@ -291,8 +283,8 @@ def run_until_locked(
     ``max_cycles`` is exhausted first; that is a result, not an error.
     With ``record`` the result also carries every cycle's kick events.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     if max_cycles < 1:
         raise ValueError("max_cycles must be at least 1")
     state = ensemble
@@ -323,7 +315,7 @@ def run_until_locked(
 def write_events_jsonl(events: Iterable[KickEvent], stream: IO[str]) -> None:
     """One JSON object per kick event, fields as named on the type."""
     for ev in events:
-        stream.write(json.dumps(ev.to_dict()) + "\n")
+        stream.write(json.dumps(json_data(ev)) + "\n")
 
 
 def read_events_jsonl(stream: IO[str]) -> list[KickEvent]:

@@ -27,7 +27,7 @@ from triclock.analysis import (
     verify_invariance,
 )
 from triclock.cli import main as cli_main
-from triclock.core import TWO_PI, CouplingParams, omega_field, three_clock_step
+from triclock.core import TWO_PI, CouplingParams, json_data, omega_field, three_clock_step
 
 PI = math.pi
 THIRD = 2 * PI / 3
@@ -194,7 +194,7 @@ class TestClassify:
 
     def test_record_dict_round_trip(self):
         rec = classify((PI, PI), params())
-        back = type(rec).from_dict(rec.to_dict())
+        back = type(rec).from_dict(json_data(rec))
         assert np.array_equal(back.location, rec.location)
         assert np.array_equal(back.jacobian, rec.jacobian)
         assert back.eigenvalues == rec.eigenvalues

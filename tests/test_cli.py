@@ -1,20 +1,26 @@
+import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from triclock import analysis, basin, cli, events, render
 from triclock.analysis import FixedPointRecord
 from triclock.basin import read_grid_binary
 from triclock.cli import main
-from triclock.core import CouplingParams
+from triclock.core import CouplingParams, json_data
 from triclock.events import ClockEnsemble, read_events_jsonl, run_cycle
 
 PI = math.pi
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -105,7 +111,7 @@ class TestFixedPoints:
         # lossless report round trip
         for r in records:
             rec = FixedPointRecord.from_dict(r)
-            assert rec.to_dict() == r
+            assert json_data(rec) == r
 
     def test_csv_table(self, capsys):
         code, out, _ = run_cli(capsys, "fixed-points", "--eps", "0.05", "--format", "csv")
@@ -256,7 +262,7 @@ class TestSimulate:
         assert len(events) == 15  # 3 kicks per cycle, 5 cycles
         assert events[0].cycle_index == 0 and events[-1].cycle_index == 4
         expected = self.cycle_by_cycle_events([0.0, 2.0, 4.0], 0.05, 5)
-        assert [ev.to_dict() for ev in events] == [ev.to_dict() for ev in expected]
+        assert [json_data(ev) for ev in events] == [json_data(ev) for ev in expected]
 
     def test_trace_of_a_locked_run(self, capsys, tmp_path):
         target = tmp_path / "trace.jsonl"
@@ -269,7 +275,7 @@ class TestSimulate:
         with open(target, encoding="utf-8") as fh:
             events = read_events_jsonl(fh)
         expected = self.cycle_by_cycle_events([0.0, 1.0, 3.0, 5.0], 0.02, cycles)
-        assert [ev.to_dict() for ev in events] == [ev.to_dict() for ev in expected]
+        assert [json_data(ev) for ev in events] == [json_data(ev) for ev in expected]
 
     def test_trace_csv(self, capsys, tmp_path):
         target = tmp_path / "trace.csv"
@@ -312,6 +318,18 @@ class TestSimulate:
     def test_meaningless_coupling_or_phases_rejected(self, capsys, eps, phases):
         code, out, _ = run_cli(capsys, "simulate", "--eps", eps, "--phases", phases)
         assert code == 2 and out == ""
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--tol", "nan"), ("--tol", "inf"), ("--splay-tol", "nan"), ("--splay-tol", "inf"),
+         ("--splay-tol", "0"), ("--splay-tol", "-0.001")],
+    )
+    def test_meaningless_tolerance_rejected(self, capsys, flag, value):
+        code, out, err = run_cli(
+            capsys, "simulate", "--eps", "0.05", "--phases", "0,2.0,4.0", flag, value
+        )
+        assert code == 2 and out == ""
+        assert "tol must be finite and > 0" in err
 
     def test_trace_needs_single_start(self, capsys, tmp_path):
         code, _, _ = run_cli(
@@ -407,6 +425,17 @@ class TestPortrait:
         code, _, _ = run_cli(capsys, "portrait", "--eps", "0.05", "--layers", "bogus")
         assert code == 2
 
+    def test_only_svg_format(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "portrait", "--eps", "0.05", "--layers", "fixed_points",
+                               "--format", "svg")
+        assert code == 0 and out.startswith("<?xml")
+        code, out, err = run_cli(capsys, "portrait", "--eps", "0.05", "--format", "json")
+        assert (code, out) == (2, "") and "'json'" in err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("eps = 0.05\nformat = png\n")
+        code, out, err = run_cli(capsys, "portrait", "--config", str(cfg))
+        assert (code, out) == (2, "") and "'png'" in err
+
 
 # ---------------------------------------------------------------------------
 # shared plumbing
@@ -468,6 +497,41 @@ class TestPlumbing:
         )
         assert code == 1
 
+    # The calls that do each subcommand's work.
+    ENTRY_POINTS = {
+        "step": [(basin, "orbit")],
+        "fixed-points": [(analysis, "find_fixed_points")],
+        "basins": [(basin, "rasterize")],
+        "simulate": [(events, "run_until_locked")],
+        "verify": [(analysis, "verify_invariance"), (analysis, "heteroclinic_census")],
+        "andronov": [(cli, "andronov_step")],
+        "portrait": [(basin, "rasterize"), (render, "render_portrait")],
+    }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["step", "--x", "1", "--y", "2"], ["fixed-points"], ["basins", "--resolution", "300"],
+         ["simulate", "--phases", "0,2,4"], ["verify"], ["andronov", "--v0", "5"], ["portrait"]],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_format_checked_before_work(self, capsys, tmp_path, monkeypatch, argv, source):
+        def refuse(*args, **kwargs):
+            raise AssertionError("computed before the format was checked")
+
+        for module, name in self.ENTRY_POINTS[argv[0]]:
+            monkeypatch.setattr(module, name, refuse)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format = xml\n" if source == "config" else "")
+        extra = ["--format", "xml"] if source == "flag" else []
+        code, out, err = run_cli(
+            capsys, *argv, "--eps", "0.05", "--config", str(cfg), *extra,
+            "--out", str(tmp_path / "report"),
+        )
+        assert (code, out) == (2, "")
+        assert f"{argv[0]} cannot emit format 'xml'" in err
+        assert not (tmp_path / "report").exists()
+
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main([])
@@ -482,3 +546,87 @@ class TestPlumbing:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("x,y")
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs
+# ---------------------------------------------------------------------------
+
+# Every subcommand x format, on stdout, --out and --trace-out, plus a few
+# rejections.  tests/data/cli_outputs.json holds, per command line, the exit
+# code and the sha256 of stdout and of each file it names, recorded at commit
+# b4095c3 (before the CLI's report path was unified) with ``run_case`` below.
+PINNED_CASES = [
+    ["step", "--x", "1.5708", "--y", "4.7124", "--eps", "0.01", "-n", "10"],
+    ["step", "--x", "90", "--y", "270", "--eps", "0.01", "--deg", "-n", "3", "--format", "json"],
+    ["step", "--x", "1", "--y", "2", "--eps", "0.05", "-n", "5", "--out", "step.csv"],
+    ["step", "--x", "1", "--y", "2", "--eps", "0.05", "-n", "5", "--format", "json",
+     "--out", "step.json"],
+    ["step", "--x", "1", "--y", "2", "--eps", "0.05", "-n", "2", "--out", "-"],
+    ["fixed-points", "--eps", "0.05"],
+    ["fixed-points", "--eps", "0.013", "--seed-grid", "33", "--format", "csv", "--out", "fp.csv"],
+    ["fixed-points", "--eps", "0.1", "--seed-grid", "45", "--format", "json", "--out", "fp.json"],
+    ["basins", "--eps", "0.05", "--resolution", "40"],
+    ["basins", "--eps", "0.05", "--resolution", "40", "--format", "bin"],
+    ["basins", "--eps", "0.07", "--resolution", "31", "--format", "csv", "--out", "grid.csv"],
+    ["basins", "--eps", "0.07", "--resolution", "31", "--format", "bin", "--out", "grid.bin",
+     "--workers", "2"],
+    ["basins", "--eps", "0.05", "--resolution", "24", "--max-iter", "30", "--format", "svg",
+     "--out", "sub/grid.svg"],
+    ["basins", "--eps", "0.03", "--resolution", "20", "--format", "svg"],
+    ["simulate", "--eps", "0.05", "--phases", "0,2.0,4.0", "--tol", "1e-8"],
+    ["simulate", "--eps", "0.02", "--n-clocks", "4", "--random-starts", "10", "--seed", "4",
+     "--format", "csv", "--out", "sim.csv"],
+    ["simulate", "--eps", "0.05", "--phases", "0,2.0,4.0", "--max-cycles", "3", "--tol", "1e-20",
+     "--trace-out", "kicks.jsonl"],
+    ["simulate", "--eps", "0.05", "--phases", "0,2.0,4.0", "--max-cycles", "3", "--tol", "1e-20",
+     "--trace-out", "sub/kicks.csv", "--format", "csv", "--out", "sim2.csv"],
+    ["simulate", "--eps", "0.1", "--phases", "0,100,200", "--deg", "--out", "sim.json"],
+    ["verify", "--eps", "0.05", "--samples", "200", "--grid", "120"],
+    ["verify", "--eps", "0.10", "--samples", "200", "--grid", "120", "--format", "json",
+     "--out", "verify.json"],
+    ["verify", "--eps", "0.05", "--format", "json"],
+    ["andronov", "--mu", "0.1", "--h", "1", "--v0", "5", "--steps", "20"],
+    ["andronov", "--mu", "0.2", "--h", "1.5", "--v0", "3", "--steps", "10", "--format", "json",
+     "--out", "andronov.json"],
+    ["portrait", "--eps", "0.05", "--resolution", "24"],
+    ["portrait", "--eps", "0.05", "--resolution", "20", "--layers",
+     "basin_background,invariant_segments,heteroclinics,fixed_points,sample_orbits",
+     "--out", "portrait.svg"],
+    ["portrait", "--eps", "0.05", "--layers", "fixed_points,sample_orbits", "--format", "svg",
+     "--out", "p2.svg"],
+    ["step", "--x", "1", "--y", "2", "--eps", "0.05", "--format", "yaml"],
+    ["fixed-points", "--eps", "0.2", "--out", "none.json"],
+    ["simulate", "--eps", "5", "--phases", "0,1,2"],
+    ["verify", "--eps", "0"],
+    ["basins", "--eps", "0.05", "--resolution", "10", "--tol", "-1", "--out", "none.csv"],
+    ["andronov", "--v0", "0.3"],
+]
+
+
+def _named_files(argv):
+    return [argv[i + 1] for i, a in enumerate(argv[:-1])
+            if a in ("--out", "--trace-out") and argv[i + 1] != "-"]
+
+
+def run_case(argv, outdir):
+    """Run one command line in-process with relative outputs under ``outdir``
+    (via TRICLOCK_OUTDIR, which the caller sets); return its exit code and the
+    sha256 of its stdout bytes and of each file it names (None if absent)."""
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    stdout.flush()
+    files = {}
+    for name in _named_files(argv):
+        path = outdir / name
+        files[name] = hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
+    return {"exit": code, "stdout": hashlib.sha256(stdout.buffer.getvalue()).hexdigest(),
+            "files": files}
+
+
+@pytest.mark.parametrize("argv", PINNED_CASES, ids=lambda argv: " ".join(argv))
+def test_outputs_match_the_recorded_bytes(argv, tmp_path, monkeypatch):
+    recorded = json.loads((DATA / "cli_outputs.json").read_text(encoding="utf-8"))
+    monkeypatch.setenv("TRICLOCK_OUTDIR", str(tmp_path))
+    assert run_case(argv, tmp_path) == recorded[shlex.join(argv)]

@@ -58,7 +58,7 @@ def square_point_arrays(draw):
 class TestCouplingParams:
     def test_defaults_valid(self):
         p = CouplingParams(epsilon=0.05)
-        assert p.mu == 0.1 and p.h == 1.0 and p.omega == 1.0
+        assert p.mu == 0.1 and p.h == 1.0
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -67,8 +67,6 @@ class TestCouplingParams:
             {"epsilon": float("nan")},
             {"epsilon": 0.05, "mu": -1.0},
             {"epsilon": 0.05, "h": 0.0},
-            {"epsilon": 0.05, "alpha": -2.0},
-            {"epsilon": 0.05, "omega": 2.0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from triclock import events
-from triclock.core import TWO_PI, CouplingParams, three_clock_step
+from triclock.core import TWO_PI, CouplingParams, json_data, three_clock_step
 from triclock.events import (
     ClockEnsemble,
     KickEvent,
@@ -251,6 +251,9 @@ class TestRunUntilLocked:
     def test_validates_inputs(self):
         with pytest.raises(ValueError):
             run_until_locked(ensemble([0.0, 1.0, 2.0]), tol=0.0, max_cycles=10)
+        for tol in (float("nan"), float("inf"), -1e-6):
+            with pytest.raises(ValueError, match="tol must be finite"):
+                run_until_locked(ensemble([0.0, 1.0, 2.0]), tol=tol, max_cycles=10)
         with pytest.raises(ValueError):
             run_until_locked(ensemble([0.0, 1.0, 2.0]), tol=1e-6, max_cycles=0)
 
@@ -263,7 +266,7 @@ class TestRunUntilLocked:
             trace = run_cycle(state, cycle_index=cycle, record=True)
             expected.extend(trace.events)
             state = trace.end_state
-        assert [ev.to_dict() for ev in res.events] == [ev.to_dict() for ev in expected]
+        assert [json_data(ev) for ev in res.events] == [json_data(ev) for ev in expected]
         assert np.array_equal(res.ensemble.phases, state.phases)
         assert run_until_locked(start, tol=1e-20, max_cycles=6).events == ()
 
@@ -386,7 +389,7 @@ class TestEventSerialization:
 
     def test_kick_event_dict_round_trip(self):
         ev = KickEvent(2, 1, np.array([0.1, 0.0, 2.2]), np.array([0.1, 0.0, 2.21]))
-        back = KickEvent.from_dict(ev.to_dict())
+        back = KickEvent.from_dict(json_data(ev))
         assert back.cycle_index == 2 and back.kicking_clock == 1
         assert np.array_equal(back.phases_before, ev.phases_before)
         assert np.array_equal(back.phases_after, ev.phases_after)
