@@ -3,9 +3,10 @@
 Subcommands: ``step``, ``fixed-points``, ``basins``, ``simulate``,
 ``verify``, ``andronov``, ``portrait``.  Values resolve in the order
 command line > config file (flat ``key = value`` lines) > built-in
-default.  Exit codes: 0 success, 1 I/O or check failure, 2 usage or
-validation failure.  ``TRICLOCK_OUTDIR`` redirects relative output
-paths.
+default; a config file may set any of the subcommand's options except
+``--config``, by its long name, and no other key.  Exit codes: 0
+success, 1 I/O or check failure, 2 usage or validation failure.
+``TRICLOCK_OUTDIR`` redirects relative output paths.
 
 Each subcommand declares its output formats once, default first.  ``main``
 resolves ``--format`` and rejects an unknown one before the handler does
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -64,7 +66,14 @@ class _Settings:
 
     def __init__(self, args: argparse.Namespace) -> None:
         self.args = args
-        self.cfg = _read_config(args.config) if getattr(args, "config", None) else {}
+        self.cfg = _read_config(args.config) if args.config else {}
+        unknown = sorted(self.cfg.keys() - args.config_keys)
+        if unknown:
+            raise ValueError(
+                f"config file {args.config}: unknown key{'s' if len(unknown) > 1 else ''} "
+                f"{', '.join(map(repr, unknown))} for {args.command} "
+                f"(keys: {', '.join(sorted(args.config_keys))})"
+            )
 
     def get(self, name: str, cast: Callable[[str], Any], default: Any = None) -> Any:
         value = getattr(self.args, name.replace("-", "_"), None)
@@ -127,8 +136,14 @@ def _csv(header: list[str], rows: Iterable[list]) -> Writer:
     return write
 
 
+def _boolean(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return text.lower() == "true"
+
+
 def _maybe_radians(value: float, settings: _Settings) -> float:
-    if getattr(settings.args, "deg", False):
+    if settings.get("deg", _boolean, False):
         return math.radians(value)
     return value
 
@@ -479,7 +494,11 @@ def _subcommand(
     return p
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and building it takes about 2 ms, a fifth of a short
+    ``simulate`` call."""
     parser = argparse.ArgumentParser(
         prog="triclock",
         description="Analyze the phase-difference dynamics of impact-coupled clocks.",
@@ -491,7 +510,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float, help="first phase difference (radians)")
     p.add_argument("--y", type=float, help="second phase difference (radians)")
     p.add_argument("-n", "--count", type=int, dest="count", help="number of iterates")
-    p.add_argument("--deg", action="store_true", help="interpret --x/--y in degrees")
+    p.add_argument("--deg", action="store_true", default=None,
+                   help="interpret --x/--y in degrees")
 
     p = _subcommand(sub, "fixed-points", "find and classify all fixed points",
                     _cmd_fixed_points, ("json", "csv"))
@@ -516,7 +536,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-cycles", type=int, dest="max_cycles", help="cycle budget per run")
     p.add_argument("--splay-tol", type=float, dest="splay_tol", help="near-splay threshold")
     p.add_argument("--trace-out", dest="trace_out", help="write kick events (.jsonl or .csv)")
-    p.add_argument("--deg", action="store_true", help="interpret --phases in degrees")
+    p.add_argument("--deg", action="store_true", default=None,
+                   help="interpret --phases in degrees")
 
     p = _subcommand(sub, "verify", "invariance, census, and Lyapunov checks", _cmd_verify,
                     ("text", "json"))
@@ -534,12 +555,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layers", help="comma-separated layer names")
     p.add_argument("--resolution", type=int, help="background raster per side")
 
+    # A config file may set each of a subcommand's own options by its long name.
+    for p in sub.choices.values():
+        keys = {action.dest.replace("_", "-") for action in p._actions}
+        p.set_defaults(config_keys=keys - {"help", "config"})
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         settings = _Settings(args)
         # The format is resolved and checked before the handler does any work.

@@ -13,11 +13,16 @@ the phase differences taken at those instants follow the first-order
 map in :mod:`triclock.core` up to O(eps**2), which is what makes this
 simulator an independent oracle for it.
 
-The kick rule, the time shift and the tie order exist once, in a kernel
-on a list of Python floats with no numpy call inside the cycle, and a
-kick trace is recorded by the same run that reports the lock.  The
-simulator accepts 0 <= eps < 1, where a kick cannot carry a clock
-across the threshold; the kernel raises if one ever does.
+The kick rule, the time shift and the tie order exist once, in
+``_advance`` and ``_kick``.  One cycle kernel runs them on a list of
+Python floats, with no numpy call unless it records kick events;
+:func:`run_cycle` wraps it, converting the phases to a list once on entry
+and to an array once on exit.  :func:`run_until_locked` calls
+:func:`run_cycle` once per cycle and reads each cycle's difference vector
+straight off its end state, whose reference is at exactly 0.  A kick
+trace is recorded by the same run that reports the lock.  The simulator
+accepts 0 <= eps < 1, where a kick cannot carry a clock across the
+threshold; the kernel raises if one ever does.
 
 Convention: in a state handed to :func:`run_cycle` (or produced by it),
 phase 0 on the reference clock means "at the threshold, about to kick".
@@ -57,6 +62,19 @@ __all__ = [
 ]
 
 
+_NOT_FLAT = "an ensemble needs a flat list of at least 2 phases"
+
+
+def _check_state(psi: list[float], params: CouplingParams) -> None:
+    """The checks every ensemble passes, on its phases as Python floats."""
+    if len(psi) < 2:
+        raise ValueError(_NOT_FLAT)
+    if not all([0.0 <= p < TWO_PI for p in psi]):
+        raise ValueError("phases must be finite and normalized to [0, 2*pi)")
+    if params.epsilon >= 1.0:
+        raise ValueError(f"the simulator needs eps < 1, got eps={params.epsilon}")
+
+
 @dataclass(frozen=True)
 class ClockEnsemble:
     """N absolute clock phases plus the coupling they interact with."""
@@ -66,13 +84,20 @@ class ClockEnsemble:
 
     def __post_init__(self) -> None:
         phases = np.asarray(self.phases, dtype=float)
-        if phases.ndim != 1 or phases.size < 2:
-            raise ValueError("an ensemble needs a flat list of at least 2 phases")
-        if not all(0.0 <= p < TWO_PI for p in phases.tolist()):
-            raise ValueError("phases must be finite and normalized to [0, 2*pi)")
-        if self.params.epsilon >= 1.0:
-            raise ValueError(f"the simulator needs eps < 1, got eps={self.params.epsilon}")
+        if phases.ndim != 1:
+            raise ValueError(_NOT_FLAT)
+        _check_state(phases.tolist(), self.params)
         object.__setattr__(self, "phases", phases)
+
+    @classmethod
+    def _of_floats(cls, psi: list[float], params: CouplingParams) -> "ClockEnsemble":
+        """The ensemble of a flat list of Python floats, under the same checks
+        as the constructor, made with one array build and no ``tolist``."""
+        _check_state(psi, params)
+        ensemble = object.__new__(cls)
+        object.__setattr__(ensemble, "phases", np.array(psi))
+        object.__setattr__(ensemble, "params", params)
+        return ensemble
 
     @property
     def n(self) -> int:
@@ -210,23 +235,16 @@ def apply_kick(ensemble: ClockEnsemble, kicker: int) -> ClockEnsemble:
     return ClockEnsemble(np.array(_wrapped(psi)), ensemble.params)
 
 
-def run_cycle(
-    ensemble: ClockEnsemble, cycle_index: int = 0, record: bool = True
-) -> CycleTrace:
-    """Simulate one full cycle of the reference clock (index 0).
+def _cycle(
+    psi: list[float], eps: float, cycle_index: int, record: bool
+) -> tuple[list[float], list[KickEvent], list[tuple[int, float]], float]:
+    """The cycle kernel: one reference cycle on a state of Python floats.
 
-    The input must have the reference at phase 0, meaning about to kick;
-    any other clock at exactly 0 is taken to kick in the same instant,
-    after the reference (ascending index).  Alternates kicks and time
-    shifts until the reference returns to the threshold, which closes the
-    cycle; the reference's next kick belongs to the following cycle.
-
-    Raises RuntimeError if some clock would kick twice first, which cannot
-    happen for identical clocks at small eps and signals bad parameters.
+    ``psi`` holds the start phases with the reference (index 0) at the
+    threshold; the kernel consumes it.  Returns the end phases (wrapped to
+    [0, 2*pi), the reference at exactly 0), the kick events (only when
+    ``record``), the (clock, time) of every kick and the cycle's period.
     """
-    psi = ensemble.phases.tolist()
-    if min(psi[0], TWO_PI - psi[0]) > 1e-9:
-        raise ValueError("the reference clock must start at the kick threshold")
     # The reference is snapped onto the threshold; any other clock at exactly
     # 0 kicks in the same opening instant, after it.
     psi = [TWO_PI] + [TWO_PI if p == 0.0 else p for p in psi[1:]]
@@ -244,14 +262,37 @@ def run_cycle(
                                "cycle; the coupling is too strong for identical clocks")
         psi[k] = 0.0
         before = np.array(psi) if record else None
-        _kick(psi, ensemble.params.epsilon)
+        _kick(psi, eps)
         kicked[k] = True
         kick_times.append((k, now))
         if record:
             events.append(KickEvent(cycle_index, k, before, np.array(_wrapped(psi))))
     psi[0] = 0.0
-    end = ClockEnsemble(np.array(_wrapped(psi)), ensemble.params)
-    return CycleTrace(tuple(events), ensemble, end, tuple(kick_times), now)
+    return _wrapped(psi), events, kick_times, now
+
+
+def run_cycle(
+    ensemble: ClockEnsemble, cycle_index: int = 0, record: bool = True
+) -> CycleTrace:
+    """Simulate one full cycle of the reference clock (index 0).
+
+    The input must have the reference at phase 0, meaning about to kick;
+    any other clock at exactly 0 is taken to kick in the same instant,
+    after the reference (ascending index).  Alternates kicks and time
+    shifts until the reference returns to the threshold, which closes the
+    cycle; the reference's next kick belongs to the following cycle.
+
+    Raises RuntimeError if some clock would kick twice first, which cannot
+    happen for identical clocks at small eps and signals bad parameters.
+    """
+    psi = ensemble.phases.tolist()
+    if min(psi[0], TWO_PI - psi[0]) > 1e-9:
+        raise ValueError("the reference clock must start at the kick threshold")
+    params = ensemble.params
+    end, events, kick_times, period = _cycle(psi, params.epsilon, cycle_index, record)
+    return CycleTrace(
+        tuple(events), ensemble, ClockEnsemble._of_floats(end, params), tuple(kick_times), period
+    )
 
 
 def phase_differences(ensemble: ClockEnsemble) -> np.ndarray:
@@ -295,7 +336,9 @@ def run_until_locked(
         trace = run_cycle(state, cycle_index=cycles - 1, record=record)
         recorded.extend(trace.events)
         state = trace.end_state
-        cur = _differences(state.phases.tolist())
+        # A cycle ends with the reference at exactly 0, where the difference
+        # vector is the other clocks' phases as they stand.
+        cur = state.phases.tolist()[1:]
         if max([abs(c - p) for c, p in zip(cur, prev)]) < tol:
             locked = True
             break

@@ -481,6 +481,34 @@ class TestPlumbing:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["step", "--x", "180", "--y", "90", "-n", "2"],
+         ["simulate", "--phases", "0,120,240", "--max-cycles", "5"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_degrees_from_config(self, capsys, tmp_path, argv):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("eps = 0.05\ndeg = true\n")
+        from_config = run_cli(capsys, *argv, "--config", str(cfg))
+        from_flag = run_cli(capsys, *argv, "--eps", "0.05", "--deg")
+        assert from_config == from_flag and from_flag[0] == 0
+        cfg.write_text("eps = 0.05\ndeg = yes\n")
+        code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+        assert (code, out) == (2, "") and "expected true or false, got 'yes'" in err
+
+    @pytest.mark.parametrize("key", ["resolutoin", "n-clocks", "config"])
+    def test_unknown_config_key_rejected(self, capsys, tmp_path, monkeypatch, key):
+        def refuse(*args, **kwargs):
+            raise AssertionError("computed with an unknown config key")
+
+        monkeypatch.setattr(basin, "rasterize", refuse)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"eps = 0.05\n{key} = 8\n")
+        code, out, err = run_cli(capsys, "basins", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert f"unknown key '{key}' for basins" in err
+
     def test_outdir_env_redirects_relative_paths(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("TRICLOCK_OUTDIR", str(tmp_path))
         code, out, _ = run_cli(
@@ -536,6 +564,44 @@ class TestPlumbing:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    def test_one_parser_serves_every_call(self, tmp_path, monkeypatch):
+        """Calls in one process, sharing one parser, give the stdout, files
+        and exit codes that each call gives with a parser of its own, as in
+        a fresh process."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("eps = 0.05\nformat = csv\n")
+        calls = [
+            ["step", "--x", "3", "--y", "5", "--eps", "0.01", "--deg", "-n", "2"],
+            ["step", "--x", "3", "--y", "5", "--eps", "0.01", "-n", "2"],
+            ["simulate", "--eps", "0.05", "--phases", "0,1,2", "--deg", "--max-cycles", "3",
+             "--trace-out", "a.jsonl"],
+            ["simulate", "--eps", "0.05", "--phases", "0,1,2", "--max-cycles", "3",
+             "--trace-out", "b.jsonl"],
+            ["fixed-points", "--eps", "0.05", "--seed-grid", "8", "--format", "csv",
+             "--out", "fp.csv"],
+            ["fixed-points", "--config", str(cfg), "--seed-grid", "8", "--out", "fp2.csv"],
+            ["fixed-points", "--eps", "0.05", "--seed-grid", "8", "--out", "fp.json"],
+            ["step", "--x", "1", "--y", "2", "--bogus"],
+            ["step", "--x", "1", "--y", "2", "--eps", "0.05", "--format", "json"],
+            ["step", "--x", "1", "--y", "2", "--eps", "0.05"],
+        ]
+
+        def run(argv, outdir):
+            monkeypatch.setenv("TRICLOCK_OUTDIR", str(outdir))
+            try:
+                return run_case(argv, outdir)
+            except SystemExit as exc:  # argparse's usage errors
+                return {"exit": exc.code}
+
+        separate = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            separate.append(run(argv, tmp_path / "separate"))
+        together = [run(argv, tmp_path / "together") for argv in calls]
+        assert together == separate
+        assert [r["exit"] for r in together] == [0] * 7 + [2, 0, 0]
+        assert cli._build_parser() is cli._build_parser()
 
     def test_module_entry_point(self):
         proc = subprocess.run(

@@ -13,6 +13,7 @@ from triclock.core import TWO_PI, CouplingParams, json_data, three_clock_step
 from triclock.events import (
     ClockEnsemble,
     KickEvent,
+    LockResult,
     advance_to_next_kick,
     apply_kick,
     cyclic_gaps,
@@ -352,6 +353,73 @@ class TestNearTies:
             for i, j in zip(kickers, kickers[1:]):
                 assert start[i] != start[j] or i < j
             state = trace.end_state
+
+
+def pre_change_lock_loop(ensemble, tol, max_cycles, record):
+    """``run_until_locked`` as it was before the loop read the differences
+    straight off each cycle's end state: it chains ``run_cycle`` and takes
+    ``difference_vector`` of every cycle's end state."""
+    state = ensemble
+    prev = difference_vector(state).tolist()
+    locked = False
+    recorded = []
+    for cycles in range(1, max_cycles + 1):
+        trace = run_cycle(state, cycle_index=cycles - 1, record=record)
+        recorded.extend(trace.events)
+        state = trace.end_state
+        cur = difference_vector(state).tolist()
+        if max([abs(c - p) for c, p in zip(cur, prev)]) < tol:
+            locked = True
+            break
+        prev = cur
+    return LockResult(
+        ensemble=state,
+        cycles=cycles,
+        locked=locked,
+        differences=difference_vector(state),
+        gaps=cyclic_gaps(state),
+        firing_gaps=trace.firing_gaps(),
+        period=trace.period,
+        events=tuple(recorded),
+    )
+
+
+def bits(value):
+    """A comparable form of ``value`` that tells apart any two different bit patterns."""
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, float):
+        return ("float", value.hex())
+    if isinstance(value, (LockResult, KickEvent, ClockEnsemble)):
+        return (type(value).__name__, tuple(bits(v) for v in vars(value).values()))
+    if isinstance(value, tuple):
+        return tuple(bits(v) for v in value)
+    return (type(value).__name__, value)
+
+
+class TestLockLoop:
+    @settings(deadline=None, max_examples=150)
+    @given(
+        phases=tie_states(),
+        reference=st.sampled_from((0.0, 5e-10, TWO_PI - 5e-10)),
+        eps=st.floats(0.0, 0.11),
+        tol=st.sampled_from((1e-12, 1e-8, 1e-4, 0.05, 1.0)),
+        max_cycles=st.integers(1, 30),
+    )
+    @example(phases=[0.0, 2.0, 2.0], reference=0.0, eps=0.05, tol=1e-8, max_cycles=30)
+    @example(phases=[0.0, 1.0, 3.0], reference=5e-10, eps=0.0, tol=1e-12, max_cycles=3)
+    @example(phases=[0.0, 0.0, 0.0, 0.0, 0.0, 0.0], reference=0.0, eps=0.11, tol=1e-8,
+             max_cycles=5)
+    def test_equals_the_pre_change_loop(self, phases, reference, eps, tol, max_cycles):
+        """Bit for bit, every field and every recorded event, with and
+        without recording; the reference may start up to 1e-9 off the
+        threshold, where the start's differences are not its phases."""
+        start = ensemble([reference] + phases[1:], eps=eps)
+        for record in (False, True):
+            got = run_until_locked(start, tol=tol, max_cycles=max_cycles, record=record)
+            want = pre_change_lock_loop(start, tol, max_cycles, record)
+            assert bits(got) == bits(want)
+            assert bool(got.events) == record
 
 
 class TestGaps:

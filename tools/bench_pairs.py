@@ -4,7 +4,7 @@ Run from anywhere:
 
     python3 tools/bench_pairs.py BASE_DIR CHANGE_DIR OUT_JSON \\
         [--workloads basin-raster,analysis-verify,lock-sim] [--seed 7919] \\
-        [--pairs 10] [--seconds 20]
+        [--pairs 10] [--seconds 20] [--claim WORKLOAD/METRIC]
 
 Each pair runs ``python3 perfbench/run.py --workload W --seed S --seconds N
 --trace 0`` once in BASE_DIR and once in CHANGE_DIR; the pair's order
@@ -15,18 +15,28 @@ per-pair values of both sides, their medians and quartiles, and how many
 pairs the change won; plus each run's correctness counts, the machine
 facts and the ``src/`` line count of both checkouts, as ``run.py`` records
 them in ``.perfbench_out/``.  Progress goes to standard error.
+
+The end-to-end metrics, their direction and their bounds come from
+BASE_DIR's ``BENCHMARK.json``, which is only read.  Standard output gets
+one verdict per workload and metric: ``worse`` when the change's median is
+worse than the base's by more than the bound (a share of the base's
+median), ``unresolved`` when the base's own quartile spread is wider than
+the bound and not every change run beats every base run, ``ok``
+otherwise.  With ``--claim WORKLOAD/METRIC`` it also gets whether that
+claim holds: the change better in at least 9 of 10 pairs (ties count for
+neither) and its median better than the base's by more than the base's
+quartile spread.  OUT_JSON keeps the same lines under ``verdicts``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
 from pathlib import Path
-
-METRICS = ("wall_s", "job_p50_s", "job_tail_s", "setup_s", "peak_rss_mb")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -47,6 +57,56 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "quartiles": [q1, q3]}
 
 
+def _better(metric: dict, a: float, b: float) -> bool:
+    """Whether value ``a`` is strictly better than ``b`` for ``metric``."""
+    return a < b if metric["better"] == "lower" else a > b
+
+
+def regression_verdicts(report: dict, end_to_end: list[dict]) -> list[str]:
+    """One line per workload and end-to-end metric: ok, worse or unresolved."""
+    lines = []
+    for workload, entry in report["workloads"].items():
+        for metric in end_to_end:
+            values = entry[metric["name"]]
+            base, change = values["base"]["median"], values["change"]["median"]
+            q1, q3 = values["base"]["quartiles"]
+            sign = 1.0 if metric["better"] == "lower" else -1.0
+            worse_by = sign * (change - base) / base
+            spread = (q3 - q1) / base
+            runs = values["per_pair"]
+            every_run_better = all(_better(metric, c, b) for c in runs["change"] for b in runs["base"])
+            if worse_by > metric["bound"]:
+                verdict = "worse"
+            elif spread > metric["bound"] and not every_run_better:
+                verdict = "unresolved"
+            else:
+                verdict = "ok"
+            lines.append(
+                f"{workload} {metric['name']}: {base:.4g} -> {change:.4g} {metric['unit']} "
+                f"({(change - base) / base:+.1%}; may worsen by {metric['bound']:.0%}, base "
+                f"spread {spread:.1%}): {verdict}"
+            )
+    return lines
+
+
+def claim_verdict(report: dict, workload: str, metric: dict) -> str:
+    """Whether the change won ``metric`` on ``workload`` by the pairs rule."""
+    values = report["workloads"][workload][metric["name"]]
+    runs = values["per_pair"]
+    pairs = len(runs["base"])
+    wins = sum(_better(metric, c, b) for b, c in zip(runs["base"], runs["change"]))
+    needed = math.ceil(0.9 * pairs)
+    base, change = values["base"]["median"], values["change"]["median"]
+    q1, q3 = values["base"]["quartiles"]
+    holds = wins >= needed and _better(metric, change, base) and abs(change - base) > q3 - q1
+    return (
+        f"claim {workload}/{metric['name']}: change better in {wins}/{pairs} pairs (need "
+        f"{needed}); median {base:.4g} -> {change:.4g} {metric['unit']} ({change / base:.3f}x), "
+        f"gap {abs(change - base):.4g} against base quartile spread {q3 - q1:.4g}: "
+        f"{'holds' if holds else 'NOT MET'}"
+    )
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", type=Path)
@@ -56,10 +116,21 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--seed", type=int, default=7919)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--claim", metavar="WORKLOAD/METRIC",
+                        help="also judge this claimed gain by the pairs rule")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
     workloads = args.workloads.split(",")
+    benchmark = json.loads((args.base / "BENCHMARK.json").read_text(encoding="utf-8"))
+    end_to_end = benchmark["end_to_end"]
+    claimed = None
+    if args.claim is not None:
+        claim_workload, _, name = args.claim.partition("/")
+        claimed = next((m for m in end_to_end if m["name"] == name), None)
+        if claim_workload not in workloads or claimed is None:
+            parser.error(f"--claim {args.claim!r}: expected WORKLOAD/METRIC with a workload of "
+                         f"--workloads and a metric of {', '.join(m['name'] for m in end_to_end)}")
     sides = {"base": args.base.resolve(), "change": args.change.resolve()}
     runs: dict[str, dict[str, list[dict]]] = {w: {"base": [], "change": []} for w in workloads}
     for i in range(args.pairs):
@@ -90,7 +161,7 @@ def main(argv: list[str]) -> int:
             }
             for side in sides
         }
-        for name in METRICS:
+        for name in (m["name"] for m in end_to_end):
             base = [r["metrics"][name]["value"] for r in runs[workload]["base"]]
             change = [r["metrics"][name]["value"] for r in runs[workload]["change"]]
             entry[name] = {
@@ -101,6 +172,10 @@ def main(argv: list[str]) -> int:
                 "per_pair": {"base": base, "change": change},
             }
         report["workloads"][workload] = entry
+    report["verdicts"] = regression_verdicts(report, end_to_end)
+    if claimed is not None:
+        report["verdicts"].append(claim_verdict(report, claim_workload, claimed))
+    print("\n".join(report["verdicts"]))
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     return 0
 
