@@ -12,11 +12,22 @@ a web of heteroclinic orbits between the fixed points.  Two quadratic
 Lyapunov functions, one per open triangle beside the main diagonal,
 certify the global pull toward the splay attractors; their decrement per
 step is evaluated in expanded form to avoid cancellation.
+
+Single orbits run on Python floats: the census traces the 2-D orbits
+through :func:`~triclock.core.three_clock_step_scalar`, and the segment
+orbits and root bisection evaluate the segment drifts with ``math.sin``
+(each drift takes the sine as an argument, so its formula is written once
+for floats and arrays).  The Lyapunov scan keeps its lattice as two 1-D
+coordinate arrays, filters them by region once and evaluates the
+decrement on them directly, in the same operation order as
+:func:`orbital_derivative`, which checks its points and calls the same
+code.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Literal
 
@@ -28,6 +39,7 @@ from .core import (
     in_square,
     jacobian,
     omega_field,
+    omega_field_xy,
     omega_jacobian,
     three_clock_step,
     three_clock_step_scalar,
@@ -53,6 +65,7 @@ __all__ = [
     "orbital_derivative",
     "orbital_derivative_scan",
     "region_fixed_points",
+    "far_zero_points",
 ]
 
 _PI = math.pi
@@ -60,6 +73,14 @@ _THIRD = 2.0 * math.pi / 3.0
 
 # |eigenvalue| this close to 1 is flagged instead of classified.
 HYPERBOLICITY_TOL = 1e-10
+
+# Default bounds of the checks: an invariant segment's image may stray less
+# than DEVIATION_TOL off it; a Lyapunov scan's decrement may rise to
+# MAX_DF_TOL, and its zero set must lie within ZERO_SET_CELLS lattice cells
+# of the region's fixed points.
+DEVIATION_TOL = 1e-12
+MAX_DF_TOL = 1e-12
+ZERO_SET_CELLS = 2
 
 Region = Literal["upper", "lower"]
 
@@ -304,14 +325,17 @@ class InvariantSegment:
     """A straight segment mapped into itself, with its restriction dynamics.
 
     Points are ``origin + t * direction`` for t in ``domain``; the map
-    restricted to the segment reads ``t -> t + eps * drift(t)``.
+    restricted to the segment reads ``t -> t + eps * drift(t)``.  The drift
+    takes the sine as an optional second argument: ``np.sin`` (the default)
+    for arrays, ``math.sin`` for one Python float, the same value bit for
+    bit without numpy's per-call cost.
     """
 
     name: str
     origin: tuple[float, float]
     direction: tuple[float, float]
     domain: tuple[float, float]
-    drift: Callable[[np.ndarray], np.ndarray]
+    drift: Callable[..., np.ndarray]
     drift_derivative: Callable[[np.ndarray], np.ndarray]
 
     def point(self, t) -> np.ndarray:
@@ -322,8 +346,9 @@ class InvariantSegment:
 
     def restriction(self, t, params: CouplingParams) -> np.ndarray:
         """``t + eps * drift(t)``; a float ``t`` gives a float, not a 0-d array."""
-        if not isinstance(t, float):
-            t = np.asarray(t, dtype=float)
+        if isinstance(t, float):
+            return t + params.epsilon * self.drift(t, math.sin)
+        t = np.asarray(t, dtype=float)
         return t + params.epsilon * self.drift(t)
 
 
@@ -339,32 +364,32 @@ class InvarianceCheck:
     min_slope: float
 
 
-def _g_drift(t):
-    return 3.0 * np.sin(t)
+def _g_drift(t, sin=np.sin):
+    return 3.0 * sin(t)
 
 
 def _g_drift_deriv(t):
     return 3.0 * np.cos(t)
 
 
-def _h1_drift(t):
-    return np.sin(t) + np.sin(2.0 * t)
+def _h1_drift(t, sin=np.sin):
+    return sin(t) + sin(2.0 * t)
 
 
 def _h1_drift_deriv(t):
     return np.cos(t) + 2.0 * np.cos(2.0 * t)
 
 
-def _h2_drift(t):
-    return 2.0 * np.sin(t) - 2.0 * np.sin(0.5 * t)
+def _h2_drift(t, sin=np.sin):
+    return 2.0 * sin(t) - 2.0 * sin(0.5 * t)
 
 
 def _h2_drift_deriv(t):
     return 2.0 * np.cos(t) - np.cos(0.5 * t)
 
 
-def _d2_drift(t):
-    return 2.0 * np.sin(t) + 2.0 * np.sin(0.5 * t)
+def _d2_drift(t, sin=np.sin):
+    return 2.0 * sin(t) + 2.0 * sin(0.5 * t)
 
 
 def _d2_drift_deriv(t):
@@ -416,7 +441,7 @@ def restriction_fixed_points(segment: InvariantSegment, scan: int = 4096) -> np.
         qlo = float(q[i])
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            qm = float(segment.drift(mid))
+            qm = segment.drift(mid, math.sin)
             if qm == 0.0:
                 lo = hi = mid
                 break
@@ -439,7 +464,7 @@ def verify_invariance(
     segment: InvariantSegment,
     params: CouplingParams,
     samples: int = 1000,
-    deviation_tol: float = 1e-12,
+    deviation_tol: float = DEVIATION_TOL,
 ) -> InvarianceCheck:
     """Sample the segment, apply the map, and measure the off-segment drift.
 
@@ -540,6 +565,7 @@ def trace_heteroclinic(
     fp_xy = [(float(fx), float(fy)) for fx, fy in fps]
     src_x, src_y = (float(v) for v in source.location)
     fp_x = sorted({fx for fx, _ in fp_xy})
+    last = len(fp_x) - 1
     off_source = [max(abs(fx - src_x), abs(fy - src_y)) > capture_tol for fx, fy in fp_xy]
     eps = params.epsilon
     x, y = float(p[0]), float(p[1])
@@ -549,8 +575,12 @@ def trace_heteroclinic(
         if not (0.0 <= x <= TWO_PI and 0.0 <= y <= TWO_PI):  # impossible while S is invariant
             raise RuntimeError(f"orbit escaped the square at {np.array((x, y))}")
         samples.append((x, y))
-        if all(abs(fx - x) > capture_tol for fx in fp_x):
-            continue  # a capture needs some fixed point's x within capture_tol
+        # A capture needs some fixed point's x within capture_tol.  fl(fx - x)
+        # is monotone in fx, so the nearest x is one of the two neighbours of x
+        # in the sorted list, and checking those equals checking all of them.
+        i = bisect_left(fp_x, x)
+        if (i > last or fp_x[i] - x > capture_tol) and (i == 0 or x - fp_x[i - 1] > capture_tol):
+            continue
         dists = [max(abs(fx - x), abs(fy - y)) for fx, fy in fp_xy]
         nearest = min(dists)
         j = dists.index(nearest)  # the first minimum, as np.argmin
@@ -582,7 +612,7 @@ def _segment_orbit(
     t = t_src + math.copysign(step, t_dst - t_src)
     ts = [t]
     for _ in range(default_max_iterations(params)):
-        t = float(segment.restriction(t, params))
+        t = segment.restriction(t, params)
         ts.append(t)
         if abs(t - t_dst) <= capture_tol:
             break
@@ -644,10 +674,14 @@ def _require_region(region: str) -> tuple[float, float]:
 
 
 def _in_region(p: np.ndarray, region: str, slack: float = 1e-12) -> np.ndarray:
-    x = p[..., 0]
-    y = p[..., 1]
+    return _in_region_xy(p[..., 0], p[..., 1], region, slack)
+
+
+def _in_region_xy(x: np.ndarray, y: np.ndarray, region: str, slack: float) -> np.ndarray:
+    """Closed-triangle membership (with ``slack``) of points given as coordinates."""
+    lo, hi = -slack, TWO_PI + slack
     side = y >= x - slack if region == "upper" else y <= x + slack
-    return in_square(p, tol=slack) & side
+    return (x >= lo) & (x <= hi) & (y >= lo) & (y <= hi) & side
 
 
 def lyapunov_value(p, region: Region) -> np.ndarray:
@@ -674,16 +708,19 @@ def orbital_derivative(p, region: Region, params: CouplingParams) -> np.ndarray:
 
         DV = eps**2 * (f**2 + g**2 - f*g) + eps * (u*(2f - g) + v*(2g - f))
     """
-    cx, cy = _require_region(region)
+    _require_region(region)
     p = np.asarray(p, dtype=float)
     if not np.all(_in_region(p, region)):
         raise ValueError(f"point outside the closed {region} triangle")
-    w = omega_field(p)
-    f = w[..., 0]
-    g = w[..., 1]
-    u = p[..., 0] - cx
-    v = p[..., 1] - cy
-    eps = params.epsilon
+    return _decrement(p[..., 0], p[..., 1], region, params.epsilon)
+
+
+def _decrement(x: np.ndarray, y: np.ndarray, region: str, eps: float) -> np.ndarray:
+    """:func:`orbital_derivative` at points given as coordinates, unchecked."""
+    cx, cy = _CENTERS[region]
+    f, g = omega_field_xy(x, y)
+    u = x - cx
+    v = y - cy
     return eps * eps * (f * f + g * g - f * g) + eps * (u * (2.0 * f - g) + v * (2.0 * g - f))
 
 
@@ -692,6 +729,16 @@ def region_fixed_points(region: Region) -> np.ndarray:
     _require_region(region)
     fps = known_fixed_points()
     return fps[_in_region(fps, region)]
+
+
+def far_zero_points(region: Region, zero_set: np.ndarray, cell: float) -> int:
+    """How many points of a scan's zero set lie farther than ``ZERO_SET_CELLS``
+    lattice cells (max-norm) from every fixed point of the region."""
+    if not zero_set.size:
+        return 0
+    fps = region_fixed_points(region)
+    dists = np.min(np.max(np.abs(zero_set[:, None, :] - fps[None, :, :]), axis=-1), axis=-1)
+    return int(np.count_nonzero(~(dists <= ZERO_SET_CELLS * cell)))
 
 
 @dataclass(frozen=True)
@@ -711,33 +758,32 @@ def orbital_derivative_scan(
     params: CouplingParams,
     grid: int = 300,
     zero_tol: float = 1e-12,
-    max_df_tol: float = 1e-12,
+    max_df_tol: float = MAX_DF_TOL,
 ) -> LyapunovReport:
     """Evaluate the decrement on a triangular lattice and report its sign.
 
     Passes when the lattice maximum stays below ``max_df_tol`` and every
-    near-zero sample (|DV| < zero_tol) sits within two lattice cells of a
-    fixed point of the region's closure.  The sign is reported, never
-    assumed; a positive maximum is a reported failure.
+    near-zero sample (|DV| < zero_tol) sits within ``ZERO_SET_CELLS``
+    lattice cells of a fixed point of the region's closure.  The sign is
+    reported, never assumed; a positive maximum is a reported failure.
     """
     params.require_analysis_range()
     if grid < 100:
         raise ValueError("grid must be at least 100 per side")
+    _require_region(region)
+    # The lattice stays two coordinate arrays: no (N, 2) stack, and its nodes
+    # are checked against the region once.
     axis = np.linspace(0.0, TWO_PI, grid + 1)
     gx, gy = np.meshgrid(axis, axis)
-    pts = np.column_stack((gx.ravel(), gy.ravel()))
-    pts = pts[_in_region(pts, region, slack=0.0)]
-    df = orbital_derivative(pts, region, params)
+    x, y = gx.ravel(), gy.ravel()
+    inside = _in_region_xy(x, y, region, slack=0.0)
+    x, y = x[inside], y[inside]
+    df = _decrement(x, y, region, params.epsilon)
     max_df = float(np.max(df))
-    zero_pts = pts[np.abs(df) < zero_tol]
+    zero = np.abs(df) < zero_tol
+    zero_pts = np.column_stack((x[zero], y[zero]))
     cell = TWO_PI / grid
-    fps = region_fixed_points(region)
-    near_fixed = True
-    if zero_pts.size:
-        dists = np.min(
-            np.max(np.abs(zero_pts[:, None, :] - fps[None, :, :]), axis=-1), axis=-1
-        )
-        near_fixed = bool(np.all(dists <= 2.0 * cell))
+    near_fixed = far_zero_points(region, zero_pts, cell) == 0
     return LyapunovReport(
         region=region,
         grid_resolution=grid,

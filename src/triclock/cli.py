@@ -257,6 +257,8 @@ def _cmd_simulate(settings: _Settings) -> Report:
     starts: list[np.ndarray] = []
     if phases_text is not None and random_starts is not None:
         raise ValueError("give either --phases or --random-starts, not both")
+    if phases_text is None and settings.get("deg", _boolean, False):
+        raise ValueError("--deg applies only to --phases; random starts are drawn in radians")
     if phases_text is not None:
         values = [float(v) for v in phases_text.split(",")]
         if len(values) != n:
@@ -368,21 +370,50 @@ def _cmd_verify(settings: _Settings) -> Report:
         "lyapunov": [json_data(s) | {"zero_set": len(s.zero_set)} for s in scans],
         "passed": passed,
     }
+    # A FAIL line ends with the bounds that the check broke.
     lines = [f"epsilon = {params.epsilon}"]
     for check in segment_checks:
+        broke = []
+        if not check.passed:
+            if not check.max_deviation < analysis.DEVIATION_TOL:
+                broke.append(
+                    f"max_deviation={check.max_deviation:.3e} >= {analysis.DEVIATION_TOL:g}"
+                )
+            if not check.monotone:
+                broke.append("restriction map not monotone")
         lines.append(
             f"segment {check.name:<10} {'pass' if check.passed else 'FAIL'}"
             f"  max_deviation={check.max_deviation:.3e}  monotone={check.monotone}"
+            + _bounds(broke)
         )
-    lines.append(f"heteroclinic census {census.counts} {'pass' if census_ok else 'FAIL'}")
+    lines.append(
+        f"heteroclinic census {census.counts} {'pass' if census_ok else 'FAIL'}"
+        + _bounds([] if census_ok else ["expected sa == 6, rs == 10, ra >= 2"])
+    )
     for scan in scans:
+        broke = []
+        if not scan.passed:
+            if not scan.max_df <= analysis.MAX_DF_TOL:
+                broke.append(f"max_df={scan.max_df:.3e} > {analysis.MAX_DF_TOL:g}")
+            far = analysis.far_zero_points(scan.region, scan.zero_set, scan.cell)
+            if far:
+                broke.append(
+                    f"{far} zero-set points farther than {analysis.ZERO_SET_CELLS} cells"
+                    " from a fixed point"
+                )
         lines.append(
             f"lyapunov {scan.region:<5} {'pass' if scan.passed else 'FAIL'}"
             f"  max_df={scan.max_df:.3e}  zero_set={len(scan.zero_set)}"
+            + _bounds(broke)
         )
     lines.append("PASS" if passed else "FAIL")
     text = "\n".join(lines) + "\n"
     return {"text": lambda stream: stream.write(text), "json": _json(report)}, 0 if passed else 1
+
+
+def _bounds(broke: list[str]) -> str:
+    """The tail of a check's text line: the bounds it broke, if any."""
+    return f"  ({'; '.join(broke)})" if broke else ""
 
 
 # ---------------------------------------------------------------------------
@@ -482,14 +513,16 @@ def _subcommand(
     summary: str,
     handler: Callable[[_Settings], Report],
     formats: tuple[str, ...],
+    eps: bool = True,
 ) -> argparse.ArgumentParser:
     """Add a subcommand with the common options; ``formats`` lists its output
-    formats, default first."""
+    formats, default first, and ``eps`` whether it reads a coupling strength."""
     p = sub.add_parser(name, help=summary)
     p.add_argument("--config", help="flat key = value settings file")
     p.add_argument("--out", help="output path (default: stdout)")
     p.add_argument("--format", help=f"output format: {', '.join(formats)} (default {formats[0]})")
-    p.add_argument("--eps", type=float, help="coupling strength")
+    if eps:
+        p.add_argument("--eps", type=float, help="coupling strength")
     p.set_defaults(handler=handler, formats=formats)
     return p
 
@@ -545,7 +578,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, help="Lyapunov lattice per side")
 
     p = _subcommand(sub, "andronov", "escapement return-map convergence table", _cmd_andronov,
-                    ("csv", "json"))
+                    ("csv", "json"), eps=False)
     p.add_argument("--mu", type=float, help="dry friction coefficient")
     p.add_argument("--h", type=float, help="energy-kick velocity scale")
     p.add_argument("--v0", type=float, help="initial section velocity")

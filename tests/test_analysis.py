@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triclock import analysis
 from triclock.analysis import (
@@ -234,6 +236,24 @@ class TestInvariantSegments:
     def test_diagonal_deviation_is_exactly_zero(self):
         check = verify_invariance(segment_by_name("diag"), params(), samples=1000)
         assert check.max_deviation == 0.0
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        name=st.sampled_from(["s0", "anti_diag", "d1", "d2"]),  # one segment per drift
+        t=st.one_of(st.floats(0.0, TWO_PI), st.floats(-100.0, 100.0)),  # every domain, and beyond
+        eps=st.floats(1e-8, 1 / 9, exclude_min=True, exclude_max=True),
+    )
+    def test_float_drift_is_the_array_drift(self, name, t, eps):
+        # The census steps floats through math.sin; verify_invariance and the
+        # root scan evaluate arrays through np.sin.  Both must be one function.
+        seg = segment_by_name(name)
+        one = np.array([t])
+        value = seg.drift(t, math.sin)
+        assert type(value) is float
+        assert np.array([value]).tobytes() == seg.drift(one).tobytes()
+        stepped = seg.restriction(t, params(eps))
+        assert type(stepped) is float
+        assert np.array([stepped]).tobytes() == seg.restriction(one, params(eps)).tobytes()
 
     def test_restriction_matches_map_on_segment(self):
         p = params(0.08)
@@ -513,3 +533,53 @@ def test_analysis_outcomes_match_the_recorded_numpy_loops():
         assert new == old, f"fixed points at eps {old['eps']}, seed grid {old['seed_grid']}"
     assert len(got["census"]) == len(pinned["census"])
     assert len(got["fixed_points"]) == len(pinned["fixed_points"])
+
+
+# Couplings and lattice sizes of the pinned Lyapunov scans.  Grid 300 is the
+# default; 301 puts no lattice node on the splay points' thirds of 2*pi.
+PINNED_SCAN_EPS = (0.011, 0.017, 0.025, 0.035, 0.05, 0.063, 0.08, 0.097, 0.109)
+PINNED_SCAN_GRIDS = (100, 300, 301)
+
+
+def lyapunov_outcome(region, eps, grid):
+    """``max_df``, zero-set digest and verdict of ``orbital_derivative_scan``,
+    and the digest of ``orbital_derivative`` on the scan's lattice points."""
+    report = orbital_derivative_scan(region, params(eps), grid=grid)
+    axis = np.linspace(0.0, TWO_PI, grid + 1)
+    gx, gy = np.meshgrid(axis, axis)
+    pts = np.column_stack((gx.ravel(), gy.ravel()))
+    pts = pts[pts[:, 1] >= pts[:, 0]] if region == "upper" else pts[pts[:, 1] <= pts[:, 0]]
+    decrement = orbital_derivative(pts, region, params(eps))
+    return {
+        "region": region,
+        "eps": repr(eps),
+        "grid": grid,
+        "max_df": repr(report.max_df),
+        "zero_set_shape": list(report.zero_set.shape),
+        "zero_set_sha256": hashlib.sha256(report.zero_set.tobytes()).hexdigest(),
+        "passed": report.passed,
+        "decrement_sha256": hashlib.sha256(decrement.tobytes()).hexdigest(),
+    }
+
+
+def lyapunov_outcomes():
+    return [
+        lyapunov_outcome(region, eps, grid)
+        for region in ("upper", "lower")
+        for eps in PINNED_SCAN_EPS
+        for grid in PINNED_SCAN_GRIDS
+    ]
+
+
+def test_lyapunov_outcomes_match_the_recorded_stacked_scan():
+    """Bit-for-bit Lyapunov scans of the ``(N, 2)``-stack implementation.
+
+    ``data/lyapunov_outcomes.json`` is ``lyapunov_outcomes()`` recorded with
+    the scan that stacked the lattice into one ``(N, 2)`` array and checked
+    region membership again inside ``orbital_derivative``.
+    """
+    pinned = json.loads((Path(__file__).parent / "data" / "lyapunov_outcomes.json").read_text())
+    got = lyapunov_outcomes()
+    for old, new in zip(pinned, got):
+        assert new == old, f"{old['region']} scan at eps {old['eps']}, grid {old['grid']}"
+    assert len(got) == len(pinned)

@@ -1,5 +1,7 @@
+import argparse
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -234,6 +236,24 @@ class TestSimulate:
         code, _, _ = run_cli(capsys, "simulate", "--eps", "0.05", "--phases", "0,1.0")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "extra, config",
+        [(["--random-starts", "1", "--deg"], ""), (["--deg"], ""),
+         (["--random-starts", "2"], "deg = true\n"), ([], "deg = TRUE\n")],
+        ids=["random-flag", "default-flag", "random-config", "default-config"],
+    )
+    def test_degrees_need_phases(self, capsys, tmp_path, monkeypatch, extra, config):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated random starts given in degrees")
+
+        monkeypatch.setattr(events, "run_until_locked", refuse)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        code, out, err = run_cli(capsys, "simulate", "--eps", "0.05", "--max-cycles", "2",
+                                 "--config", str(cfg), *extra)
+        assert (code, out) == (2, "")
+        assert "--deg applies only to --phases" in err
+
     def test_phases_and_random_conflict(self, capsys):
         code, _, _ = run_cli(
             capsys, "simulate", "--eps", "0.05", "--phases", "0,1,2", "--random-starts", "5"
@@ -368,6 +388,63 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", "--eps", "0.0")
         assert code == 2
 
+    ARGV = ("verify", "--eps", "0.05", "--samples", "200", "--grid", "100")
+
+    def test_failed_segment_names_its_bound(self, capsys, monkeypatch):
+        real = analysis.verify_invariance
+
+        def failing(segment, params, **kwargs):
+            check = real(segment, params, **kwargs)
+            if segment.name == "d1":
+                return dataclasses.replace(check, passed=False, max_deviation=3e-12)
+            if segment.name == "c2":
+                return dataclasses.replace(check, passed=False, monotone=False)
+            return check
+
+        monkeypatch.setattr(analysis, "verify_invariance", failing)
+        code, out, _ = run_cli(capsys, *self.ARGV)
+        lines = {line.split()[1]: line for line in out.splitlines() if line.startswith("segment")}
+        assert code == 1 and out.endswith("\nFAIL\n")
+        assert lines["d1"].endswith(
+            "FAIL  max_deviation=3.000e-12  monotone=True  (max_deviation=3.000e-12 >= 1e-12)"
+        )
+        assert " FAIL " in lines["c2"]
+        assert lines["c2"].endswith("monotone=False  (restriction map not monotone)")
+        assert " pass " in lines["s0"] and lines["s0"].endswith("monotone=True")
+
+    def test_failed_census_names_the_expected_counts(self, capsys, monkeypatch):
+        real = analysis.heteroclinic_census
+
+        def failing(params):
+            census = real(params)
+            return dataclasses.replace(census, counts={**census.counts, "sa": 5})
+
+        monkeypatch.setattr(analysis, "heteroclinic_census", failing)
+        code, out, _ = run_cli(capsys, *self.ARGV)
+        assert code == 1
+        assert ("heteroclinic census {'sa': 5, 'rs': 10, 'ra': 2} FAIL"
+                "  (expected sa == 6, rs == 10, ra >= 2)\n") in out
+
+    def test_failed_scan_names_its_bounds(self, capsys, monkeypatch):
+        real = analysis.orbital_derivative_scan
+        far = np.array([[2.0, 1.0]])  # in the lower triangle, a radian from any fixed point
+
+        def failing(region, params, **kwargs):
+            scan = real(region, params, **kwargs)
+            zero_set = np.concatenate((scan.zero_set, far if region == "lower" else far[:, ::-1]))
+            max_df = 2.5e-9 if region == "upper" else scan.max_df
+            return dataclasses.replace(scan, max_df=max_df, zero_set=zero_set, passed=False)
+
+        monkeypatch.setattr(analysis, "orbital_derivative_scan", failing)
+        code, out, _ = run_cli(capsys, *self.ARGV)
+        lines = {line.split()[1]: line for line in out.splitlines() if line.startswith("lyapunov")}
+        assert code == 1
+        bound = "1 zero-set points farther than 2 cells from a fixed point"
+        assert lines["upper"].endswith(
+            f"FAIL  max_df=2.500e-09  zero_set=7  (max_df=2.500e-09 > 1e-12; {bound})"
+        )
+        assert lines["lower"].endswith(f"zero_set=7  ({bound})")
+
 
 # ---------------------------------------------------------------------------
 # andronov
@@ -394,6 +471,29 @@ class TestAndronov:
         code, _, err = run_cli(capsys, "andronov", "--mu", "0.1", "--h", "1", "--v0", "0.4")
         assert code == 2
         assert "4*mu" in err
+
+    def test_coupling_flag_refused(self, capsys):
+        # andronov reads no coupling strength, so --eps is not one of its options.
+        with pytest.raises(SystemExit) as exc:
+            main(["andronov", "--eps", "5", "--v0", "5", "--steps", "1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments: --eps 5" in captured.err
+
+    def test_coupling_config_key_refused(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("eps = 5\n")
+        code, out, err = run_cli(capsys, "andronov", "--v0", "5", "--steps", "1",
+                                 "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert "unknown key 'eps' for andronov" in err
+
+    def test_only_coupled_subcommands_take_eps(self):
+        sub = next(a for a in cli._build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        takes_eps = {name for name, p in sub.choices.items()
+                     if any("--eps" in a.option_strings for a in p._actions)}
+        assert takes_eps == {"step", "fixed-points", "basins", "simulate", "verify", "portrait"}
 
 
 # ---------------------------------------------------------------------------
@@ -538,8 +638,10 @@ class TestPlumbing:
 
     @pytest.mark.parametrize(
         "argv",
-        [["step", "--x", "1", "--y", "2"], ["fixed-points"], ["basins", "--resolution", "300"],
-         ["simulate", "--phases", "0,2,4"], ["verify"], ["andronov", "--v0", "5"], ["portrait"]],
+        [["step", "--x", "1", "--y", "2", "--eps", "0.05"], ["fixed-points", "--eps", "0.05"],
+         ["basins", "--resolution", "300", "--eps", "0.05"],
+         ["simulate", "--phases", "0,2,4", "--eps", "0.05"], ["verify", "--eps", "0.05"],
+         ["andronov", "--v0", "5"], ["portrait", "--eps", "0.05"]],
         ids=lambda argv: argv[0],
     )
     @pytest.mark.parametrize("source", ["flag", "config"])
@@ -553,8 +655,7 @@ class TestPlumbing:
         cfg.write_text("format = xml\n" if source == "config" else "")
         extra = ["--format", "xml"] if source == "flag" else []
         code, out, err = run_cli(
-            capsys, *argv, "--eps", "0.05", "--config", str(cfg), *extra,
-            "--out", str(tmp_path / "report"),
+            capsys, *argv, "--config", str(cfg), *extra, "--out", str(tmp_path / "report")
         )
         assert (code, out) == (2, "")
         assert f"{argv[0]} cannot emit format 'xml'" in err

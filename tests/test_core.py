@@ -16,6 +16,7 @@ from triclock.core import (
     jacobian,
     normalize_phase,
     omega_field,
+    omega_field_xy,
     omega_jacobian,
     perturbation,
     three_clock_step,
@@ -218,6 +219,19 @@ class TestOmegaField:
         assert 2 * g - f == pytest.approx(3 * (math.sin(y) - math.sin(x - y)), abs=1e-12)
         assert f + g == pytest.approx(3 * (math.sin(x) + math.sin(y)), abs=1e-12)
 
+    @settings(deadline=None, max_examples=200)
+    @given(pts=st.one_of(square_point_arrays(),
+                         st.lists(st.tuples(angles, angles), min_size=1, max_size=20)))
+    def test_transpose_swaps_the_components_bitwise(self, pts):
+        # omega(y, x) == omega(x, y)[::-1] bit for bit, signed zeros included;
+        # the raster's mirrored half lattice rests on it.
+        pts = np.asarray(pts, dtype=float)
+        swapped = np.ascontiguousarray(pts[:, ::-1])
+        assert omega_field(swapped).tobytes() == np.ascontiguousarray(
+            omega_field(pts)[:, ::-1]).tobytes()
+        f, g = omega_field_xy(pts[:, 0], pts[:, 1])
+        assert np.stack((f, g), axis=-1).tobytes() == omega_field(pts).tobytes()
+
     def test_identities_on_grid(self):
         axis = np.linspace(0.0, TWO_PI, 101)
         gx, gy = np.meshgrid(axis, axis)
@@ -285,6 +299,27 @@ class TestThreeClockStep:
         assert all(type(v) is float for xy in stepped for v in xy)
         expected = three_clock_step(pts, CouplingParams(epsilon=eps))
         assert np.array(stepped).tobytes() == expected.tobytes()
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        t=square_coords,
+        line=st.sampled_from([(0, 0.0), (0, TWO_PI), (1, 0.0), (1, TWO_PI), None]),
+        eps=st.floats(1e-8, 1 / 9, exclude_min=True, exclude_max=True),
+    )
+    def test_scalar_step_keeps_edges_and_diagonal_exactly(self, t, line, eps):
+        # The census and orbits step floats; their edge and diagonal points
+        # must stay exactly on their invariant line.  ``line`` is an edge as
+        # (coordinate index, its value) or None for the main diagonal.
+        point = [t, t]
+        if line is not None:
+            point[line[0]] = line[1]
+        x, y = point
+        for _ in range(300):
+            x, y = three_clock_step_scalar(x, y, eps)
+            if line is None:
+                assert x == y
+            else:
+                assert (x, y)[line[0]] == line[1]
 
     @settings(deadline=None, max_examples=500)
     @given(t=st.floats(allow_nan=False, allow_infinity=False))
