@@ -36,6 +36,7 @@ import numpy as np
 from .core import (
     TWO_PI,
     CouplingParams,
+    default_max_iterations,
     in_square,
     jacobian,
     omega_field,
@@ -74,13 +75,23 @@ _THIRD = 2.0 * math.pi / 3.0
 # |eigenvalue| this close to 1 is flagged instead of classified.
 HYPERBOLICITY_TOL = 1e-10
 
-# Default bounds of the checks: an invariant segment's image may stray less
-# than DEVIATION_TOL off it; a Lyapunov scan's decrement may rise to
-# MAX_DF_TOL, and its zero set must lie within ZERO_SET_CELLS lattice cells
-# of the region's fixed points.
+# Bounds of the checks: an invariant segment's image may stray less than
+# DEVIATION_TOL off it; a Lyapunov scan's decrement may rise to MAX_DF_TOL,
+# and its zero set (the samples with |decrement| < ZERO_TOL) must lie within
+# ZERO_SET_CELLS lattice cells of the region's fixed points.
 DEVIATION_TOL = 1e-12
 MAX_DF_TOL = 1e-12
+ZERO_TOL = 1e-12
 ZERO_SET_CELLS = 2
+
+# A heteroclinic orbit starts SEED_STEP off its source fixed point and ends
+# once within CAPTURE_TOL of another one.
+SEED_STEP = 1e-6
+CAPTURE_TOL = 1e-6
+
+# The census that passes: 6 saddle-to-attractor, 10 repeller-to-saddle and
+# at least 2 repeller-to-attractor orbits.
+CENSUS_RULE = "sa == 6, rs == 10, ra >= 2"
 
 Region = Literal["upper", "lower"]
 
@@ -215,13 +226,12 @@ def classify(location, params: CouplingParams) -> FixedPointRecord:
     return FixedPointRecord(location, J, lams, vecs, kind, residual)
 
 
-def _newton_on_drift(
-    seeds: np.ndarray, tol: float, max_iter: int = 50, max_halvings: int = 30
-) -> tuple[np.ndarray, np.ndarray]:
+def _newton_on_drift(seeds: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Damped Newton on the drift field, iterates clamped to the square.
 
-    Clamping keeps corner identities intact (the drift is periodic, so an
-    escaped iterate would converge to a translated copy of a root).  A seed
+    At most 50 Newton steps, each halved at most 30 times.  Clamping keeps
+    corner identities intact (the drift is periodic, so an escaped iterate
+    would converge to a translated copy of a root).  A seed
     whose Newton step is exactly zero (a singular Jacobian) can never move
     again, so it is frozen where it stands, unconverged.
     Returns final iterates and a converged mask.
@@ -229,7 +239,7 @@ def _newton_on_drift(
     p = np.clip(np.asarray(seeds, dtype=float), 0.0, TWO_PI).copy()
     res = np.max(np.abs(omega_field(p)), axis=-1)
     frozen = np.zeros(res.shape, dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(50):
         todo = (res > tol) & ~frozen
         if not todo.any():
             break
@@ -251,7 +261,7 @@ def _newton_on_drift(
         step = dx
         cand = np.clip(q + step, 0.0, TWO_PI)
         cres = np.max(np.abs(omega_field(cand)), axis=-1)
-        for _ in range(max_halvings):
+        for _ in range(30):
             worse = (cres >= base) & (cres > tol)
             if not worse.any():
                 break
@@ -425,14 +435,15 @@ def invariant_segments() -> tuple[InvariantSegment, ...]:
     )
 
 
-def restriction_fixed_points(segment: InvariantSegment, scan: int = 4096) -> np.ndarray:
+def restriction_fixed_points(segment: InvariantSegment) -> np.ndarray:
     """Roots of the segment drift on its domain (eps-independent), sorted.
 
-    Grid scan plus bisection; grid nodes already within rounding of a root
-    count directly, which catches the domain endpoints.
+    A scan of 4096 equal intervals plus bisection; grid nodes already
+    within rounding of a root count directly, which catches the domain
+    endpoints.
     """
     a, b = segment.domain
-    t = np.linspace(a, b, scan + 1)
+    t = np.linspace(a, b, 4097)
     q = np.asarray(segment.drift(t), dtype=float)
     roots: list[float] = [float(t[i]) for i in np.flatnonzero(np.abs(q) < 1e-13)]
     sign_change = np.flatnonzero(q[:-1] * q[1:] < 0.0)
@@ -461,15 +472,12 @@ def restriction_fixed_points(segment: InvariantSegment, scan: int = 4096) -> np.
 
 
 def verify_invariance(
-    segment: InvariantSegment,
-    params: CouplingParams,
-    samples: int = 1000,
-    deviation_tol: float = DEVIATION_TOL,
+    segment: InvariantSegment, params: CouplingParams, samples: int = 1000
 ) -> InvarianceCheck:
     """Sample the segment, apply the map, and measure the off-segment drift.
 
     Passes when the worst perpendicular deviation stays below
-    ``deviation_tol`` and the restriction map is strictly increasing (its
+    ``DEVIATION_TOL`` and the restriction map is strictly increasing (its
     slope 1 + eps * q'(t) stays positive on a dense sample).
     """
     params.require_analysis_range()
@@ -491,7 +499,7 @@ def verify_invariance(
     max_dev = float(dev[worst])
     return InvarianceCheck(
         name=segment.name,
-        passed=(max_dev < deviation_tol) and monotone,
+        passed=(max_dev < DEVIATION_TOL) and monotone,
         max_deviation=max_dev,
         worst_point=pts[worst],
         monotone=monotone,
@@ -515,8 +523,16 @@ class HeteroclinicOrbit:
 
 @dataclass(frozen=True)
 class HeteroclinicCensus:
+    """The census's orbits and how many there are of each kind."""
+
     orbits: tuple[HeteroclinicOrbit, ...]
     counts: dict[str, int]
+
+    @property
+    def passed(self) -> bool:
+        """Whether ``counts`` meet :data:`CENSUS_RULE`."""
+        c = self.counts
+        return c.get("sa", 0) == 6 and c.get("rs", 0) == 10 and c.get("ra", 0) >= 2
 
 
 _KIND_LETTER = {"attractor": "a", "repeller": "r", "saddle": "s"}
@@ -531,34 +547,24 @@ def _orbit_kind(source: FixedPointRecord, target: FixedPointRecord) -> str:
         ) from None
 
 
-def default_max_iterations(params: CouplingParams) -> int:
-    """Iteration budget ceil(60/eps): covers escape plus contraction with margin."""
-    return math.ceil(60.0 / params.epsilon)
-
-
 def trace_heteroclinic(
-    source: FixedPointRecord,
-    direction,
-    params: CouplingParams,
-    step: float = 1e-6,
-    max_iter: int | None = None,
-    capture_tol: float = 1e-6,
+    source: FixedPointRecord, direction, params: CouplingParams
 ) -> HeteroclinicOrbit:
     """Iterate the map from just off a fixed point until it lands at another.
 
-    Seeds at ``source + step * direction`` (unit-normalized) and follows the
-    forward orbit; terminates once within ``capture_tol`` of a different
-    fixed point.  Raises ValueError when the seed falls outside the square
-    and RuntimeError when the budget runs out without capture.
+    Seeds at ``source + SEED_STEP * direction`` (unit-normalized) and
+    follows the forward orbit; terminates once within ``CAPTURE_TOL`` of a
+    different fixed point.  Raises ValueError when the seed falls outside
+    the square and RuntimeError when the iteration budget
+    (:func:`~triclock.core.default_max_iterations`) runs out without capture.
     """
     params.require_analysis_range()
-    if max_iter is None:
-        max_iter = default_max_iterations(params)
+    max_iter = default_max_iterations(params)
     v = np.asarray(direction, dtype=float)
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
         raise ValueError("direction must be nonzero")
-    p = np.asarray(source.location, dtype=float) + step * (v / norm)
+    p = np.asarray(source.location, dtype=float) + SEED_STEP * (v / norm)
     if not bool(in_square(p)):
         raise ValueError("seed point leaves the square; try the opposite sign")
     fps = known_fixed_points()
@@ -566,7 +572,7 @@ def trace_heteroclinic(
     src_x, src_y = (float(v) for v in source.location)
     fp_x = sorted({fx for fx, _ in fp_xy})
     last = len(fp_x) - 1
-    off_source = [max(abs(fx - src_x), abs(fy - src_y)) > capture_tol for fx, fy in fp_xy]
+    off_source = [max(abs(fx - src_x), abs(fy - src_y)) > CAPTURE_TOL for fx, fy in fp_xy]
     eps = params.epsilon
     x, y = float(p[0]), float(p[1])
     samples = [(x, y)]
@@ -575,16 +581,16 @@ def trace_heteroclinic(
         if not (0.0 <= x <= TWO_PI and 0.0 <= y <= TWO_PI):  # impossible while S is invariant
             raise RuntimeError(f"orbit escaped the square at {np.array((x, y))}")
         samples.append((x, y))
-        # A capture needs some fixed point's x within capture_tol.  fl(fx - x)
+        # A capture needs some fixed point's x within CAPTURE_TOL.  fl(fx - x)
         # is monotone in fx, so the nearest x is one of the two neighbours of x
         # in the sorted list, and checking those equals checking all of them.
         i = bisect_left(fp_x, x)
-        if (i > last or fp_x[i] - x > capture_tol) and (i == 0 or x - fp_x[i - 1] > capture_tol):
+        if (i > last or fp_x[i] - x > CAPTURE_TOL) and (i == 0 or x - fp_x[i - 1] > CAPTURE_TOL):
             continue
         dists = [max(abs(fx - x), abs(fy - y)) for fx, fy in fp_xy]
         nearest = min(dists)
         j = dists.index(nearest)  # the first minimum, as np.argmin
-        if nearest <= capture_tol and off_source[j]:
+        if nearest <= CAPTURE_TOL and off_source[j]:
             target = classify(fps[j], params)
             return HeteroclinicOrbit(
                 source=source,
@@ -600,21 +606,20 @@ def trace_heteroclinic(
 
 def _segment_orbit(
     segment: InvariantSegment,
+    source: FixedPointRecord,
+    target: FixedPointRecord,
     t_src: float,
     t_dst: float,
     params: CouplingParams,
-    step: float = 1e-6,
-    capture_tol: float = 1e-6,
 ) -> HeteroclinicOrbit:
-    """Heteroclinic running inside a segment, built from its restriction map."""
-    source = classify(segment.point(t_src), params)
-    target = classify(segment.point(t_dst), params)
-    t = t_src + math.copysign(step, t_dst - t_src)
+    """Heteroclinic running inside a segment from ``source`` (at ``t_src``)
+    to ``target`` (at ``t_dst``), built from its restriction map."""
+    t = t_src + math.copysign(SEED_STEP, t_dst - t_src)
     ts = [t]
     for _ in range(default_max_iterations(params)):
         t = segment.restriction(t, params)
         ts.append(t)
-        if abs(t - t_dst) <= capture_tol:
+        if abs(t - t_dst) <= CAPTURE_TOL:
             break
     else:
         raise RuntimeError(f"restriction orbit on {segment.name} failed to land")
@@ -626,14 +631,15 @@ def _segment_orbit(
     )
 
 
-def heteroclinic_census(params: CouplingParams, step: float = 1e-6) -> HeteroclinicCensus:
+def heteroclinic_census(params: CouplingParams) -> HeteroclinicCensus:
     """Full catalog of heteroclinic orbits between the eleven fixed points.
 
     Saddle-to-attractor orbits come from 2-D tracing along every unstable
     eigendirection (both signs, seeds outside S discarded).  The orbits
     between the remaining fixed points live inside the invariant segments
-    and are enumerated from the segment restriction dynamics; the ones that
-    duplicate a traced saddle-to-attractor connection are dropped.
+    and are enumerated from the segment restriction dynamics; a segment
+    orbit is not built when its endpoints make it saddle-to-attractor,
+    since tracing has already found that connection.
     """
     params.require_analysis_range()
     records = [classify(p, params) for p in known_fixed_points()]
@@ -643,20 +649,21 @@ def heteroclinic_census(params: CouplingParams, step: float = 1e-6) -> Heterocli
             continue
         for u in rec.unstable_directions():
             for sign in (1.0, -1.0):
-                seed = rec.location + step * sign * u
+                seed = rec.location + SEED_STEP * sign * u
                 if not bool(in_square(seed)):
                     continue
-                orbits.append(trace_heteroclinic(rec, sign * u, params, step=step))
+                orbits.append(trace_heteroclinic(rec, sign * u, params))
     for segment in invariant_segments():
         fps_t = restriction_fixed_points(segment)
         for t0, t1 in zip(fps_t[:-1], fps_t[1:]):
             qm = float(segment.drift(0.5 * (t0 + t1)))
             if qm == 0.0:
                 continue
-            t_src, t_dst = (t0, t1) if qm > 0.0 else (t1, t0)
-            orbit = _segment_orbit(segment, float(t_src), float(t_dst), params, step=step)
-            if orbit.kind != "sa":  # sa orbits were already found by tracing
-                orbits.append(orbit)
+            t_src, t_dst = (float(t0), float(t1)) if qm > 0.0 else (float(t1), float(t0))
+            source = classify(segment.point(t_src), params)
+            target = classify(segment.point(t_dst), params)
+            if _orbit_kind(source, target) != "sa":  # sa orbits were already found by tracing
+                orbits.append(_segment_orbit(segment, source, target, t_src, t_dst, params))
     counts: dict[str, int] = {}
     for orbit in orbits:
         counts[orbit.kind] = counts.get(orbit.kind, 0) + 1
@@ -673,8 +680,9 @@ def _require_region(region: str) -> tuple[float, float]:
     return _CENTERS[region]
 
 
-def _in_region(p: np.ndarray, region: str, slack: float = 1e-12) -> np.ndarray:
-    return _in_region_xy(p[..., 0], p[..., 1], region, slack)
+def _in_region(p: np.ndarray, region: str) -> np.ndarray:
+    """Membership in the closed triangle, with 1e-12 of slack for rounding."""
+    return _in_region_xy(p[..., 0], p[..., 1], region, 1e-12)
 
 
 def _in_region_xy(x: np.ndarray, y: np.ndarray, region: str, slack: float) -> np.ndarray:
@@ -754,16 +762,12 @@ class LyapunovReport:
 
 
 def orbital_derivative_scan(
-    region: Region,
-    params: CouplingParams,
-    grid: int = 300,
-    zero_tol: float = 1e-12,
-    max_df_tol: float = MAX_DF_TOL,
+    region: Region, params: CouplingParams, grid: int = 300
 ) -> LyapunovReport:
     """Evaluate the decrement on a triangular lattice and report its sign.
 
-    Passes when the lattice maximum stays below ``max_df_tol`` and every
-    near-zero sample (|DV| < zero_tol) sits within ``ZERO_SET_CELLS``
+    Passes when the lattice maximum stays at most ``MAX_DF_TOL`` and every
+    near-zero sample (|DV| < ``ZERO_TOL``) sits within ``ZERO_SET_CELLS``
     lattice cells of a fixed point of the region's closure.  The sign is
     reported, never assumed; a positive maximum is a reported failure.
     """
@@ -780,7 +784,7 @@ def orbital_derivative_scan(
     x, y = x[inside], y[inside]
     df = _decrement(x, y, region, params.epsilon)
     max_df = float(np.max(df))
-    zero = np.abs(df) < zero_tol
+    zero = np.abs(df) < ZERO_TOL
     zero_pts = np.column_stack((x[zero], y[zero]))
     cell = TWO_PI / grid
     near_fixed = far_zero_points(region, zero_pts, cell) == 0
@@ -789,6 +793,6 @@ def orbital_derivative_scan(
         grid_resolution=grid,
         max_df=max_df,
         zero_set=zero_pts,
-        passed=(max_df <= max_df_tol) and near_fixed,
+        passed=(max_df <= MAX_DF_TOL) and near_fixed,
         cell=cell,
     )

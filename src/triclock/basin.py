@@ -34,10 +34,10 @@ from typing import IO
 
 import numpy as np
 
-from .analysis import default_max_iterations
 from .core import (
     TWO_PI,
     CouplingParams,
+    default_max_iterations,
     in_square,
     three_clock_step,  # noqa: F401 -- perfbench's traced run wraps basin.three_clock_step
     three_clock_step_scalar,

@@ -36,6 +36,7 @@ from .core import (
     TWO_PI,
     andronov_fixed_point,
     andronov_step,
+    default_max_iterations,
     json_data,
 )
 
@@ -346,12 +347,9 @@ def _cmd_verify(settings: _Settings) -> Report:
         analysis.orbital_derivative_scan(region, params, grid=grid)
         for region in ("upper", "lower")
     ]
-    census_ok = (
-        census.counts.get("sa", 0) == 6
-        and census.counts.get("rs", 0) == 10
-        and census.counts.get("ra", 0) >= 2
+    passed = (
+        all(c.passed for c in segment_checks) and census.passed and all(s.passed for s in scans)
     )
-    passed = all(c.passed for c in segment_checks) and census_ok and all(s.passed for s in scans)
     report = {
         "epsilon": params.epsilon,
         "segments": json_data(segment_checks),
@@ -387,8 +385,8 @@ def _cmd_verify(settings: _Settings) -> Report:
             + _bounds(broke)
         )
     lines.append(
-        f"heteroclinic census {census.counts} {'pass' if census_ok else 'FAIL'}"
-        + _bounds([] if census_ok else ["expected sa == 6, rs == 10, ra >= 2"])
+        f"heteroclinic census {census.counts} {'pass' if census.passed else 'FAIL'}"
+        + _bounds([] if census.passed else [f"expected {analysis.CENSUS_RULE}"])
     )
     for scan in scans:
         broke = []
@@ -491,7 +489,7 @@ def _portrait_svg(
         fixed_points = [analysis.classify(p, params) for p in analysis.known_fixed_points()]
     orbits = None
     if "sample_orbits" in layers:
-        length = analysis.default_max_iterations(params)
+        length = default_max_iterations(params)
         orbits = [basin.orbit(seed, params, length) for seed in _SAMPLE_ORBIT_SEEDS]
     return render.render_portrait(
         spec,

@@ -53,6 +53,7 @@ __all__ = [
     "three_clock_step_scalar",
     "jacobian",
     "in_square",
+    "default_max_iterations",
     "json_data",
 ]
 
@@ -186,28 +187,24 @@ def three_clock_step(p, params: CouplingParams) -> np.ndarray:
     For ``p`` in the closed square S and eps < 1/9 the image stays in S and
     edge points stay on their edge; coordinates within ``BOUNDARY_SNAP_TOL``
     of 0 or 2*pi are snapped onto the boundary to keep that exact under
-    rounding.
+    rounding.  This is :func:`three_clock_step_xy` on the two columns of
+    ``p``, stacked back into a ``(..., 2)`` array.
     """
     p = np.asarray(p, dtype=float)
-    return _snap_to_edges(p + params.epsilon * omega_field(p))
+    return np.stack(three_clock_step_xy(p[..., 0], p[..., 1], params), axis=-1)
 
 
 def three_clock_step_xy(
     x: np.ndarray, y: np.ndarray, params: CouplingParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`three_clock_step` on separate coordinate arrays, bit for bit.
+    """:func:`three_clock_step` on separate coordinate arrays: the pair ``(x', y')``.
 
     The bulk form for classifiers that keep ``x`` and ``y`` as contiguous
     1-D arrays: it avoids strided column reads and the ``(..., 2)`` stack.
     """
-    sx = np.sin(x)
-    sy = np.sin(y)
-    sxy = np.sin(x - y)
+    f, g = omega_field_xy(x, y)
     eps = params.epsilon
-    return (
-        _snap_to_edges(x + eps * (2.0 * sx + sy + sxy)),
-        _snap_to_edges(y + eps * (sx + 2.0 * sy - sxy)),
-    )
+    return _snap_to_edges(x + eps * f), _snap_to_edges(y + eps * g)
 
 
 def three_clock_step_scalar(x: float, y: float, eps: float) -> tuple[float, float]:
@@ -240,10 +237,15 @@ def jacobian(p, params: CouplingParams) -> np.ndarray:
     return np.eye(2) + params.epsilon * dw
 
 
-def in_square(p, tol: float = 0.0) -> np.ndarray:
-    """Whether each point lies in the closed square S, with optional slack."""
+def in_square(p) -> np.ndarray:
+    """Whether each point lies in the closed square S."""
     p = np.asarray(p, dtype=float)
-    return np.all((p >= -tol) & (p <= TWO_PI + tol), axis=-1)
+    return np.all((p >= 0.0) & (p <= TWO_PI), axis=-1)
+
+
+def default_max_iterations(params: CouplingParams) -> int:
+    """Iteration budget ceil(60/eps): covers escape plus contraction with margin."""
+    return math.ceil(60.0 / params.epsilon)
 
 
 @functools.cache

@@ -134,7 +134,6 @@ class CycleTrace:
     """
 
     events: tuple[KickEvent, ...]
-    start_state: ClockEnsemble
     end_state: ClockEnsemble
     kick_times: tuple[tuple[int, float], ...]
     period: float
@@ -291,7 +290,7 @@ def run_cycle(
     params = ensemble.params
     end, events, kick_times, period = _cycle(psi, params.epsilon, cycle_index, record)
     return CycleTrace(
-        tuple(events), ensemble, ClockEnsemble._of_floats(end, params), tuple(kick_times), period
+        tuple(events), ClockEnsemble._of_floats(end, params), tuple(kick_times), period
     )
 
 

@@ -9,14 +9,14 @@ axis points up, matching the mathematical convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .core import TWO_PI
 from .analysis import FixedPointRecord, HeteroclinicOrbit, InvariantSegment
-from .basin import LABEL_NAMES, BasinGrid
+from .basin import BasinGrid
 
 __all__ = ["LAYERS", "PortraitSpec", "render_portrait"]
 
@@ -28,27 +28,21 @@ LAYERS = (
     "sample_orbits",
 )
 
-_DEFAULT_STYLE: dict[str, str] = {
-    "background.upper": "#dbe9f6",
-    "background.lower": "#fbe8d3",
-    "background.boundary": "#b9b9b9",
-    "background.unresolved": "#ffffff",
-    "segment.color": "#2457a8",  # straight repeller-to-attractor segments in blue
-    "segment.width": "1.2",
-    "heteroclinic.color": "#c81e1e",  # heteroclinic connections in red
-    "heteroclinic.width": "1.6",
-    "orbit.color": "#3c3c3c",
-    "orbit.width": "0.8",
-    "marker.attractor": "#111111",
-    "marker.repeller": "#ffffff",
-    "marker.saddle": "#808080",
-    "marker.stroke": "#111111",
-}
+# The picture is _SIZE pixels square with the square S inset by _MARGIN.
+_SIZE = 720
+_MARGIN = 40
+_SCALE = (_SIZE - 2 * _MARGIN) / TWO_PI
+
+# Cell fill by label code, in basin.LABEL_NAMES order: upper, lower,
+# boundary, unresolved.
+_BACKGROUND = ("#dbe9f6", "#fbe8d3", "#b9b9b9", "#ffffff")
+# Marker fill by fixed-point class; a non-hyperbolic point is drawn as a saddle.
+_MARKER_FILL = {"attractor": "#111111", "repeller": "#ffffff", "saddle": "#808080"}
 
 
 @dataclass(frozen=True)
 class PortraitSpec:
-    """Which layers to draw and optional per-layer styling token overrides."""
+    """Which layers to draw."""
 
     layers: tuple[str, ...] = (
         "basin_background",
@@ -56,7 +50,6 @@ class PortraitSpec:
         "heteroclinics",
         "fixed_points",
     )
-    styling: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.layers:
@@ -64,44 +57,30 @@ class PortraitSpec:
         unknown = [name for name in self.layers if name not in LAYERS]
         if unknown:
             raise ValueError(f"unknown layers: {unknown}; choose from {LAYERS}")
-        bad = [key for key in self.styling if key not in _DEFAULT_STYLE]
-        if bad:
-            raise ValueError(f"unknown styling tokens: {bad}")
-
-    def style(self, key: str) -> str:
-        return self.styling.get(key, _DEFAULT_STYLE[key])
 
 
-class _Canvas:
-    def __init__(self, size: int, margin: int) -> None:
-        self.size = size
-        self.margin = margin
-        self.scale = (size - 2 * margin) / TWO_PI
-
-    def x(self, value: float) -> float:
-        return self.margin + value * self.scale
-
-    def y(self, value: float) -> float:
-        # y grows upward
-        return self.size - (self.margin + value * self.scale)
-
-    def pt(self, p) -> str:
-        return f"{self.x(float(p[0])):.3f},{self.y(float(p[1])):.3f}"
+def _x(value: float) -> float:
+    return _MARGIN + value * _SCALE
 
 
-def _polyline(canvas: _Canvas, pts: np.ndarray, color: str, width: str) -> str:
-    coords = " ".join(canvas.pt(p) for p in pts)
+def _y(value: float) -> float:
+    # y grows upward
+    return _SIZE - (_MARGIN + value * _SCALE)
+
+
+def _polyline(pts: np.ndarray, color: str, width: str) -> str:
+    coords = " ".join(f"{_x(float(p[0])):.3f},{_y(float(p[1])):.3f}" for p in pts)
     return (
         f'<polyline points="{coords}" fill="none" stroke="{color}" '
         f'stroke-width="{width}"/>'
     )
 
 
-def _background_rects(canvas: _Canvas, grid: BasinGrid, spec: PortraitSpec) -> list[str]:
+def _background_rects(grid: BasinGrid) -> list[str]:
     # One rect per run of equal labels along each row keeps the file small.
     out: list[str] = []
     h = TWO_PI / grid.resolution
-    cell_px = h * canvas.scale
+    cell_px = h * _SCALE
     for row in range(grid.resolution):
         labels = grid.labels[row]
         col = 0
@@ -109,9 +88,9 @@ def _background_rects(canvas: _Canvas, grid: BasinGrid, spec: PortraitSpec) -> l
             run = col
             while run + 1 < grid.resolution and labels[run + 1] == labels[col]:
                 run += 1
-            color = spec.style(f"background.{LABEL_NAMES[int(labels[col])]}")
-            x0 = canvas.x(col * h)
-            y0 = canvas.y((row + 1) * h)
+            color = _BACKGROUND[int(labels[col])]
+            x0 = _x(col * h)
+            y0 = _y((row + 1) * h)
             width = (run - col + 1) * cell_px
             out.append(
                 f'<rect x="{x0:.3f}" y="{y0:.3f}" width="{width:.3f}" '
@@ -121,25 +100,19 @@ def _background_rects(canvas: _Canvas, grid: BasinGrid, spec: PortraitSpec) -> l
     return out
 
 
-def _marker(canvas: _Canvas, record: FixedPointRecord, spec: PortraitSpec) -> str:
-    fill = {
-        "attractor": spec.style("marker.attractor"),
-        "repeller": spec.style("marker.repeller"),
-        "saddle": spec.style("marker.saddle"),
-    }.get(record.kind, spec.style("marker.saddle"))
-    cx = canvas.x(float(record.location[0]))
-    cy = canvas.y(float(record.location[1]))
+def _marker(record: FixedPointRecord) -> str:
+    fill = _MARKER_FILL.get(record.kind, _MARKER_FILL["saddle"])
+    cx = _x(float(record.location[0]))
+    cy = _y(float(record.location[1]))
     return (
         f'<circle cx="{cx:.3f}" cy="{cy:.3f}" r="5.0" fill="{fill}" '
-        f'stroke="{spec.style("marker.stroke")}" stroke-width="1.2"/>'
+        'stroke="#111111" stroke-width="1.2"/>'
     )
 
 
 def render_portrait(
     spec: PortraitSpec,
     *,
-    size: int = 720,
-    margin: int = 40,
     grid: BasinGrid | None = None,
     segments: Sequence[InvariantSegment] | None = None,
     heteroclinics: Iterable[HeteroclinicOrbit] | None = None,
@@ -151,11 +124,10 @@ def render_portrait(
     Each requested layer must come with its data; the renderer refuses to
     compute any of it itself.
     """
-    canvas = _Canvas(size, margin)
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">',
+        f'width="{_SIZE}" height="{_SIZE}" viewBox="0 0 {_SIZE} {_SIZE}">',
     ]
     required = {
         "basin_background": grid,
@@ -169,33 +141,23 @@ def render_portrait(
             raise ValueError(f"layer {layer!r} requested but no data supplied")
 
     if "basin_background" in spec.layers:
-        parts.extend(_background_rects(canvas, grid, spec))
+        parts.extend(_background_rects(grid))
     # frame of the square
     frame = np.array([(0.0, 0.0), (TWO_PI, 0.0), (TWO_PI, TWO_PI), (0.0, TWO_PI), (0.0, 0.0)])
-    parts.append(_polyline(canvas, frame, "#000000", "1.0"))
+    parts.append(_polyline(frame, "#000000", "1.0"))
     if "invariant_segments" in spec.layers:
+        # straight repeller-to-attractor segments in blue
         for seg in segments:
-            ends = seg.point(np.asarray(seg.domain))
-            parts.append(
-                _polyline(canvas, ends, spec.style("segment.color"), spec.style("segment.width"))
-            )
+            parts.append(_polyline(seg.point(np.asarray(seg.domain)), "#2457a8", "1.2"))
     if "heteroclinics" in spec.layers:
+        # heteroclinic connections in red
         for orb in heteroclinics:
-            parts.append(
-                _polyline(
-                    canvas,
-                    orb.samples,
-                    spec.style("heteroclinic.color"),
-                    spec.style("heteroclinic.width"),
-                )
-            )
+            parts.append(_polyline(orb.samples, "#c81e1e", "1.6"))
     if "sample_orbits" in spec.layers:
         for line in orbits:
-            parts.append(
-                _polyline(canvas, line, spec.style("orbit.color"), spec.style("orbit.width"))
-            )
+            parts.append(_polyline(line, "#3c3c3c", "0.8"))
     if "fixed_points" in spec.layers:
         for record in fixed_points:
-            parts.append(_marker(canvas, record, spec))
+            parts.append(_marker(record))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -27,15 +27,6 @@ class TestPortraitSpec:
         with pytest.raises(ValueError):
             PortraitSpec(layers=("flow_arrows",))
 
-    def test_rejects_unknown_styling_token(self):
-        with pytest.raises(ValueError):
-            PortraitSpec(layers=("fixed_points",), styling={"nope": "red"})
-
-    def test_style_override(self):
-        spec = PortraitSpec(layers=("fixed_points",), styling={"marker.saddle": "#123456"})
-        assert spec.style("marker.saddle") == "#123456"
-        assert spec.style("marker.attractor") == "#111111"
-
 
 class TestRenderPortrait:
     def test_deterministic_bytes(self, portrait_data):

@@ -1,0 +1,73 @@
+"""Digest the outputs of a fixed sweep of ``triclock`` commands.
+
+Run from the root of a checkout:
+
+    python3 tools/output_digests.py OUTFILE
+
+The sweep runs in this one process, against the checkout's ``src``:
+``verify`` in text and JSON at 30 couplings spread over [0.01, 0.11),
+``fixed-points`` in JSON and CSV at 4 couplings and seed grids 16, 33 and
+50, ``portrait`` with all five layers, and ``basins --format bin``.
+OUTFILE gets one line per command: the sha256 of its standard output and
+standard error, its exit code, and the command itself.  Running the script
+in two checkouts and comparing the two OUTFILEs with ``diff`` shows whether
+a change altered any of those bytes.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import shlex
+import sys
+from pathlib import Path
+
+
+def sweep() -> list[list[str]]:
+    """The command lines of the sweep, as argv lists without ``triclock``."""
+    commands = []
+    for k in range(30):
+        eps = str(round(0.01 + k / 300, 6))
+        for fmt in ("text", "json"):
+            commands.append(["verify", "--eps", eps, "--format", fmt])
+    for eps in ("0.01", "0.035", "0.07", "0.105"):
+        for grid in ("16", "33", "50"):
+            for fmt in ("json", "csv"):
+                commands.append(["fixed-points", "--eps", eps, "--seed-grid", grid,
+                                 "--format", fmt])
+    layers = "basin_background,invariant_segments,heteroclinics,fixed_points,sample_orbits"
+    commands.append(["portrait", "--eps", "0.05", "--resolution", "64", "--layers", layers])
+    commands.append(["basins", "--eps", "0.05", "--resolution", "200", "--format", "bin"])
+    return commands
+
+
+def run(main, args: list[str]) -> tuple[str, int]:
+    """Run ``main(args)`` with stdout and stderr captured; their sha256 and the exit code."""
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", write_through=True)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(args)
+    out.flush()
+    digest = hashlib.sha256(out.buffer.getvalue())
+    digest.update(err.getvalue().encode("utf-8"))
+    return digest.hexdigest(), code
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    sys.path.insert(0, str(Path.cwd() / "src"))
+    from triclock import cli
+
+    lines = []
+    for args in sweep():
+        digest, code = run(cli.main, args)
+        lines.append(f"{digest}  {code}  {shlex.join(['triclock', *args])}\n")
+    Path(argv[0]).write_text("".join(lines), encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
