@@ -558,6 +558,16 @@ def trace_heteroclinic(
     the square and RuntimeError when the iteration budget
     (:func:`~triclock.core.default_max_iterations`) runs out without capture.
     """
+    return _trace(source, direction, params, lambda p: classify(p, params))
+
+
+def _trace(
+    source: FixedPointRecord,
+    direction,
+    params: CouplingParams,
+    classify_at: Callable[[np.ndarray], FixedPointRecord],
+) -> HeteroclinicOrbit:
+    """:func:`trace_heteroclinic`, classifying the captured fixed point with ``classify_at``."""
     params.require_analysis_range()
     max_iter = default_max_iterations(params)
     v = np.asarray(direction, dtype=float)
@@ -591,7 +601,7 @@ def trace_heteroclinic(
         nearest = min(dists)
         j = dists.index(nearest)  # the first minimum, as np.argmin
         if nearest <= CAPTURE_TOL and off_source[j]:
-            target = classify(fps[j], params)
+            target = classify_at(fps[j])
             return HeteroclinicOrbit(
                 source=source,
                 target=target,
@@ -642,7 +652,17 @@ def heteroclinic_census(params: CouplingParams) -> HeteroclinicCensus:
     since tracing has already found that connection.
     """
     params.require_analysis_range()
-    records = [classify(p, params) for p in known_fixed_points()]
+    classified: dict[bytes, FixedPointRecord] = {}
+
+    def classify_at(location: np.ndarray) -> FixedPointRecord:
+        # Each location is classified once per census, keyed by its exact
+        # floats (signed zeros apart), so every record is what classify gives.
+        key = location.tobytes()
+        if key not in classified:
+            classified[key] = classify(location, params)
+        return classified[key]
+
+    records = [classify_at(p) for p in known_fixed_points()]
     orbits: list[HeteroclinicOrbit] = []
     for rec in records:
         if rec.kind != "saddle":
@@ -652,7 +672,7 @@ def heteroclinic_census(params: CouplingParams) -> HeteroclinicCensus:
                 seed = rec.location + SEED_STEP * sign * u
                 if not bool(in_square(seed)):
                     continue
-                orbits.append(trace_heteroclinic(rec, sign * u, params))
+                orbits.append(_trace(rec, sign * u, params, classify_at))
     for segment in invariant_segments():
         fps_t = restriction_fixed_points(segment)
         for t0, t1 in zip(fps_t[:-1], fps_t[1:]):
@@ -660,8 +680,8 @@ def heteroclinic_census(params: CouplingParams) -> HeteroclinicCensus:
             if qm == 0.0:
                 continue
             t_src, t_dst = (float(t0), float(t1)) if qm > 0.0 else (float(t1), float(t0))
-            source = classify(segment.point(t_src), params)
-            target = classify(segment.point(t_dst), params)
+            source = classify_at(segment.point(t_src))
+            target = classify_at(segment.point(t_dst))
             if _orbit_kind(source, target) != "sa":  # sa orbits were already found by tracing
                 orbits.append(_segment_orbit(segment, source, target, t_src, t_dst, params))
     counts: dict[str, int] = {}

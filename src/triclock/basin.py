@@ -92,14 +92,23 @@ class BasinGrid:
         }
 
 
-def _on_invariant_boundary(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return (
-        (x == 0.0)
-        | (x == TWO_PI)
-        | (y == 0.0)
-        | (y == TWO_PI)
-        | (np.abs(x - y) < _DIAGONAL_BAND)
-    )
+def _on_invariant_boundary(x: np.ndarray, y: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Points on an edge or the diagonal band; ``d`` is scratch of their size."""
+    np.subtract(x, y, out=d)
+    np.abs(d, out=d)
+    return (x == 0.0) | (x == TWO_PI) | (y == 0.0) | (y == TWO_PI) | (d < _DIAGONAL_BAND)
+
+
+def _captured(
+    x: np.ndarray, y: np.ndarray, attractor: np.ndarray, tol: float, d: np.ndarray, e: np.ndarray
+) -> np.ndarray:
+    """``max(|x - ax|, |y - ay|) <= tol``, formed in the scratch arrays ``d`` and ``e``."""
+    np.subtract(x, attractor[0], out=d)
+    np.abs(d, out=d)
+    np.subtract(y, attractor[1], out=e)
+    np.abs(e, out=e)
+    np.maximum(d, e, out=d)
+    return d <= tol
 
 
 def _classify(
@@ -110,10 +119,14 @@ def _classify(
     labels = np.full(m, _UNRESOLVED, dtype=np.uint8)
     iters = np.full(m, max_iter, dtype=np.int32)
     alive = np.arange(m)
+    # The masks' float arithmetic goes to one scratch pair, cut to the cells
+    # still alive, so an iteration allocates no float array for them.
+    scratch = np.empty((2, m))
     for k in range(max_iter + 1):
-        done_b = _on_invariant_boundary(x, y)
-        done_u = np.maximum(np.abs(x - ATTRACTOR_UPPER[0]), np.abs(y - ATTRACTOR_UPPER[1])) <= tol
-        done_l = np.maximum(np.abs(x - ATTRACTOR_LOWER[0]), np.abs(y - ATTRACTOR_LOWER[1])) <= tol
+        d, e = scratch[:, : x.size]
+        done_b = _on_invariant_boundary(x, y, d)
+        done_u = _captured(x, y, ATTRACTOR_UPPER, tol, d, e)
+        done_l = _captured(x, y, ATTRACTOR_LOWER, tol, d, e)
         done = done_b | done_u | done_l
         if done.any():
             idx = alive[done]

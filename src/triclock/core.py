@@ -24,6 +24,11 @@ CLOSED: there is no modular wrapping of map states, because the edges
 and the main diagonal are invariant sets that the analysis layer has to
 see exactly.  A separate
 :func:`normalize_phase` exists for absolute clock phases, which do wrap.
+
+The array step allocates only its three sine arrays and one scratch
+array, forms ``f``, ``g`` and then the image in place in them, and runs
+the edge snap's rule only where it can move a coordinate (see
+:func:`_snap_to_edges`).
 """
 
 from __future__ import annotations
@@ -70,6 +75,10 @@ MIN_ANALYSIS_EPSILON = 1e-8
 # Map iterates this close to an edge of S are snapped onto it, so that the
 # boundary stays exactly invariant under accumulated rounding.
 BOUNDARY_SNAP_TOL = 1e-14
+
+# The edge snap runs only on coordinates with |q - pi| above this (see
+# _snap_to_edges); it holds every coordinate the snap can move.
+_SNAP_GATE = math.pi - 1e-12
 
 
 @dataclass(frozen=True)
@@ -151,16 +160,32 @@ def omega_field(p) -> np.ndarray:
     Accepts any ``(..., 2)`` array and broadcasts.
     """
     p = np.asarray(p, dtype=float)
-    return np.stack(omega_field_xy(p[..., 0], p[..., 1]), axis=-1)
+    return np.concatenate(omega_field_xy(p[..., :1], p[..., 1:2]), axis=-1)
 
 
 def omega_field_xy(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`omega_field` on separate coordinate arrays: the pair ``(f, g)``."""
-    sx = np.sin(x)
-    sy = np.sin(y)
-    sxy = np.sin(x - y)
-    # g uses sin(y - x) == -sin(x - y) exactly (IEEE sine is odd).
-    return 2.0 * sx + sy + sxy, sx + 2.0 * sy - sxy
+    """:func:`omega_field` on separate float coordinate arrays of one shape: ``(f, g)``.
+
+    Both are fresh arrays (0-d for 0-d inputs) that the caller may overwrite.
+    """
+    f = np.sin(x, out=...)
+    g = np.sin(y, out=...)
+    sxy = np.subtract(x, y, out=...)
+    np.sin(sxy, out=sxy)
+    # g = sx + 2*sy + (0.0 - sxy), formed in the array of sy; the array of sx
+    # takes f, so sx + 2*sy needs one scratch array.
+    sx_2sy = np.multiply(2.0, g, out=...)
+    np.add(f, sx_2sy, out=sx_2sy)
+    np.multiply(2.0, f, out=f)
+    np.add(f, g, out=f)
+    np.add(f, sxy, out=f)
+    # 0.0 - sxy, not -sxy: the two differ only where sxy is a zero, and there
+    # 0.0 - sxy is +0, as sin(y - x) is, except at x = +0, y = -0, where the
+    # +0 of sx + 2*sy absorbs either sign.  So g(x, y) == f(y, x) bit for bit,
+    # signed zeros included, since the sine is odd and IEEE addition commutes.
+    np.subtract(0.0, sxy, out=sxy)
+    np.add(sx_2sy, sxy, out=g)
+    return f, g
 
 
 def omega_jacobian(p) -> np.ndarray:
@@ -177,8 +202,26 @@ def omega_jacobian(p) -> np.ndarray:
 
 
 def _snap_to_edges(q: np.ndarray) -> np.ndarray:
-    q = np.where(np.abs(q) < BOUNDARY_SNAP_TOL, 0.0, q)
-    return np.where(np.abs(q - TWO_PI) < BOUNDARY_SNAP_TOL, TWO_PI, q)
+    """Snap, in place, the coordinates within ``BOUNDARY_SNAP_TOL`` of 0 or 2*pi
+    onto that edge; ``q`` is an array the caller owns.  Returns ``q``.
+
+    The exact rule runs only where ``|q - pi| > pi - 1e-12``.  That set holds
+    every coordinate the rule can move: one below ``BOUNDARY_SNAP_TOL`` =
+    1e-14 from 0 or 2*pi (-0.0 and the band outside the square included) is
+    ``pi - 1e-14`` from pi, give or take one rounding of at most 2.3e-16, so
+    about 1e-12 inside it.  Rounding is monotone, so ``|q - pi|`` is largest
+    at the least or the greatest coordinate: two reductions, with no array
+    written, show when the set is empty, as it is for all but a few steps.
+    A NaN fails both tests and takes the exact path.
+    """
+    lo = np.min(q, initial=math.pi)
+    hi = np.max(q, initial=math.pi)
+    if not (abs(lo - math.pi) <= _SNAP_GATE and abs(hi - math.pi) <= _SNAP_GATE):
+        near = np.abs(q - math.pi) > _SNAP_GATE
+        e = q[near]
+        e = np.where(np.abs(e) < BOUNDARY_SNAP_TOL, 0.0, e)
+        q[near] = np.where(np.abs(e - TWO_PI) < BOUNDARY_SNAP_TOL, TWO_PI, e)
+    return q
 
 
 def three_clock_step(p, params: CouplingParams) -> np.ndarray:
@@ -188,23 +231,38 @@ def three_clock_step(p, params: CouplingParams) -> np.ndarray:
     edge points stay on their edge; coordinates within ``BOUNDARY_SNAP_TOL``
     of 0 or 2*pi are snapped onto the boundary to keep that exact under
     rounding.  This is :func:`three_clock_step_xy` on the two columns of
-    ``p``, stacked back into a ``(..., 2)`` array.
+    ``p``, joined back into a ``(..., 2)`` array.  A single finite point,
+    shape ``(2,)``, takes :func:`three_clock_step_scalar`, the same map bit
+    for bit, since numpy's per-call cost on one-element operands outweighs
+    the arithmetic there (``math.sin`` raises on the infinities that
+    ``np.sin`` turns into NaN, so those stay on the array path).
     """
     p = np.asarray(p, dtype=float)
-    return np.stack(three_clock_step_xy(p[..., 0], p[..., 1], params), axis=-1)
+    if p.shape == (2,):
+        x, y = p.tolist()
+        if math.isfinite(x + y):
+            return np.array(three_clock_step_scalar(x, y, params.epsilon))
+    return np.concatenate(three_clock_step_xy(p[..., :1], p[..., 1:2], params), axis=-1)
 
 
 def three_clock_step_xy(
     x: np.ndarray, y: np.ndarray, params: CouplingParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`three_clock_step` on separate coordinate arrays: the pair ``(x', y')``.
+    """:func:`three_clock_step` on separate float coordinate arrays of one
+    shape: the pair ``(x', y')``, two fresh arrays.
 
     The bulk form for classifiers that keep ``x`` and ``y`` as contiguous
-    1-D arrays: it avoids strided column reads and the ``(..., 2)`` stack.
+    1-D arrays: it avoids strided column reads and the ``(..., 2)`` join.
+    ``x + eps*f`` and ``y + eps*g`` are formed in the arrays of ``f`` and
+    ``g``; ``x`` and ``y`` are only read.
     """
     f, g = omega_field_xy(x, y)
     eps = params.epsilon
-    return _snap_to_edges(x + eps * f), _snap_to_edges(y + eps * g)
+    np.multiply(eps, f, out=f)
+    np.add(x, f, out=f)
+    np.multiply(eps, g, out=g)
+    np.add(y, g, out=g)
+    return _snap_to_edges(f), _snap_to_edges(g)
 
 
 def three_clock_step_scalar(x: float, y: float, eps: float) -> tuple[float, float]:
@@ -219,7 +277,7 @@ def three_clock_step_scalar(x: float, y: float, eps: float) -> tuple[float, floa
     sy = math.sin(y)
     sxy = math.sin(x - y)
     x = x + eps * (2.0 * sx + sy + sxy)
-    y = y + eps * (sx + 2.0 * sy - sxy)
+    y = y + eps * (sx + 2.0 * sy + (0.0 - sxy))
     if abs(x) < BOUNDARY_SNAP_TOL:
         x = 0.0
     elif abs(x - TWO_PI) < BOUNDARY_SNAP_TOL:

@@ -9,6 +9,7 @@ from triclock.core import (
     BOUNDARY_SNAP_TOL,
     TWO_PI,
     CouplingParams,
+    _snap_to_edges,
     adler_step,
     andronov_fixed_point,
     andronov_step,
@@ -232,6 +233,13 @@ class TestOmegaField:
         f, g = omega_field_xy(pts[:, 0], pts[:, 1])
         assert np.stack((f, g), axis=-1).tobytes() == omega_field(pts).tobytes()
 
+    def test_signed_zero_corner_gives_positive_zeros(self):
+        # g adds 0.0 - sin(x - y), which is +0 where sin(y - x) is, so the
+        # field at (-0, -0) is (+0, +0) like its transpose.
+        w = omega_field([(-0.0, -0.0)])
+        assert w.tobytes() == np.zeros((1, 2)).tobytes()
+        assert np.array(omega_field_xy(-0.0, -0.0)).tobytes() == np.zeros(2).tobytes()
+
     # The two symmetries below hold only to rounding: each sine argument is
     # rounded once more than on the left-hand side, and |f|, |g| <= 4.
     # Observed worst case over 2e6 points: 2.8e-15.
@@ -384,6 +392,108 @@ class TestThreeClockStep:
         pts = np.column_stack((np.full(17, TWO_PI), np.linspace(0.1, TWO_PI - 0.1, 17)))
         raw = pts + p.epsilon * omega_field(pts)
         assert np.max(np.abs(raw[:, 0] - TWO_PI)) < BOUNDARY_SNAP_TOL
+
+
+def _plain_snap(q):
+    q = np.where(np.abs(q) < BOUNDARY_SNAP_TOL, 0.0, q)
+    return np.where(np.abs(q - TWO_PI) < BOUNDARY_SNAP_TOL, TWO_PI, q)
+
+
+def _plain_step_xy(x, y, eps):
+    # The map written plainly: every product and sum a fresh array, the
+    # snap rule over every coordinate, and g with - sxy (the same bits after
+    # the snap, which turns the -0 of g at (-0, -0) into +0).
+    sx = np.sin(x)
+    sy = np.sin(y)
+    sxy = np.sin(x - y)
+    f = 2.0 * sx + sy + sxy
+    g = sx + 2.0 * sy - sxy
+    return _plain_snap(x + eps * f), _plain_snap(y + eps * g)
+
+
+_ULP_2PI = math.ulp(TWO_PI)
+
+# Coordinates where the edge snap and its gate act: the edges and signed
+# zeros, the snap band on both sides of each edge (up to 1e-13 outside the
+# square), the gate's own margin near 1e-12, and the smallest subnormal.
+oracle_coords = st.one_of(
+    st.floats(0.0, TWO_PI),
+    st.sampled_from([
+        0.0, -0.0, 5e-324, -5e-324, BOUNDARY_SNAP_TOL, -BOUNDARY_SNAP_TOL, 1e-12,
+        TWO_PI, TWO_PI - _ULP_2PI, TWO_PI + _ULP_2PI,
+        TWO_PI - BOUNDARY_SNAP_TOL, TWO_PI + BOUNDARY_SNAP_TOL, TWO_PI - 1e-12, PI,
+    ]),
+    st.floats(-1e-13, 2 * BOUNDARY_SNAP_TOL),
+    st.floats(TWO_PI - 2 * BOUNDARY_SNAP_TOL, TWO_PI + 1e-13),
+    st.floats(0.0, 2e-12),
+    st.floats(TWO_PI - 2e-12, TWO_PI),
+)
+oracle_eps = st.one_of(st.sampled_from([0.0, 0.01, 0.05, 0.11]), st.floats(0.0, 0.11))
+
+
+@st.composite
+def oracle_point_arrays(draw):
+    """An (n, 2) array of drawn snap-relevant points and a seeded uniform batch."""
+    point = st.one_of(st.tuples(oracle_coords, oracle_coords), oracle_coords.map(lambda v: (v, v)))
+    special = np.array(draw(st.lists(point, min_size=1, max_size=40)), dtype=float).reshape(-1, 2)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bulk = rng.uniform(0.0, TWO_PI, size=(draw(st.integers(0, 300)), 2))
+    return np.concatenate((special, bulk))
+
+
+class TestInPlaceStepOracle:
+    """The in-place step and the gated snap equal the plain formula bit for
+    bit, and leave their inputs untouched."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(pts=oracle_point_arrays(), eps=oracle_eps)
+    def test_three_clock_step(self, pts, eps):
+        before = pts.tobytes()
+        params = CouplingParams(epsilon=eps)
+        x, y = _plain_step_xy(pts[:, 0], pts[:, 1], eps)
+        expected = np.stack((x, y), axis=-1)
+        assert three_clock_step(pts, params).tobytes() == expected.tobytes()
+        # One point, shape (2,), and the same points as a 3-D stack.
+        for i in range(min(len(pts), 8)):
+            assert three_clock_step(pts[i], params).tobytes() == expected[i].tobytes()
+        stacked = pts[: len(pts) // 2 * 2].reshape(-1, 2, 2)
+        assert (three_clock_step(stacked, params).tobytes()
+                == expected[: len(pts) // 2 * 2].reshape(-1, 2, 2).tobytes())
+        assert pts.tobytes() == before
+
+    @settings(deadline=None, max_examples=200)
+    @given(pts=oracle_point_arrays(), eps=oracle_eps)
+    def test_three_clock_step_xy(self, pts, eps):
+        before = pts.tobytes()
+        params = CouplingParams(epsilon=eps)
+        ex, ey = _plain_step_xy(pts[:, 0], pts[:, 1], eps)
+        # Strided column views, as three_clock_step passes them, and
+        # contiguous copies, as the raster classifier passes them.
+        for x, y in ((pts[:, 0], pts[:, 1]), (pts[:, :1], pts[:, 1:2]),
+                     (pts[:, 0].copy(), pts[:, 1].copy())):
+            gx, gy = three_clock_step_xy(x, y, params)
+            assert gx.tobytes() == ex.tobytes() and gy.tobytes() == ey.tobytes()
+        # 0-d and one-element arrays.
+        for i in range(min(len(pts), 8)):
+            for x, y in ((pts[i, 0:1], pts[i, 1:2]), (pts[i, 0, ...], pts[i, 1, ...])):
+                gx, gy = three_clock_step_xy(x, y, params)
+                assert gx.shape == x.shape and gy.shape == y.shape
+                assert gx.tobytes() == ex[i].tobytes() and gy.tobytes() == ey[i].tobytes()
+        assert pts.tobytes() == before
+
+    @settings(deadline=None, max_examples=200)
+    @given(pts=oracle_point_arrays())
+    def test_snap_to_edges(self, pts):
+        for q in (pts.ravel(), pts[:, 0], pts[0, 0, ...], pts[:1, 1]):
+            expected = _plain_snap(q)
+            got = _snap_to_edges(np.array(q))
+            assert got.tobytes() == expected.tobytes()
+
+    def test_snap_to_edges_writes_in_place(self):
+        q = np.array([-0.0, 5e-324, 1.0, TWO_PI + BOUNDARY_SNAP_TOL / 2])
+        assert _snap_to_edges(q) is q
+        assert q.tobytes() == np.array([0.0, 0.0, 1.0, TWO_PI]).tobytes()
+        assert _snap_to_edges(np.empty(0)).size == 0
 
 
 class TestJacobian:

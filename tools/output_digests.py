@@ -7,7 +7,10 @@ Run from the root of a checkout:
 The sweep runs in this one process, against the checkout's ``src``:
 ``verify`` in text and JSON at 30 couplings spread over [0.01, 0.11),
 ``fixed-points`` in JSON and CSV at 4 couplings and seed grids 16, 33 and
-50, ``portrait`` with all five layers, and ``basins --format bin``.
+50, ``portrait`` with all five layers, and ``basins``: in binary and CSV,
+at resolutions 2, 3, 48 and 144 and couplings 0.011, 0.05 and 0.11, each
+with the default settings, ``--tol 0``, ``--max-iter 0`` and
+``--max-iter 1``, plus one binary grid of resolution 200.
 OUTFILE gets one line per command: the sha256 of its standard output and
 standard error, its exit code, and the command itself.  Running the script
 in two checkouts and comparing the two OUTFILEs with ``diff`` shows whether
@@ -39,6 +42,12 @@ def sweep() -> list[list[str]]:
     layers = "basin_background,invariant_segments,heteroclinics,fixed_points,sample_orbits"
     commands.append(["portrait", "--eps", "0.05", "--resolution", "64", "--layers", layers])
     commands.append(["basins", "--eps", "0.05", "--resolution", "200", "--format", "bin"])
+    for fmt in ("bin", "csv"):
+        for res in ("2", "3", "48", "144"):
+            for eps in ("0.011", "0.05", "0.11"):
+                for extra in ([], ["--tol", "0"], ["--max-iter", "0"], ["--max-iter", "1"]):
+                    commands.append(["basins", "--eps", eps, "--resolution", res,
+                                     "--format", fmt, *extra])
     return commands
 
 
