@@ -25,10 +25,11 @@ and the main diagonal are invariant sets that the analysis layer has to
 see exactly.  A separate
 :func:`normalize_phase` exists for absolute clock phases, which do wrap.
 
-The array step allocates only its three sine arrays and one scratch
-array, forms ``f``, ``g`` and then the image in place in them, and runs
-the edge snap's rule only where it can move a coordinate (see
-:func:`_snap_to_edges`).
+The array step allocates only two arrays, each of two rows: one takes
+the sines of ``x`` and ``y``, then ``sin(x - y)``, then ``(f, g)`` and
+then the image, all in place, and the other is scratch.  It snaps both
+coordinates in one pass, and runs the edge snap's rule only where it
+can move a coordinate (see :func:`_snap_to_edges`).
 """
 
 from __future__ import annotations
@@ -163,29 +164,47 @@ def omega_field(p) -> np.ndarray:
     return np.concatenate(omega_field_xy(p[..., :1], p[..., 1:2]), axis=-1)
 
 
-def omega_field_xy(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`omega_field` on separate float coordinate arrays of one shape: ``(f, g)``.
+def omega_field_xy(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`omega_field` on separate coordinate arrays, which broadcast:
+    ``(f, g)``, the two rows of one fresh array (numpy scalars for 0-d
+    inputs)."""
+    f, g = _field(x, y)
+    return f, g
 
-    Both are fresh arrays (0-d for 0-d inputs) that the caller may overwrite.
+
+def _rows(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two rows of ``q`` as writable views (0-d views when ``q`` is 1-D)."""
+    return q[0, ...], q[1, ...]
+
+
+def _field(x, y) -> np.ndarray:
+    """``(f, g)`` stacked in one fresh array of shape ``(2,) + shape``, where
+    ``shape`` is the broadcast shape of ``x`` and ``y``.
+
+    It is formed in place in that array and one scratch array of its size,
+    with the operands and order of ``2*sx + sy + sxy`` and
+    ``sx + 2*sy + (0.0 - sxy)``.
     """
-    f = np.sin(x, out=...)
-    g = np.sin(y, out=...)
-    sxy = np.subtract(x, y, out=...)
-    np.sin(sxy, out=sxy)
-    # g = sx + 2*sy + (0.0 - sxy), formed in the array of sy; the array of sx
-    # takes f, so sx + 2*sy needs one scratch array.
-    sx_2sy = np.multiply(2.0, g, out=...)
-    np.add(f, sx_2sy, out=sx_2sy)
-    np.multiply(2.0, f, out=f)
-    np.add(f, g, out=f)
-    np.add(f, sxy, out=f)
+    q = np.empty((2,) + np.broadcast(x, y).shape)
+    t = np.empty_like(q)
+    sx, sy = _rows(q)
+    np.sin(x, out=sx)
+    np.sin(y, out=sy)
+    np.multiply(2.0, q, out=t)
+    two_sx, two_sy = _rows(t)
+    np.add(two_sx, sy, out=two_sx)
+    np.add(sx, two_sy, out=two_sy)
+    # t holds 2*sx + sy and sx + 2*sy; the rows of q take sxy and 0.0 - sxy.
     # 0.0 - sxy, not -sxy: the two differ only where sxy is a zero, and there
     # 0.0 - sxy is +0, as sin(y - x) is, except at x = +0, y = -0, where the
     # +0 of sx + 2*sy absorbs either sign.  So g(x, y) == f(y, x) bit for bit,
     # signed zeros included, since the sine is odd and IEEE addition commutes.
-    np.subtract(0.0, sxy, out=sxy)
-    np.add(sx_2sy, sxy, out=g)
-    return f, g
+    sxy, neg_sxy = _rows(q)
+    np.subtract(x, y, out=sxy)
+    np.sin(sxy, out=sxy)
+    np.subtract(0.0, sxy, out=neg_sxy)
+    np.add(t, q, out=q)
+    return q
 
 
 def omega_jacobian(p) -> np.ndarray:
@@ -214,8 +233,8 @@ def _snap_to_edges(q: np.ndarray) -> np.ndarray:
     written, show when the set is empty, as it is for all but a few steps.
     A NaN fails both tests and takes the exact path.
     """
-    lo = np.min(q, initial=math.pi)
-    hi = np.max(q, initial=math.pi)
+    lo = np.minimum.reduce(q, axis=None, initial=math.pi)
+    hi = np.maximum.reduce(q, axis=None, initial=math.pi)
     if not (abs(lo - math.pi) <= _SNAP_GATE and abs(hi - math.pi) <= _SNAP_GATE):
         near = np.abs(q - math.pi) > _SNAP_GATE
         e = q[near]
@@ -231,38 +250,30 @@ def three_clock_step(p, params: CouplingParams) -> np.ndarray:
     edge points stay on their edge; coordinates within ``BOUNDARY_SNAP_TOL``
     of 0 or 2*pi are snapped onto the boundary to keep that exact under
     rounding.  This is :func:`three_clock_step_xy` on the two columns of
-    ``p``, joined back into a ``(..., 2)`` array.  A single finite point,
-    shape ``(2,)``, takes :func:`three_clock_step_scalar`, the same map bit
-    for bit, since numpy's per-call cost on one-element operands outweighs
-    the arithmetic there (``math.sin`` raises on the infinities that
-    ``np.sin`` turns into NaN, so those stay on the array path).
+    ``p``, joined back into a ``(..., 2)`` array.
     """
     p = np.asarray(p, dtype=float)
-    if p.shape == (2,):
-        x, y = p.tolist()
-        if math.isfinite(x + y):
-            return np.array(three_clock_step_scalar(x, y, params.epsilon))
     return np.concatenate(three_clock_step_xy(p[..., :1], p[..., 1:2], params), axis=-1)
 
 
-def three_clock_step_xy(
-    x: np.ndarray, y: np.ndarray, params: CouplingParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`three_clock_step` on separate float coordinate arrays of one
-    shape: the pair ``(x', y')``, two fresh arrays.
+def three_clock_step_xy(x, y, params: CouplingParams) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`three_clock_step` on separate coordinate arrays, which
+    broadcast: ``(x', y')``, the two rows of one fresh array (numpy scalars
+    for 0-d inputs).
 
     The bulk form for classifiers that keep ``x`` and ``y`` as contiguous
     1-D arrays: it avoids strided column reads and the ``(..., 2)`` join.
-    ``x + eps*f`` and ``y + eps*g`` are formed in the arrays of ``f`` and
-    ``g``; ``x`` and ``y`` are only read.
+    ``x + eps*f`` and ``y + eps*g`` are formed in the array of ``(f, g)``,
+    and both coordinates are snapped in one pass; ``x`` and ``y`` are only
+    read.
     """
-    f, g = omega_field_xy(x, y)
-    eps = params.epsilon
-    np.multiply(eps, f, out=f)
+    q = _field(x, y)
+    f, g = _rows(q)
+    np.multiply(params.epsilon, q, out=q)
     np.add(x, f, out=f)
-    np.multiply(eps, g, out=g)
     np.add(y, g, out=g)
-    return _snap_to_edges(f), _snap_to_edges(g)
+    x1, y1 = _snap_to_edges(q)
+    return x1, y1
 
 
 def three_clock_step_scalar(x: float, y: float, eps: float) -> tuple[float, float]:

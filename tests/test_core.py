@@ -481,6 +481,20 @@ class TestInPlaceStepOracle:
                 assert gx.tobytes() == ex[i].tobytes() and gy.tobytes() == ey[i].tobytes()
         assert pts.tobytes() == before
 
+    @settings(deadline=None, max_examples=100)
+    @given(pts=oracle_point_arrays(), eps=oracle_eps)
+    def test_mixed_shapes_broadcast(self, pts, eps):
+        # A column against a row, a 0-d array against a 1-D one, and a 1-D
+        # array against a float broadcast as the plain formula does.
+        params = CouplingParams(epsilon=eps)
+        xs, ys = pts[:40, 0], pts[:40, 1]
+        for x, y in ((xs[:, None], ys[None, :]), (xs[0, ...], ys), (xs, float(ys[-1]))):
+            ex, ey = _plain_step_xy(x, y, eps)
+            gx, gy = three_clock_step_xy(x, y, params)
+            assert gx.tobytes() == ex.tobytes() and gy.tobytes() == ey.tobytes()
+            f, g = omega_field_xy(x, y)
+            assert f.shape == g.shape == ex.shape
+
     @settings(deadline=None, max_examples=200)
     @given(pts=oracle_point_arrays())
     def test_snap_to_edges(self, pts):
