@@ -18,7 +18,6 @@ from .core import (
     MIN_ANALYSIS_EPSILON,
     TWO_PI,
     CouplingParams,
-    adler_step,
     andronov_fixed_point,
     andronov_step,
     in_square,
@@ -26,7 +25,6 @@ from .core import (
     normalize_phase,
     omega_field,
     omega_jacobian,
-    perturbation,
     three_clock_step,
 )
 from .events import (
@@ -34,8 +32,6 @@ from .events import (
     CycleTrace,
     KickEvent,
     LockResult,
-    advance_to_next_kick,
-    apply_kick,
     cyclic_gaps,
     difference_vector,
     phase_differences,
@@ -80,7 +76,6 @@ __all__ = [
     "MIN_ANALYSIS_EPSILON",
     "TWO_PI",
     "CouplingParams",
-    "adler_step",
     "andronov_fixed_point",
     "andronov_step",
     "in_square",
@@ -88,14 +83,11 @@ __all__ = [
     "normalize_phase",
     "omega_field",
     "omega_jacobian",
-    "perturbation",
     "three_clock_step",
     "ClockEnsemble",
     "CycleTrace",
     "KickEvent",
     "LockResult",
-    "advance_to_next_kick",
-    "apply_kick",
     "cyclic_gaps",
     "difference_vector",
     "phase_differences",

@@ -3,9 +3,7 @@
 The module collects every map used elsewhere in the package, all pure
 functions of their arguments:
 
-* the per-kick phase perturbation ``P(phi) = eps * sin(phi)``,
 * the one-clock escapement return map ``v -> sqrt((v - 4*mu)**2 + h**2)``,
-* the two-clock Adler update ``phi -> phi + eps * sin(phi)``,
 * the three-clock phase-difference map on the closed square
   ``S = [0, 2*pi]**2``::
 
@@ -47,10 +45,8 @@ __all__ = [
     "BOUNDARY_SNAP_TOL",
     "CouplingParams",
     "normalize_phase",
-    "perturbation",
     "andronov_step",
     "andronov_fixed_point",
-    "adler_step",
     "omega_field",
     "omega_field_xy",
     "omega_jacobian",
@@ -122,11 +118,6 @@ def normalize_phase(phi):
     return np.where(out == TWO_PI, 0.0, out)
 
 
-def perturbation(phi, params: CouplingParams):
-    """Per-kick phase correction P(phi) = eps * sin(phi); odd, 2*pi-periodic."""
-    return params.epsilon * np.sin(np.asarray(phi, dtype=float))
-
-
 def andronov_step(v: float, params: CouplingParams) -> float:
     """One escapement cycle of an isolated clock: sqrt((v - 4*mu)**2 + h**2).
 
@@ -146,12 +137,6 @@ def andronov_fixed_point(params: CouplingParams) -> float:
     if params.mu <= 0.0:
         raise ValueError("the escapement fixed point requires mu > 0")
     return params.h**2 / (8.0 * params.mu) + 2.0 * params.mu
-
-
-def adler_step(phi, params: CouplingParams):
-    """Two-clock phase-difference update phi + eps*sin(phi), wrapped to [0, 2*pi)."""
-    phi = np.asarray(phi, dtype=float)
-    return normalize_phase(phi + params.epsilon * np.sin(phi))
 
 
 def omega_field(p) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 Each clock is a unit-rate phase ``psi_i`` on [0, 2*pi).  When a clock
 reaches the threshold 2*pi (== 0) it "kicks": every other clock j is
-shifted by the full perturbation ``P(psi_j - psi_kicker)`` with no
-first-order truncation.  Between kicks all phases advance together, so
+shifted by the full ``eps*sin(psi_j - psi_kicker)``, with no first-order
+truncation.  Between kicks all phases advance together, so
 the simulation jumps straight from kick to kick.
 
 One cycle of the reference clock (index 0) is the unit of observation:
@@ -13,9 +13,10 @@ the phase differences taken at those instants follow the first-order
 map in :mod:`triclock.core` up to O(eps**2), which is what makes this
 simulator an independent oracle for it.
 
-The kick rule, the time shift and the tie order exist once, in
-``_advance`` and ``_kick``.  One cycle kernel runs them on a list of
-Python floats, with no numpy call unless it records kick events;
+The kick rule, the time shift and the tie order exist once, in the
+cycle kernel ``_cycle``.  It runs on a list of Python floats for any N:
+per kick, one ``max`` finds the leader, one pass shifts every phase and
+one pass kicks them, with no numpy call unless it records kick events.
 :func:`run_cycle` wraps it, converting the phases to a list once on entry
 and to an array once on exit.  :func:`run_until_locked` calls
 :func:`run_cycle` once per cycle and reads each cycle's difference vector
@@ -49,8 +50,6 @@ __all__ = [
     "KickEvent",
     "CycleTrace",
     "LockResult",
-    "advance_to_next_kick",
-    "apply_kick",
     "run_cycle",
     "phase_differences",
     "difference_vector",
@@ -63,6 +62,7 @@ __all__ = [
 
 
 _NOT_FLAT = "an ensemble needs a flat list of at least 2 phases"
+_OUTSIDE = "a kick carried a clock outside [0, 2*pi] at eps={}"
 
 
 def _check_state(psi: list[float], params: CouplingParams) -> None:
@@ -181,87 +181,50 @@ def _differences(psi: list[float]) -> list[float]:
     return _wrapped([p - psi[0] for p in psi[1:]])
 
 
-def _advance(psi: list[float]) -> tuple[float, int]:
-    """Shift all phases until the next clock is due; return the time and that clock.
-
-    Kernel phases lie in [0, 2*pi]: exactly 2*pi is "due to kick now" and 0 is
-    "just kicked".  The leader lands on 2*pi; ties go to the lowest index.
-    """
-    gaps = [TWO_PI - p for p in psi]
-    shift = min(gaps)
-    if shift > 0.0:
-        k = gaps.index(shift)
-        psi[:] = [p + shift for p in psi]
-        psi[k] = TWO_PI
-    return shift, psi.index(TWO_PI)
-
-
-def _kick(psi: list[float], eps: float) -> None:
-    """The kick rule, with the kicker just fired and at 0: every clock j gains
-    eps*sin(psi_j), psi_j being its phase relative to the kicker."""
-    psi[:] = [p + eps * math.sin(p) for p in psi]
-    if not (0.0 <= min(psi) and max(psi) <= TWO_PI):
-        raise RuntimeError(f"a kick carried a clock outside [0, 2*pi] at eps={eps}")
-
-
-def advance_to_next_kick(ensemble: ClockEnsemble) -> tuple[ClockEnsemble, int]:
-    """Advance all phases by the common shift that puts one clock at the threshold.
-
-    Returns the shifted ensemble and the kicking clock's index.  The kicker
-    comes back with phase exactly 0 (the threshold representative); exact
-    ties resolve to the lowest index.  A clock sitting at phase 0 has just
-    kicked, so its shift-to-threshold is a full period.
-    """
-    psi = ensemble.phases.tolist()
-    _, kicker = _advance(psi)
-    return ClockEnsemble(np.array(_wrapped(psi)), ensemble.params), kicker
-
-
-def apply_kick(ensemble: ClockEnsemble, kicker: int) -> ClockEnsemble:
-    """Kick by ``kicker``: every other clock j gains P(psi_j - psi_kicker), exactly.
-
-    Requires the kicker to sit within 1e-9 of the threshold; it is taken to
-    be exactly on it and comes back at phase 0.  The perturbed phases are
-    wrapped back to [0, 2*pi).
-    """
-    if not 0 <= kicker < ensemble.n:
-        raise ValueError(f"kicker index {kicker} out of range for {ensemble.n} clocks")
-    psi = ensemble.phases.tolist()
-    if min(psi[kicker], TWO_PI - psi[kicker]) > 1e-9:
-        raise ValueError(f"clock {kicker} is at phase {psi[kicker]}, not at the kick threshold")
-    psi[kicker] = 0.0
-    _kick(psi, ensemble.params.epsilon)
-    return ClockEnsemble(np.array(_wrapped(psi)), ensemble.params)
-
-
 def _cycle(
     psi: list[float], eps: float, cycle_index: int, record: bool
 ) -> tuple[list[float], list[KickEvent], list[tuple[int, float]], float]:
     """The cycle kernel: one reference cycle on a state of Python floats.
 
     ``psi`` holds the start phases with the reference (index 0) at the
-    threshold; the kernel consumes it.  Returns the end phases (wrapped to
+    threshold; it is left unchanged.  Returns the end phases (wrapped to
     [0, 2*pi), the reference at exactly 0), the kick events (only when
     ``record``), the (clock, time) of every kick and the cycle's period.
     """
     # The reference is snapped onto the threshold; any other clock at exactly
-    # 0 kicks in the same opening instant, after it.
+    # 0 kicks in the same opening instant, after it.  Mid-cycle, phases lie in
+    # [0, 2*pi]: exactly 2*pi is "due to kick now" and 0 is "just kicked".
     psi = [TWO_PI] + [TWO_PI if p == 0.0 else p for p in psi[1:]]
     kicked = [False] * len(psi)
     events: list[KickEvent] = []
     kick_times: list[tuple[int, float]] = []
+    sin = math.sin
     now = 0.0
     while True:
-        shift, k = _advance(psi)
+        # A kick that carried a clock past 2*pi shows here, in the leader; one
+        # that carried a clock below 0 is caught right after the kick.
+        lead = max(psi)
+        if lead > TWO_PI:
+            raise RuntimeError(_OUTSIDE.format(eps))
+        # The shift puts the leader on the threshold exactly: p + (2*pi - p)
+        # rounds to 2*pi for every float p in [0, 2*pi].  A phase that rounds
+        # onto the threshold with it ties with it; ties go to the lowest index.
+        shift = TWO_PI - lead
+        psi = [p + shift for p in psi]
         now += shift
+        k = psi.index(TWO_PI)
         if kicked[k]:
             if k == 0:
                 break
             raise RuntimeError(f"clock {k} reached the threshold twice within one reference "
                                "cycle; the coupling is too strong for identical clocks")
+        # The kick rule, with the kicker just fired and at 0: every clock j
+        # gains eps*sin(psi_j), psi_j being its phase relative to the kicker.
         psi[k] = 0.0
         before = np.array(psi) if record else None
-        _kick(psi, eps)
+        psi = [p + eps * sin(p) for p in psi]
+        if min(psi) < 0.0:
+            raise RuntimeError(_OUTSIDE.format(eps))
         kicked[k] = True
         kick_times.append((k, now))
         if record:

@@ -10,7 +10,6 @@ from triclock.core import (
     TWO_PI,
     CouplingParams,
     _snap_to_edges,
-    adler_step,
     andronov_fixed_point,
     andronov_step,
     in_square,
@@ -19,7 +18,6 @@ from triclock.core import (
     omega_field,
     omega_field_xy,
     omega_jacobian,
-    perturbation,
     three_clock_step,
     three_clock_step_scalar,
     three_clock_step_xy,
@@ -86,38 +84,6 @@ class TestCouplingParams:
 
 
 # ---------------------------------------------------------------------------
-# perturbation
-# ---------------------------------------------------------------------------
-
-class TestPerturbation:
-    def test_zero_at_origin(self):
-        p = CouplingParams(epsilon=0.05)
-        assert perturbation(0.0, p) == 0.0
-
-    def test_zero_at_pi(self):
-        p = CouplingParams(epsilon=0.05)
-        assert abs(perturbation(PI, p)) < 1e-16
-
-    def test_quarter_turn(self):
-        p = CouplingParams(epsilon=0.01)
-        assert perturbation(PI / 2, p) == pytest.approx(0.01, abs=1e-15)
-
-    @settings(deadline=None)
-    @given(phi=angles)
-    def test_odd(self, phi):
-        p = CouplingParams(epsilon=0.07)
-        assert perturbation(-phi, p) == -perturbation(phi, p)
-
-    @settings(deadline=None)
-    @given(phi=angles)
-    def test_periodic(self, phi):
-        p = CouplingParams(epsilon=0.07)
-        assert perturbation(phi + TWO_PI, p) == pytest.approx(
-            float(perturbation(phi, p)), abs=1e-14
-        )
-
-
-# ---------------------------------------------------------------------------
 # escapement return map
 # ---------------------------------------------------------------------------
 
@@ -163,28 +129,6 @@ class TestAndronov:
                 break
         assert gaps[-1] < 1e-10
         assert all(b <= a + 1e-15 for a, b in zip(gaps, gaps[1:]))
-
-
-# ---------------------------------------------------------------------------
-# Adler update
-# ---------------------------------------------------------------------------
-
-class TestAdler:
-    def test_fixed_points(self):
-        p = CouplingParams(epsilon=0.05)
-        assert adler_step(PI, p) == pytest.approx(PI, abs=1e-15)
-        assert adler_step(0.0, p) == 0.0
-
-    def test_quarter_turn(self):
-        p = CouplingParams(epsilon=0.02)
-        assert adler_step(PI / 2, p) == pytest.approx(PI / 2 + 0.02, abs=1e-15)
-
-    @settings(deadline=None)
-    @given(phi=angles)
-    def test_result_normalized(self, phi):
-        p = CouplingParams(epsilon=0.05)
-        out = float(adler_step(phi, p))
-        assert 0.0 <= out < TWO_PI
 
 
 # ---------------------------------------------------------------------------

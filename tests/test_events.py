@@ -14,8 +14,6 @@ from triclock.events import (
     ClockEnsemble,
     KickEvent,
     LockResult,
-    advance_to_next_kick,
-    apply_kick,
     cyclic_gaps,
     difference_vector,
     phase_differences,
@@ -59,56 +57,54 @@ class TestClockEnsemble:
 
 
 class TestAdvanceToNextKick:
+    """The time shift between kicks, as ``run_cycle`` takes it."""
+
     def test_largest_phase_kicks(self):
-        shifted, kicker = advance_to_next_kick(ensemble([0.1, 1.0, 2.0]))
-        assert kicker == 2
-        assert shifted.phases[2] == 0.0
-        assert shifted.phases[0] == pytest.approx(0.1 + TWO_PI - 2.0, abs=1e-12)
+        trace = run_cycle(ensemble([0.0, 1.0, 2.0]))
+        first, second = trace.events[:2]
+        shift = TWO_PI - first.phases_after[2]
+        assert trace.kick_times[1] == (2, shift)
+        assert second.phases_before[0] == first.phases_after[0] + shift
 
     def test_degenerate_tie_breaks_to_lowest_index(self):
-        shifted, kicker = advance_to_next_kick(ensemble([0.0, 0.0, 0.0]))
-        assert kicker == 0
-        assert np.allclose(shifted.phases, 0.0)
+        trace = run_cycle(ensemble([0.0, 0.0, 0.0]))
+        assert trace.kick_times == ((0, 0.0), (1, 0.0), (2, 0.0))
 
     def test_splay_geometry(self):
-        shifted, kicker = advance_to_next_kick(ensemble(SPLAY))
-        assert kicker == 2
-        assert shifted.phases[1] == pytest.approx(2 * PI / 3 + 2 * PI / 3, abs=1e-12)
+        trace = run_cycle(ensemble(SPLAY, eps=0.0))
+        assert [k for k, _ in trace.kick_times] == [0, 2, 1]
+        times = [t for _, t in trace.kick_times]
+        assert times == pytest.approx([0.0, 2 * PI / 3, 4 * PI / 3], abs=1e-12)
+        assert trace.period == pytest.approx(TWO_PI, abs=1e-12)
 
 
 class TestApplyKick:
+    """The kick rule, as the reference's opening kick in ``run_cycle`` applies it."""
+
     def test_opposition_unaffected(self):
-        out = apply_kick(ensemble([0.0, PI]), 0)
-        assert out.phases[1] == pytest.approx(PI, abs=1e-15)
+        out = run_cycle(ensemble([0.0, PI])).events[0].phases_after
+        assert out[1] == pytest.approx(PI, abs=1e-15)
 
     def test_quarter_turn_advanced(self):
-        out = apply_kick(ensemble([0.0, PI / 2], eps=0.01), 0)
-        assert out.phases[1] == pytest.approx(PI / 2 + 0.01, abs=1e-15)
+        out = run_cycle(ensemble([0.0, PI / 2], eps=0.01)).events[0].phases_after
+        assert out[1] == pytest.approx(PI / 2 + 0.01, abs=1e-15)
 
     def test_splay_kick_exact_values(self):
         eps = 0.01
-        out = apply_kick(ensemble(SPLAY, eps=eps), 0)
-        assert out.phases[1] == pytest.approx(2 * PI / 3 + eps * math.sin(2 * PI / 3), abs=1e-15)
-        assert out.phases[2] == pytest.approx(4 * PI / 3 + eps * math.sin(4 * PI / 3), abs=1e-15)
+        out = run_cycle(ensemble(SPLAY, eps=eps)).events[0].phases_after
+        for j in (1, 2):
+            p = float(SPLAY[j])
+            assert float(out[j]).hex() == (p + eps * math.sin(p)).hex()
 
     def test_kicker_unchanged(self):
-        out = apply_kick(ensemble([0.0, 1.0, 5.0]), 0)
-        assert out.phases[0] == 0.0
-
-    def test_requires_threshold(self):
-        with pytest.raises(ValueError):
-            apply_kick(ensemble([0.0, 1.0]), 1)
+        for ev in run_cycle(ensemble([0.0, 1.0, 5.0])).events:
+            assert ev.phases_before[ev.kicking_clock] == 0.0
+            assert ev.phases_after[ev.kicking_clock] == 0.0
 
     def test_alternation_with_advance_walks_a_cycle(self):
-        state = apply_kick(ensemble([0.0, 1.0, 2.0]), 0)
-        kickers = [0]
-        for _ in range(3):
-            state, k = advance_to_next_kick(state)
-            kickers.append(k)
-            if k == 0:
-                break
-            state = apply_kick(state, k)
-        assert kickers == [0, 2, 1, 0]
+        trace = run_cycle(ensemble([0.0, 1.0, 2.0]))
+        assert [k for k, _ in trace.kick_times] == [0, 2, 1]
+        assert trace.end_state.phases[0] == 0.0
 
 
 class TestRunCycle:
@@ -148,7 +144,7 @@ class TestRunCycle:
         # Unreachable through a valid ensemble (eps < 1 keeps every kick inside
         # [0, 2*pi]); the kernel reports it instead of clamping it away.
         with pytest.raises(RuntimeError, match="outside"):
-            events._kick([0.0, 1.5, 5.0], 5.0)
+            events._cycle([0.0, 1.5, 5.0], 5.0, 0, False)
 
     def test_all_tied_cycle(self):
         trace = run_cycle(ensemble([0.0, 0.0, 0.0]))
@@ -420,6 +416,135 @@ class TestLockLoop:
             want = pre_change_lock_loop(start, tol, max_cycles, record)
             assert bits(got) == bits(want)
             assert bool(got.events) == record
+
+
+def pre_change_advance(psi):
+    """``events._advance`` as it was before the kernel took the leader by ``max``."""
+    gaps = [TWO_PI - p for p in psi]
+    shift = min(gaps)
+    if shift > 0.0:
+        k = gaps.index(shift)
+        psi[:] = [p + shift for p in psi]
+        psi[k] = TWO_PI
+    return shift, psi.index(TWO_PI)
+
+
+def pre_change_kick(psi, eps):
+    """``events._kick`` as it was before the kernel inlined it."""
+    psi[:] = [p + eps * math.sin(p) for p in psi]
+    if not (0.0 <= min(psi) and max(psi) <= TWO_PI):
+        raise RuntimeError(f"a kick carried a clock outside [0, 2*pi] at eps={eps}")
+
+
+def pre_change_cycle(psi, eps, cycle_index, record):
+    """``events._cycle`` as it was when it called ``_advance`` and ``_kick``."""
+    psi = [TWO_PI] + [TWO_PI if p == 0.0 else p for p in psi[1:]]
+    kicked = [False] * len(psi)
+    recorded = []
+    kick_times = []
+    now = 0.0
+    while True:
+        shift, k = pre_change_advance(psi)
+        now += shift
+        if kicked[k]:
+            if k == 0:
+                break
+            raise RuntimeError(f"clock {k} reached the threshold twice within one reference "
+                               "cycle; the coupling is too strong for identical clocks")
+        psi[k] = 0.0
+        before = np.array(psi) if record else None
+        pre_change_kick(psi, eps)
+        kicked[k] = True
+        kick_times.append((k, now))
+        if record:
+            recorded.append(KickEvent(cycle_index, k, before, np.array(events._wrapped(psi))))
+    psi[0] = 0.0
+    return events._wrapped(psi), recorded, kick_times, now
+
+
+# Phases where the leader's gap 2*pi - p is inexact or borderline: pi and one
+# ulp either side of it, exact zeros and the tiniest phases.
+SPECIAL_PHASES = (0.0, 5e-324, 2.2e-16, math.nextafter(PI, 0.0), PI, math.nextafter(PI, 4.0))
+
+
+@st.composite
+def kernel_states(draw):
+    """N = 2..6 clocks, reference at the threshold, each other clock free, one
+    of ``SPECIAL_PHASES``, or in a cluster below pi: within two ulps of a
+    common centre, so that neighbours in the cluster are one ulp apart."""
+    n = draw(st.integers(2, 6))
+    centre = draw(st.one_of(st.floats(0.0, PI, exclude_max=True), st.sampled_from(SPECIAL_PHASES)))
+    phases = [0.0]
+    for _ in range(n - 1):
+        kind = draw(st.sampled_from(("free", "special", "cluster")))
+        if kind == "free":
+            p = draw(st.floats(0.0, TWO_PI, exclude_max=True))
+        elif kind == "special":
+            p = draw(st.sampled_from(SPECIAL_PHASES))
+        else:
+            p = centre
+            steps = draw(st.integers(-2, 2))
+            for _ in range(abs(steps)):
+                p = math.nextafter(p, math.copysign(math.inf, steps))
+            p = max(p, 0.0)
+        phases.append(p)
+    return phases
+
+
+def kernel_outcome(kernel, phases, eps, record, cycles=3):
+    """Every output of ``cycles`` chained kernel cycles in a comparable form,
+    floats by ``float.hex``, or the exception that ended them."""
+    out = []
+    try:
+        for cycle in range(cycles):
+            phases, recorded, kick_times, period = kernel(list(phases), eps, cycle, record)
+            out.append((
+                [p.hex() for p in phases],
+                [bits(ev) for ev in recorded],
+                [(k, t.hex()) for k, t in kick_times],
+                period.hex(),
+            ))
+    except Exception as exc:
+        out.append((type(exc).__name__, str(exc)))
+    return out
+
+
+# Couplings from the simulator's range and beyond it, where kicks carry clocks
+# outside the circle or make a clock reach the threshold twice.
+kernel_eps = st.one_of(st.floats(0.0, 0.11), st.floats(1.0, 20.0))
+
+
+class TestCycleKernelOracle:
+    """``events._cycle`` equals the kernel it replaced, bit for bit."""
+
+    def check(self, phases, eps):
+        for record in (False, True):
+            got = kernel_outcome(events._cycle, phases, eps, record)
+            want = kernel_outcome(pre_change_cycle, phases, eps, record)
+            assert got == want
+
+    @settings(deadline=None, max_examples=300)
+    @given(phases=tie_states(), eps=kernel_eps)
+    @example(phases=[0.0, 5e-324, 3.0], eps=0.1)
+    @example(phases=[0.0, 2.2e-16, 3.0], eps=0.1)
+    @example(phases=[0.0, 1.5, 5.0], eps=5.0)
+    def test_on_tie_states(self, phases, eps):
+        self.check(phases, eps)
+
+    @settings(deadline=None, max_examples=300)
+    @given(phases=kernel_states(), eps=kernel_eps)
+    @example(phases=[0.0, PI, math.nextafter(PI, 0.0), math.nextafter(PI, 4.0)], eps=0.05)
+    @example(phases=[0.0, 0.0, 5e-324, 2.2e-16], eps=0.11)
+    def test_on_clustered_and_special_states(self, phases, eps):
+        self.check(phases, eps)
+
+    @given(p=st.one_of(st.floats(0.0, TWO_PI), st.sampled_from(SPECIAL_PHASES)))
+    def test_the_shift_lands_the_leader_on_the_threshold(self, p):
+        """Why the kernel needs no forced landing: p + (2*pi - p) rounds to
+        2*pi for every float p in [0, 2*pi].  Where 2*pi - p is inexact, its
+        rounding error is at most half an ulp of 2*pi, and 2*pi is even, so
+        the sum rounds back to it."""
+        assert p + (TWO_PI - p) == TWO_PI
 
 
 class TestGaps:

@@ -10,11 +10,17 @@ The sweep runs in this one process, against the checkout's ``src``:
 50, ``portrait`` with all five layers, and ``basins``: in binary and CSV,
 at resolutions 2, 3, 48 and 144 and couplings 0.011, 0.05 and 0.11, each
 with the default settings, ``--tol 0``, ``--max-iter 0`` and
-``--max-iter 1``, plus one binary grid of resolution 200.
-OUTFILE gets one line per command: the sha256 of its standard output and
-standard error, its exit code, and the command itself.  Running the script
-in two checkouts and comparing the two OUTFILEs with ``diff`` shows whether
-a change altered any of those bytes.
+``--max-iter 1``, plus one binary grid of resolution 200.  It ends with
+``simulate``: seeded ``--random-starts`` in JSON at 2, 3, 4 and 5 clocks
+and three couplings (and in CSV at one), ``--phases`` in radians and with
+``--deg``, a ``--max-cycles`` run that does not lock, the near-tie starts
+``0,5e-324,3.0`` and ``0,2.2e-16,3.0``, and ``--trace-out`` to ``.jsonl``
+and ``.csv``.
+Each command runs in an empty temporary directory.  OUTFILE gets one line
+per command: the sha256 of its standard output, its standard error and the
+trace file it wrote, if any, then its exit code and the command itself.
+Running the script in two checkouts and comparing the two OUTFILEs with
+``diff`` shows whether a change altered any of those bytes.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import hashlib
 import io
 import shlex
 import sys
+import tempfile
 from pathlib import Path
 
 
@@ -48,18 +55,39 @@ def sweep() -> list[list[str]]:
                 for extra in ([], ["--tol", "0"], ["--max-iter", "0"], ["--max-iter", "1"]):
                     commands.append(["basins", "--eps", eps, "--resolution", res,
                                      "--format", fmt, *extra])
+    for n in ("2", "3", "4", "5"):
+        for eps in ("0.02", "0.05", "0.1"):
+            commands.append(["simulate", "--eps", eps, "--n-clocks", n, "--random-starts", "6",
+                             "--seed", "4", "--format", "json"])
+        commands.append(["simulate", "--eps", "0.05", "--n-clocks", n, "--random-starts", "6",
+                         "--seed", "9", "--format", "csv"])
+    starts = (["--phases", "0,2.0,4.0"], ["--phases", "0,1.1,4.9"], ["--phases", "0,2.0,2.0"],
+              ["--n-clocks", "4", "--phases", "0,0.7,2.9,5.1"],
+              ["--phases", "0,120,240", "--deg"],
+              ["--n-clocks", "4", "--phases", "0,100,250,300", "--deg"],
+              ["--phases", "0,5e-324,3.0"], ["--phases", "0,2.2e-16,3.0"])
+    for start in starts:
+        for extra in (["--tol", "1e-8"], ["--max-cycles", "3", "--tol", "1e-20"],
+                      ["--tol", "1e-8", "--trace-out", "trace.jsonl"],
+                      ["--tol", "1e-8", "--trace-out", "trace.csv"]):
+            commands.append(["simulate", "--eps", "0.1", *start, *extra])
     return commands
 
 
 def run(main, args: list[str]) -> tuple[str, int]:
-    """Run ``main(args)`` with stdout and stderr captured; their sha256 and the exit code."""
+    """Run ``main(args)`` in an empty directory with stdout and stderr captured;
+    the sha256 of those and of the ``--trace-out`` file, and the exit code."""
     out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", write_through=True)
     err = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(args)
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(args)
+        traces = [Path(name) for flag, name in zip(args, args[1:]) if flag == "--trace-out"]
+        trace = b"".join(path.read_bytes() for path in traces if path.exists())
     out.flush()
     digest = hashlib.sha256(out.buffer.getvalue())
     digest.update(err.getvalue().encode("utf-8"))
+    digest.update(trace)
     return digest.hexdigest(), code
 
 
