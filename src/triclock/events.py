@@ -106,7 +106,13 @@ class ClockEnsemble:
 
 @dataclass(frozen=True)
 class KickEvent:
-    """One kick: who fired and the (normalized) phases around the instant."""
+    """One kick: who fired and the phases just before and just after it.
+
+    ``phases_after`` lies in [0, 2*pi).  ``phases_before`` has the kicker
+    at 0 and lies in [0, 2*pi]: a clock due to kick in the same instant
+    stands at exactly 2*pi there (the start ``[0, 0, 3]`` gives
+    ``[0.0, 6.283185307179586, 3.0]``) and at 0 in ``phases_after``.
+    """
 
     cycle_index: int
     kicking_clock: int
@@ -238,11 +244,15 @@ def run_cycle(
 ) -> CycleTrace:
     """Simulate one full cycle of the reference clock (index 0).
 
-    The input must have the reference at phase 0, meaning about to kick;
-    any other clock at exactly 0 is taken to kick in the same instant,
-    after the reference (ascending index).  Alternates kicks and time
-    shifts until the reference returns to the threshold, which closes the
-    cycle; the reference's next kick belongs to the following cycle.
+    The input must have the reference at the threshold, meaning about to
+    kick.  A reference within 1e-9 of 0 or of 2*pi is taken as exactly 0,
+    and the offset is dropped: ``[5e-10, 1, 3]`` and ``[2*pi - 5e-10, 1, 3]``
+    give the end phases, kick times and period of ``[0, 1, 3]``; one farther
+    off raises ValueError.  Any other clock at exactly 0 is taken to kick
+    in the same instant, after the reference (ascending index).  Alternates
+    kicks and time shifts until the reference returns to the threshold,
+    which closes the cycle; the reference's next kick belongs to the
+    following cycle.
 
     Raises RuntimeError if some clock would kick twice first, which cannot
     happen for identical clocks at small eps and signals bad parameters.

@@ -194,6 +194,17 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify((1.0, 2.0), params())
 
+    def test_complex_spectrum_rejected(self):
+        with pytest.raises(ValueError, match="complex eigenvalue pair"):
+            analysis._eig2(np.array([[0.0, -1.0], [1.0, 0.0]]))
+
+    def test_larger_modulus_first(self):
+        # diag(-3, 1): the closed form gives 1 first; the ordering swaps in -3.
+        lams, vecs = analysis._eig2(np.diag([-3.0, 1.0]))
+        assert lams == (-3.0, 1.0)
+        assert vecs[0].tolist() == [1.0, 0.0]
+        assert vecs[1].tolist() == [0.0, 1.0]
+
     def test_record_dict_round_trip(self):
         rec = classify((PI, PI), params())
         back = type(rec).from_dict(json_data(rec))
@@ -236,6 +247,10 @@ class TestInvariantSegments:
     def test_diagonal_deviation_is_exactly_zero(self):
         check = verify_invariance(segment_by_name("diag"), params(), samples=1000)
         assert check.max_deviation == 0.0
+
+    def test_needs_two_samples(self):
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            verify_invariance(segment_by_name("diag"), params(), samples=1)
 
     @settings(deadline=None, max_examples=300)
     @given(
@@ -329,6 +344,11 @@ class TestTraceHeteroclinic:
         with pytest.raises(ValueError):
             trace_heteroclinic(rec, (-2.0, -1.0), p)
 
+    def test_zero_direction_rejected(self):
+        p = params()
+        with pytest.raises(ValueError, match="direction must be nonzero"):
+            trace_heteroclinic(classify((0.0, PI), p), (0.0, 0.0), p)
+
     def test_iteration_budget_respected(self):
         p = params()
         rec = classify((0.0, PI), p)
@@ -418,6 +438,10 @@ class TestOrbitalDerivative:
     def test_strictly_negative_off_fixed_points(self):
         df = orbital_derivative((PI / 2, 3 * PI / 2), "upper", params(0.01))
         assert float(df) < -1e-4
+
+    def test_membership_enforced(self):
+        with pytest.raises(ValueError, match="outside the closed upper triangle"):
+            orbital_derivative(LOWER_ATTRACTOR, "upper", params())
 
     def test_expanded_form_matches_naive_difference(self):
         p = params(0.05)

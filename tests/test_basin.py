@@ -286,8 +286,9 @@ class TestGridSerialization:
             (lambda raw: raw[:20], "header needs 24 bytes, got 20"),
             (lambda raw: raw[:-1], "needs 80 bytes after the header, got 79"),
             (lambda raw: raw + b"\0", "needs 80 bytes after the header, got 81"),
+            (lambda raw: bytes(8) + raw[8:], "grid header gives resolution 0"),
         ],
-        ids=["short-header", "short-body", "trailing-bytes"],
+        ids=["short-header", "short-body", "trailing-bytes", "zero-resolution"],
     )
     def test_binary_length_checked(self, cut, message):
         buf = io.BytesIO()

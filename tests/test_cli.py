@@ -94,6 +94,13 @@ class TestStep:
         )
         assert code == 2
 
+    def test_count_of_zero_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "step", "--x", "1", "--y", "2", "--eps", "0.05", "-n", "0"
+        )
+        assert (code, out) == (2, "")
+        assert "triclock: error: -n must be at least 1" in err
+
 
 # ---------------------------------------------------------------------------
 # fixed-points
@@ -235,6 +242,11 @@ class TestSimulate:
     def test_phases_arity_checked(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "--eps", "0.05", "--phases", "0,1.0")
         assert code == 2
+
+    def test_no_random_starts_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--eps", "0.05", "--random-starts", "0")
+        assert (code, out) == (2, "")
+        assert "triclock: error: --random-starts must be at least 1" in err
 
     @pytest.mark.parametrize(
         "extra, config",
@@ -472,6 +484,11 @@ class TestAndronov:
         assert code == 2
         assert "4*mu" in err
 
+    def test_negative_steps_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "andronov", "--v0", "5", "--steps", "-1")
+        assert (code, out) == (2, "")
+        assert "triclock: error: --steps must be non-negative" in err
+
     def test_coupling_flag_refused(self, capsys):
         # andronov reads no coupling strength, so --eps is not one of its options.
         with pytest.raises(SystemExit) as exc:
@@ -624,6 +641,15 @@ class TestPlumbing:
             "--out", "/proc/definitely/not/writable.csv",
         )
         assert code == 1
+
+    def test_failed_computation_exits_one(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("the kernel gave up")
+
+        monkeypatch.setattr(events, "run_until_locked", fail)
+        code, out, err = run_cli(capsys, "simulate", "--eps", "0.05", "--phases", "0,2,4")
+        assert (code, out) == (1, "")
+        assert err == "triclock: failed: the kernel gave up\n"
 
     # The calls that do each subcommand's work.
     ENTRY_POINTS = {

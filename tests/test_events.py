@@ -37,6 +37,10 @@ class TestClockEnsemble:
         with pytest.raises(ValueError):
             ensemble([1.0])
 
+    def test_needs_flat_phases(self):
+        with pytest.raises(ValueError, match="flat list"):
+            ensemble([[0.0, 1.0], [2.0, 3.0]])
+
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             ensemble([0.0, TWO_PI])
@@ -139,6 +143,18 @@ class TestRunCycle:
     def test_requires_reference_at_threshold(self):
         with pytest.raises(ValueError):
             run_cycle(ensemble([1.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("reference", [5e-10, TWO_PI - 5e-10])
+    def test_reference_offset_within_1e_9_is_dropped(self, reference):
+        exact = run_cycle(ensemble([0.0, 1.0, 3.0]))
+        near = run_cycle(ensemble([reference, 1.0, 3.0]))
+        assert near.end_state.phases.tobytes() == exact.end_state.phases.tobytes()
+        assert (near.kick_times, near.period) == (exact.kick_times, exact.period)
+
+    def test_clock_due_in_the_same_instant_is_at_two_pi_before(self):
+        first = run_cycle(ensemble([0.0, 0.0, 3.0])).events[0]
+        assert first.phases_before.tolist() == [0.0, TWO_PI, 3.0]
+        assert first.phases_after.tolist()[:2] == [0.0, 0.0]
 
     def test_kick_outside_the_circle_raises(self):
         # Unreachable through a valid ensemble (eps < 1 keeps every kick inside

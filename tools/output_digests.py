@@ -1,4 +1,5 @@
-"""Digest the outputs of a fixed sweep of ``triclock`` commands.
+"""Digest the outputs of a fixed sweep of ``triclock`` commands and of every
+``triclock`` example in README.md.
 
 Run from the root of a checkout:
 
@@ -10,17 +11,21 @@ The sweep runs in this one process, against the checkout's ``src``:
 50, ``portrait`` with all five layers, and ``basins``: in binary and CSV,
 at resolutions 2, 3, 48 and 144 and couplings 0.011, 0.05 and 0.11, each
 with the default settings, ``--tol 0``, ``--max-iter 0`` and
-``--max-iter 1``, plus one binary grid of resolution 200.  It ends with
+``--max-iter 1``, plus one binary grid of resolution 200.  Then
 ``simulate``: seeded ``--random-starts`` in JSON at 2, 3, 4 and 5 clocks
 and three couplings (and in CSV at one), ``--phases`` in radians and with
 ``--deg``, a ``--max-cycles`` run that does not lock, the near-tie starts
 ``0,5e-324,3.0`` and ``0,2.2e-16,3.0``, and ``--trace-out`` to ``.jsonl``
-and ``.csv``.
-Each command runs in an empty temporary directory.  OUTFILE gets one line
-per command: the sha256 of its standard output, its standard error and the
-trace file it wrote, if any, then its exit code and the command itself.
-Running the script in two checkouts and comparing the two OUTFILEs with
-``diff`` shows whether a change altered any of those bytes.
+and ``.csv``.  It ends with the ``triclock`` command lines of the
+README's ``sh`` blocks, read from the checkout's README.md, in README
+order.
+Each command runs in an empty temporary directory, with
+``TRICLOCK_OUTDIR`` unset.  OUTFILE gets one line per command: one sha256
+of its standard output, its standard error and every file it left in that
+directory (name and bytes, in sorted name order), then its exit code and
+the command itself.  Running the script in two checkouts and comparing
+the two OUTFILEs with ``diff`` shows whether a change altered any of
+those bytes.
 """
 
 from __future__ import annotations
@@ -28,13 +33,26 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import os
+import re
 import shlex
 import sys
 import tempfile
 from pathlib import Path
 
 
-def sweep() -> list[list[str]]:
+def readme_examples(readme: str) -> list[list[str]]:
+    """The ``triclock`` command lines of the README's ``sh`` blocks, as argv lists."""
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", readme, flags=re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv and argv[0] == "triclock":
+                commands.append(argv[1:])
+    return commands
+
+
+def sweep(readme: str) -> list[list[str]]:
     """The command lines of the sweep, as argv lists without ``triclock``."""
     commands = []
     for k in range(30):
@@ -71,23 +89,31 @@ def sweep() -> list[list[str]]:
                       ["--tol", "1e-8", "--trace-out", "trace.jsonl"],
                       ["--tol", "1e-8", "--trace-out", "trace.csv"]):
             commands.append(["simulate", "--eps", "0.1", *start, *extra])
+    commands.extend(readme_examples(readme))
     return commands
 
 
 def run(main, args: list[str]) -> tuple[str, int]:
     """Run ``main(args)`` in an empty directory with stdout and stderr captured;
-    the sha256 of those and of the ``--trace-out`` file, and the exit code."""
+    one sha256 of those and of every file left in the directory, and the exit code."""
     out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", write_through=True)
     err = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(args)
-        traces = [Path(name) for flag, name in zip(args, args[1:]) if flag == "--trace-out"]
-        trace = b"".join(path.read_bytes() for path in traces if path.exists())
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(args)
+        finally:
+            os.chdir(cwd)
+        files = sorted((path.relative_to(tmp).as_posix(), path.read_bytes())
+                       for path in Path(tmp).rglob("*") if path.is_file())
     out.flush()
     digest = hashlib.sha256(out.buffer.getvalue())
     digest.update(err.getvalue().encode("utf-8"))
-    digest.update(trace)
+    for name, data in files:
+        digest.update(f"\0{name}\0{len(data)}\0".encode("utf-8"))
+        digest.update(data)
     return digest.hexdigest(), code
 
 
@@ -95,14 +121,16 @@ def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 2
-    sys.path.insert(0, str(Path.cwd() / "src"))
+    root = Path.cwd()
+    sys.path.insert(0, str(root / "src"))
+    os.environ.pop("TRICLOCK_OUTDIR", None)
     from triclock import cli
 
     lines = []
-    for args in sweep():
+    for args in sweep((root / "README.md").read_text(encoding="utf-8")):
         digest, code = run(cli.main, args)
         lines.append(f"{digest}  {code}  {shlex.join(['triclock', *args])}\n")
-    Path(argv[0]).write_text("".join(lines), encoding="utf-8")
+    (root / argv[0]).write_text("".join(lines), encoding="utf-8")
     return 0
 
 
