@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Literal
 
 import numpy as np
@@ -66,7 +66,6 @@ __all__ = [
     "orbital_derivative",
     "orbital_derivative_scan",
     "region_fixed_points",
-    "far_zero_points",
 ]
 
 _PI = math.pi
@@ -367,11 +366,23 @@ class InvarianceCheck:
     """Result of sampling a segment and measuring how far F drifts off it."""
 
     name: str
-    passed: bool
+    passed: bool = field(init=False)
     max_deviation: float
     worst_point: np.ndarray
     monotone: bool
     min_slope: float
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "passed", not self.failures())
+
+    def failures(self) -> list[str]:
+        """The bounds this check broke, as ``verify`` names them."""
+        broke = []
+        if not self.max_deviation < DEVIATION_TOL:
+            broke.append(f"max_deviation={self.max_deviation:.3e} >= {DEVIATION_TOL:g}")
+        if not self.monotone:
+            broke.append("restriction map not monotone")
+        return broke
 
 
 def _g_drift(t, sin=np.sin):
@@ -499,7 +510,6 @@ def verify_invariance(
     max_dev = float(dev[worst])
     return InvarianceCheck(
         name=segment.name,
-        passed=(max_dev < DEVIATION_TOL) and monotone,
         max_deviation=max_dev,
         worst_point=pts[worst],
         monotone=monotone,
@@ -530,9 +540,13 @@ class HeteroclinicCensus:
 
     @property
     def passed(self) -> bool:
-        """Whether ``counts`` meet :data:`CENSUS_RULE`."""
+        return not self.failures()
+
+    def failures(self) -> list[str]:
+        """The rule the counts broke, :data:`CENSUS_RULE`, as ``verify`` names it."""
         c = self.counts
-        return c.get("sa", 0) == 6 and c.get("rs", 0) == 10 and c.get("ra", 0) >= 2
+        holds = c.get("sa", 0) == 6 and c.get("rs", 0) == 10 and c.get("ra", 0) >= 2
+        return [] if holds else [f"expected {CENSUS_RULE}"]
 
 
 _KIND_LETTER = {"attractor": "a", "repeller": "r", "saddle": "s"}
@@ -759,16 +773,6 @@ def region_fixed_points(region: Region) -> np.ndarray:
     return fps[_in_region(fps, region)]
 
 
-def far_zero_points(region: Region, zero_set: np.ndarray, cell: float) -> int:
-    """How many points of a scan's zero set lie farther than ``ZERO_SET_CELLS``
-    lattice cells (max-norm) from every fixed point of the region."""
-    if not zero_set.size:
-        return 0
-    fps = region_fixed_points(region)
-    dists = np.min(np.max(np.abs(zero_set[:, None, :] - fps[None, :, :]), axis=-1), axis=-1)
-    return int(np.count_nonzero(~(dists <= ZERO_SET_CELLS * cell)))
-
-
 @dataclass(frozen=True)
 class LyapunovReport:
     """Scan of the Lyapunov decrement over a triangular lattice."""
@@ -777,8 +781,25 @@ class LyapunovReport:
     grid_resolution: int
     max_df: float
     zero_set: np.ndarray
-    passed: bool
+    passed: bool = field(init=False)
     cell: float
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "passed", not self.failures())
+
+    def failures(self) -> list[str]:
+        """The bounds this scan broke, as ``verify`` names them."""
+        broke = []
+        if not self.max_df <= MAX_DF_TOL:
+            broke.append(f"max_df={self.max_df:.3e} > {MAX_DF_TOL:g}")
+        fps = region_fixed_points(self.region)
+        dists = np.min(np.max(np.abs(self.zero_set[:, None, :] - fps), axis=-1), axis=-1)
+        far = int(np.count_nonzero(~(dists <= ZERO_SET_CELLS * self.cell)))
+        if far:
+            broke.append(
+                f"{far} zero-set points farther than {ZERO_SET_CELLS} cells from a fixed point"
+            )
+        return broke
 
 
 def orbital_derivative_scan(
@@ -806,13 +827,10 @@ def orbital_derivative_scan(
     max_df = float(np.max(df))
     zero = np.abs(df) < ZERO_TOL
     zero_pts = np.column_stack((x[zero], y[zero]))
-    cell = TWO_PI / grid
-    near_fixed = far_zero_points(region, zero_pts, cell) == 0
     return LyapunovReport(
         region=region,
         grid_resolution=grid,
         max_df=max_df,
         zero_set=zero_pts,
-        passed=(max_df <= MAX_DF_TOL) and near_fixed,
-        cell=cell,
+        cell=TWO_PI / grid,
     )

@@ -1,18 +1,16 @@
 """Command-line front end.
 
 Subcommands: ``step``, ``fixed-points``, ``basins``, ``simulate``,
-``verify``, ``andronov``, ``portrait``.  Values resolve in the order
-command line > config file (flat ``key = value`` lines) > built-in
-default; a config file may set any of the subcommand's options except
-``--config``, by its long name, and no other key.  Exit codes: 0
+``verify``, ``andronov``, ``portrait``.  ``_COMMANDS`` declares each one's
+output formats (default first) and options; both the parser and the config
+file layer (flat ``key = value`` lines; any option but ``--config``, by its
+long name, and no other key) are built from it.  ``main`` resolves every
+option (command line > config file > declared default) and rejects an
+unknown ``--format`` before the handler does any work; the handler returns
+one writer per format, and one function (``_write``) puts the chosen one on
+stdout or ``--out``, and a kick trace on ``--trace-out``.  Exit codes: 0
 success, 1 I/O or check failure, 2 usage or validation failure.
 ``TRICLOCK_OUTDIR`` redirects relative output paths.
-
-Each subcommand declares its output formats once, default first.  ``main``
-resolves ``--format`` and rejects an unknown one before the handler does
-any work; the handler returns one writer per format, and one function
-(``_write``) puts the chosen one on stdout or ``--out``, and a kick trace
-on ``--trace-out``.
 """
 
 from __future__ import annotations
@@ -62,40 +60,8 @@ def _read_config(path: str) -> dict[str, str]:
     return cfg
 
 
-class _Settings:
-    """Layered lookup: parsed args, then config file, then defaults."""
-
-    def __init__(self, args: argparse.Namespace) -> None:
-        self.args = args
-        self.cfg = _read_config(args.config) if args.config else {}
-        unknown = sorted(self.cfg.keys() - args.config_keys)
-        if unknown:
-            raise ValueError(
-                f"config file {args.config}: unknown key{'s' if len(unknown) > 1 else ''} "
-                f"{', '.join(map(repr, unknown))} for {args.command} "
-                f"(keys: {', '.join(sorted(args.config_keys))})"
-            )
-
-    def get(self, name: str, cast: Callable[[str], Any], default: Any = None) -> Any:
-        value = getattr(self.args, name.replace("-", "_"), None)
-        if value is not None:
-            return value
-        if name in self.cfg:
-            try:
-                return cast(self.cfg[name])
-            except ValueError as exc:
-                raise ValueError(f"config key {name!r}: {exc}") from exc
-        return default
-
-    def require(self, name: str, cast: Callable[[str], Any]) -> Any:
-        value = self.get(name, cast)
-        if value is None:
-            raise ValueError(f"missing required value for --{name}")
-        return value
-
-
-def _analysis_params(settings: _Settings) -> CouplingParams:
-    params = CouplingParams(epsilon=settings.require("eps", float))
+def _analysis_params(o: argparse.Namespace) -> CouplingParams:
+    params = CouplingParams(epsilon=o.eps)
     params.require_analysis_range()
     return params
 
@@ -106,13 +72,13 @@ Writer = Callable[[IO], None]
 Report = tuple[dict[str, Writer], int]
 
 
-def _write(path: str | None, write: Writer, binary: bool = False) -> None:
-    """Run ``write`` on stdout (no path, or ``-``) or on the file at ``path``.
+def _write(path: str, write: Writer, binary: bool = False) -> None:
+    """Run ``write`` on stdout (``-``) or on the file at ``path``.
 
     A relative path lands under ``TRICLOCK_OUTDIR`` when that is set, and
     the file's directory is created.
     """
-    if path is None or path == "-":
+    if path == "-":
         write(sys.stdout.buffer if binary else sys.stdout)
         return
     target = Path(path)
@@ -143,24 +109,16 @@ def _boolean(text: str) -> bool:
     return text.lower() == "true"
 
 
-def _maybe_radians(value: float, settings: _Settings) -> float:
-    if settings.get("deg", _boolean, False):
-        return math.radians(value)
-    return value
-
-
 # ---------------------------------------------------------------------------
 # step
 # ---------------------------------------------------------------------------
 
-def _cmd_step(settings: _Settings) -> Report:
-    params = _analysis_params(settings)
-    x = _maybe_radians(settings.require("x", float), settings)
-    y = _maybe_radians(settings.require("y", float), settings)
-    count = settings.get("count", int, 1)
-    if count < 1:
+def _cmd_step(o: argparse.Namespace) -> Report:
+    params = _analysis_params(o)
+    if o.count < 1:
         raise ValueError("-n must be at least 1")
-    line = basin.orbit((x, y), params, count)[1:].tolist()
+    start = (math.radians(o.x), math.radians(o.y)) if o.deg else (o.x, o.y)
+    line = basin.orbit(start, params, o.count)[1:].tolist()
     return {
         "csv": _csv(["x", "y"], ([repr(a), repr(b)] for a, b in line)),
         "json": _json({"orbit": line}),
@@ -171,11 +129,9 @@ def _cmd_step(settings: _Settings) -> Report:
 # fixed-points
 # ---------------------------------------------------------------------------
 
-def _cmd_fixed_points(settings: _Settings) -> Report:
-    params = _analysis_params(settings)
-    seed_grid = settings.get("seed-grid", int, 50)
-    tol = settings.get("tol", float, 1e-12)
-    search = analysis.find_fixed_points(seed_grid=seed_grid, tol=tol, params=params)
+def _cmd_fixed_points(o: argparse.Namespace) -> Report:
+    params = _analysis_params(o)
+    search = analysis.find_fixed_points(seed_grid=o.seed_grid, tol=o.tol, params=params)
     payload = {
         "epsilon": params.epsilon,
         "fixed_points": json_data(search.records),
@@ -195,13 +151,9 @@ def _cmd_fixed_points(settings: _Settings) -> Report:
 # basins
 # ---------------------------------------------------------------------------
 
-def _cmd_basins(settings: _Settings) -> Report:
-    params = _analysis_params(settings)
-    resolution = settings.get("resolution", int, 200)
-    tol = settings.get("tol", float, 1e-6)
-    max_iter = settings.get("max-iter", int)
-    workers = settings.get("workers", int, 1)
-    grid = basin.rasterize(resolution, params, tol=tol, max_iter=max_iter, workers=workers)
+def _cmd_basins(o: argparse.Namespace) -> Report:
+    params = _analysis_params(o)
+    grid = basin.rasterize(o.resolution, params, tol=o.tol, max_iter=o.max_iter)
     spec = render.PortraitSpec(layers=("basin_background", "fixed_points"))
     return {
         "csv": lambda stream: basin.write_grid_csv(grid, stream),
@@ -240,70 +192,62 @@ def _run_report(start: np.ndarray, result: events.LockResult, splay_tol: float) 
     }
 
 
-def _cmd_simulate(settings: _Settings) -> Report:
-    eps = settings.require("eps", float)
-    params = CouplingParams(epsilon=eps)
-    n = settings.get("n-clocks", int, 3)
+def _cmd_simulate(o: argparse.Namespace) -> Report:
+    params = CouplingParams(epsilon=o.eps)
+    n = o.n_clocks
     if n < 2:
         raise ValueError("--n-clocks must be at least 2")
-    tol = settings.get("tol", float, 1e-8)
-    max_cycles = settings.get("max-cycles", int, 2000)
-    splay_tol = settings.get("splay-tol", float, 1e-3)
-    if not (math.isfinite(splay_tol) and splay_tol > 0.0):
-        raise ValueError(f"--splay-tol must be finite and > 0, got {splay_tol}")
-    phases_text = settings.get("phases", str)
-    random_starts = settings.get("random-starts", int)
-    trace_out = settings.get("trace-out", str)
+    if not (math.isfinite(o.splay_tol) and o.splay_tol > 0.0):
+        raise ValueError(f"--splay-tol must be finite and > 0, got {o.splay_tol}")
 
     starts: list[np.ndarray] = []
-    if phases_text is not None and random_starts is not None:
+    if o.phases is not None and o.random_starts is not None:
         raise ValueError("give either --phases or --random-starts, not both")
-    if phases_text is None and settings.get("deg", _boolean, False):
+    if o.phases is None and o.deg:
         raise ValueError("--deg applies only to --phases; random starts are drawn in radians")
-    if phases_text is not None:
-        values = [float(v) for v in phases_text.split(",")]
+    if o.phases is not None:
+        values = [float(v) for v in o.phases.split(",")]
         if len(values) != n:
             raise ValueError(f"--phases lists {len(values)} values for {n} clocks")
-        values = [_maybe_radians(v, settings) for v in values]
-        starts.append(np.asarray(values))
+        starts.append(np.asarray([math.radians(v) for v in values] if o.deg else values))
     else:
-        count = 1 if random_starts is None else random_starts
+        count = 1 if o.random_starts is None else o.random_starts
         if count < 1:
             raise ValueError("--random-starts must be at least 1")
-        rng = np.random.default_rng(settings.get("seed", int, 0))
+        rng = np.random.default_rng(o.seed)
         while len(starts) < count:
             psi = np.concatenate(([0.0], rng.uniform(0.0, TWO_PI, size=n - 1)))
             if np.unique(psi).size == n:  # interior start: all phases distinct
                 starts.append(psi)
 
-    record = trace_out is not None
+    record = o.trace_out is not None
     if record and len(starts) != 1:
         raise ValueError("--trace-out needs a single-start run")
-    if record and Path(trace_out).suffix not in (".jsonl", ".csv"):
-        raise ValueError(f"--trace-out {trace_out!r} must end in .jsonl or .csv")
+    if record and Path(o.trace_out).suffix not in (".jsonl", ".csv"):
+        raise ValueError(f"--trace-out {o.trace_out!r} must end in .jsonl or .csv")
 
     results = [
         events.run_until_locked(
-            events.ClockEnsemble(psi, params), tol=tol, max_cycles=max_cycles, record=record
+            events.ClockEnsemble(psi, params), tol=o.tol, max_cycles=o.max_cycles, record=record
         )
         for psi in starts
     ]
-    runs = [_run_report(psi, result, splay_tol) for psi, result in zip(starts, results)]
+    runs = [_run_report(psi, result, o.splay_tol) for psi, result in zip(starts, results)]
 
     if record:
         kicks = results[0].events
-        if trace_out.endswith(".csv"):
-            _write(trace_out, lambda stream: events.write_events_csv(kicks, stream, n))
+        if o.trace_out.endswith(".csv"):
+            _write(o.trace_out, lambda stream: events.write_events_csv(kicks, stream, n))
         else:
-            _write(trace_out, lambda stream: events.write_events_jsonl(kicks, stream))
+            _write(o.trace_out, lambda stream: events.write_events_jsonl(kicks, stream))
 
     orientations = Counter(r["orientation"] for r in runs if r["orientation"] and r["near_splay"])
     report = {
         "n_clocks": n,
-        "epsilon": eps,
-        "tol": tol,
-        "max_cycles": max_cycles,
-        "splay_tol": splay_tol,
+        "epsilon": o.eps,
+        "tol": o.tol,
+        "max_cycles": o.max_cycles,
+        "splay_tol": o.splay_tol,
         "splay_gap": TWO_PI / n,
         "runs": runs,
         "summary": {
@@ -333,23 +277,18 @@ def _cmd_simulate(settings: _Settings) -> Report:
 # verify
 # ---------------------------------------------------------------------------
 
-def _cmd_verify(settings: _Settings) -> Report:
-    params = _analysis_params(settings)
-    samples = settings.get("samples", int, 1000)
-    grid = settings.get("grid", int, 300)
-
+def _cmd_verify(o: argparse.Namespace) -> Report:
+    params = _analysis_params(o)
     segment_checks = [
-        analysis.verify_invariance(seg, params, samples=samples)
+        analysis.verify_invariance(seg, params, samples=o.samples)
         for seg in analysis.invariant_segments()
     ]
     census = analysis.heteroclinic_census(params)
     scans = [
-        analysis.orbital_derivative_scan(region, params, grid=grid)
+        analysis.orbital_derivative_scan(region, params, grid=o.grid)
         for region in ("upper", "lower")
     ]
-    passed = (
-        all(c.passed for c in segment_checks) and census.passed and all(s.passed for s in scans)
-    )
+    passed = all(check.passed for check in (*segment_checks, census, *scans))
     report = {
         "epsilon": params.epsilon,
         "segments": json_data(segment_checks),
@@ -371,77 +310,55 @@ def _cmd_verify(settings: _Settings) -> Report:
     # A FAIL line ends with the bounds that the check broke.
     lines = [f"epsilon = {params.epsilon}"]
     for check in segment_checks:
-        broke = []
-        if not check.passed:
-            if not check.max_deviation < analysis.DEVIATION_TOL:
-                broke.append(
-                    f"max_deviation={check.max_deviation:.3e} >= {analysis.DEVIATION_TOL:g}"
-                )
-            if not check.monotone:
-                broke.append("restriction map not monotone")
         lines.append(
             f"segment {check.name:<10} {'pass' if check.passed else 'FAIL'}"
             f"  max_deviation={check.max_deviation:.3e}  monotone={check.monotone}"
-            + _bounds(broke)
+            + _bounds(check)
         )
     lines.append(
         f"heteroclinic census {census.counts} {'pass' if census.passed else 'FAIL'}"
-        + _bounds([] if census.passed else [f"expected {analysis.CENSUS_RULE}"])
+        + _bounds(census)
     )
     for scan in scans:
-        broke = []
-        if not scan.passed:
-            if not scan.max_df <= analysis.MAX_DF_TOL:
-                broke.append(f"max_df={scan.max_df:.3e} > {analysis.MAX_DF_TOL:g}")
-            far = analysis.far_zero_points(scan.region, scan.zero_set, scan.cell)
-            if far:
-                broke.append(
-                    f"{far} zero-set points farther than {analysis.ZERO_SET_CELLS} cells"
-                    " from a fixed point"
-                )
         lines.append(
             f"lyapunov {scan.region:<5} {'pass' if scan.passed else 'FAIL'}"
             f"  max_df={scan.max_df:.3e}  zero_set={len(scan.zero_set)}"
-            + _bounds(broke)
+            + _bounds(scan)
         )
     lines.append("PASS" if passed else "FAIL")
     text = "\n".join(lines) + "\n"
     return {"text": lambda stream: stream.write(text), "json": _json(report)}, 0 if passed else 1
 
 
-def _bounds(broke: list[str]) -> str:
-    """The tail of a check's text line: the bounds it broke, if any."""
-    return f"  ({'; '.join(broke)})" if broke else ""
+def _bounds(check: Any) -> str:
+    """The tail of a check's text line: the bounds it broke, if it failed."""
+    return "" if check.passed else f"  ({'; '.join(check.failures())})"
 
 
 # ---------------------------------------------------------------------------
 # andronov
 # ---------------------------------------------------------------------------
 
-def _cmd_andronov(settings: _Settings) -> Report:
-    mu = settings.get("mu", float, 0.1)
-    h = settings.get("h", float, 1.0)
-    v0 = settings.require("v0", float)
-    steps = settings.get("steps", int, 200)
-    if steps < 0:
+def _cmd_andronov(o: argparse.Namespace) -> Report:
+    if o.steps < 0:
         raise ValueError("--steps must be non-negative")
-    params = CouplingParams(epsilon=0.0, mu=mu, h=h)
-    if v0 <= 4.0 * mu:
+    params = CouplingParams(epsilon=0.0, mu=o.mu, h=o.h)
+    if o.v0 <= 4.0 * o.mu:
         raise ValueError(
-            f"v0={v0} is outside the limit-cycle basin (requires v0 > 4*mu = {4.0 * mu})"
+            f"v0={o.v0} is outside the limit-cycle basin (requires v0 > 4*mu = {4.0 * o.mu})"
         )
     vf = andronov_fixed_point(params)
     rows = []
-    v = v0
-    for k in range(steps + 1):
+    v = o.v0
+    for k in range(o.steps + 1):
         rows.append((k, v, v - vf))
-        if k < steps:
+        if k < o.steps:
             v = andronov_step(v, params)
     return {
         "csv": _csv(
             ["n", "v", "v_minus_fixed_point"], ([k, repr(v), repr(gap)] for k, v, gap in rows)
         ),
-        "json": _json({"mu": mu, "h": h, "fixed_point": vf, "rows": rows}),
+        "json": _json({"mu": o.mu, "h": o.h, "fixed_point": vf, "rows": rows}),
     }, 0
 
 
@@ -461,15 +378,11 @@ _SAMPLE_ORBIT_SEEDS = (
 )
 
 
-def _cmd_portrait(settings: _Settings) -> Report:
-    params = _analysis_params(settings)
-    layer_text = settings.get(
-        "layers", str, "basin_background,invariant_segments,heteroclinics,fixed_points"
-    )
-    layers = tuple(name.strip() for name in layer_text.split(",") if name.strip())
+def _cmd_portrait(o: argparse.Namespace) -> Report:
+    params = _analysis_params(o)
+    layers = tuple(name.strip() for name in o.layers.split(",") if name.strip())
     spec = render.PortraitSpec(layers=layers)
-    resolution = settings.get("resolution", int, 160)
-    grid = basin.rasterize(resolution, params) if "basin_background" in layers else None
+    grid = basin.rasterize(o.resolution, params) if "basin_background" in layers else None
     svg = _portrait_svg(spec, params, grid)
     return {"svg": lambda stream: stream.write(svg)}, 0
 
@@ -505,24 +418,82 @@ def _portrait_svg(
 # parser
 # ---------------------------------------------------------------------------
 
-def _subcommand(
-    sub: argparse._SubParsersAction,
-    name: str,
-    summary: str,
-    handler: Callable[[_Settings], Report],
-    formats: tuple[str, ...],
-    eps: bool = True,
-) -> argparse.ArgumentParser:
-    """Add a subcommand with the common options; ``formats`` lists its output
-    formats, default first, and ``eps`` whether it reads a coupling strength."""
-    p = sub.add_parser(name, help=summary)
-    p.add_argument("--config", help="flat key = value settings file")
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--format", help=f"output format: {', '.join(formats)} (default {formats[0]})")
-    if eps:
-        p.add_argument("--eps", type=float, help="coupling strength")
-    p.set_defaults(handler=handler, formats=formats)
-    return p
+# An option is declared once: its flags, type, default and help.  Its long
+# flag without the dashes is its config key and, with "_" for "-", its name in
+# the handler's namespace.  A type of bool makes a switch; a default of
+# _REQUIRED makes the option required.
+Option = tuple[str, type, Any, str]
+_REQUIRED = object()
+
+_EPS: Option = ("--eps", float, _REQUIRED, "coupling strength")
+
+# Each subcommand: its summary, handler, output formats (default first) and
+# own options.
+_COMMANDS = {
+    "step": ("iterate the three-clock map from a point", _cmd_step, ("csv", "json"), (
+        _EPS,
+        ("--x", float, _REQUIRED, "first phase difference (radians)"),
+        ("--y", float, _REQUIRED, "second phase difference (radians)"),
+        ("-n --count", int, 1, "number of iterates"),
+        ("--deg", bool, False, "interpret --x/--y in degrees"),
+    )),
+    "fixed-points": ("find and classify all fixed points", _cmd_fixed_points, ("json", "csv"), (
+        _EPS,
+        ("--seed-grid", int, 50, "seeds per side"),
+        ("--tol", float, 1e-12, "residual tolerance"),
+    )),
+    "basins": ("rasterize the basins of attraction", _cmd_basins, ("csv", "bin", "svg"), (
+        _EPS,
+        ("--resolution", int, 200, "cells per side"),
+        ("--tol", float, 1e-6, "attractor capture tolerance"),
+        ("--max-iter", int, None, "iteration budget per cell; none sets it from eps"),
+    )),
+    "simulate": ("event-driven simulation of N clocks", _cmd_simulate, ("json", "csv"), (
+        _EPS,
+        ("--n-clocks", int, 3, "number of clocks"),
+        ("--phases", str, None, "comma-separated start phases (reference first)"),
+        ("--random-starts", int, None, "number of random starts; none is 1 without --phases"),
+        ("--seed", int, 0, "random seed for --random-starts"),
+        ("--tol", float, 1e-8, "lock tolerance on difference movement"),
+        ("--max-cycles", int, 2000, "cycle budget per run"),
+        ("--splay-tol", float, 1e-3, "near-splay threshold"),
+        ("--trace-out", str, None, "write kick events (.jsonl or .csv)"),
+        ("--deg", bool, False, "interpret --phases in degrees"),
+    )),
+    "verify": ("invariance, census, and Lyapunov checks", _cmd_verify, ("text", "json"), (
+        _EPS,
+        ("--samples", int, 1000, "samples per segment"),
+        ("--grid", int, 300, "Lyapunov lattice per side"),
+    )),
+    "andronov": ("escapement return-map convergence table", _cmd_andronov, ("csv", "json"), (
+        ("--mu", float, 0.1, "dry friction coefficient"),
+        ("--h", float, 1.0, "energy-kick velocity scale"),
+        ("--v0", float, _REQUIRED, "initial section velocity"),
+        ("--steps", int, 200, "iterations to tabulate"),
+    )),
+    "portrait": ("layered SVG phase portrait", _cmd_portrait, ("svg",), (
+        _EPS,
+        ("--layers", str, "basin_background,invariant_segments,heteroclinics,fixed_points",
+         "comma-separated layer names"),
+        ("--resolution", int, 160, "background raster per side"),
+    )),
+}
+
+
+def _options(command: str) -> tuple[Option, ...]:
+    """Every option of ``command``: the common ones, then its own."""
+    _, _, formats, own = _COMMANDS[command]
+    return (
+        ("--config", str, None, "flat key = value settings file"),
+        ("--out", str, "-", "output path, - for stdout"),
+        ("--format", str, formats[0], f"output format: {', '.join(formats)}"),
+        *own,
+    )
+
+
+def _help(text: str, default: Any) -> str:
+    """``text``, then ``(required)`` or the default, in lower case."""
+    return f"{text} ({'required' if default is _REQUIRED else f'default: {default}'.lower()})"
 
 
 @functools.cache
@@ -535,76 +506,54 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Analyze the phase-difference dynamics of impact-coupled clocks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = _subcommand(sub, "step", "iterate the three-clock map from a point", _cmd_step,
-                    ("csv", "json"))
-    p.add_argument("--x", type=float, help="first phase difference (radians)")
-    p.add_argument("--y", type=float, help="second phase difference (radians)")
-    p.add_argument("-n", "--count", type=int, dest="count", help="number of iterates")
-    p.add_argument("--deg", action="store_true", default=None,
-                   help="interpret --x/--y in degrees")
-
-    p = _subcommand(sub, "fixed-points", "find and classify all fixed points",
-                    _cmd_fixed_points, ("json", "csv"))
-    p.add_argument("--seed-grid", type=int, dest="seed_grid", help="seeds per side")
-    p.add_argument("--tol", type=float, help="residual tolerance")
-
-    p = _subcommand(sub, "basins", "rasterize the basins of attraction", _cmd_basins,
-                    ("csv", "bin", "svg"))
-    p.add_argument("--resolution", type=int, help="cells per side")
-    p.add_argument("--tol", type=float, help="attractor capture tolerance")
-    p.add_argument("--max-iter", type=int, dest="max_iter", help="iteration budget per cell")
-    p.add_argument("--workers", type=int,
-                   help="accepted (at least 1) but changes nothing: the raster runs in one thread")
-
-    p = _subcommand(sub, "simulate", "event-driven simulation of N clocks", _cmd_simulate,
-                    ("json", "csv"))
-    p.add_argument("--n-clocks", type=int, dest="n_clocks", help="number of clocks")
-    p.add_argument("--phases", help="comma-separated start phases (reference first)")
-    p.add_argument("--random-starts", type=int, dest="random_starts", help="number of random starts")
-    p.add_argument("--seed", type=int, help="random seed for --random-starts")
-    p.add_argument("--tol", type=float, help="lock tolerance on difference movement")
-    p.add_argument("--max-cycles", type=int, dest="max_cycles", help="cycle budget per run")
-    p.add_argument("--splay-tol", type=float, dest="splay_tol", help="near-splay threshold")
-    p.add_argument("--trace-out", dest="trace_out", help="write kick events (.jsonl or .csv)")
-    p.add_argument("--deg", action="store_true", default=None,
-                   help="interpret --phases in degrees")
-
-    p = _subcommand(sub, "verify", "invariance, census, and Lyapunov checks", _cmd_verify,
-                    ("text", "json"))
-    p.add_argument("--samples", type=int, help="samples per segment")
-    p.add_argument("--grid", type=int, help="Lyapunov lattice per side")
-
-    p = _subcommand(sub, "andronov", "escapement return-map convergence table", _cmd_andronov,
-                    ("csv", "json"), eps=False)
-    p.add_argument("--mu", type=float, help="dry friction coefficient")
-    p.add_argument("--h", type=float, help="energy-kick velocity scale")
-    p.add_argument("--v0", type=float, help="initial section velocity")
-    p.add_argument("--steps", type=int, help="iterations to tabulate")
-
-    p = _subcommand(sub, "portrait", "layered SVG phase portrait", _cmd_portrait, ("svg",))
-    p.add_argument("--layers", help="comma-separated layer names")
-    p.add_argument("--resolution", type=int, help="background raster per side")
-
-    # A config file may set each of a subcommand's own options by its long name.
-    for p in sub.choices.values():
-        keys = {action.dest.replace("_", "-") for action in p._actions}
-        p.set_defaults(config_keys=keys - {"help", "config"})
+    for command, (summary, *_) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for flags, kind, default, text in _options(command):
+            # An absent flag parses to None, so that the config file can fill it in.
+            how = {"action": "store_true", "default": None} if kind is bool else {"type": kind}
+            p.add_argument(*flags.split(), help=_help(text, default), **how)
     return parser
+
+
+def _resolve(args: argparse.Namespace) -> None:
+    """Set each option of the parsed command line in ``args`` to its flag's
+    value, else its config file value cast by its declared type, else its
+    declared default."""
+    options = {flags.split()[-1][2:]: (kind, default)
+               for flags, kind, default, _ in _options(args.command)}
+    keys = sorted(options.keys() - {"config"})
+    cfg = _read_config(args.config) if args.config else {}
+    unknown = sorted(cfg.keys() - set(keys))
+    if unknown:
+        raise ValueError(
+            f"config file {args.config}: unknown key{'s' if len(unknown) > 1 else ''} "
+            f"{', '.join(map(repr, unknown))} for {args.command} (keys: {', '.join(keys)})"
+        )
+    for key, (kind, default) in options.items():
+        value = getattr(args, key.replace("-", "_"))
+        if value is None and key in cfg:
+            try:
+                value = (_boolean if kind is bool else kind)(cfg[key])
+            except ValueError as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from exc
+        if value is None and default is _REQUIRED:
+            raise ValueError(f"missing required value for --{key}")
+        setattr(args, key.replace("-", "_"), default if value is None else value)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    _, handler, formats, _ = _COMMANDS[args.command]
     try:
-        settings = _Settings(args)
-        # The format is resolved and checked before the handler does any work.
-        fmt = settings.get("format", str, args.formats[0])
-        if fmt not in args.formats:
+        _resolve(args)
+        # The format is checked before the handler does any work.
+        if args.format not in formats:
             raise ValueError(
-                f"{args.command} cannot emit format {fmt!r} (formats: {', '.join(args.formats)})"
+                f"{args.command} cannot emit format {args.format!r} "
+                f"(formats: {', '.join(formats)})"
             )
-        writers, code = args.handler(settings)
-        _write(settings.get("out", str), writers[fmt], binary=fmt == "bin")
+        writers, code = handler(args)
+        _write(args.out, writers[args.format], binary=args.format == "bin")
         return code
     except ValueError as exc:
         print(f"triclock: error: {exc}", file=sys.stderr)

@@ -1,4 +1,5 @@
-"""The verdicts ``tools/bench_pairs.py`` prints from a report of paired runs."""
+"""The verdicts ``tools/bench_pairs.py`` prints from a report of paired runs,
+and the bytecode it writes before the first pair."""
 
 import importlib.util
 import statistics
@@ -50,3 +51,16 @@ def test_spread_wider_than_the_bound_is_unresolved():
     assert line.endswith(": unresolved")
     line, = bench_pairs.regression_verdicts(report(base, [0.9] * 10), [WALL])
     assert line.endswith(": ok")
+
+
+def test_compile_sources_writes_the_caches_of_src_only(tmp_path):
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    sources = [package / "__init__.py", package / "mod.py"]
+    for path in sources:
+        path.write_text("VALUE = 1\n")
+    (tmp_path / "tools.py").write_text("VALUE = 2\n")
+    bench_pairs.compile_sources(tmp_path)
+    for path in sources:
+        assert Path(importlib.util.cache_from_source(str(path))).is_file()
+    assert not (tmp_path / "__pycache__").exists()

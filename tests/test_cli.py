@@ -35,6 +35,13 @@ def parse_csv(text):
     return list(csv.reader(io.StringIO(text)))
 
 
+def subparsers():
+    """The subcommands' parsers, by name."""
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
 # ---------------------------------------------------------------------------
 # step
 # ---------------------------------------------------------------------------
@@ -195,6 +202,18 @@ class TestBasins:
         )
         assert code == 0
         assert out.startswith('<?xml') and "#dbe9f6" in out and "#fbe8d3" in out
+
+    def test_workers_refused(self, capsys, tmp_path):
+        # The raster runs in one thread, so basins takes no worker count.
+        with pytest.raises(SystemExit) as exc:
+            main(["basins", "--eps", "0.05", "--resolution", "6", "--workers", "2"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments: --workers 2" in captured.err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("workers = 2\n")
+        code, out, err = run_cli(capsys, "basins", "--eps", "0.05", "--config", str(cfg))
+        assert (code, out) == (2, "") and "unknown key 'workers' for basins" in err
 
 
 # ---------------------------------------------------------------------------
@@ -408,9 +427,9 @@ class TestVerify:
         def failing(segment, params, **kwargs):
             check = real(segment, params, **kwargs)
             if segment.name == "d1":
-                return dataclasses.replace(check, passed=False, max_deviation=3e-12)
+                return dataclasses.replace(check, max_deviation=3e-12)
             if segment.name == "c2":
-                return dataclasses.replace(check, passed=False, monotone=False)
+                return dataclasses.replace(check, monotone=False)
             return check
 
         monkeypatch.setattr(analysis, "verify_invariance", failing)
@@ -445,7 +464,7 @@ class TestVerify:
             scan = real(region, params, **kwargs)
             zero_set = np.concatenate((scan.zero_set, far if region == "lower" else far[:, ::-1]))
             max_df = 2.5e-9 if region == "upper" else scan.max_df
-            return dataclasses.replace(scan, max_df=max_df, zero_set=zero_set, passed=False)
+            return dataclasses.replace(scan, max_df=max_df, zero_set=zero_set)
 
         monkeypatch.setattr(analysis, "orbital_derivative_scan", failing)
         code, out, _ = run_cli(capsys, *self.ARGV)
@@ -506,9 +525,7 @@ class TestAndronov:
         assert "unknown key 'eps' for andronov" in err
 
     def test_only_coupled_subcommands_take_eps(self):
-        sub = next(a for a in cli._build_parser()._actions
-                   if isinstance(a, argparse._SubParsersAction))
-        takes_eps = {name for name, p in sub.choices.items()
+        takes_eps = {name for name, p in subparsers().items()
                      if any("--eps" in a.option_strings for a in p._actions)}
         assert takes_eps == {"step", "fixed-points", "basins", "simulate", "verify", "portrait"}
 
@@ -687,6 +704,106 @@ class TestPlumbing:
         assert f"{argv[0]} cannot emit format 'xml'" in err
         assert not (tmp_path / "report").exists()
 
+    # Cheap command lines that between them set every option of each
+    # subcommand; simulate takes two, since --phases and --random-starts
+    # exclude each other.  A value of "true" is a switch.
+    EVERY_OPTION = [
+        ("step", {"eps": "0.05", "x": "90", "y": "200", "count": "3", "deg": "true",
+                  "format": "json", "out": "step.json"}),
+        ("fixed-points", {"eps": "0.05", "seed-grid": "8", "tol": "1e-10", "format": "csv",
+                          "out": "fp.csv"}),
+        ("basins", {"eps": "0.05", "resolution": "8", "tol": "1e-5", "max-iter": "40",
+                    "format": "bin", "out": "grid.bin"}),
+        ("simulate", {"eps": "0.05", "n-clocks": "3", "phases": "0,100,250", "deg": "true",
+                      "tol": "1e-6", "max-cycles": "50", "splay-tol": "1e-2",
+                      "trace-out": "kicks.csv", "format": "csv", "out": "sim.csv"}),
+        ("simulate", {"eps": "0.02", "n-clocks": "4", "random-starts": "2", "seed": "3",
+                      "format": "json", "out": "sim.json"}),
+        ("verify", {"eps": "0.05", "samples": "50", "grid": "100", "format": "json",
+                    "out": "verify.json"}),
+        ("andronov", {"mu": "0.2", "h": "1.5", "v0": "3", "steps": "4", "format": "json",
+                      "out": "andronov.json"}),
+        ("portrait", {"eps": "0.05", "layers": "fixed_points,basin_background",
+                      "resolution": "8", "format": "svg", "out": "p.svg"}),
+    ]
+
+    # Each subcommand's required options, set by flag.
+    REQUIRED = {
+        "step": {"eps": "0.05", "x": "1", "y": "2"}, "fixed-points": {"eps": "0.05"},
+        "basins": {"eps": "0.05"}, "simulate": {"eps": "0.05"}, "verify": {"eps": "0.05"},
+        "andronov": {"v0": "5"}, "portrait": {"eps": "0.05"},
+    }
+
+    @staticmethod
+    def options(parser):
+        """The config keys of a subcommand's parser: its long flags but --help
+        and --config, without the dashes."""
+        return {a.option_strings[-1][2:]: a for a in parser._actions
+                if a.option_strings[-1] not in ("--help", "--config")}
+
+    @staticmethod
+    def flags(values):
+        return [arg for key, value in values.items()
+                for arg in ([f"--{key}"] if value == "true" else [f"--{key}", value])]
+
+    def test_every_option_has_a_flag_case(self):
+        covered = {}
+        for name, values in self.EVERY_OPTION:
+            covered.setdefault(name, set()).update(values)
+        assert covered == {name: set(self.options(p)) for name, p in subparsers().items()}
+
+    @pytest.mark.parametrize("name, values", EVERY_OPTION,
+                             ids=[f"{name}-{i}" for i, (name, _) in enumerate(EVERY_OPTION)])
+    def test_config_gives_what_flags_give(self, capsys, tmp_path, monkeypatch, name, values):
+        def run(argv, outdir):
+            monkeypatch.setenv("TRICLOCK_OUTDIR", str(outdir))
+            code, out, err = run_cli(capsys, *argv)
+            files = {p.relative_to(outdir).as_posix(): p.read_bytes()
+                     for p in outdir.rglob("*") if p.is_file()}
+            return code, out, err, files
+
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+        from_flags = run([name, *self.flags(values)], tmp_path / "flags")
+        assert from_flags[0] == 0 and from_flags[3]
+        assert run([name, "--config", str(cfg)], tmp_path / "config") == from_flags
+
+    @pytest.mark.parametrize("name", list(ENTRY_POINTS))
+    def test_uncastable_config_value_refused_before_work(self, capsys, tmp_path, monkeypatch,
+                                                         name):
+        def refuse(*args, **kwargs):
+            raise AssertionError("computed with an uncastable config value")
+
+        for module, attr in self.ENTRY_POINTS[name]:
+            monkeypatch.setattr(module, attr, refuse)
+        typed = [key for key, action in self.options(subparsers()[name]).items()
+                 if action.type in (int, float) or action.const is True]
+        assert typed
+        cfg = tmp_path / "run.cfg"
+        for key in typed:
+            cfg.write_text(f"{key} = abc\n")
+            given = {k: v for k, v in self.REQUIRED[name].items() if k != key}
+            code, out, err = run_cli(capsys, name, *self.flags(given), "--config", str(cfg))
+            assert (code, out) == (2, ""), key
+            assert f"triclock: error: config key '{key}': " in err
+
+    def test_help_shows_each_declared_default(self):
+        parsers = subparsers()
+        assert set(parsers) == set(cli._COMMANDS)
+        helps = {}
+        for name, (_, _, formats, _) in cli._COMMANDS.items():
+            helps[name] = {a.option_strings[-1]: a.help for a in parsers[name]._actions}
+            declared = cli._options(name)
+            assert set(helps[name]) == {"--help"} | {flags.split()[-1] for flags, *_ in declared}
+            for flags, _, default, text in declared:
+                shown = "required" if default is cli._REQUIRED else f"default: {default}".lower()
+                assert helps[name][flags.split()[-1]] == f"{text} ({shown})"
+            assert helps[name]["--format"].endswith(f"(default: {formats[0]})")
+        assert helps["step"]["--eps"] == "coupling strength (required)"
+        assert helps["step"]["--deg"] == "interpret --x/--y in degrees (default: false)"
+        assert helps["basins"]["--tol"] == "attractor capture tolerance (default: 1e-06)"
+        assert helps["simulate"]["--trace-out"].endswith("(default: none)")
+
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main([])
@@ -762,8 +879,7 @@ PINNED_CASES = [
     ["basins", "--eps", "0.05", "--resolution", "40"],
     ["basins", "--eps", "0.05", "--resolution", "40", "--format", "bin"],
     ["basins", "--eps", "0.07", "--resolution", "31", "--format", "csv", "--out", "grid.csv"],
-    ["basins", "--eps", "0.07", "--resolution", "31", "--format", "bin", "--out", "grid.bin",
-     "--workers", "2"],
+    ["basins", "--eps", "0.07", "--resolution", "31", "--format", "bin", "--out", "grid.bin"],
     ["basins", "--eps", "0.05", "--resolution", "24", "--max-iter", "30", "--format", "svg",
      "--out", "sub/grid.svg"],
     ["basins", "--eps", "0.03", "--resolution", "20", "--format", "svg"],

@@ -6,7 +6,11 @@ Run from anywhere:
         [--workloads basin-raster,analysis-verify,lock-sim] [--seed 7919] \\
         [--pairs 10] [--seconds 20] [--claim WORKLOAD/METRIC]
 
-Each pair runs ``python3 perfbench/run.py --workload W --seed S --seconds N
+Before the first pair, ``python3 -m compileall -q src`` runs in both
+checkouts with the interpreter that runs this script and the benchmark, so
+both start from bytecode caches of their own sources (a cache left on one
+side only skews the start-up metrics); standard error says so.  Each pair
+runs ``python3 perfbench/run.py --workload W --seed S --seconds N
 --trace 0`` once in BASE_DIR and once in CHANGE_DIR; the pair's order
 alternates (base first in even pairs, change first in odd ones) and the
 workloads take turns inside each pair, so a drift in host speed falls on
@@ -50,6 +54,11 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     record = checkout / ".perfbench_out" / f"result-{workload}-seed{seed}-trace0.json"
     result["facts"] = json.loads(record.read_text(encoding="utf-8"))["facts"]
     return result
+
+
+def compile_sources(checkout: Path) -> None:
+    """Write the bytecode caches of ``checkout``'s ``src`` tree with this interpreter."""
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=checkout, check=True)
 
 
 def summary(values: list[float]) -> dict:
@@ -132,6 +141,9 @@ def main(argv: list[str]) -> int:
             parser.error(f"--claim {args.claim!r}: expected WORKLOAD/METRIC with a workload of "
                          f"--workloads and a metric of {', '.join(m['name'] for m in end_to_end)}")
     sides = {"base": args.base.resolve(), "change": args.change.resolve()}
+    for checkout in sides.values():
+        compile_sources(checkout)
+    print(f"compiled src in both checkouts with {sys.executable} -m compileall", file=sys.stderr)
     runs: dict[str, dict[str, list[dict]]] = {w: {"base": [], "change": []} for w in workloads}
     for i in range(args.pairs):
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
