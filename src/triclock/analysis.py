@@ -94,10 +94,17 @@ CENSUS_RULE = "sa == 6, rs == 10, ra >= 2"
 
 Region = Literal["upper", "lower"]
 
-_CENTERS: dict[str, tuple[float, float]] = {
-    "upper": (_THIRD, 2.0 * _THIRD),
-    "lower": (2.0 * _THIRD, _THIRD),
-}
+# The eleven fixed points (see known_fixed_points), built once.
+_FIXED_POINTS = np.array([
+    (_PI, _PI), (_THIRD, 2.0 * _THIRD), (2.0 * _THIRD, _THIRD),  # symmetric, splay points
+    (0.0, 0.0), (0.0, TWO_PI), (TWO_PI, 0.0), (TWO_PI, TWO_PI),  # corners
+    (0.0, _PI), (TWO_PI, _PI), (_PI, 0.0), (_PI, TWO_PI),  # edge midpoints
+])
+_FIXED_POINTS.flags.writeable = False
+_FIXED_XY = [(float(fx), float(fy)) for fx, fy in _FIXED_POINTS]
+_FIXED_X = sorted({fx for fx, _ in _FIXED_XY})
+# Each triangle's Lyapunov function is centered on its splay point.
+_CENTERS: dict[str, tuple[float, float]] = {"upper": _FIXED_XY[1], "lower": _FIXED_XY[2]}
 
 
 # ---------------------------------------------------------------------------
@@ -149,23 +156,9 @@ def known_fixed_points() -> np.ndarray:
     """The eleven zeros of the drift field in the closed square.
 
     Three interior (the symmetric point and the two splay points), the four
-    corners, and the four edge midpoints; shape (11, 2).
+    corners, and the four edge midpoints; shape (11, 2), a fresh array.
     """
-    return np.array(
-        [
-            (_PI, _PI),
-            (_THIRD, 2.0 * _THIRD),
-            (2.0 * _THIRD, _THIRD),
-            (0.0, 0.0),
-            (0.0, TWO_PI),
-            (TWO_PI, 0.0),
-            (TWO_PI, TWO_PI),
-            (0.0, _PI),
-            (TWO_PI, _PI),
-            (_PI, 0.0),
-            (_PI, TWO_PI),
-        ]
-    )
+    return _FIXED_POINTS.copy()
 
 
 def _eig2(J: np.ndarray) -> tuple[tuple[float, float], tuple[np.ndarray, np.ndarray]]:
@@ -591,10 +584,8 @@ def _trace(
     p = np.asarray(source.location, dtype=float) + SEED_STEP * (v / norm)
     if not bool(in_square(p)):
         raise ValueError("seed point leaves the square; try the opposite sign")
-    fps = known_fixed_points()
-    fp_xy = [(float(fx), float(fy)) for fx, fy in fps]
+    fp_xy, fp_x = _FIXED_XY, _FIXED_X
     src_x, src_y = (float(v) for v in source.location)
-    fp_x = sorted({fx for fx, _ in fp_xy})
     last = len(fp_x) - 1
     off_source = [max(abs(fx - src_x), abs(fy - src_y)) > CAPTURE_TOL for fx, fy in fp_xy]
     eps = params.epsilon
@@ -615,7 +606,7 @@ def _trace(
         nearest = min(dists)
         j = dists.index(nearest)  # the first minimum, as np.argmin
         if nearest <= CAPTURE_TOL and off_source[j]:
-            target = classify_at(fps[j])
+            target = classify_at(np.array(fp_xy[j]))
             return HeteroclinicOrbit(
                 source=source,
                 target=target,
@@ -714,16 +705,22 @@ def _require_region(region: str) -> tuple[float, float]:
     return _CENTERS[region]
 
 
-def _in_region(p: np.ndarray, region: str) -> np.ndarray:
-    """Membership in the closed triangle, with 1e-12 of slack for rounding."""
-    return _in_region_xy(p[..., 0], p[..., 1], region, 1e-12)
-
-
-def _in_region_xy(x: np.ndarray, y: np.ndarray, region: str, slack: float) -> np.ndarray:
-    """Closed-triangle membership (with ``slack``) of points given as coordinates."""
-    lo, hi = -slack, TWO_PI + slack
-    side = y >= x - slack if region == "upper" else y <= x + slack
+def _in_region(x: np.ndarray, y: np.ndarray, region: str) -> np.ndarray:
+    """Membership of the points ``(x, y)`` in the closed triangle, with 1e-12
+    of slack for rounding.  The slack moves no node of a scan's lattice on
+    ``[0, 2*pi]``: none lies that close to the diagonal without lying on it."""
+    lo, hi = -1e-12, TWO_PI + 1e-12
+    side = y >= x - 1e-12 if region == "upper" else y <= x + 1e-12
     return (x >= lo) & (x <= hi) & (y >= lo) & (y <= hi) & side
+
+
+def _require_inside(p, region: str) -> np.ndarray:
+    """``p`` as a float array, all of whose points lie in the closed triangle."""
+    _require_region(region)
+    p = np.asarray(p, dtype=float)
+    if not np.all(_in_region(p[..., 0], p[..., 1], region)):
+        raise ValueError(f"point outside the closed {region} triangle")
+    return p
 
 
 def lyapunov_value(p, region: Region) -> np.ndarray:
@@ -733,10 +730,8 @@ def lyapunov_value(p, region: Region) -> np.ndarray:
     triangle's splay point; positive definite since the cross term is
     dominated.  Points outside the closed triangle are rejected.
     """
-    cx, cy = _require_region(region)
-    p = np.asarray(p, dtype=float)
-    if not np.all(_in_region(p, region)):
-        raise ValueError(f"point outside the closed {region} triangle")
+    p = _require_inside(p, region)
+    cx, cy = _CENTERS[region]
     u = p[..., 0] - cx
     v = p[..., 1] - cy
     return u * u + v * v - u * v
@@ -750,10 +745,7 @@ def orbital_derivative(p, region: Region, params: CouplingParams) -> np.ndarray:
 
         DV = eps**2 * (f**2 + g**2 - f*g) + eps * (u*(2f - g) + v*(2g - f))
     """
-    _require_region(region)
-    p = np.asarray(p, dtype=float)
-    if not np.all(_in_region(p, region)):
-        raise ValueError(f"point outside the closed {region} triangle")
+    p = _require_inside(p, region)
     return _decrement(p[..., 0], p[..., 1], region, params.epsilon)
 
 
@@ -769,8 +761,10 @@ def _decrement(x: np.ndarray, y: np.ndarray, region: str, eps: float) -> np.ndar
 def region_fixed_points(region: Region) -> np.ndarray:
     """Fixed points lying in the closed triangle (seven per region)."""
     _require_region(region)
-    fps = known_fixed_points()
-    return fps[_in_region(fps, region)]
+    return _REGION_POINTS[region].copy()
+
+
+_REGION_POINTS = {r: _FIXED_POINTS[_in_region(*_FIXED_POINTS.T, r)] for r in _CENTERS}
 
 
 @dataclass(frozen=True)
@@ -792,7 +786,7 @@ class LyapunovReport:
         broke = []
         if not self.max_df <= MAX_DF_TOL:
             broke.append(f"max_df={self.max_df:.3e} > {MAX_DF_TOL:g}")
-        fps = region_fixed_points(self.region)
+        fps = _REGION_POINTS[self.region]
         dists = np.min(np.max(np.abs(self.zero_set[:, None, :] - fps), axis=-1), axis=-1)
         far = int(np.count_nonzero(~(dists <= ZERO_SET_CELLS * self.cell)))
         if far:
@@ -821,7 +815,7 @@ def orbital_derivative_scan(
     axis = np.linspace(0.0, TWO_PI, grid + 1)
     gx, gy = np.meshgrid(axis, axis)
     x, y = gx.ravel(), gy.ravel()
-    inside = _in_region_xy(x, y, region, slack=0.0)
+    inside = _in_region(x, y, region)
     x, y = x[inside], y[inside]
     df = _decrement(x, y, region, params.epsilon)
     max_df = float(np.max(df))

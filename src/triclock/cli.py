@@ -8,9 +8,11 @@ long name, and no other key) are built from it.  ``main`` resolves every
 option (command line > config file > declared default) and rejects an
 unknown ``--format`` before the handler does any work; the handler returns
 one writer per format, and one function (``_write``) puts the chosen one on
-stdout or ``--out``, and a kick trace on ``--trace-out``.  Exit codes: 0
-success, 1 I/O or check failure, 2 usage or validation failure.
-``TRICLOCK_OUTDIR`` redirects relative output paths.
+stdout or ``--out``, and a kick trace on ``--trace-out``.  ``portrait``
+checks its ``--layers`` names against ``render.LAYERS`` and passes the
+renderer data for the named layers only; the renderer draws what it is
+given.  Exit codes: 0 success, 1 I/O or check failure, 2 usage or
+validation failure.  ``TRICLOCK_OUTDIR`` redirects relative output paths.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .core import (
     andronov_step,
     default_max_iterations,
     json_data,
+    require_basin_velocity,
 )
 
 __all__ = ["main"]
@@ -154,11 +157,12 @@ def _cmd_fixed_points(o: argparse.Namespace) -> Report:
 def _cmd_basins(o: argparse.Namespace) -> Report:
     params = _analysis_params(o)
     grid = basin.rasterize(o.resolution, params, tol=o.tol, max_iter=o.max_iter)
-    spec = render.PortraitSpec(layers=("basin_background", "fixed_points"))
     return {
         "csv": lambda stream: basin.write_grid_csv(grid, stream),
         "bin": lambda stream: basin.write_grid_binary(grid, stream),
-        "svg": lambda stream: stream.write(_portrait_svg(spec, params, grid)),
+        "svg": lambda stream: stream.write(
+            render.render_portrait(grid=grid, fixed_points=_fixed_point_records(params))
+        ),
     }, 0
 
 
@@ -343,10 +347,7 @@ def _cmd_andronov(o: argparse.Namespace) -> Report:
     if o.steps < 0:
         raise ValueError("--steps must be non-negative")
     params = CouplingParams(epsilon=0.0, mu=o.mu, h=o.h)
-    if o.v0 <= 4.0 * o.mu:
-        raise ValueError(
-            f"v0={o.v0} is outside the limit-cycle basin (requires v0 > 4*mu = {4.0 * o.mu})"
-        )
+    require_basin_velocity(o.v0, params, "v0")
     vf = andronov_fixed_point(params)
     rows = []
     v = o.v0
@@ -366,52 +367,37 @@ def _cmd_andronov(o: argparse.Namespace) -> Report:
 # portrait
 # ---------------------------------------------------------------------------
 
-_SAMPLE_ORBIT_SEEDS = (
-    (0.9, 2.1),
-    (0.9, 5.0),
-    (2.6, 5.8),
-    (5.0, 5.9),
-    (2.1, 0.9),
-    (5.0, 0.9),
-    (5.8, 2.6),
-    (5.9, 5.0),
-)
+# Starts of the sample orbits, four per triangle.
+_SAMPLE_ORBIT_SEEDS = ((0.9, 2.1), (0.9, 5.0), (2.6, 5.8), (5.0, 5.9),
+                       (2.1, 0.9), (5.0, 0.9), (5.8, 2.6), (5.9, 5.0))
 
 
 def _cmd_portrait(o: argparse.Namespace) -> Report:
     params = _analysis_params(o)
+    # Layer names are checked here, where they arrive; the renderer draws
+    # each layer whose data it is given.
     layers = tuple(name.strip() for name in o.layers.split(",") if name.strip())
-    spec = render.PortraitSpec(layers=layers)
-    grid = basin.rasterize(o.resolution, params) if "basin_background" in layers else None
-    svg = _portrait_svg(spec, params, grid)
+    if not layers:
+        raise ValueError("a portrait needs at least one layer")
+    unknown = [name for name in layers if name not in render.LAYERS]
+    if unknown:
+        raise ValueError(f"unknown layers: {unknown}; choose from {render.LAYERS}")
+    if o.resolution < 2:
+        raise ValueError("resolution must be at least 2")
+    svg = render.render_portrait(
+        grid=basin.rasterize(o.resolution, params) if "basin_background" in layers else None,
+        segments=analysis.invariant_segments() if "invariant_segments" in layers else None,
+        heteroclinics=(analysis.heteroclinic_census(params).orbits
+                       if "heteroclinics" in layers else None),
+        fixed_points=_fixed_point_records(params) if "fixed_points" in layers else None,
+        orbits=([basin.orbit(seed, params, default_max_iterations(params))
+                 for seed in _SAMPLE_ORBIT_SEEDS] if "sample_orbits" in layers else None),
+    )
     return {"svg": lambda stream: stream.write(svg)}, 0
 
 
-def _portrait_svg(
-    spec: render.PortraitSpec, params: CouplingParams, grid: basin.BasinGrid | None
-) -> str:
-    """Render ``spec`` over the basin raster ``grid``, computing the data of
-    its other layers."""
-    layers = spec.layers
-    segments = analysis.invariant_segments() if "invariant_segments" in layers else None
-    heteroclinics = None
-    if "heteroclinics" in layers:
-        heteroclinics = analysis.heteroclinic_census(params).orbits
-    fixed_points = None
-    if "fixed_points" in layers:
-        fixed_points = [analysis.classify(p, params) for p in analysis.known_fixed_points()]
-    orbits = None
-    if "sample_orbits" in layers:
-        length = default_max_iterations(params)
-        orbits = [basin.orbit(seed, params, length) for seed in _SAMPLE_ORBIT_SEEDS]
-    return render.render_portrait(
-        spec,
-        grid=grid,
-        segments=segments,
-        heteroclinics=heteroclinics,
-        fixed_points=fixed_points,
-        orbits=orbits,
-    )
+def _fixed_point_records(params: CouplingParams) -> list[analysis.FixedPointRecord]:
+    return [analysis.classify(p, params) for p in analysis.known_fixed_points()]
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,7 @@ __all__ = [
     "BOUNDARY_SNAP_TOL",
     "CouplingParams",
     "normalize_phase",
+    "require_basin_velocity",
     "andronov_step",
     "andronov_fixed_point",
     "omega_field",
@@ -118,25 +119,35 @@ def normalize_phase(phi):
     return np.where(out == TWO_PI, 0.0, out)
 
 
-def andronov_step(v: float, params: CouplingParams) -> float:
-    """One escapement cycle of an isolated clock: sqrt((v - 4*mu)**2 + h**2).
+def require_basin_velocity(v: float, params: CouplingParams, name: str = "v") -> None:
+    """Raise ValueError unless ``v`` is finite and above ``4*mu``: a slower
+    section velocity leaves the limit cycle's basin and the clock stops."""
+    if not math.isfinite(v):
+        raise ValueError(f"{name}={v} is not finite")
+    if v <= 4.0 * params.mu:
+        raise ValueError(f"{name}={v} is outside the limit-cycle basin "
+                         f"(requires {name} > 4*mu = {4.0 * params.mu})")
 
-    Raises ValueError when ``v <= 4*mu``: such an orbit leaves the basin of
-    the limit cycle and the clock stops.
-    """
-    threshold = 4.0 * params.mu
-    if v <= threshold:
-        raise ValueError(
-            f"velocity {v} is outside the limit-cycle basin (requires v > 4*mu = {threshold})"
-        )
-    return math.hypot(v - threshold, params.h)
+
+def andronov_step(v: float, params: CouplingParams) -> float:
+    """One escapement cycle of an isolated clock: sqrt((v - 4*mu)**2 + h**2),
+    for a ``v`` that passes :func:`require_basin_velocity`."""
+    require_basin_velocity(v, params)
+    return math.hypot(v - 4.0 * params.mu, params.h)
 
 
 def andronov_fixed_point(params: CouplingParams) -> float:
-    """Stationary section velocity v_f = h**2 / (8*mu) + 2*mu (needs mu > 0)."""
+    """Stationary section velocity v_f = h**2 / (8*mu) + 2*mu (needs mu > 0
+    and a finite v_f)."""
     if params.mu <= 0.0:
         raise ValueError("the escapement fixed point requires mu > 0")
-    return params.h**2 / (8.0 * params.mu) + 2.0 * params.mu
+    try:
+        vf = params.h**2 / (8.0 * params.mu) + 2.0 * params.mu
+    except OverflowError:
+        vf = math.inf
+    if math.isinf(vf):
+        raise ValueError(f"the escapement fixed point overflows at mu={params.mu}, h={params.h}")
+    return vf
 
 
 def omega_field(p) -> np.ndarray:

@@ -1,7 +1,10 @@
 """Deterministic SVG phase portraits.
 
 The renderer only draws data handed to it by the analysis and basin
-layers; it computes no dynamics of its own.  Output is a plain SVG 1.1
+layers; it computes no dynamics of its own.  A layer is drawn exactly when
+its data is given, so the data is the request and :func:`render_portrait`
+takes no layer names; ``LAYERS`` names the layers for callers that take
+names from outside, such as the command line.  Output is a plain SVG 1.1
 byte stream with fixed-precision coordinates, no timestamps and no
 generated ids, so identical inputs give identical bytes.  The vertical
 axis points up, matching the mathematical convention.
@@ -9,7 +12,6 @@ axis points up, matching the mathematical convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -18,7 +20,7 @@ from .core import TWO_PI
 from .analysis import FixedPointRecord, HeteroclinicOrbit, InvariantSegment
 from .basin import BasinGrid
 
-__all__ = ["LAYERS", "PortraitSpec", "render_portrait"]
+__all__ = ["LAYERS", "render_portrait"]
 
 LAYERS = (
     "basin_background",
@@ -38,25 +40,6 @@ _SCALE = (_SIZE - 2 * _MARGIN) / TWO_PI
 _BACKGROUND = ("#dbe9f6", "#fbe8d3", "#b9b9b9", "#ffffff")
 # Marker fill by fixed-point class; a non-hyperbolic point is drawn as a saddle.
 _MARKER_FILL = {"attractor": "#111111", "repeller": "#ffffff", "saddle": "#808080"}
-
-
-@dataclass(frozen=True)
-class PortraitSpec:
-    """Which layers to draw."""
-
-    layers: tuple[str, ...] = (
-        "basin_background",
-        "invariant_segments",
-        "heteroclinics",
-        "fixed_points",
-    )
-
-    def __post_init__(self) -> None:
-        if not self.layers:
-            raise ValueError("a portrait needs at least one layer")
-        unknown = [name for name in self.layers if name not in LAYERS]
-        if unknown:
-            raise ValueError(f"unknown layers: {unknown}; choose from {LAYERS}")
 
 
 def _x(value: float) -> float:
@@ -111,7 +94,6 @@ def _marker(record: FixedPointRecord) -> str:
 
 
 def render_portrait(
-    spec: PortraitSpec,
     *,
     grid: BasinGrid | None = None,
     segments: Sequence[InvariantSegment] | None = None,
@@ -121,42 +103,33 @@ def render_portrait(
 ) -> str:
     """Assemble the SVG document from precomputed layer data.
 
-    Each requested layer must come with its data; the renderer refuses to
-    compute any of it itself.
+    Each layer whose data is given is drawn, in this order: the basin
+    background (``grid``), the frame of the square, the invariant
+    ``segments``, the ``heteroclinics``, the sample ``orbits`` and the
+    ``fixed_points``.
     """
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{_SIZE}" height="{_SIZE}" viewBox="0 0 {_SIZE} {_SIZE}">',
     ]
-    required = {
-        "basin_background": grid,
-        "invariant_segments": segments,
-        "heteroclinics": heteroclinics,
-        "fixed_points": fixed_points,
-        "sample_orbits": orbits,
-    }
-    for layer in spec.layers:
-        if required[layer] is None:
-            raise ValueError(f"layer {layer!r} requested but no data supplied")
-
-    if "basin_background" in spec.layers:
+    if grid is not None:
         parts.extend(_background_rects(grid))
     # frame of the square
     frame = np.array([(0.0, 0.0), (TWO_PI, 0.0), (TWO_PI, TWO_PI), (0.0, TWO_PI), (0.0, 0.0)])
     parts.append(_polyline(frame, "#000000", "1.0"))
-    if "invariant_segments" in spec.layers:
+    if segments is not None:
         # straight repeller-to-attractor segments in blue
         for seg in segments:
             parts.append(_polyline(seg.point(np.asarray(seg.domain)), "#2457a8", "1.2"))
-    if "heteroclinics" in spec.layers:
+    if heteroclinics is not None:
         # heteroclinic connections in red
         for orb in heteroclinics:
             parts.append(_polyline(orb.samples, "#c81e1e", "1.6"))
-    if "sample_orbits" in spec.layers:
+    if orbits is not None:
         for line in orbits:
             parts.append(_polyline(line, "#3c3c3c", "0.8"))
-    if "fixed_points" in spec.layers:
+    if fixed_points is not None:
         for record in fixed_points:
             parts.append(_marker(record))
     parts.append("</svg>")

@@ -503,6 +503,28 @@ class TestAndronov:
         assert code == 2
         assert "4*mu" in err
 
+    @pytest.mark.parametrize("v0", ["nan", "inf"])
+    def test_non_finite_start_refused(self, capsys, monkeypatch, v0):
+        def refuse(*args, **kwargs):
+            raise AssertionError("stepped a non-finite start")
+
+        monkeypatch.setattr(cli, "andronov_step", refuse)
+        code, out, err = run_cli(capsys, "andronov", "--v0", v0)
+        assert (code, out) == (2, "")
+        assert err == f"triclock: error: v0={float(v0)} is not finite\n"
+
+    def test_fixed_point_underflowing_friction_refused(self, capsys):
+        # h**2 / (8*mu) overflows to inf, which made a -inf column.
+        code, out, err = run_cli(capsys, "andronov", "--mu", "1e-320", "--v0", "5")
+        assert (code, out) == (2, "")
+        assert "the escapement fixed point overflows at mu=1e-320" in err
+
+    def test_fixed_point_overflowing_kick_refused(self, capsys):
+        # h**2 raises OverflowError, which ended in a traceback and exit 1.
+        code, out, err = run_cli(capsys, "andronov", "--h", "1e308", "--v0", "5")
+        assert (code, out) == (2, "")
+        assert "the escapement fixed point overflows at mu=0.1, h=1e+308" in err
+
     def test_negative_steps_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "andronov", "--v0", "5", "--steps", "-1")
         assert (code, out) == (2, "")
@@ -556,8 +578,30 @@ class TestPortrait:
         assert "polyline" in out
 
     def test_unknown_layer_rejected(self, capsys):
-        code, _, _ = run_cli(capsys, "portrait", "--eps", "0.05", "--layers", "bogus")
+        code, _, err = run_cli(capsys, "portrait", "--eps", "0.05", "--layers", "bogus")
         assert code == 2
+        assert f"unknown layers: ['bogus']; choose from {render.LAYERS}" in err
+
+    @pytest.mark.parametrize("layers", ["", " , ,"], ids=["empty", "blank-names"])
+    def test_empty_layers_rejected(self, capsys, layers):
+        code, out, err = run_cli(capsys, "portrait", "--eps", "0.05", "--layers", layers)
+        assert (code, out) == (2, "")
+        assert err == "triclock: error: a portrait needs at least one layer\n"
+
+    @pytest.mark.parametrize("layers", ["fixed_points", "basin_background", "sample_orbits"])
+    @pytest.mark.parametrize("resolution", ["1", "0", "-5"])
+    def test_resolution_below_two_rejected_before_work(self, capsys, monkeypatch, layers,
+                                                        resolution):
+        def refuse(*args, **kwargs):
+            raise AssertionError("computed before the resolution was checked")
+
+        for module, name in ((basin, "rasterize"), (basin, "orbit"), (analysis, "classify"),
+                             (render, "render_portrait")):
+            monkeypatch.setattr(module, name, refuse)
+        code, out, err = run_cli(capsys, "portrait", "--eps", "0.05", "--layers", layers,
+                                 "--resolution", resolution)
+        assert (code, out) == (2, "")
+        assert err == "triclock: error: resolution must be at least 2\n"
 
     def test_only_svg_format(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "portrait", "--eps", "0.05", "--layers", "fixed_points",

@@ -112,6 +112,16 @@ class TestAndronov:
         with pytest.raises(ValueError):
             andronov_step(0.2, p)
 
+    @pytest.mark.parametrize("v", [math.nan, math.inf])
+    def test_non_finite_velocity_refused(self, v):
+        with pytest.raises(ValueError, match="is not finite"):
+            andronov_step(v, CouplingParams(0.0, mu=0.1, h=1.0))
+
+    @pytest.mark.parametrize("mu, h", [(1e-320, 1.0), (0.1, 1e308)])
+    def test_fixed_point_overflow_refused(self, mu, h):
+        with pytest.raises(ValueError, match="overflows"):
+            andronov_fixed_point(CouplingParams(0.0, mu=mu, h=h))
+
     def test_fixed_point_needs_friction(self):
         with pytest.raises(ValueError):
             andronov_fixed_point(CouplingParams(0.0, mu=0.0, h=1.0))

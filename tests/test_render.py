@@ -2,8 +2,10 @@ import pytest
 
 from triclock.analysis import classify, heteroclinic_census, invariant_segments, known_fixed_points
 from triclock.basin import orbit, rasterize
+from triclock import render
+from triclock.cli import main
 from triclock.core import CouplingParams
-from triclock.render import LAYERS, PortraitSpec, render_portrait
+from triclock.render import render_portrait
 
 
 @pytest.fixture(scope="module")
@@ -18,31 +20,33 @@ def portrait_data():
     }
 
 
-class TestPortraitSpec:
-    def test_needs_a_layer(self):
-        with pytest.raises(ValueError):
-            PortraitSpec(layers=())
+# The stroke color of each polyline layer, and the frame's.
+COLORS = {"segments": "#2457a8", "heteroclinics": "#c81e1e", "orbits": "#3c3c3c"}
+FRAME = 'stroke="#000000"'
 
-    def test_rejects_unknown_layer(self):
-        with pytest.raises(ValueError):
-            PortraitSpec(layers=("flow_arrows",))
+
+class TestPortraitSpec:
+    # A portrait is specified by layer names from render.LAYERS; the names
+    # are checked where they arrive, on the command line, before any drawing.
+    def test_rejects_unknown_layer(self, capsys, monkeypatch):
+        def refuse(**kwargs):
+            raise AssertionError("rendered before the layer names were checked")
+
+        monkeypatch.setattr(render, "render_portrait", refuse)
+        code = main(["portrait", "--eps", "0.05", "--layers", "fixed_points,flow_arrows"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert f"unknown layers: ['flow_arrows']; choose from {render.LAYERS}" in captured.err
 
 
 class TestRenderPortrait:
     def test_deterministic_bytes(self, portrait_data):
-        spec = PortraitSpec(layers=LAYERS)
-        one = render_portrait(spec, **portrait_data)
-        two = render_portrait(spec, **portrait_data)
+        one = render_portrait(**portrait_data)
+        two = render_portrait(**portrait_data)
         assert one == two
 
-    def test_refuses_layer_without_data(self, portrait_data):
-        spec = PortraitSpec(layers=("basin_background",))
-        with pytest.raises(ValueError):
-            render_portrait(spec)
-
     def test_document_structure(self, portrait_data):
-        spec = PortraitSpec(layers=LAYERS)
-        svg = render_portrait(spec, **portrait_data)
+        svg = render_portrait(**portrait_data)
         assert svg.startswith('<?xml version="1.0"')
         assert svg.rstrip().endswith("</svg>")
         assert svg.count("<circle") == 11
@@ -53,7 +57,30 @@ class TestRenderPortrait:
         assert "#dbe9f6" in svg and "#fbe8d3" in svg
 
     def test_minimal_layer_set(self, portrait_data):
-        spec = PortraitSpec(layers=("fixed_points",))
-        svg = render_portrait(spec, fixed_points=portrait_data["fixed_points"])
+        svg = render_portrait(fixed_points=portrait_data["fixed_points"])
         assert svg.count("<circle") == 11
         assert "<rect" not in svg
+
+    def test_draws_only_given_layers(self, portrait_data):
+        # No data draws the frame alone; each given layer adds its own marks.
+        bare = render_portrait().splitlines()
+        assert len(bare) == 4 and FRAME in bare[2]
+        for key, color in COLORS.items():
+            svg = render_portrait(**{key: portrait_data[key]})
+            assert color in svg and "<rect" not in svg and "<circle" not in svg
+            assert all(other not in svg for other in COLORS.values() if other != color)
+
+    def test_draw_order(self, portrait_data):
+        # background, frame, segments, heteroclinics, sample orbits, fixed points
+        svg = render_portrait(**portrait_data)
+        marks = ["<rect", FRAME, COLORS["segments"], COLORS["heteroclinics"],
+                 COLORS["orbits"], "<circle"]
+        firsts = [svg.index(mark) for mark in marks]
+        lasts = [svg.rindex(mark) for mark in marks]
+        assert all(last < first for last, first in zip(lasts, firsts[1:]))
+
+    def test_empty_data_draws_no_marks(self):
+        # Given but empty data is a drawn layer with nothing in it.
+        assert render_portrait(segments=(), heteroclinics=(), orbits=[], fixed_points=[]) == (
+            render_portrait()
+        )

@@ -8,10 +8,13 @@ Run from the root of a checkout:
 The sweep runs in this one process, against the checkout's ``src``:
 ``verify`` in text and JSON at 30 couplings spread over [0.01, 0.11),
 ``fixed-points`` in JSON and CSV at 4 couplings and seed grids 16, 33 and
-50, ``portrait`` with all five layers, and ``basins``: in binary and CSV,
-at resolutions 2, 3, 48 and 144 and couplings 0.011, 0.05 and 0.11, each
-with the default settings, ``--tol 0``, ``--max-iter 0`` and
-``--max-iter 1``, plus one binary grid of resolution 200.  Then
+50, ``portrait`` with all five layers, with each layer alone, with the
+rejected ``--layers ''`` and ``--layers bogus`` and with the rejected
+``--resolution 1``, the rejected ``andronov --v0 nan``, and ``basins``:
+in binary and CSV, at resolutions 2, 3, 48 and 144 and couplings 0.011,
+0.05 and 0.11, each with the default settings, ``--tol 0``,
+``--max-iter 0`` and ``--max-iter 1``, plus one binary grid of resolution
+200.  Then
 ``simulate``: seeded ``--random-starts`` in JSON at 2, 3, 4 and 5 clocks
 and three couplings (and in CSV at one), ``--phases`` in radians and with
 ``--deg``, a ``--max-cycles`` run that does not lock, the near-tie starts
@@ -64,8 +67,12 @@ def sweep(readme: str) -> list[list[str]]:
             for fmt in ("json", "csv"):
                 commands.append(["fixed-points", "--eps", eps, "--seed-grid", grid,
                                  "--format", fmt])
-    layers = "basin_background,invariant_segments,heteroclinics,fixed_points,sample_orbits"
-    commands.append(["portrait", "--eps", "0.05", "--resolution", "64", "--layers", layers])
+    layers = ["basin_background", "invariant_segments", "heteroclinics", "fixed_points",
+              "sample_orbits"]
+    for layer in (",".join(layers), *layers, "", "bogus"):
+        commands.append(["portrait", "--eps", "0.05", "--resolution", "64", "--layers", layer])
+    commands.append(["portrait", "--eps", "0.05", "--resolution", "1"])
+    commands.append(["andronov", "--v0", "nan"])
     commands.append(["basins", "--eps", "0.05", "--resolution", "200", "--format", "bin"])
     for fmt in ("bin", "csv"):
         for res in ("2", "3", "48", "144"):
