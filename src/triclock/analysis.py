@@ -14,14 +14,15 @@ certify the global pull toward the splay attractors; their decrement per
 step is evaluated in expanded form to avoid cancellation.
 
 Single orbits run on Python floats: the census traces the 2-D orbits
-through :func:`~triclock.core.three_clock_step_scalar`, and the segment
-orbits and root bisection evaluate the segment drifts with ``math.sin``
-(each drift takes the sine as an argument, so its formula is written once
-for floats and arrays).  The Lyapunov scan keeps its lattice as two 1-D
-coordinate arrays, filters them by region once and evaluates the
-decrement on them directly, in the same operation order as
-:func:`orbital_derivative`, which checks its points and calls the same
-code.
+through :func:`~triclock.core.three_clock_step_scalar` and takes the
+record of the fixed-point row each lands on.  Each segment is a row of
+drift coefficients ``(a, b, c)`` of ``a*sin(t) + b*sin(c*t)``, whose
+drift picks ``math.sin`` for a float, as in the segment orbits and root
+bisection, and ``np.sin`` for an array.  The Lyapunov scan keeps its
+lattice as two 1-D coordinate arrays, filters them by region once and
+evaluates the decrement on them directly, in the same operation order
+as :func:`orbital_derivative`, which checks its points and calls the
+same code.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, Literal
+from typing import Literal
 
 import numpy as np
 
@@ -327,30 +328,38 @@ class InvariantSegment:
     """A straight segment mapped into itself, with its restriction dynamics.
 
     Points are ``origin + t * direction`` for t in ``domain``; the map
-    restricted to the segment reads ``t -> t + eps * drift(t)``.  The drift
-    takes the sine as an optional second argument: ``np.sin`` (the default)
-    for arrays, ``math.sin`` for one Python float, the same value bit for
-    bit without numpy's per-call cost.
+    restricted to the segment reads ``t -> t + eps * drift(t)``, with the
+    drift ``a*sin(t) + b*sin(c*t)`` given by its ``coefficients`` row.  A
+    Python float ``t`` (``np.float64`` included) goes through ``math.sin``
+    and gives a float, anything else through ``np.sin``, bit for bit alike.
     """
 
     name: str
     origin: tuple[float, float]
     direction: tuple[float, float]
     domain: tuple[float, float]
-    drift: Callable[..., np.ndarray]
-    drift_derivative: Callable[[np.ndarray], np.ndarray]
+    coefficients: tuple[float, float, float]
 
     def point(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        o = np.asarray(self.origin)
-        d = np.asarray(self.direction)
-        return o + np.multiply.outer(t, d)
+        return np.asarray(self.origin) + np.multiply.outer(t, self.direction)
 
-    def restriction(self, t, params: CouplingParams) -> np.ndarray:
-        """``t + eps * drift(t)``; a float ``t`` gives a float, not a 0-d array."""
+    def drift(self, t):
+        """``a*sin(t) + b*sin(c*t)``."""
+        a, b, c = self.coefficients
         if isinstance(t, float):
-            return t + params.epsilon * self.drift(t, math.sin)
+            return a * math.sin(t) + b * math.sin(c * t)
         t = np.asarray(t, dtype=float)
+        return a * np.sin(t) + b * np.sin(c * t)
+
+    def drift_derivative(self, t) -> np.ndarray:
+        """``a*cos(t) + (b*c)*cos(c*t)``."""
+        a, b, c = self.coefficients
+        t = np.asarray(t, dtype=float)
+        return a * np.cos(t) + (b * c) * np.cos(c * t)
+
+    def restriction(self, t, params: CouplingParams):
+        """``t + eps * drift(t)``; a float ``t`` gives a float, not a 0-d array."""
         return t + params.epsilon * self.drift(t)
 
 
@@ -378,36 +387,21 @@ class InvarianceCheck:
         return broke
 
 
-def _g_drift(t, sin=np.sin):
-    return 3.0 * sin(t)
-
-
-def _g_drift_deriv(t):
-    return 3.0 * np.cos(t)
-
-
-def _h1_drift(t, sin=np.sin):
-    return sin(t) + sin(2.0 * t)
-
-
-def _h1_drift_deriv(t):
-    return np.cos(t) + 2.0 * np.cos(2.0 * t)
-
-
-def _h2_drift(t, sin=np.sin):
-    return 2.0 * sin(t) - 2.0 * sin(0.5 * t)
-
-
-def _h2_drift_deriv(t):
-    return 2.0 * np.cos(t) - np.cos(0.5 * t)
-
-
-def _d2_drift(t, sin=np.sin):
-    return 2.0 * sin(t) + 2.0 * sin(0.5 * t)
-
-
-def _d2_drift_deriv(t):
-    return 2.0 * np.cos(t) + np.cos(0.5 * t)
+# 2*sin(t) + sin(t) rounds once, to 3.0*sin(t), and x + (-2)*y is x - 2*y:
+# each row gives its drift as written in invariant_segments, bit for bit.
+_EDGE, _CHORD = (2.0, 1.0, 1.0), (1.0, 1.0, 2.0)
+_SEGMENTS = (
+    InvariantSegment("s0", (0.0, 0.0), (0.0, 1.0), (0.0, TWO_PI), _EDGE),
+    InvariantSegment("s1", (TWO_PI, 0.0), (0.0, 1.0), (0.0, TWO_PI), _EDGE),
+    InvariantSegment("r0", (0.0, 0.0), (1.0, 0.0), (0.0, TWO_PI), _EDGE),
+    InvariantSegment("r1", (0.0, TWO_PI), (1.0, 0.0), (0.0, TWO_PI), _EDGE),
+    InvariantSegment("diag", (0.0, 0.0), (1.0, 1.0), (0.0, TWO_PI), _EDGE),
+    InvariantSegment("anti_diag", (0.0, TWO_PI), (1.0, -1.0), (0.0, TWO_PI), _CHORD),
+    InvariantSegment("d1", (0.0, _PI), (1.0, 0.5), (0.0, _THIRD), (2.0, -2.0, 0.5)),
+    InvariantSegment("c1", (0.0, 0.0), (1.0, 2.0), (_THIRD, _PI), _CHORD),
+    InvariantSegment("c2", (0.0, -TWO_PI), (1.0, 2.0), (_PI, 2.0 * _THIRD), _CHORD),
+    InvariantSegment("d2", (0.0, 0.0), (1.0, 0.5), (2.0 * _THIRD, TWO_PI), (2.0, 2.0, 0.5)),
+)
 
 
 def invariant_segments() -> tuple[InvariantSegment, ...]:
@@ -417,26 +411,9 @@ def invariant_segments() -> tuple[InvariantSegment, ...]:
     anti-diagonal and the two chords through each splay point carry
     t + eps*(sin t + sin 2t); the remaining half-slope segments carry
     t + 2*eps*(sin t -+ sin(t/2)), the lower one being the mirror image of
-    the upper one.
+    the upper one.  One tuple, built at import.
     """
-    return (
-        InvariantSegment("s0", (0.0, 0.0), (0.0, 1.0), (0.0, TWO_PI), _g_drift, _g_drift_deriv),
-        InvariantSegment("s1", (TWO_PI, 0.0), (0.0, 1.0), (0.0, TWO_PI), _g_drift, _g_drift_deriv),
-        InvariantSegment("r0", (0.0, 0.0), (1.0, 0.0), (0.0, TWO_PI), _g_drift, _g_drift_deriv),
-        InvariantSegment("r1", (0.0, TWO_PI), (1.0, 0.0), (0.0, TWO_PI), _g_drift, _g_drift_deriv),
-        InvariantSegment("diag", (0.0, 0.0), (1.0, 1.0), (0.0, TWO_PI), _g_drift, _g_drift_deriv),
-        InvariantSegment(
-            "anti_diag", (0.0, TWO_PI), (1.0, -1.0), (0.0, TWO_PI), _h1_drift, _h1_drift_deriv
-        ),
-        InvariantSegment("d1", (0.0, _PI), (1.0, 0.5), (0.0, _THIRD), _h2_drift, _h2_drift_deriv),
-        InvariantSegment("c1", (0.0, 0.0), (1.0, 2.0), (_THIRD, _PI), _h1_drift, _h1_drift_deriv),
-        InvariantSegment(
-            "c2", (0.0, -TWO_PI), (1.0, 2.0), (_PI, 2.0 * _THIRD), _h1_drift, _h1_drift_deriv
-        ),
-        InvariantSegment(
-            "d2", (0.0, 0.0), (1.0, 0.5), (2.0 * _THIRD, TWO_PI), _d2_drift, _d2_drift_deriv
-        ),
-    )
+    return _SEGMENTS
 
 
 def restriction_fixed_points(segment: InvariantSegment) -> np.ndarray:
@@ -446,9 +423,8 @@ def restriction_fixed_points(segment: InvariantSegment) -> np.ndarray:
     within rounding of a root count directly, which catches the domain
     endpoints.
     """
-    a, b = segment.domain
-    t = np.linspace(a, b, 4097)
-    q = np.asarray(segment.drift(t), dtype=float)
+    t = np.linspace(*segment.domain, 4097)
+    q = segment.drift(t)
     roots: list[float] = [float(t[i]) for i in np.flatnonzero(np.abs(q) < 1e-13)]
     sign_change = np.flatnonzero(q[:-1] * q[1:] < 0.0)
     for i in sign_change:
@@ -456,7 +432,7 @@ def restriction_fixed_points(segment: InvariantSegment) -> np.ndarray:
         qlo = float(q[i])
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            qm = segment.drift(mid, math.sin)
+            qm = segment.drift(mid)
             if qm == 0.0:
                 lo = hi = mid
                 break
@@ -487,8 +463,7 @@ def verify_invariance(
     params.require_analysis_range()
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    a, b = segment.domain
-    t = np.linspace(a, b, samples)
+    t = np.linspace(*segment.domain, samples)
     pts = segment.point(t)
     img = three_clock_step(pts, params)
     dx, dy = segment.direction
@@ -497,7 +472,7 @@ def verify_invariance(
     # exactly on the segment, unlike a projection-based residual.
     dev = np.abs(dy * w[:, 0] - dx * w[:, 1]) / math.hypot(dx, dy)
     worst = int(np.argmax(dev))
-    slope = 1.0 + params.epsilon * np.asarray(segment.drift_derivative(t), dtype=float)
+    slope = 1.0 + params.epsilon * segment.drift_derivative(t)
     restricted = segment.restriction(t, params)
     monotone = bool(np.all(np.diff(restricted) > 0.0) and np.all(slope > 0.0))
     max_dev = float(dev[worst])
@@ -520,8 +495,11 @@ class HeteroclinicOrbit:
 
     source: FixedPointRecord
     target: FixedPointRecord
-    kind: str  # sa | rs | ra (source/target class initials)
+    kind: str = field(init=False)  # sa | rs | ra (source/target class initials)
     samples: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "kind", _orbit_kind(self.source, self.target))
 
 
 @dataclass(frozen=True)
@@ -565,16 +543,13 @@ def trace_heteroclinic(
     the square and RuntimeError when the iteration budget
     (:func:`~triclock.core.default_max_iterations`) runs out without capture.
     """
-    return _trace(source, direction, params, lambda p: classify(p, params))
+    samples, j = _trace(source, direction, params)
+    return HeteroclinicOrbit(source, classify(np.array(_FIXED_XY[j]), params), samples)
 
 
-def _trace(
-    source: FixedPointRecord,
-    direction,
-    params: CouplingParams,
-    classify_at: Callable[[np.ndarray], FixedPointRecord],
-) -> HeteroclinicOrbit:
-    """:func:`trace_heteroclinic`, classifying the captured fixed point with ``classify_at``."""
+def _trace(source: FixedPointRecord, direction, params: CouplingParams) -> tuple[np.ndarray, int]:
+    """:func:`trace_heteroclinic`'s orbit samples, and the row of ``_FIXED_POINTS``
+    the orbit lands on."""
     params.require_analysis_range()
     max_iter = default_max_iterations(params)
     v = np.asarray(direction, dtype=float)
@@ -606,13 +581,7 @@ def _trace(
         nearest = min(dists)
         j = dists.index(nearest)  # the first minimum, as np.argmin
         if nearest <= CAPTURE_TOL and off_source[j]:
-            target = classify_at(np.array(fp_xy[j]))
-            return HeteroclinicOrbit(
-                source=source,
-                target=target,
-                kind=_orbit_kind(source, target),
-                samples=np.array(samples),
-            )
+            return np.array(samples), j
     raise RuntimeError(
         f"no fixed point captured within {max_iter} iterations from "
         f"{source.location}; last point {np.array((x, y))}"
@@ -620,15 +589,10 @@ def _trace(
 
 
 def _segment_orbit(
-    segment: InvariantSegment,
-    source: FixedPointRecord,
-    target: FixedPointRecord,
-    t_src: float,
-    t_dst: float,
-    params: CouplingParams,
-) -> HeteroclinicOrbit:
-    """Heteroclinic running inside a segment from ``source`` (at ``t_src``)
-    to ``target`` (at ``t_dst``), built from its restriction map."""
+    segment: InvariantSegment, t_src: float, t_dst: float, params: CouplingParams
+) -> np.ndarray:
+    """Samples of the heteroclinic running inside a segment from its fixed
+    point at ``t_src`` to the one at ``t_dst``, built from its restriction map."""
     t = t_src + math.copysign(SEED_STEP, t_dst - t_src)
     ts = [t]
     for _ in range(default_max_iterations(params)):
@@ -638,12 +602,7 @@ def _segment_orbit(
             break
     else:
         raise RuntimeError(f"restriction orbit on {segment.name} failed to land")
-    return HeteroclinicOrbit(
-        source=source,
-        target=target,
-        kind=_orbit_kind(source, target),
-        samples=segment.point(np.asarray(ts)),
-    )
+    return segment.point(np.asarray(ts))
 
 
 def heteroclinic_census(params: CouplingParams) -> HeteroclinicCensus:
@@ -677,18 +636,20 @@ def heteroclinic_census(params: CouplingParams) -> HeteroclinicCensus:
                 seed = rec.location + SEED_STEP * sign * u
                 if not bool(in_square(seed)):
                     continue
-                orbits.append(_trace(rec, sign * u, params, classify_at))
+                samples, j = _trace(rec, sign * u, params)
+                orbits.append(HeteroclinicOrbit(rec, records[j], samples))
     for segment in invariant_segments():
         fps_t = restriction_fixed_points(segment)
         for t0, t1 in zip(fps_t[:-1], fps_t[1:]):
-            qm = float(segment.drift(0.5 * (t0 + t1)))
+            qm = segment.drift(0.5 * (t0 + t1))
             if qm == 0.0:
                 continue
             t_src, t_dst = (float(t0), float(t1)) if qm > 0.0 else (float(t1), float(t0))
             source = classify_at(segment.point(t_src))
             target = classify_at(segment.point(t_dst))
             if _orbit_kind(source, target) != "sa":  # sa orbits were already found by tracing
-                orbits.append(_segment_orbit(segment, source, target, t_src, t_dst, params))
+                samples = _segment_orbit(segment, t_src, t_dst, params)
+                orbits.append(HeteroclinicOrbit(source, target, samples))
     counts: dict[str, int] = {}
     for orbit in orbits:
         counts[orbit.kind] = counts.get(orbit.kind, 0) + 1

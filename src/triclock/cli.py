@@ -5,14 +5,16 @@ Subcommands: ``step``, ``fixed-points``, ``basins``, ``simulate``,
 output formats (default first) and options; both the parser and the config
 file layer (flat ``key = value`` lines; any option but ``--config``, by its
 long name, and no other key) are built from it.  ``main`` resolves every
-option (command line > config file > declared default) and rejects an
-unknown ``--format`` before the handler does any work; the handler returns
-one writer per format, and one function (``_write``) puts the chosen one on
-stdout or ``--out``, and a kick trace on ``--trace-out``.  ``portrait``
-checks its ``--layers`` names against ``render.LAYERS`` and passes the
-renderer data for the named layers only; the renderer draws what it is
-given.  Exit codes: 0 success, 1 I/O or check failure, 2 usage or
-validation failure.  ``TRICLOCK_OUTDIR`` redirects relative output paths.
+option (command line > config file > declared default), taking a number
+after a numeric flag as its value even when it reads like a flag
+(``--x -1e-3``), and rejects an unknown ``--format`` before the handler
+does any work; the handler returns one writer per format, and one
+function (``_write``) puts the chosen one on stdout or ``--out``, and a
+kick trace on ``--trace-out``.  ``portrait`` checks its ``--layers``
+names against ``render.LAYERS`` and passes the renderer data for the
+named layers only; the renderer draws what it is given.  Exit codes: 0
+success, 1 I/O or check failure, 2 usage or validation failure.
+``TRICLOCK_OUTDIR`` redirects relative output paths.
 """
 
 from __future__ import annotations
@@ -527,8 +529,28 @@ def _resolve(args: argparse.Namespace) -> None:
         setattr(args, key.replace("-", "_"), default if value is None else value)
 
 
+def _join_numbers(argv: list[str]) -> list[str]:
+    """``argv`` with each ``int`` or ``float`` flag of its command joined to a following
+    argument that ``float`` reads (``--x=-1e-3``), which argparse takes for a flag."""
+    command = next((a for a in argv if a in _COMMANDS), None)
+    numeric = {f for flags, kind, _, _ in _options(command) if kind in (int, float)
+               for f in flags.split()} if command else set()
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in numeric:
+            try:
+                float(arg)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + arg
+                continue
+        out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_join_numbers(sys.argv[1:] if argv is None else argv))
     _, handler, formats, _ = _COMMANDS[args.command]
     try:
         _resolve(args)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from triclock import analysis
 from triclock.analysis import (
+    HeteroclinicOrbit,
     _dedupe_roots,
     _newton_on_drift,
     classify,
@@ -39,6 +40,9 @@ LOWER_ATTRACTOR = np.array([2 * THIRD, THIRD])
 
 def params(eps=0.05):
     return CouplingParams(epsilon=eps)
+
+
+SEGMENT_NAMES = ["s0", "s1", "r0", "r1", "diag", "anti_diag", "d1", "c1", "c2", "d2"]
 
 
 def segment_by_name(name):
@@ -221,7 +225,7 @@ class TestClassify:
 class TestInvariantSegments:
     def test_ten_segments(self):
         names = [s.name for s in invariant_segments()]
-        assert names == ["s0", "s1", "r0", "r1", "diag", "anti_diag", "d1", "c1", "c2", "d2"]
+        assert names == SEGMENT_NAMES
 
     def test_segment_geometry(self):
         d1 = segment_by_name("d1")
@@ -234,9 +238,7 @@ class TestInvariantSegments:
         assert np.allclose(d2.point(TWO_PI), [TWO_PI, PI])
 
     @pytest.mark.parametrize("eps", [0.05, 0.1])
-    @pytest.mark.parametrize(
-        "name", ["s0", "s1", "r0", "r1", "diag", "anti_diag", "d1", "c1", "c2", "d2"]
-    )
+    @pytest.mark.parametrize("name", SEGMENT_NAMES)
     def test_invariance_at_thousand_samples(self, name, eps):
         check = verify_invariance(segment_by_name(name), params(eps), samples=1000)
         assert check.passed, (check.name, check.max_deviation)
@@ -254,7 +256,7 @@ class TestInvariantSegments:
 
     @settings(deadline=None, max_examples=300)
     @given(
-        name=st.sampled_from(["s0", "anti_diag", "d1", "d2"]),  # one segment per drift
+        name=st.sampled_from(SEGMENT_NAMES),
         t=st.one_of(st.floats(0.0, TWO_PI), st.floats(-100.0, 100.0)),  # every domain, and beyond
         eps=st.floats(1e-8, 1 / 9, exclude_min=True, exclude_max=True),
     )
@@ -263,12 +265,39 @@ class TestInvariantSegments:
         # root scan evaluate arrays through np.sin.  Both must be one function.
         seg = segment_by_name(name)
         one = np.array([t])
-        value = seg.drift(t, math.sin)
+        value = seg.drift(t)
         assert type(value) is float
         assert np.array([value]).tobytes() == seg.drift(one).tobytes()
         stepped = seg.restriction(t, params(eps))
         assert type(stepped) is float
         assert np.array([stepped]).tobytes() == seg.restriction(one, params(eps)).tobytes()
+
+    def test_coefficient_rows_give_the_written_out_drifts(self):
+        # The drifts and their derivatives as they were written out, one
+        # function each, before the segments became rows of (a, b, c); each
+        # drift took the sine as an argument.
+        written = {
+            "g": (lambda t, sin: 3.0 * sin(t), lambda t: 3.0 * np.cos(t)),
+            "h1": (lambda t, sin: sin(t) + sin(2.0 * t),
+                   lambda t: np.cos(t) + 2.0 * np.cos(2.0 * t)),
+            "h2": (lambda t, sin: 2.0 * sin(t) - 2.0 * sin(0.5 * t),
+                   lambda t: 2.0 * np.cos(t) - np.cos(0.5 * t)),
+            "d2": (lambda t, sin: 2.0 * sin(t) + 2.0 * sin(0.5 * t),
+                   lambda t: 2.0 * np.cos(t) + np.cos(0.5 * t)),
+        }
+        family = {"s0": "g", "s1": "g", "r0": "g", "r1": "g", "diag": "g",
+                  "anti_diag": "h1", "c1": "h1", "c2": "h1", "d1": "h2", "d2": "d2"}
+        for seg in invariant_segments():
+            drift, derivative = written[family[seg.name]]
+            lo, hi = seg.domain
+            t = np.concatenate((np.linspace(lo, hi, 100_001), [-0.0, 0.0, 5e-324, -5e-324]))
+            assert seg.drift(t).tobytes() == drift(t, np.sin).tobytes(), seg.name
+            assert seg.drift_derivative(t).tobytes() == derivative(t).tobytes(), seg.name
+            for v in [float(v) for v in t[::97]] + [-0.0, 5e-324, -5e-324]:
+                got, want = seg.drift(v), drift(v, math.sin)
+                assert type(got) is float
+                assert math.copysign(1.0, got) == math.copysign(1.0, want), (seg.name, v)
+                assert got == want, (seg.name, v)
 
     def test_restriction_matches_map_on_segment(self):
         p = params(0.08)
@@ -392,6 +421,24 @@ class TestHeteroclinicCensus:
             elif np.max(np.abs(x - y)) < 1e-9:
                 on_diag += 1
         assert on_edges == 8 and on_diag == 2
+
+    def test_each_location_is_classified_once(self, monkeypatch):
+        # The eleven fixed points, and three segment endpoints whose floats
+        # differ from the table's: the traced orbits add no classification.
+        real = analysis.classify
+        calls = []
+        monkeypatch.setattr(analysis, "classify", lambda loc, p: calls.append(1) or real(loc, p))
+        assert heteroclinic_census(params()).counts == {"sa": 6, "rs": 10, "ra": 2}
+        assert len(calls) == 14
+
+    def test_kind_comes_from_the_endpoints(self, census):
+        orbit = census.orbits[0]
+        assert HeteroclinicOrbit(orbit.target, orbit.source, orbit.samples).kind == "as"
+        with pytest.raises(TypeError):
+            HeteroclinicOrbit(orbit.source, orbit.target, "sa", orbit.samples)
+        with pytest.raises(TypeError):
+            HeteroclinicOrbit(source=orbit.source, target=orbit.target, kind="sa",
+                              samples=orbit.samples)
 
     def test_repeller_to_attractor_orbits_on_anti_diagonal(self, census):
         ra = [o for o in census.orbits if o.kind == "ra"]

@@ -78,6 +78,20 @@ class TestStep:
         assert out == ""
         assert "outside the square" in err
 
+    def test_separate_negative_exponent_reaches_the_square_check(self, capsys):
+        # argparse alone reads a separate "-1e-3" as an unknown flag.
+        code, out, err = run_cli(capsys, "step", "--eps", "0.05", "--x", "-1e-3", "--y", "1")
+        assert (code, out) == (2, "")
+        assert err == "triclock: error: point (-0.001, 1.0) outside the square\n"
+
+    def test_non_numeric_value_is_still_a_parser_error(self, capsys):
+        for value, message in (("--y", "expected one argument"),
+                               ("abc", "invalid float value: 'abc'")):
+            with pytest.raises(SystemExit) as exc:
+                main(["step", "--eps", "0.05", "--x", value, "--y", "1"])
+            assert exc.value.code == 2
+            assert f"argument --x: {message}" in capsys.readouterr().err
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "step", "--x", "1.0", "--y", "2.0", "--eps", "0.05", "-n", "3",
@@ -512,6 +526,17 @@ class TestAndronov:
         code, out, err = run_cli(capsys, "andronov", "--v0", v0)
         assert (code, out) == (2, "")
         assert err == f"triclock: error: v0={float(v0)} is not finite\n"
+
+    def test_separate_negative_infinity_reaches_the_finite_check(self, capsys):
+        code, out, err = run_cli(capsys, "andronov", "--v0", "-inf")
+        assert (code, out) == (2, "")
+        assert err == "triclock: error: v0=-inf is not finite\n"
+
+    def test_separate_negative_exponent_reaches_the_basin_check(self, capsys):
+        code, out, err = run_cli(capsys, "andronov", "--v0", "-1e-3")
+        assert (code, out) == (2, "")
+        assert err == ("triclock: error: v0=-0.001 is outside the limit-cycle basin "
+                       "(requires v0 > 4*mu = 0.4)\n")
 
     def test_fixed_point_underflowing_friction_refused(self, capsys):
         # h**2 / (8*mu) overflows to inf, which made a -inf column.

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from triclock import events
-from triclock.core import TWO_PI, CouplingParams, json_data, three_clock_step
+from triclock.core import TWO_PI, CouplingParams, json_data, normalize_phase, three_clock_step
 from triclock.events import (
     ClockEnsemble,
     KickEvent,
@@ -215,6 +215,42 @@ class TestOracleAgreement:
                 worst = max(worst, float(np.max(np.abs(sim - mapped))))
             errs.append(worst)
         assert 3.5 <= errs[0] / errs[1] <= 4.5
+
+    @pytest.mark.parametrize("eps", [0.04, 0.02, 0.01, 0.005])
+    def test_splay_multipliers_match_the_closed_form(self, eps):
+        """The oracle's multipliers at the splay (2*pi/3, 4*pi/3) are
+        1 - (3/2)*eps + 3*eps**2 and 1 - (3/2)*eps + (3/4)*eps**2, up to
+        O(eps**3), and so exclude the paper's 1 - (3*sqrt(3)/2)*eps.
+
+        Near the splay with x < y the kick order is fixed: the reference,
+        then clock 2, then clock 1.  With k(p) = p + eps*sin(p), the cycle
+        from (0, x, y) is, in sympy::
+
+            r, a, b = 0, k(x), k(y)
+            s = 2*pi - b; r, a, b = k(r + s), k(a + s), 0
+            s = 2*pi - a; r, a, b = k(r + s), 0, k(b + s)
+            X, Y = a - r, b - r
+
+        The Jacobian of (X, Y) at the splay, expanded to eps**2, is
+        [[1 - 3*eps/2 + 3*eps**2, -9*eps**2/4], [0, 1 - 3*eps/2 + 3*eps**2/4]];
+        its diagonal gives the multipliers.  Central differences of one
+        cycle with h = 1e-6 put (measured - closed form) / eps**3 between
+        -2.2 and 0.7 over the couplings tested here.
+        """
+        p = CouplingParams(epsilon=eps)
+
+        def cycle(x, y):
+            return difference_vector(run_cycle(ClockEnsemble(np.array([0.0, x, y]), p),
+                                               record=False).end_state)
+
+        h, x0, y0 = 1e-6, TWO_PI / 3, 2 * TWO_PI / 3
+        J = np.column_stack(((cycle(x0 + h, y0) - cycle(x0 - h, y0)) / (2 * h),
+                             (cycle(x0, y0 + h) - cycle(x0, y0 - h)) / (2 * h)))
+        measured = np.sort(np.linalg.eigvals(J).real)
+        closed = np.array([1 - 1.5 * eps + 0.75 * eps**2, 1 - 1.5 * eps + 3 * eps**2])
+        assert np.all(np.abs(measured - closed) <= 3 * eps**3), (measured - closed) / eps**3
+        paper = 1 - (3 * math.sqrt(3) / 2) * eps
+        assert np.all(np.abs(measured - paper) > 3 * eps**3)
 
 
 class TestPhaseDifferences:
@@ -561,6 +597,29 @@ class TestCycleKernelOracle:
         rounding error is at most half an ulp of 2*pi, and 2*pi is even, so
         the sum rounds back to it."""
         assert p + (TWO_PI - p) == TWO_PI
+
+
+# Floats of every size, whole turns and their neighbours, tiny values of
+# either sign and signed zeros.
+_turns = st.integers(-10**6, 10**6).map(lambda k: k * TWO_PI)
+wrap_inputs = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e-15, 1e-15),
+    _turns,
+    _turns.map(lambda p: math.nextafter(p, math.inf)),
+    _turns.map(lambda p: math.nextafter(p, -math.inf)),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, TWO_PI, -TWO_PI, 1e300, -1e300,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+)
+
+
+@settings(deadline=None, max_examples=500)
+@given(psi=st.lists(wrap_inputs, min_size=1, max_size=12))
+@example(psi=[-0.0, 5e-324, -5e-324, TWO_PI, -TWO_PI, -1e-17, 2.0**60 * TWO_PI])
+def test_the_simulators_wrap_is_normalize_phase(psi):
+    """The cycle kernel wraps Python floats with ``%``; that must be
+    :func:`~triclock.core.normalize_phase`, bit for bit."""
+    assert np.array(events._wrapped(psi)).tobytes() == normalize_phase(np.array(psi)).tobytes()
 
 
 class TestGaps:

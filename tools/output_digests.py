@@ -10,7 +10,9 @@ The sweep runs in this one process, against the checkout's ``src``:
 ``fixed-points`` in JSON and CSV at 4 couplings and seed grids 16, 33 and
 50, ``portrait`` with all five layers, with each layer alone, with the
 rejected ``--layers ''`` and ``--layers bogus`` and with the rejected
-``--resolution 1``, the rejected ``andronov --v0 nan``, and ``basins``:
+``--resolution 1``, the rejected ``andronov --v0 nan``, the negative
+values ``step --x -1e-3`` (as a separate argument and as ``--x=-1e-3``),
+``andronov --v0 -inf`` and ``andronov --v0 -1e-3``, and ``basins``:
 in binary and CSV, at resolutions 2, 3, 48 and 144 and couplings 0.011,
 0.05 and 0.11, each with the default settings, ``--tol 0``,
 ``--max-iter 0`` and ``--max-iter 1``, plus one binary grid of resolution
@@ -26,7 +28,8 @@ Each command runs in an empty temporary directory, with
 ``TRICLOCK_OUTDIR`` unset.  OUTFILE gets one line per command: one sha256
 of its standard output, its standard error and every file it left in that
 directory (name and bytes, in sorted name order), then its exit code and
-the command itself.  Running the script in two checkouts and comparing
+the command itself; a command that ends in argparse's usage error records
+that exit code.  Running the script in two checkouts and comparing
 the two OUTFILEs with ``diff`` shows whether a change altered any of
 those bytes.
 """
@@ -73,6 +76,10 @@ def sweep(readme: str) -> list[list[str]]:
         commands.append(["portrait", "--eps", "0.05", "--resolution", "64", "--layers", layer])
     commands.append(["portrait", "--eps", "0.05", "--resolution", "1"])
     commands.append(["andronov", "--v0", "nan"])
+    commands.append(["step", "--eps", "0.05", "--x", "-1e-3", "--y", "1"])
+    commands.append(["step", "--eps", "0.05", "--x=-1e-3", "--y", "1"])
+    commands.append(["andronov", "--v0", "-inf"])
+    commands.append(["andronov", "--v0", "-1e-3"])
     commands.append(["basins", "--eps", "0.05", "--resolution", "200", "--format", "bin"])
     for fmt in ("bin", "csv"):
         for res in ("2", "3", "48", "144"):
@@ -110,7 +117,10 @@ def run(main, args: list[str]) -> tuple[str, int]:
         os.chdir(tmp)
         try:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(args)
+                try:
+                    code = main(args)
+                except SystemExit as exc:  # argparse's usage errors
+                    code = exc.code
         finally:
             os.chdir(cwd)
         files = sorted((path.relative_to(tmp).as_posix(), path.read_bytes())
