@@ -23,14 +23,26 @@ lattice as two 1-D coordinate arrays, filters them by region once and
 evaluates the decrement on them directly, in the same operation order
 as :func:`orbital_derivative`, which checks its points and calls the
 same code.
+
+The swap ``(x, y) -> (y, x)`` commutes with the map bit for bit, and
+the work of ``verify`` is done once per mirror pair.  The census traces
+3 of its 6 saddle orbits: a seed that is the exact mirror of a traced
+one takes the traced samples with swapped columns (a seed that misses
+its mirror by a rounding is traced).  It iterates 4 of its 12 segment
+orbits, since the restriction map depends only on a segment's
+coefficient row.  The lower Lyapunov scan is the upper one mirrored: the
+decrement at ``(y, x)`` in the lower triangle equals the upper one at
+``(x, y)`` bit for bit, so the last upper scan's maximum and zero set
+are kept for it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Literal
+from typing import Any, Callable, Literal
 
 import numpy as np
 
@@ -104,6 +116,8 @@ _FIXED_POINTS = np.array([
 _FIXED_POINTS.flags.writeable = False
 _FIXED_XY = [(float(fx), float(fy)) for fx, fy in _FIXED_POINTS]
 _FIXED_X = sorted({fx for fx, _ in _FIXED_XY})
+# The row of each fixed point's mirror image (fy, fx).
+_MIRROR_ROW = tuple(_FIXED_XY.index((fy, fx)) for fx, fy in _FIXED_XY)
 # Each triangle's Lyapunov function is centered on its splay point.
 _CENTERS: dict[str, tuple[float, float]] = {"upper": _FIXED_XY[1], "lower": _FIXED_XY[2]}
 
@@ -345,12 +359,15 @@ class InvariantSegment:
         return np.asarray(self.origin) + np.multiply.outer(t, self.direction)
 
     def drift(self, t):
-        """``a*sin(t) + b*sin(c*t)``."""
+        """``a*sin(t) + b*sin(c*t)``; for ``c == 1`` the one sine serves both
+        terms, since ``1.0*t == t`` exactly."""
         a, b, c = self.coefficients
         if isinstance(t, float):
-            return a * math.sin(t) + b * math.sin(c * t)
-        t = np.asarray(t, dtype=float)
-        return a * np.sin(t) + b * np.sin(c * t)
+            sin = math.sin
+        else:
+            sin, t = np.sin, np.asarray(t, dtype=float)
+        s = sin(t)
+        return a * s + b * (s if c == 1.0 else sin(c * t))
 
     def drift_derivative(self, t) -> np.ndarray:
         """``a*cos(t) + (b*c)*cos(c*t)``."""
@@ -543,28 +560,35 @@ def trace_heteroclinic(
     the square and RuntimeError when the iteration budget
     (:func:`~triclock.core.default_max_iterations`) runs out without capture.
     """
-    samples, j = _trace(source, direction, params)
+    params.require_analysis_range()
+    seed = _seed_point(source, direction)
+    if not bool(in_square(seed)):
+        raise ValueError("seed point leaves the square; try the opposite sign")
+    samples, j = _trace(source, seed, params)
     return HeteroclinicOrbit(source, classify(np.array(_FIXED_XY[j]), params), samples)
 
 
-def _trace(source: FixedPointRecord, direction, params: CouplingParams) -> tuple[np.ndarray, int]:
-    """:func:`trace_heteroclinic`'s orbit samples, and the row of ``_FIXED_POINTS``
-    the orbit lands on."""
-    params.require_analysis_range()
-    max_iter = default_max_iterations(params)
+def _seed_point(source: FixedPointRecord, direction) -> np.ndarray:
+    """``source + SEED_STEP * direction``, the direction unit-normalized."""
     v = np.asarray(direction, dtype=float)
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
         raise ValueError("direction must be nonzero")
-    p = np.asarray(source.location, dtype=float) + SEED_STEP * (v / norm)
-    if not bool(in_square(p)):
-        raise ValueError("seed point leaves the square; try the opposite sign")
+    return np.asarray(source.location, dtype=float) + SEED_STEP * (v / norm)
+
+
+def _trace(source: FixedPointRecord, seed: np.ndarray, params: CouplingParams
+           ) -> tuple[np.ndarray, int]:
+    """The samples of the orbit from ``seed`` (in the square) that
+    :func:`trace_heteroclinic` follows, and the row of ``_FIXED_POINTS`` it
+    lands on."""
+    max_iter = default_max_iterations(params)
     fp_xy, fp_x = _FIXED_XY, _FIXED_X
     src_x, src_y = (float(v) for v in source.location)
     last = len(fp_x) - 1
     off_source = [max(abs(fx - src_x), abs(fy - src_y)) > CAPTURE_TOL for fx, fy in fp_xy]
     eps = params.epsilon
-    x, y = float(p[0]), float(p[1])
+    x, y = float(seed[0]), float(seed[1])
     samples = [(x, y)]
     for _ in range(max_iter):
         x, y = three_clock_step_scalar(x, y, eps)
@@ -588,21 +612,19 @@ def _trace(source: FixedPointRecord, direction, params: CouplingParams) -> tuple
     )
 
 
-def _segment_orbit(
+def _restriction_orbit(
     segment: InvariantSegment, t_src: float, t_dst: float, params: CouplingParams
-) -> np.ndarray:
-    """Samples of the heteroclinic running inside a segment from its fixed
-    point at ``t_src`` to the one at ``t_dst``, built from its restriction map."""
+) -> list[float]:
+    """Parameters of the heteroclinic running inside a segment from its fixed
+    point at ``t_src`` to the one at ``t_dst``, iterated by its restriction map."""
     t = t_src + math.copysign(SEED_STEP, t_dst - t_src)
     ts = [t]
     for _ in range(default_max_iterations(params)):
         t = segment.restriction(t, params)
         ts.append(t)
         if abs(t - t_dst) <= CAPTURE_TOL:
-            break
-    else:
-        raise RuntimeError(f"restriction orbit on {segment.name} failed to land")
-    return segment.point(np.asarray(ts))
+            return ts
+    raise RuntimeError(f"restriction orbit on {segment.name} failed to land")
 
 
 def heteroclinic_census(params: CouplingParams) -> HeteroclinicCensus:
@@ -614,32 +636,49 @@ def heteroclinic_census(params: CouplingParams) -> HeteroclinicCensus:
     and are enumerated from the segment restriction dynamics; a segment
     orbit is not built when its endpoints make it saddle-to-attractor,
     since tracing has already found that connection.
+
+    The map commutes with the swap ``(x, y) -> (y, x)`` bit for bit, and so
+    does the capture test, so a seed that is the exact mirror of a traced
+    one gets the traced samples with their columns swapped, landing on the
+    mirror fixed point; any other seed is traced.  The restriction map
+    depends only on a segment's coefficient row, so its roots are found
+    once per row and domain, and its orbits once per row and pair of end
+    parameters.
     """
     params.require_analysis_range()
-    classified: dict[bytes, FixedPointRecord] = {}
+    memo: dict[Any, Any] = {}
+
+    def once(key: Any, compute: Callable[[], Any]) -> Any:
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
 
     def classify_at(location: np.ndarray) -> FixedPointRecord:
-        # Each location is classified once per census, keyed by its exact
-        # floats (signed zeros apart), so every record is what classify gives.
-        key = location.tobytes()
-        if key not in classified:
-            classified[key] = classify(location, params)
-        return classified[key]
+        # Keyed by the exact floats (signed zeros apart), so every record is
+        # what classify gives.
+        return once(location.tobytes(), lambda: classify(location, params))
 
     records = [classify_at(p) for p in known_fixed_points()]
     orbits: list[HeteroclinicOrbit] = []
+    traced: dict[bytes, tuple[np.ndarray, int]] = {}  # seed bytes -> samples, landing row
     for rec in records:
         if rec.kind != "saddle":
             continue
         for u in rec.unstable_directions():
             for sign in (1.0, -1.0):
-                seed = rec.location + SEED_STEP * sign * u
+                seed = _seed_point(rec, sign * u)
                 if not bool(in_square(seed)):
                     continue
-                samples, j = _trace(rec, sign * u, params)
+                # A seed lies SEED_STEP off its source, so it fixes the source too.
+                mirror = traced.get(seed[::-1].tobytes())
+                if mirror is None:
+                    samples, j = traced[seed.tobytes()] = _trace(rec, seed, params)
+                else:
+                    samples, j = mirror[0][:, ::-1].copy(), _MIRROR_ROW[mirror[1]]
                 orbits.append(HeteroclinicOrbit(rec, records[j], samples))
     for segment in invariant_segments():
-        fps_t = restriction_fixed_points(segment)
+        row = segment.coefficients
+        fps_t = once((row, segment.domain), lambda: restriction_fixed_points(segment))
         for t0, t1 in zip(fps_t[:-1], fps_t[1:]):
             qm = segment.drift(0.5 * (t0 + t1))
             if qm == 0.0:
@@ -648,8 +687,9 @@ def heteroclinic_census(params: CouplingParams) -> HeteroclinicCensus:
             source = classify_at(segment.point(t_src))
             target = classify_at(segment.point(t_dst))
             if _orbit_kind(source, target) != "sa":  # sa orbits were already found by tracing
-                samples = _segment_orbit(segment, t_src, t_dst, params)
-                orbits.append(HeteroclinicOrbit(source, target, samples))
+                ts = once((row, t_src, t_dst),
+                          lambda: _restriction_orbit(segment, t_src, t_dst, params))
+                orbits.append(HeteroclinicOrbit(source, target, segment.point(ts)))
     counts: dict[str, int] = {}
     for orbit in orbits:
         counts[orbit.kind] = counts.get(orbit.kind, 0) + 1
@@ -765,23 +805,22 @@ def orbital_derivative_scan(
     Passes when the lattice maximum stays at most ``MAX_DF_TOL`` and every
     near-zero sample (|DV| < ``ZERO_TOL``) sits within ``ZERO_SET_CELLS``
     lattice cells of a fixed point of the region's closure.  The sign is
-    reported, never assumed; a positive maximum is a reported failure.
+    reported, never assumed; a positive maximum is a reported failure.  The
+    zero set is read-only.
     """
     params.require_analysis_range()
     if grid < 100:
         raise ValueError("grid must be at least 100 per side")
     _require_region(region)
-    # The lattice stays two coordinate arrays: no (N, 2) stack, and its nodes
-    # are checked against the region once.
-    axis = np.linspace(0.0, TWO_PI, grid + 1)
-    gx, gy = np.meshgrid(axis, axis)
-    x, y = gx.ravel(), gy.ravel()
-    inside = _in_region(x, y, region)
-    x, y = x[inside], y[inside]
-    df = _decrement(x, y, region, params.epsilon)
-    max_df = float(np.max(df))
-    zero = np.abs(df) < ZERO_TOL
-    zero_pts = np.column_stack((x[zero], y[zero]))
+    max_df, zero_pts = _upper_scan(params.epsilon, grid)
+    if region == "lower":
+        # The lower decrement at (y, x) is the upper one at (x, y) bit for bit
+        # (the swap carries lattice, centre and drift across, and the
+        # decrement's sums and products commute): list the mirrored upper
+        # zeros in the lower lattice's row-major order, by y, then x.
+        mirror = zero_pts[:, ::-1]
+        zero_pts = mirror[np.lexsort(mirror.T)]
+        zero_pts.flags.writeable = False
     return LyapunovReport(
         region=region,
         grid_resolution=grid,
@@ -789,3 +828,21 @@ def orbital_derivative_scan(
         zero_set=zero_pts,
         cell=TWO_PI / grid,
     )
+
+
+@functools.lru_cache(maxsize=1)
+def _upper_scan(eps: float, grid: int) -> tuple[float, np.ndarray]:
+    """The decrement's maximum and read-only zero set on the upper triangle's
+    lattice, kept for the lower scan that follows with the same arguments."""
+    # The lattice stays two coordinate arrays: no (N, 2) stack, and its nodes
+    # are checked against the region once.
+    axis = np.linspace(0.0, TWO_PI, grid + 1)
+    gx, gy = np.meshgrid(axis, axis)
+    x, y = gx.ravel(), gy.ravel()
+    inside = _in_region(x, y, "upper")
+    x, y = x[inside], y[inside]
+    df = _decrement(x, y, "upper", eps)
+    zero = np.abs(df) < ZERO_TOL
+    zero_pts = np.column_stack((x[zero], y[zero]))
+    zero_pts.flags.writeable = False
+    return float(np.max(df)), zero_pts

@@ -228,11 +228,11 @@ def orbit(p, params: CouplingParams, n: int) -> np.ndarray:
 
 def write_grid_csv(grid: BasinGrid, stream: IO[str]) -> None:
     """Row-major label matrix, a blank line, then the iteration matrix."""
-    for row in grid.labels:
-        stream.write(",".join(LABEL_NAMES[int(v)] for v in row) + "\n")
+    for row in grid.labels.tolist():
+        stream.write(",".join([LABEL_NAMES[v] for v in row]) + "\n")
     stream.write("\n")
-    for row in grid.iterations:
-        stream.write(",".join(str(int(v)) for v in row) + "\n")
+    for row in grid.iterations.tolist():
+        stream.write(",".join(map(str, row)) + "\n")
 
 
 _HEADER = struct.Struct("<qdd")  # resolution, epsilon, tol

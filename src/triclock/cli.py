@@ -531,13 +531,23 @@ def _resolve(args: argparse.Namespace) -> None:
 
 def _join_numbers(argv: list[str]) -> list[str]:
     """``argv`` with each ``int`` or ``float`` flag of its command joined to a following
-    argument that ``float`` reads (``--x=-1e-3``), which argparse takes for a flag."""
+    argument that ``float`` reads (``--x=-1e-3``), which argparse takes for a flag.
+
+    A flag is resolved as argparse resolves it: its exact spelling, else the one
+    option string of the command (``-h`` and ``--help`` included) that it
+    abbreviates; an ambiguous or unknown flag is left to argparse."""
     command = next((a for a in argv if a in _COMMANDS), None)
-    numeric = {f for flags, kind, _, _ in _options(command) if kind in (int, float)
-               for f in flags.split()} if command else set()
+    kinds: dict[str, Any] = {"-h": None, "--help": None}  # argparse gives every command these
+    if command:
+        kinds.update((f, kind) for flags, kind, _, _ in _options(command) for f in flags.split())
+
+    def numeric(arg: str) -> bool:
+        matches = [arg] if arg in kinds else [f for f in kinds if f.startswith(arg)]
+        return len(matches) == 1 and kinds[matches[0]] in (int, float)
+
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] in numeric:
+        if out and numeric(out[-1]):
             try:
                 float(arg)
             except ValueError:

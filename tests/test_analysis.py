@@ -30,7 +30,14 @@ from triclock.analysis import (
     verify_invariance,
 )
 from triclock.cli import main as cli_main
-from triclock.core import TWO_PI, CouplingParams, json_data, omega_field, three_clock_step
+from triclock.core import (
+    TWO_PI,
+    CouplingParams,
+    in_square,
+    json_data,
+    omega_field,
+    three_clock_step,
+)
 
 PI = math.pi
 THIRD = 2 * PI / 3
@@ -384,6 +391,27 @@ class TestTraceHeteroclinic:
         orbit = trace_heteroclinic(rec, (2.0, 1.0), p)
         assert orbit.samples.shape[0] - 1 <= default_max_iterations(p)
 
+    @settings(deadline=None, max_examples=20)
+    @given(eps=st.floats(0.01, 1 / 9, exclude_max=True))
+    def test_mirror_seed_gives_the_mirror_orbit(self, eps):
+        # The census reuses a traced orbit for the exact mirror of its seed.
+        p = params(eps)
+        table = known_fixed_points().tolist()
+        records = {tuple(loc): classify(loc, p) for loc in table}
+        for loc, rec in records.items():
+            if rec.kind != "saddle":
+                continue
+            for u in rec.unstable_directions():
+                for sign in (1.0, -1.0):
+                    seed = analysis._seed_point(rec, sign * u)
+                    if not in_square(seed):
+                        continue
+                    samples, j = analysis._trace(rec, seed, p)
+                    mirror, k = analysis._trace(records[loc[::-1]], seed[::-1].copy(), p)
+                    assert mirror.tobytes() == samples[:, ::-1].copy().tobytes()
+                    assert table[k] == table[j][::-1]
+                    assert k == analysis._MIRROR_ROW[j]
+
 
 @pytest.fixture(scope="module")
 def census():
@@ -439,6 +467,29 @@ class TestHeteroclinicCensus:
         with pytest.raises(TypeError):
             HeteroclinicOrbit(source=orbit.source, target=orbit.target, kind="sa",
                               samples=orbit.samples)
+
+    @pytest.mark.parametrize("eps, traces", [(0.01, 3), (0.05, 3), (0.1, 3), (0.109, 4)])
+    def test_verify_computes_each_mirror_pair_once(self, monkeypatch, eps, traces):
+        # One verify traces 3 of the 6 saddle orbits, finds the segment roots
+        # once per coefficient row and domain (6 of 10), iterates 4 of the 12
+        # segment orbits and evaluates one Lyapunov triangle.  At eps 0.109
+        # the seeds off (0, pi) and (pi, 0) are each other's mirror only up to
+        # the last bit, so both are traced.
+        calls = {name: 0 for name in ("_trace", "restriction_fixed_points",
+                                      "_restriction_orbit", "_decrement")}
+        for name in calls:
+            real = getattr(analysis, name)
+
+            def counted(*args, _name=name, _real=real):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(analysis, name, counted)
+        analysis._upper_scan.cache_clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli_main(["verify", "--eps", repr(eps)]) == 0
+        assert calls == {"_trace": traces, "restriction_fixed_points": 6,
+                         "_restriction_orbit": 4, "_decrement": 1}
 
     def test_repeller_to_attractor_orbits_on_anti_diagonal(self, census):
         ra = [o for o in census.orbits if o.kind == "ra"]
@@ -534,6 +585,35 @@ class TestOrbitalDerivativeScan:
     def test_grid_floor_enforced(self):
         with pytest.raises(ValueError):
             orbital_derivative_scan("upper", params(), grid=50)
+
+    @pytest.mark.parametrize("grid", [100, 101, 150, 301])
+    @pytest.mark.parametrize("lower_first", [True, False])
+    def test_lower_scan_is_the_direct_lower_decrement(self, grid, lower_first):
+        # The lower scan mirrors the upper one; it must equal the decrement
+        # evaluated on the lower lattice itself, in its row-major order.
+        for eps in (0.011, 0.05, 0.109):
+            analysis._upper_scan.cache_clear()
+            order = ("lower", "upper") if lower_first else ("upper", "lower")
+            scans = {region: orbital_derivative_scan(region, params(eps), grid=grid)
+                     for region in order}
+            axis = np.linspace(0.0, TWO_PI, grid + 1)
+            x, y = (c.ravel() for c in np.meshgrid(axis, axis))
+            for region, scan in scans.items():
+                inside = y >= x if region == "upper" else y <= x
+                df = analysis._decrement(x[inside], y[inside], region, eps)
+                zero = np.abs(df) < analysis.ZERO_TOL
+                expect = np.column_stack((x[inside][zero], y[inside][zero]))
+                assert repr(scan.max_df) == repr(float(np.max(df)))
+                assert scan.zero_set.shape == expect.shape
+                assert scan.zero_set.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("region", ["upper", "lower"])
+    def test_zero_set_is_read_only(self, region):
+        scan = orbital_derivative_scan(region, params(0.05), grid=100)
+        with pytest.raises(ValueError):
+            scan.zero_set[0, 0] = 1.0
+        again = orbital_derivative_scan(region, params(0.05), grid=100)
+        assert again.zero_set.tobytes() == scan.zero_set.tobytes()
 
 
 # ---------------------------------------------------------------------------

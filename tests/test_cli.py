@@ -538,6 +538,18 @@ class TestAndronov:
         assert err == ("triclock: error: v0=-0.001 is outside the limit-cycle basin "
                        "(requires v0 > 4*mu = 0.4)\n")
 
+    def test_abbreviated_flag_takes_a_separate_negative_number(self, capsys):
+        # argparse reads "--v" as "--v0", the one option it abbreviates.
+        code, out, err = run_cli(capsys, "andronov", "--v", "-1e-3")
+        assert (code, out) == (2, "")
+        assert err == ("triclock: error: v0=-0.001 is outside the limit-cycle basin "
+                       "(requires v0 > 4*mu = 0.4)\n")
+
+    def test_abbreviated_int_flag_takes_a_separate_negative_number(self, capsys):
+        code, out, err = run_cli(capsys, "andronov", "--v0", "5", "--st", "-1")
+        assert (code, out) == (2, "")
+        assert err == "triclock: error: --steps must be non-negative\n"
+
     def test_fixed_point_underflowing_friction_refused(self, capsys):
         # h**2 / (8*mu) overflows to inf, which made a -inf column.
         code, out, err = run_cli(capsys, "andronov", "--mu", "1e-320", "--v0", "5")
@@ -645,6 +657,18 @@ class TestPortrait:
 # ---------------------------------------------------------------------------
 
 class TestPlumbing:
+    def test_ambiguous_abbreviation_is_left_to_argparse(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--eps", "0.1", "--s", "-1"])
+        assert exc.value.code == 2
+        assert "ambiguous option: --s could match --seed, --splay-tol" in capsys.readouterr().err
+
+    def test_abbreviated_text_flag_is_left_to_argparse(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--eps", "0.1", "--ph", "-1e-3"])
+        assert exc.value.code == 2
+        assert "argument --phases: expected one argument" in capsys.readouterr().err
+
     def test_config_file_supplies_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("eps = 0.05\ncount = 2\n# a comment\n")

@@ -7,10 +7,13 @@ Run from the root of a checkout:
 
 The sweep runs in this one process, against the checkout's ``src``:
 ``verify`` in text and JSON at 30 couplings spread over [0.01, 0.11),
-``fixed-points`` in JSON and CSV at 4 couplings and seed grids 16, 33 and
-50, ``portrait`` with all five layers, with each layer alone, with the
-rejected ``--layers ''`` and ``--layers bogus`` and with the rejected
-``--resolution 1``, the rejected ``andronov --v0 nan``, the negative
+in JSON with Lyapunov lattices of 100, 101 and 301 per side at couplings
+0.011, 0.05 and 0.109 and with ``--samples 17``, ``fixed-points`` in JSON
+and CSV at 4 couplings and seed grids 16, 33 and 50, ``portrait`` with all
+five layers, with each layer alone, with the heteroclinics alone at
+couplings 0.02 and 0.1, with the rejected ``--layers ''`` and
+``--layers bogus`` and with the rejected ``--resolution 1``, the
+rejected ``andronov --v0 nan``, the negative
 values ``step --x -1e-3`` (as a separate argument and as ``--x=-1e-3``),
 ``andronov --v0 -inf`` and ``andronov --v0 -1e-3``, and ``basins``:
 in binary and CSV, at resolutions 2, 3, 48 and 144 and couplings 0.011,
@@ -65,6 +68,10 @@ def sweep(readme: str) -> list[list[str]]:
         eps = str(round(0.01 + k / 300, 6))
         for fmt in ("text", "json"):
             commands.append(["verify", "--eps", eps, "--format", fmt])
+    for eps in ("0.011", "0.05", "0.109"):
+        for grid in ("100", "101", "301"):
+            commands.append(["verify", "--eps", eps, "--grid", grid, "--format", "json"])
+    commands.append(["verify", "--eps", "0.05", "--samples", "17", "--format", "json"])
     for eps in ("0.01", "0.035", "0.07", "0.105"):
         for grid in ("16", "33", "50"):
             for fmt in ("json", "csv"):
@@ -74,6 +81,8 @@ def sweep(readme: str) -> list[list[str]]:
               "sample_orbits"]
     for layer in (",".join(layers), *layers, "", "bogus"):
         commands.append(["portrait", "--eps", "0.05", "--resolution", "64", "--layers", layer])
+    for eps in ("0.02", "0.1"):
+        commands.append(["portrait", "--eps", eps, "--layers", "heteroclinics"])
     commands.append(["portrait", "--eps", "0.05", "--resolution", "1"])
     commands.append(["andronov", "--v0", "nan"])
     commands.append(["step", "--eps", "0.05", "--x", "-1e-3", "--y", "1"])
