@@ -18,8 +18,8 @@ through :func:`~triclock.core.three_clock_step_scalar` and takes the
 record of the fixed-point row each lands on.  Each segment is a row of
 drift coefficients ``(a, b, c)`` of ``a*sin(t) + b*sin(c*t)``, whose
 drift picks ``math.sin`` for a float, as in the segment orbits and root
-bisection, and ``np.sin`` for an array.  The Lyapunov scan keeps its
-lattice as two 1-D coordinate arrays, filters them by region once and
+bisection, and ``np.sin`` for an array.  The Lyapunov scan lists its
+triangle's lattice nodes by index, as two 1-D coordinate arrays, and
 evaluates the decrement on them directly, in the same operation order
 as :func:`orbital_derivative`, which checks its points and calls the
 same code.
@@ -84,9 +84,6 @@ __all__ = [
 _PI = math.pi
 _THIRD = 2.0 * math.pi / 3.0
 
-# |eigenvalue| this close to 1 is flagged instead of classified.
-HYPERBOLICITY_TOL = 1e-10
-
 # Bounds of the checks: an invariant segment's image may stray less than
 # DEVIATION_TOL off it; a Lyapunov scan's decrement may rise to MAX_DF_TOL,
 # and its zero set (the samples with |decrement| < ZERO_TOL) must lie within
@@ -134,7 +131,7 @@ class FixedPointRecord:
     jacobian: np.ndarray
     eigenvalues: tuple[float, float]
     eigenvectors: tuple[np.ndarray, np.ndarray]
-    kind: str  # attractor | repeller | saddle | non-hyperbolic
+    kind: str  # attractor | repeller | saddle
     residual: float
 
     @classmethod
@@ -155,7 +152,7 @@ class FixedPointRecord:
         return [
             vec
             for lam, vec in zip(self.eigenvalues, self.eigenvectors)
-            if abs(lam) > 1.0 + HYPERBOLICITY_TOL
+            if abs(lam) > 1.0
         ]
 
 
@@ -209,11 +206,7 @@ def _eig2(J: np.ndarray) -> tuple[tuple[float, float], tuple[np.ndarray, np.ndar
 
 
 def classify(location, params: CouplingParams) -> FixedPointRecord:
-    """Fill Jacobian, eigenpairs and the stability class at a fixed point.
-
-    Eigenvalue moduli within ``HYPERBOLICITY_TOL`` of 1 make the point
-    "non-hyperbolic" rather than being forced into a class.
-    """
+    """Fill Jacobian, eigenpairs and the stability class at a fixed point."""
     params.require_analysis_range()
     location = np.asarray(location, dtype=float)
     residual = float(np.max(np.abs(omega_field(location))))
@@ -222,9 +215,7 @@ def classify(location, params: CouplingParams) -> FixedPointRecord:
     J = jacobian(location, params)
     lams, vecs = _eig2(J)
     moduli = [abs(l) for l in lams]
-    if any(abs(m - 1.0) < HYPERBOLICITY_TOL for m in moduli):
-        kind = "non-hyperbolic"
-    elif all(m < 1.0 for m in moduli):
+    if all(m < 1.0 for m in moduli):
         kind = "attractor"
     elif all(m > 1.0 for m in moduli):
         kind = "repeller"
@@ -541,12 +532,7 @@ _KIND_LETTER = {"attractor": "a", "repeller": "r", "saddle": "s"}
 
 
 def _orbit_kind(source: FixedPointRecord, target: FixedPointRecord) -> str:
-    try:
-        return _KIND_LETTER[source.kind] + _KIND_LETTER[target.kind]
-    except KeyError:
-        raise ValueError(
-            f"cannot label an orbit between kinds {source.kind!r} and {target.kind!r}"
-        ) from None
+    return _KIND_LETTER[source.kind] + _KIND_LETTER[target.kind]
 
 
 def trace_heteroclinic(
@@ -708,8 +694,7 @@ def _require_region(region: str) -> tuple[float, float]:
 
 def _in_region(x: np.ndarray, y: np.ndarray, region: str) -> np.ndarray:
     """Membership of the points ``(x, y)`` in the closed triangle, with 1e-12
-    of slack for rounding.  The slack moves no node of a scan's lattice on
-    ``[0, 2*pi]``: none lies that close to the diagonal without lying on it."""
+    of slack for rounding."""
     lo, hi = -1e-12, TWO_PI + 1e-12
     side = y >= x - 1e-12 if region == "upper" else y <= x + 1e-12
     return (x >= lo) & (x <= hi) & (y >= lo) & (y <= hi) & side
@@ -834,13 +819,11 @@ def orbital_derivative_scan(
 def _upper_scan(eps: float, grid: int) -> tuple[float, np.ndarray]:
     """The decrement's maximum and read-only zero set on the upper triangle's
     lattice, kept for the lower scan that follows with the same arguments."""
-    # The lattice stays two coordinate arrays: no (N, 2) stack, and its nodes
-    # are checked against the region once.
+    # The triangle's nodes, y >= x, in row-major order: the nodes _in_region
+    # admits, since no off-diagonal node lies within its slack of the diagonal.
     axis = np.linspace(0.0, TWO_PI, grid + 1)
-    gx, gy = np.meshgrid(axis, axis)
-    x, y = gx.ravel(), gy.ravel()
-    inside = _in_region(x, y, "upper")
-    x, y = x[inside], y[inside]
+    row, col = np.tril_indices(grid + 1)
+    x, y = axis[col], axis[row]
     df = _decrement(x, y, "upper", eps)
     zero = np.abs(df) < ZERO_TOL
     zero_pts = np.column_stack((x[zero], y[zero]))

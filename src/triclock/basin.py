@@ -16,8 +16,9 @@ invariant lines except for the deliberate diagonal band.
 
 The classifier keeps ``x`` and ``y`` as two contiguous 1-D arrays and
 steps them with :func:`~triclock.core.three_clock_step_xy`.  Rasterization
-iterates only the half lattice ``row <= col`` and mirrors it: swapping
-the two non-reference clocks maps ``(x, y)`` to ``(y, x)``, and the map
+iterates only the half lattice ``row <= col``, listed by index, and
+scatters each result to its cell and its mirror: swapping the two
+non-reference clocks maps ``(x, y)`` to ``(y, x)``, and the map
 commutes with that swap bit for bit (``g`` is computed as ``f`` with its
 arguments swapped, the sine is odd, the edge snap, the diagonal band and
 the attractor tests are symmetric, and both axes share one array of cell
@@ -191,20 +192,20 @@ def rasterize(
         raise ValueError("resolution must be at least 2")
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    h = TWO_PI / resolution
-    c = (np.arange(resolution) + 0.5) * h
-    gx, gy = np.meshgrid(c, c)
-    half = np.triu(np.ones((resolution, resolution), dtype=bool))  # row <= col
-    half_labels, half_iters = _classify(gx[half], gy[half], params, tol, max_iter)
+    c = (np.arange(resolution) + 0.5) * (TWO_PI / resolution)
+    row, col = np.triu_indices(resolution)
+    half_labels, half_iters = _classify(c[col], c[row], params, tol, max_iter)
 
-    labels = np.zeros((resolution, resolution), dtype=np.uint8)
-    iters = np.zeros((resolution, resolution), dtype=np.int32)
-    labels[half] = half_labels
-    iters[half] = half_iters
+    labels = np.empty((resolution, resolution), dtype=np.uint8)
+    iters = np.empty((resolution, resolution), dtype=np.int32)
+    # Mirrors first, so that each diagonal cell ends with its own label.
+    labels[col, row] = _SWAP_LABEL[half_labels]
+    labels[row, col] = half_labels
+    iters[col, row] = iters[row, col] = half_iters
     return BasinGrid(
         resolution=resolution,
-        labels=np.where(half, labels, _SWAP_LABEL[labels.T]),
-        iterations=np.where(half, iters, iters.T),
+        labels=labels,
+        iterations=iters,
         params=params,
         tol=tol,
         max_iter=max_iter,

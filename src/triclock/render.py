@@ -12,6 +12,7 @@ axis points up, matching the mathematical convention.
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -38,7 +39,7 @@ _SCALE = (_SIZE - 2 * _MARGIN) / TWO_PI
 # Cell fill by label code, in basin.LABEL_NAMES order: upper, lower,
 # boundary, unresolved.
 _BACKGROUND = ("#dbe9f6", "#fbe8d3", "#b9b9b9", "#ffffff")
-# Marker fill by fixed-point class; a non-hyperbolic point is drawn as a saddle.
+# Marker fill by fixed-point class.
 _MARKER_FILL = {"attractor": "#111111", "repeller": "#ffffff", "saddle": "#808080"}
 
 
@@ -52,7 +53,7 @@ def _y(value: float) -> float:
 
 
 def _polyline(pts: np.ndarray, color: str, width: str) -> str:
-    coords = " ".join(f"{_x(float(p[0])):.3f},{_y(float(p[1])):.3f}" for p in pts)
+    coords = " ".join(f"{_x(px):.3f},{_y(py):.3f}" for px, py in pts.tolist())
     return (
         f'<polyline points="{coords}" fill="none" stroke="{color}" '
         f'stroke-width="{width}"/>'
@@ -64,27 +65,21 @@ def _background_rects(grid: BasinGrid) -> list[str]:
     out: list[str] = []
     h = TWO_PI / grid.resolution
     cell_px = h * _SCALE
-    for row in range(grid.resolution):
-        labels = grid.labels[row]
+    for row, labels in enumerate(grid.labels.tolist()):
+        y0 = _y((row + 1) * h)
         col = 0
-        while col < grid.resolution:
-            run = col
-            while run + 1 < grid.resolution and labels[run + 1] == labels[col]:
-                run += 1
-            color = _BACKGROUND[int(labels[col])]
-            x0 = _x(col * h)
-            y0 = _y((row + 1) * h)
-            width = (run - col + 1) * cell_px
+        for code, run in groupby(labels):
+            n = len(list(run))
             out.append(
-                f'<rect x="{x0:.3f}" y="{y0:.3f}" width="{width:.3f}" '
-                f'height="{cell_px:.3f}" fill="{color}" stroke="none"/>'
+                f'<rect x="{_x(col * h):.3f}" y="{y0:.3f}" width="{n * cell_px:.3f}" '
+                f'height="{cell_px:.3f}" fill="{_BACKGROUND[code]}" stroke="none"/>'
             )
-            col = run + 1
+            col += n
     return out
 
 
 def _marker(record: FixedPointRecord) -> str:
-    fill = _MARKER_FILL.get(record.kind, _MARKER_FILL["saddle"])
+    fill = _MARKER_FILL[record.kind]
     cx = _x(float(record.location[0]))
     cy = _y(float(record.location[1]))
     return (

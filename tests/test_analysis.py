@@ -182,6 +182,21 @@ class TestClassify:
             assert rec.eigenvalues[0] == pytest.approx(1 - 1.5 * eps, abs=1e-12)
             assert rec.eigenvalues[1] == pytest.approx(1 - 1.5 * eps, abs=1e-12)
 
+    @settings(deadline=None, max_examples=100)
+    @given(
+        log_eps=st.floats(
+            math.log(1e-8), math.log(1 / 9), exclude_min=True, exclude_max=True
+        ).filter(lambda u: 1e-8 < math.exp(u) < 1 / 9)
+    )
+    def test_every_fixed_point_is_hyperbolic(self, log_eps):
+        # The multipliers are 1 - 3*eps/2, 1 + 3*eps, 1 + eps and 1 - 3*eps, so
+        # no modulus comes within eps of 1 and every point gets a class.
+        eps = math.exp(log_eps)
+        for point in known_fixed_points():
+            rec = classify(point, params(eps))
+            assert min(abs(abs(lam) - 1.0) for lam in rec.eigenvalues) >= 0.999 * eps
+            assert rec.kind in ("attractor", "repeller", "saddle")
+
     def test_unstable_directions(self):
         p = params()
         rec = classify((0.0, PI), p)

@@ -1,7 +1,12 @@
+import re
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triclock.analysis import classify, heteroclinic_census, invariant_segments, known_fixed_points
-from triclock.basin import orbit, rasterize
+from triclock.basin import LABEL_NAMES, BasinGrid, orbit, rasterize
 from triclock import render
 from triclock.cli import main
 from triclock.core import CouplingParams
@@ -84,3 +89,61 @@ class TestRenderPortrait:
         assert render_portrait(segments=(), heteroclinics=(), orbits=[], fixed_points=[]) == (
             render_portrait()
         )
+
+
+@st.composite
+def label_grids(draw):
+    """Grids of resolution 1-12 over all four label codes, whose rows are one
+    run, alternate every cell, or are drawn cell by cell."""
+    res = draw(st.integers(1, 12))
+    code = st.integers(0, len(LABEL_NAMES) - 1)
+    rows = []
+    for _ in range(res):
+        kind = draw(st.sampled_from(("one run", "alternating", "free")))
+        if kind == "one run":
+            rows.append([draw(code)] * res)
+        elif kind == "alternating":
+            a, b = draw(code), draw(code)
+            rows.append([(a, b)[col % 2] for col in range(res)])
+        else:
+            rows.append(draw(st.lists(code, min_size=res, max_size=res)))
+    return BasinGrid(
+        resolution=res,
+        labels=np.array(rows, dtype=np.uint8),
+        iterations=np.zeros((res, res), dtype=np.int32),
+        params=CouplingParams(epsilon=0.05),
+        tol=1e-6,
+        max_iter=None,
+    )
+
+
+RECT = re.compile(
+    r'<rect x="([0-9.]+)" y="([0-9.]+)" width="([0-9.]+)" height="([0-9.]+)" '
+    r'fill="(#[0-9a-f]{6})" stroke="none"/>'
+)
+
+
+class TestBasinBackground:
+    @settings(deadline=None, max_examples=200)
+    @given(grid=label_grids())
+    def test_rect_runs_decode_to_labels(self, grid):
+        # Each row is drawn bottom-up as maximal runs of equal labels, left to right.
+        cell = (render._SIZE - 2 * render._MARGIN) / grid.resolution
+        decoded = [[] for _ in range(grid.resolution)]
+        last_row = -1
+        for line in render_portrait(grid=grid).splitlines():
+            match = RECT.fullmatch(line)
+            if match is None:
+                continue
+            x, y, width, height = (float(v) for v in match.groups()[:4])
+            row = round((render._SIZE - render._MARGIN - y) / cell) - 1
+            n = round(width / cell)
+            code = render._BACKGROUND.index(match.group(5))
+            assert height == pytest.approx(cell, abs=1e-3)
+            assert width == pytest.approx(n * cell, abs=1e-3)
+            assert row >= last_row
+            last_row = row
+            assert x == pytest.approx(render._MARGIN + len(decoded[row]) * cell, abs=1e-3)
+            assert not decoded[row] or decoded[row][-1] != code  # runs are maximal
+            decoded[row].extend([code] * n)
+        assert decoded == grid.labels.tolist()

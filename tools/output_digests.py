@@ -16,10 +16,13 @@ couplings 0.02 and 0.1, with the rejected ``--layers ''`` and
 rejected ``andronov --v0 nan``, the negative
 values ``step --x -1e-3`` (as a separate argument and as ``--x=-1e-3``),
 ``andronov --v0 -inf`` and ``andronov --v0 -1e-3``, and ``basins``:
-in binary and CSV, at resolutions 2, 3, 48 and 144 and couplings 0.011,
-0.05 and 0.11, each with the default settings, ``--tol 0``,
-``--max-iter 0`` and ``--max-iter 1``, plus one binary grid of resolution
-200.  Then
+in binary, CSV and SVG, at resolutions 2, 3, 48 and 144 and couplings
+0.011, 0.05 and 0.11, each with the default settings, ``--tol 0`` and
+``--max-iter 0`` (which between them draw all four SVG fill colours), and
+in binary and CSV also with ``--max-iter 1``, plus one binary grid of
+resolution 200.  Then ``fixed-points`` in JSON and ``portrait`` with the
+fixed points alone at couplings 2e-8 and 0.1111, the two ends of the
+analysis range.  Then
 ``simulate``: seeded ``--random-starts`` in JSON at 2, 3, 4 and 5 clocks
 and three couplings (and in CSV at one), ``--phases`` in radians and with
 ``--deg``, a ``--max-cycles`` run that does not lock, the near-tie starts
@@ -90,12 +93,16 @@ def sweep(readme: str) -> list[list[str]]:
     commands.append(["andronov", "--v0", "-inf"])
     commands.append(["andronov", "--v0", "-1e-3"])
     commands.append(["basins", "--eps", "0.05", "--resolution", "200", "--format", "bin"])
-    for fmt in ("bin", "csv"):
+    settings = ([], ["--tol", "0"], ["--max-iter", "0"], ["--max-iter", "1"])
+    for fmt in ("bin", "csv", "svg"):
         for res in ("2", "3", "48", "144"):
             for eps in ("0.011", "0.05", "0.11"):
-                for extra in ([], ["--tol", "0"], ["--max-iter", "0"], ["--max-iter", "1"]):
+                for extra in settings[:3] if fmt == "svg" else settings:
                     commands.append(["basins", "--eps", eps, "--resolution", res,
                                      "--format", fmt, *extra])
+    for eps in ("2e-8", "0.1111"):
+        commands.append(["fixed-points", "--eps", eps, "--format", "json"])
+        commands.append(["portrait", "--eps", eps, "--layers", "fixed_points"])
     for n in ("2", "3", "4", "5"):
         for eps in ("0.02", "0.05", "0.1"):
             commands.append(["simulate", "--eps", eps, "--n-clocks", n, "--random-starts", "6",
