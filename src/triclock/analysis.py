@@ -34,6 +34,24 @@ coefficient row.  The lower Lyapunov scan is the upper one mirrored: the
 decrement at ``(y, x)`` in the lower triangle equals the upper one at
 ``(x, y)`` bit for bit, so the last upper scan's maximum and zero set
 are kept for it.
+
+The work of ``verify`` that does not depend on eps is done once per
+sample set and kept for later calls in the process, each of which then
+does only its eps arithmetic, with the same operands in the same order:
+
+- the upper Lyapunov lattice and the decrement's terms ``quad`` and
+  ``lin`` on it (``DV = eps*eps*quad + eps*lin``), keyed by the grid, one
+  grid kept: about 1.5 MB at grid 300;
+- each segment's samples ``t`` with their points and drift slope, keyed
+  by the segment and the sample count, ten entries kept: about 0.3 MB for
+  the ten segments at 1000 samples;
+- the segment roots, keyed by the coefficient row and the domain, ten
+  kept.
+
+The caches fill on first use, never at import; their keys tell -0.0 from
+0.0, and the arrays they keep are read-only.  ``verify --eps`` with
+several couplings is the caller that gains: one coupling in a fresh
+process does the same work as without the caches.
 """
 
 from __future__ import annotations
@@ -104,6 +122,9 @@ CENSUS_RULE = "sa == 6, rs == 10, ra >= 2"
 
 Region = Literal["upper", "lower"]
 
+# The stability classes of a fixed point, each with its letter in an orbit's kind.
+_KIND_LETTER = {"attractor": "a", "repeller": "r", "saddle": "s"}
+
 # The eleven fixed points (see known_fixed_points), built once.
 _FIXED_POINTS = np.array([
     (_PI, _PI), (_THIRD, 2.0 * _THIRD), (2.0 * _THIRD, _THIRD),  # symmetric, splay points
@@ -136,6 +157,11 @@ class FixedPointRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FixedPointRecord":
+        """The record ``json_data`` wrote; a ``kind`` other than attractor,
+        repeller or saddle raises ValueError."""
+        kind = str(d["kind"])
+        if kind not in _KIND_LETTER:
+            raise ValueError(f"kind must be attractor, repeller or saddle, got {kind!r}")
         return cls(
             location=np.asarray(d["location"], dtype=float),
             jacobian=np.asarray(d["jacobian"], dtype=float),
@@ -144,7 +170,7 @@ class FixedPointRecord:
                 np.asarray(d["eigenvectors"][0], dtype=float),
                 np.asarray(d["eigenvectors"][1], dtype=float),
             ),
-            kind=str(d["kind"]),
+            kind=kind,
             residual=float(d["residual"]),
         )
 
@@ -429,8 +455,22 @@ def restriction_fixed_points(segment: InvariantSegment) -> np.ndarray:
 
     A scan of 4096 equal intervals plus bisection; grid nodes already
     within rounding of a root count directly, which catches the domain
-    endpoints.
+    endpoints.  The roots depend only on the coefficient row and the
+    domain; they are found once per row and domain and kept (ten of
+    them), and each call returns a fresh copy.
     """
+    row, domain = segment.coefficients, segment.domain
+    return _drift_roots(row, domain, repr((row, domain))).copy()
+
+
+@functools.lru_cache(maxsize=len(_SEGMENTS))
+def _drift_roots(row: tuple, domain: tuple, spelling: str) -> np.ndarray:
+    """:func:`restriction_fixed_points` of the row and domain, read-only.
+
+    ``spelling``, their repr, is in the cache key only: it tells -0.0 from
+    0.0, which ``==`` does not, and a zero's sign can reach the roots.
+    """
+    segment = InvariantSegment("", (0.0, 0.0), (0.0, 0.0), domain, row)  # drift reads the row
     t = np.linspace(*segment.domain, 4097)
     q = segment.drift(t)
     roots: list[float] = [float(t[i]) for i in np.flatnonzero(np.abs(q) < 1e-13)]
@@ -456,7 +496,9 @@ def restriction_fixed_points(segment: InvariantSegment) -> np.ndarray:
     for r in roots:
         if not out or r - out[-1] > 1e-9:
             out.append(r)
-    return np.asarray(out)
+    found = np.asarray(out)
+    found.flags.writeable = False
+    return found
 
 
 def verify_invariance(
@@ -466,13 +508,14 @@ def verify_invariance(
 
     Passes when the worst perpendicular deviation stays below
     ``DEVIATION_TOL`` and the restriction map is strictly increasing (its
-    slope 1 + eps * q'(t) stays positive on a dense sample).
+    slope 1 + eps * q'(t) stays positive on a dense sample).  The samples
+    ``t``, their points and drift slope do not depend on eps; they are kept
+    per segment and sample count (see :func:`_segment_samples`).
     """
     params.require_analysis_range()
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    t = np.linspace(*segment.domain, samples)
-    pts = segment.point(t)
+    t, pts, drift_slope = _segment_samples(segment, samples, repr(segment))
     img = three_clock_step(pts, params)
     dx, dy = segment.direction
     w = img - np.asarray(segment.origin, dtype=float)
@@ -480,17 +523,38 @@ def verify_invariance(
     # exactly on the segment, unlike a projection-based residual.
     dev = np.abs(dy * w[:, 0] - dx * w[:, 1]) / math.hypot(dx, dy)
     worst = int(np.argmax(dev))
-    slope = 1.0 + params.epsilon * segment.drift_derivative(t)
+    slope = 1.0 + params.epsilon * drift_slope
     restricted = segment.restriction(t, params)
     monotone = bool(np.all(np.diff(restricted) > 0.0) and np.all(slope > 0.0))
     max_dev = float(dev[worst])
     return InvarianceCheck(
         name=segment.name,
         max_deviation=max_dev,
-        worst_point=pts[worst],
+        worst_point=pts[worst].copy(),
         monotone=monotone,
         min_slope=float(np.min(slope)),
     )
+
+
+@functools.lru_cache(maxsize=len(_SEGMENTS), typed=True)
+def _segment_samples(
+    segment: InvariantSegment, samples: int, spelling: str
+) -> tuple[np.ndarray, ...]:
+    """``t``, ``point(t)`` and ``drift_derivative(t)`` on ``samples`` equal
+    steps of the segment's domain, all read-only.
+
+    ``spelling``, the segment's repr, is in the cache key only: it tells
+    -0.0 from 0.0, which ``==`` does not, and a zero's sign can reach the
+    points.  The ten entries hold one sample set of every segment: about
+    32 kB a segment at 1000 samples.  ``typed``: a float ``samples`` fails
+    in ``np.linspace``, as it did before the cache, instead of matching an
+    int.
+    """
+    t = np.linspace(*segment.domain, samples)
+    arrays = (t, segment.point(t), segment.drift_derivative(t))
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 # ---------------------------------------------------------------------------
@@ -526,9 +590,6 @@ class HeteroclinicCensus:
         c = self.counts
         holds = c.get("sa", 0) == 6 and c.get("rs", 0) == 10 and c.get("ra", 0) >= 2
         return [] if holds else [f"expected {CENSUS_RULE}"]
-
-
-_KIND_LETTER = {"attractor": "a", "repeller": "r", "saddle": "s"}
 
 
 def _orbit_kind(source: FixedPointRecord, target: FixedPointRecord) -> str:
@@ -737,11 +798,23 @@ def orbital_derivative(p, region: Region, params: CouplingParams) -> np.ndarray:
 
 def _decrement(x: np.ndarray, y: np.ndarray, region: str, eps: float) -> np.ndarray:
     """:func:`orbital_derivative` at points given as coordinates, unchecked."""
+    return _combine(*_decrement_terms(x, y, region), eps)
+
+
+def _decrement_terms(x: np.ndarray, y: np.ndarray, region: str) -> tuple[np.ndarray, np.ndarray]:
+    """The eps-free terms of the decrement, ``quad = f*f + g*g - f*g`` and
+    ``lin = u*(2f - g) + v*(2g - f)``."""
     cx, cy = _CENTERS[region]
     f, g = omega_field_xy(x, y)
     u = x - cx
     v = y - cy
-    return eps * eps * (f * f + g * g - f * g) + eps * (u * (2.0 * f - g) + v * (2.0 * g - f))
+    return f * f + g * g - f * g, u * (2.0 * f - g) + v * (2.0 * g - f)
+
+
+def _combine(quad: np.ndarray, lin: np.ndarray, eps: float) -> np.ndarray:
+    """The decrement ``eps*eps*quad + eps*lin``: the expanded form's operands
+    in its order, so the split changes no bit."""
+    return eps * eps * quad + eps * lin
 
 
 def region_fixed_points(region: Region) -> np.ndarray:
@@ -819,13 +892,30 @@ def orbital_derivative_scan(
 def _upper_scan(eps: float, grid: int) -> tuple[float, np.ndarray]:
     """The decrement's maximum and read-only zero set on the upper triangle's
     lattice, kept for the lower scan that follows with the same arguments."""
+    x, y, quad, lin = _upper_lattice(grid)
+    df = _combine(quad, lin, eps)
+    zero = np.abs(df) < ZERO_TOL
+    zero_pts = np.column_stack((x[zero], y[zero]))
+    zero_pts.flags.writeable = False
+    return float(np.max(df)), zero_pts
+
+
+@functools.lru_cache(maxsize=1, typed=True)
+def _upper_lattice(grid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The upper triangle's lattice nodes ``x``, ``y`` and the decrement's
+    eps-free terms ``quad``, ``lin`` on them, all read-only: four arrays of
+    ``(grid + 1) * (grid + 2) / 2`` floats, about 1.5 MB at grid 300.
+
+    Kept for the scans of later couplings on the same grid.  ``typed``: a
+    float ``grid`` fails in ``np.linspace``, as it did before the cache,
+    instead of matching an int.
+    """
     # The triangle's nodes, y >= x, in row-major order: the nodes _in_region
     # admits, since no off-diagonal node lies within its slack of the diagonal.
     axis = np.linspace(0.0, TWO_PI, grid + 1)
     row, col = np.tril_indices(grid + 1)
     x, y = axis[col], axis[row]
-    df = _decrement(x, y, "upper", eps)
-    zero = np.abs(df) < ZERO_TOL
-    zero_pts = np.column_stack((x[zero], y[zero]))
-    zero_pts.flags.writeable = False
-    return float(np.max(df)), zero_pts
+    arrays = (x, y, *_decrement_terms(x, y, "upper"))
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays

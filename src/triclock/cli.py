@@ -12,7 +12,10 @@ does any work; the handler returns one writer per format, and one
 function (``_write``) puts the chosen one on stdout or ``--out``, and a
 kick trace on ``--trace-out``.  ``portrait`` checks its ``--layers``
 names against ``render.LAYERS`` and passes the renderer data for the
-named layers only; the renderer draws what it is given.  Exit codes: 0
+named layers only; the renderer draws what it is given.  ``verify``
+takes one coupling or several (``--eps 0.01,0.05``) and checks them in
+turn in one process, so the analysis terms that do not depend on eps are
+computed once for the run.  Exit codes: 0
 success, 1 I/O or check failure, 2 usage or validation failure.
 ``TRICLOCK_OUTDIR`` redirects relative output paths.
 """
@@ -283,15 +286,36 @@ def _cmd_simulate(o: argparse.Namespace) -> Report:
 # verify
 # ---------------------------------------------------------------------------
 
+def _couplings(text: str) -> tuple[float, ...]:
+    """``verify``'s ``--eps``: one coupling, or several separated by commas."""
+    return tuple(map(float, text.split(",")))
+
+
 def _cmd_verify(o: argparse.Namespace) -> Report:
-    params = _analysis_params(o)
+    """One report per coupling, in the given order; the JSON of a single
+    coupling is its report, of several the list of them.  Every coupling is
+    checked against the analysis range before any is verified."""
+    runs = [CouplingParams(epsilon=eps) for eps in o.eps]
+    for params in runs:
+        params.require_analysis_range()
+    reports, texts = zip(*(_verify(params, o.samples, o.grid) for params in runs))
+    passed = all(report["passed"] for report in reports)
+    text = "".join(texts)
+    return {
+        "text": lambda stream: stream.write(text),
+        "json": _json(reports[0] if len(reports) == 1 else list(reports)),
+    }, 0 if passed else 1
+
+
+def _verify(params: CouplingParams, samples: int, grid: int) -> tuple[dict, str]:
+    """The JSON report and the text report of ``verify`` at one coupling."""
     segment_checks = [
-        analysis.verify_invariance(seg, params, samples=o.samples)
+        analysis.verify_invariance(seg, params, samples=samples)
         for seg in analysis.invariant_segments()
     ]
     census = analysis.heteroclinic_census(params)
     scans = [
-        analysis.orbital_derivative_scan(region, params, grid=o.grid)
+        analysis.orbital_derivative_scan(region, params, grid=grid)
         for region in ("upper", "lower")
     ]
     passed = all(check.passed for check in (*segment_checks, census, *scans))
@@ -332,8 +356,7 @@ def _cmd_verify(o: argparse.Namespace) -> Report:
             + _bounds(scan)
         )
     lines.append("PASS" if passed else "FAIL")
-    text = "\n".join(lines) + "\n"
-    return {"text": lambda stream: stream.write(text), "json": _json(report)}, 0 if passed else 1
+    return report, "\n".join(lines) + "\n"
 
 
 def _bounds(check: Any) -> str:
@@ -449,7 +472,7 @@ _COMMANDS = {
         ("--deg", bool, False, "interpret --phases in degrees"),
     )),
     "verify": ("invariance, census, and Lyapunov checks", _cmd_verify, ("text", "json"), (
-        _EPS,
+        ("--eps", _couplings, _REQUIRED, "coupling strength, or comma-separated couplings"),
         ("--samples", int, 1000, "samples per segment"),
         ("--grid", int, 300, "Lyapunov lattice per side"),
     )),
@@ -530,8 +553,9 @@ def _resolve(args: argparse.Namespace) -> None:
 
 
 def _join_numbers(argv: list[str]) -> list[str]:
-    """``argv`` with each ``int`` or ``float`` flag of its command joined to a following
-    argument that ``float`` reads (``--x=-1e-3``), which argparse takes for a flag.
+    """``argv`` with each numeric flag of its command (``int``, ``float`` or
+    ``verify``'s couplings) joined to a following argument that ``float`` reads
+    (``--x=-1e-3``), which argparse takes for a flag.
 
     A flag is resolved as argparse resolves it: its exact spelling, else the one
     option string of the command (``-h`` and ``--help`` included) that it
@@ -543,7 +567,7 @@ def _join_numbers(argv: list[str]) -> list[str]:
 
     def numeric(arg: str) -> bool:
         matches = [arg] if arg in kinds else [f for f in kinds if f.startswith(arg)]
-        return len(matches) == 1 and kinds[matches[0]] in (int, float)
+        return len(matches) == 1 and kinds[matches[0]] in (int, float, _couplings)
 
     out: list[str] = []
     for arg in argv:

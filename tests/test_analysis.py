@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from triclock import analysis
 from triclock.analysis import (
     HeteroclinicOrbit,
+    InvariantSegment,
     _dedupe_roots,
     _newton_on_drift,
     classify,
@@ -238,6 +239,14 @@ class TestClassify:
         assert np.array_equal(back.jacobian, rec.jacobian)
         assert back.eigenvalues == rec.eigenvalues
         assert back.kind == rec.kind
+
+    @pytest.mark.parametrize("kind", ["non-hyperbolic", "Saddle", ""])
+    def test_record_dict_rejects_an_unknown_kind(self, kind):
+        # Read as is, such a record fails later, as a bare KeyError where a
+        # portrait or an orbit looks its kind up.
+        rec = classify((PI, PI), params())
+        with pytest.raises(ValueError, match=f"got {kind!r}"):
+            type(rec).from_dict(json_data(rec) | {"kind": kind})
 
 
 # ---------------------------------------------------------------------------
@@ -487,11 +496,12 @@ class TestHeteroclinicCensus:
     def test_verify_computes_each_mirror_pair_once(self, monkeypatch, eps, traces):
         # One verify traces 3 of the 6 saddle orbits, finds the segment roots
         # once per coefficient row and domain (6 of 10), iterates 4 of the 12
-        # segment orbits and evaluates one Lyapunov triangle.  At eps 0.109
-        # the seeds off (0, pi) and (pi, 0) are each other's mirror only up to
-        # the last bit, so both are traced.
+        # segment orbits and combines one Lyapunov triangle's terms with eps.
+        # At eps 0.109 the seeds off (0, pi) and (pi, 0) are each other's
+        # mirror only up to the last bit, so both are traced.  The lattice
+        # terms are eps-free: three couplings build them at most once.
         calls = {name: 0 for name in ("_trace", "restriction_fixed_points",
-                                      "_restriction_orbit", "_decrement")}
+                                      "_restriction_orbit", "_combine")}
         for name in calls:
             real = getattr(analysis, name)
 
@@ -501,10 +511,15 @@ class TestHeteroclinicCensus:
 
             monkeypatch.setattr(analysis, name, counted)
         analysis._upper_scan.cache_clear()
+        builds = analysis._upper_lattice.cache_info().misses
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli_main(["verify", "--eps", repr(eps)]) == 0
-        assert calls == {"_trace": traces, "restriction_fixed_points": 6,
-                         "_restriction_orbit": 4, "_decrement": 1}
+            assert calls == {"_trace": traces, "restriction_fixed_points": 6,
+                             "_restriction_orbit": 4, "_combine": 1}
+            for other in (0.5 * eps, 0.9 * eps):
+                assert cli_main(["verify", "--eps", repr(other)]) == 0
+        assert calls["_combine"] == 3
+        assert analysis._upper_lattice.cache_info().misses - builds <= 1
 
     def test_repeller_to_attractor_orbits_on_anti_diagonal(self, census):
         ra = [o for o in census.orbits if o.kind == "ra"]
@@ -629,6 +644,110 @@ class TestOrbitalDerivativeScan:
             scan.zero_set[0, 0] = 1.0
         again = orbital_derivative_scan(region, params(0.05), grid=100)
         assert again.zero_set.tobytes() == scan.zero_set.tobytes()
+
+
+def fresh_invariance(segment, p, samples):
+    """The fields of ``verify_invariance``, computed from scratch as it did
+    before it kept the eps-free samples."""
+    t = np.linspace(*segment.domain, samples)
+    pts = segment.point(t)
+    img = three_clock_step(pts, p)
+    dx, dy = segment.direction
+    w = img - np.asarray(segment.origin, dtype=float)
+    dev = np.abs(dy * w[:, 0] - dx * w[:, 1]) / math.hypot(dx, dy)
+    worst = int(np.argmax(dev))
+    slope = 1.0 + p.epsilon * segment.drift_derivative(t)
+    monotone = bool(np.all(np.diff(segment.restriction(t, p)) > 0.0) and np.all(slope > 0.0))
+    return repr(float(dev[worst])), pts[worst].tobytes(), monotone, repr(float(np.min(slope)))
+
+
+def check_fields(check):
+    return (repr(check.max_deviation), check.worst_point.tobytes(), check.monotone,
+            repr(check.min_slope))
+
+
+class TestEpsFreeCaches:
+    """The lattice terms, segment samples and segment roots are kept across
+    couplings; every result must equal a from-scratch evaluation."""
+
+    @settings(deadline=None, max_examples=15)
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from([0.011, 0.05, 0.109]),
+                          st.floats(0.01, 1 / 9, exclude_max=True)),
+                st.sampled_from([100, 101, 300]),
+                st.sampled_from([2, 17, 1000]),
+                st.permutations(["upper", "lower"]),
+            ),
+            min_size=2, max_size=5,
+        )
+    )
+    def test_kept_terms_give_the_fresh_results(self, steps):
+        # The first step comes back last, after the others may have evicted
+        # its lattice (one grid kept) and its samples (one sample count kept).
+        for eps, grid, samples, regions in [*steps, steps[0]]:
+            p = params(eps)
+            for segment in invariant_segments():
+                check = verify_invariance(segment, p, samples=samples)
+                assert check.name == segment.name
+                assert check_fields(check) == fresh_invariance(segment, p, samples)
+            axis = np.linspace(0.0, TWO_PI, grid + 1)
+            x, y = (c.ravel() for c in np.meshgrid(axis, axis))
+            for region in regions:
+                scan = orbital_derivative_scan(region, p, grid=grid)
+                inside = y >= x if region == "upper" else y <= x
+                df = analysis._decrement(x[inside], y[inside], region, eps)
+                zero = np.abs(df) < analysis.ZERO_TOL
+                expect = np.column_stack((x[inside][zero], y[inside][zero]))
+                assert repr(scan.max_df) == repr(float(np.max(df)))
+                assert scan.zero_set.shape == expect.shape
+                assert scan.zero_set.tobytes() == expect.tobytes()
+
+    def test_a_coupling_sweep_builds_the_eps_free_terms_once(self):
+        # verify --eps with several couplings is the caller the caches serve:
+        # one lattice, one sample set per segment, one root set per row and
+        # domain for the whole run.
+        kept = (analysis._upper_lattice, analysis._segment_samples, analysis._drift_roots)
+        for cache in kept:
+            cache.cache_clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli_main(["verify", "--eps", "0.011,0.05,0.08,0.109"]) == 0
+        assert [cache.cache_info().misses for cache in kept] == [1, 10, 6]
+
+    def test_kept_arrays_are_read_only_and_returned_arrays_are_the_callers(self):
+        seg, p = segment_by_name("d1"), params(0.05)
+        orbital_derivative_scan("upper", p, grid=100)
+        for kept in analysis._upper_lattice(100):
+            assert not kept.flags.writeable
+        check = verify_invariance(seg, p, samples=17)
+        for kept in analysis._segment_samples(seg, 17, repr(seg)):
+            assert not kept.flags.writeable
+        roots = restriction_fixed_points(seg)
+        row, domain = seg.coefficients, seg.domain
+        assert not analysis._drift_roots(row, domain, repr((row, domain))).flags.writeable
+        want_roots, want_worst = roots.tobytes(), check.worst_point.tobytes()
+        roots[:] = -1.0
+        check.worst_point[:] = -1.0
+        assert restriction_fixed_points(seg).tobytes() == want_roots
+        assert verify_invariance(seg, p, samples=17).worst_point.tobytes() == want_worst
+
+    def test_keys_tell_a_zero_from_a_negative_zero(self):
+        # Equal under ==, these segments differ in the sign of a zero that
+        # reaches their points or their roots.
+        s0 = segment_by_name("s0")
+        neg = InvariantSegment("s0", (-0.0, 0.0), (-0.0, 1.0), (-0.0, TWO_PI), s0.coefficients)
+        assert neg == s0
+        p = params(0.05)
+        for seg in (s0, neg, s0):
+            check = verify_invariance(seg, p, samples=17)
+            assert check_fields(check) == fresh_invariance(seg, p, 17)
+        assert np.signbit(verify_invariance(neg, p, samples=17).worst_point[0])
+        # np.linspace ends on the domain's stop as given, signed zero included.
+        ends = [InvariantSegment("s0", s0.origin, s0.direction, (-1.0, stop), s0.coefficients)
+                for stop in (0.0, -0.0, 0.0)]
+        assert [np.signbit(restriction_fixed_points(seg)[-1]) for seg in ends] == [
+            False, True, False]
 
 
 # ---------------------------------------------------------------------------

@@ -433,6 +433,52 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", "--eps", "0.0")
         assert code == 2
 
+    def test_several_couplings_give_the_single_reports(self, capsys):
+        couplings = ("0.05", "0.1", "0.05")
+        opts = ("--samples", "200", "--grid", "100")
+        for fmt in ("text", "json"):
+            singles = [run_cli(capsys, "verify", "--eps", eps, *opts, "--format", fmt)
+                       for eps in couplings]
+            code, out, err = run_cli(capsys, "verify", "--eps", ",".join(couplings), *opts,
+                                     "--format", fmt)
+            assert (code, err) == (0, "")
+            if fmt == "text":
+                assert out == "".join(single for _, single, _ in singles)
+            else:
+                assert json.loads(out) == [json.loads(single) for _, single, _ in singles]
+
+    def test_one_failing_coupling_fails_the_run(self, capsys, monkeypatch):
+        real = analysis.heteroclinic_census
+
+        def failing(params):
+            census = real(params)
+            if params.epsilon != 0.1:
+                return census
+            return dataclasses.replace(census, counts={**census.counts, "sa": 5})
+
+        monkeypatch.setattr(analysis, "heteroclinic_census", failing)
+        code, out, _ = run_cli(capsys, "verify", "--eps", "0.05,0.1", "--samples", "200",
+                               "--grid", "100")
+        assert code == 1
+        assert [line for line in out.splitlines() if line in ("PASS", "FAIL")] == ["PASS", "FAIL"]
+
+    @pytest.mark.parametrize("couplings", ["0.05,0.2", "0.05,0", "-0.05"])
+    def test_a_coupling_out_of_range_refuses_the_run_before_any_work(
+        self, capsys, monkeypatch, couplings
+    ):
+        calls = []
+        monkeypatch.setattr(analysis, "verify_invariance", lambda *a, **k: calls.append(a))
+        code, out, err = run_cli(capsys, "verify", "--eps", couplings)
+        assert (code, out, calls) == (2, "", [])
+        assert err.startswith("triclock: error: ")
+
+    @pytest.mark.parametrize("couplings", ["0.05,", "0.05,x", ""])
+    def test_a_malformed_coupling_is_a_parser_error(self, capsys, couplings):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--eps", couplings])
+        assert exc.value.code == 2
+        assert "argument --eps: invalid" in capsys.readouterr().err
+
     ARGV = ("verify", "--eps", "0.05", "--samples", "200", "--grid", "100")
 
     def test_failed_segment_names_its_bound(self, capsys, monkeypatch):
