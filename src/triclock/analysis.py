@@ -35,23 +35,21 @@ decrement at ``(y, x)`` in the lower triangle equals the upper one at
 ``(x, y)`` bit for bit, so the last upper scan's maximum and zero set
 are kept for it.
 
-The work of ``verify`` that does not depend on eps is done once per
-sample set and kept for later calls in the process, each of which then
-does only its eps arithmetic, with the same operands in the same order:
+The work of ``verify`` that does not depend on eps is done once and kept
+for later calls in the process, each of which then does only its eps
+arithmetic, with the same operands in the same order:
 
+- each segment finds its drift roots once (:attr:`InvariantSegment.roots`)
+  and keeps its last sample set, ``t`` with its points and drift slope:
+  about 32 kB a segment at 1000 samples;
 - the upper Lyapunov lattice and the decrement's terms ``quad`` and
-  ``lin`` on it (``DV = eps*eps*quad + eps*lin``), keyed by the grid, one
-  grid kept: about 1.5 MB at grid 300;
-- each segment's samples ``t`` with their points and drift slope, keyed
-  by the segment and the sample count, ten entries kept: about 0.3 MB for
-  the ten segments at 1000 samples;
-- the segment roots, keyed by the coefficient row and the domain, ten
-  kept.
+  ``lin`` on it (``DV = eps*eps*quad + eps*lin``) are kept for the last
+  grid: about 1.5 MB at grid 300.
 
-The caches fill on first use, never at import; their keys tell -0.0 from
-0.0, and the arrays they keep are read-only.  ``verify --eps`` with
-several couplings is the caller that gains: one coupling in a fresh
-process does the same work as without the caches.
+A segment's data lives on the segment, so one that differs from another
+only in the sign of a zero keeps data of its own.  Nothing is computed at
+import, and the kept arrays are read-only.  ``verify --eps`` with several
+couplings is the caller that gains.
 """
 
 from __future__ import annotations
@@ -396,6 +394,56 @@ class InvariantSegment:
         """``t + eps * drift(t)``; a float ``t`` gives a float, not a 0-d array."""
         return t + params.epsilon * self.drift(t)
 
+    @functools.cached_property
+    def roots(self) -> np.ndarray:
+        """Roots of the drift on the domain (eps-free), sorted and read-only,
+        found once per segment.
+
+        A scan of 4096 equal intervals plus bisection; grid nodes already
+        within rounding of a root count directly, which catches the domain
+        endpoints.
+        """
+        t = np.linspace(*self.domain, 4097)
+        q = self.drift(t)
+        roots: list[float] = [float(t[i]) for i in np.flatnonzero(np.abs(q) < 1e-13)]
+        sign_change = np.flatnonzero(q[:-1] * q[1:] < 0.0)
+        for i in sign_change:
+            lo, hi = float(t[i]), float(t[i + 1])
+            qlo = float(q[i])
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                qm = self.drift(mid)
+                if qm == 0.0:
+                    lo = hi = mid
+                    break
+                if (qm < 0.0) == (qlo < 0.0):
+                    lo, qlo = mid, qm
+                else:
+                    hi = mid
+                if hi - lo < 1e-15:
+                    break
+            roots.append(0.5 * (lo + hi))
+        roots.sort()
+        out: list[float] = []
+        for r in roots:
+            if not out or r - out[-1] > 1e-9:
+                out.append(r)
+        found = np.asarray(out)
+        found.flags.writeable = False
+        return found
+
+    def _samples(self, samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``t``, ``point(t)`` and ``drift_derivative(t)`` on ``samples`` equal
+        steps of the domain, read-only; the last set is kept for the next call."""
+        kept = getattr(self, "_kept_samples", None)
+        if kept is None or kept[0].size != samples:
+            t = np.linspace(*self.domain, samples)
+            kept = (t, self.point(t), self.drift_derivative(t))
+            for a in kept:
+                a.flags.writeable = False
+            object.__setattr__(self, "_kept_samples", kept)
+        return kept
+
 
 @dataclass(frozen=True)
 class InvarianceCheck:
@@ -451,54 +499,9 @@ def invariant_segments() -> tuple[InvariantSegment, ...]:
 
 
 def restriction_fixed_points(segment: InvariantSegment) -> np.ndarray:
-    """Roots of the segment drift on its domain (eps-independent), sorted.
-
-    A scan of 4096 equal intervals plus bisection; grid nodes already
-    within rounding of a root count directly, which catches the domain
-    endpoints.  The roots depend only on the coefficient row and the
-    domain; they are found once per row and domain and kept (ten of
-    them), and each call returns a fresh copy.
-    """
-    row, domain = segment.coefficients, segment.domain
-    return _drift_roots(row, domain, repr((row, domain))).copy()
-
-
-@functools.lru_cache(maxsize=len(_SEGMENTS))
-def _drift_roots(row: tuple, domain: tuple, spelling: str) -> np.ndarray:
-    """:func:`restriction_fixed_points` of the row and domain, read-only.
-
-    ``spelling``, their repr, is in the cache key only: it tells -0.0 from
-    0.0, which ``==`` does not, and a zero's sign can reach the roots.
-    """
-    segment = InvariantSegment("", (0.0, 0.0), (0.0, 0.0), domain, row)  # drift reads the row
-    t = np.linspace(*segment.domain, 4097)
-    q = segment.drift(t)
-    roots: list[float] = [float(t[i]) for i in np.flatnonzero(np.abs(q) < 1e-13)]
-    sign_change = np.flatnonzero(q[:-1] * q[1:] < 0.0)
-    for i in sign_change:
-        lo, hi = float(t[i]), float(t[i + 1])
-        qlo = float(q[i])
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            qm = segment.drift(mid)
-            if qm == 0.0:
-                lo = hi = mid
-                break
-            if (qm < 0.0) == (qlo < 0.0):
-                lo, qlo = mid, qm
-            else:
-                hi = mid
-            if hi - lo < 1e-15:
-                break
-        roots.append(0.5 * (lo + hi))
-    roots.sort()
-    out: list[float] = []
-    for r in roots:
-        if not out or r - out[-1] > 1e-9:
-            out.append(r)
-    found = np.asarray(out)
-    found.flags.writeable = False
-    return found
+    """Roots of the segment drift on its domain (eps-independent), sorted:
+    a fresh copy of :attr:`InvariantSegment.roots`."""
+    return segment.roots.copy()
 
 
 def verify_invariance(
@@ -509,13 +512,14 @@ def verify_invariance(
     Passes when the worst perpendicular deviation stays below
     ``DEVIATION_TOL`` and the restriction map is strictly increasing (its
     slope 1 + eps * q'(t) stays positive on a dense sample).  The samples
-    ``t``, their points and drift slope do not depend on eps; they are kept
-    per segment and sample count (see :func:`_segment_samples`).
+    ``t``, their points and drift slope do not depend on eps; the segment
+    keeps its last set.
     """
+    _require_integer(samples, "samples")
     params.require_analysis_range()
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    t, pts, drift_slope = _segment_samples(segment, samples, repr(segment))
+    t, pts, drift_slope = segment._samples(samples)
     img = three_clock_step(pts, params)
     dx, dy = segment.direction
     w = img - np.asarray(segment.origin, dtype=float)
@@ -536,25 +540,11 @@ def verify_invariance(
     )
 
 
-@functools.lru_cache(maxsize=len(_SEGMENTS), typed=True)
-def _segment_samples(
-    segment: InvariantSegment, samples: int, spelling: str
-) -> tuple[np.ndarray, ...]:
-    """``t``, ``point(t)`` and ``drift_derivative(t)`` on ``samples`` equal
-    steps of the segment's domain, all read-only.
-
-    ``spelling``, the segment's repr, is in the cache key only: it tells
-    -0.0 from 0.0, which ``==`` does not, and a zero's sign can reach the
-    points.  The ten entries hold one sample set of every segment: about
-    32 kB a segment at 1000 samples.  ``typed``: a float ``samples`` fails
-    in ``np.linspace``, as it did before the cache, instead of matching an
-    int.
-    """
-    t = np.linspace(*segment.domain, samples)
-    arrays = (t, segment.point(t), segment.drift_derivative(t))
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
+def _require_integer(value, name: str) -> None:
+    """Refuse a non-integer size, which would match kept data of an equal
+    integer but fail in ``np.linspace`` without it."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -688,9 +678,8 @@ def heteroclinic_census(params: CouplingParams) -> HeteroclinicCensus:
     does the capture test, so a seed that is the exact mirror of a traced
     one gets the traced samples with their columns swapped, landing on the
     mirror fixed point; any other seed is traced.  The restriction map
-    depends only on a segment's coefficient row, so its roots are found
-    once per row and domain, and its orbits once per row and pair of end
-    parameters.
+    depends only on a segment's coefficient row, so its orbits are iterated
+    once per row and pair of end parameters.
     """
     params.require_analysis_range()
     memo: dict[Any, Any] = {}
@@ -724,8 +713,7 @@ def heteroclinic_census(params: CouplingParams) -> HeteroclinicCensus:
                     samples, j = mirror[0][:, ::-1].copy(), _MIRROR_ROW[mirror[1]]
                 orbits.append(HeteroclinicOrbit(rec, records[j], samples))
     for segment in invariant_segments():
-        row = segment.coefficients
-        fps_t = once((row, segment.domain), lambda: restriction_fixed_points(segment))
+        fps_t = segment.roots
         for t0, t1 in zip(fps_t[:-1], fps_t[1:]):
             qm = segment.drift(0.5 * (t0 + t1))
             if qm == 0.0:
@@ -734,7 +722,7 @@ def heteroclinic_census(params: CouplingParams) -> HeteroclinicCensus:
             source = classify_at(segment.point(t_src))
             target = classify_at(segment.point(t_dst))
             if _orbit_kind(source, target) != "sa":  # sa orbits were already found by tracing
-                ts = once((row, t_src, t_dst),
+                ts = once((segment.coefficients, t_src, t_dst),
                           lambda: _restriction_orbit(segment, t_src, t_dst, params))
                 orbits.append(HeteroclinicOrbit(source, target, segment.point(ts)))
     counts: dict[str, int] = {}
@@ -866,6 +854,7 @@ def orbital_derivative_scan(
     reported, never assumed; a positive maximum is a reported failure.  The
     zero set is read-only.
     """
+    _require_integer(grid, "grid")
     params.require_analysis_range()
     if grid < 100:
         raise ValueError("grid must be at least 100 per side")
@@ -900,15 +889,12 @@ def _upper_scan(eps: float, grid: int) -> tuple[float, np.ndarray]:
     return float(np.max(df)), zero_pts
 
 
-@functools.lru_cache(maxsize=1, typed=True)
+@functools.lru_cache(maxsize=1)
 def _upper_lattice(grid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The upper triangle's lattice nodes ``x``, ``y`` and the decrement's
     eps-free terms ``quad``, ``lin`` on them, all read-only: four arrays of
-    ``(grid + 1) * (grid + 2) / 2`` floats, about 1.5 MB at grid 300.
-
-    Kept for the scans of later couplings on the same grid.  ``typed``: a
-    float ``grid`` fails in ``np.linspace``, as it did before the cache,
-    instead of matching an int.
+    ``(grid + 1) * (grid + 2) / 2`` floats, about 1.5 MB at grid 300, kept
+    for the scans of later couplings on the same grid.
     """
     # The triangle's nodes, y >= x, in row-major order: the nodes _in_region
     # admits, since no off-diagonal node lies within its slack of the diagonal.

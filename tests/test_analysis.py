@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -494,14 +495,13 @@ class TestHeteroclinicCensus:
 
     @pytest.mark.parametrize("eps, traces", [(0.01, 3), (0.05, 3), (0.1, 3), (0.109, 4)])
     def test_verify_computes_each_mirror_pair_once(self, monkeypatch, eps, traces):
-        # One verify traces 3 of the 6 saddle orbits, finds the segment roots
-        # once per coefficient row and domain (6 of 10), iterates 4 of the 12
+        # One verify traces 3 of the 6 saddle orbits, iterates 4 of the 12
         # segment orbits and combines one Lyapunov triangle's terms with eps.
         # At eps 0.109 the seeds off (0, pi) and (pi, 0) are each other's
         # mirror only up to the last bit, so both are traced.  The lattice
-        # terms are eps-free: three couplings build them at most once.
-        calls = {name: 0 for name in ("_trace", "restriction_fixed_points",
-                                      "_restriction_orbit", "_combine")}
+        # terms and the segment roots are eps-free: three couplings build the
+        # lattice at most once, and the later two find no roots.
+        calls = {name: 0 for name in ("_trace", "_restriction_orbit", "_combine")}
         for name in calls:
             real = getattr(analysis, name)
 
@@ -514,12 +514,13 @@ class TestHeteroclinicCensus:
         builds = analysis._upper_lattice.cache_info().misses
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli_main(["verify", "--eps", repr(eps)]) == 0
-            assert calls == {"_trace": traces, "restriction_fixed_points": 6,
-                             "_restriction_orbit": 4, "_combine": 1}
+            assert calls == {"_trace": traces, "_restriction_orbit": 4, "_combine": 1}
+            roots = [vars(seg)["roots"] for seg in invariant_segments()]
             for other in (0.5 * eps, 0.9 * eps):
                 assert cli_main(["verify", "--eps", repr(other)]) == 0
         assert calls["_combine"] == 3
         assert analysis._upper_lattice.cache_info().misses - builds <= 1
+        assert all(seg.roots is kept for seg, kept in zip(invariant_segments(), roots))
 
     def test_repeller_to_attractor_orbits_on_anti_diagonal(self, census):
         ra = [o for o in census.orbits if o.kind == "ra"]
@@ -661,6 +662,21 @@ def fresh_invariance(segment, p, samples):
     return repr(float(dev[worst])), pts[worst].tobytes(), monotone, repr(float(np.min(slope)))
 
 
+def _negative_zeros(values):
+    return tuple(-0.0 if v == 0.0 else v for v in values)
+
+
+# The ten segments made again by hand, with every zero of their origin,
+# direction and domain negated: each equals its original under ==, keeps data
+# of its own, and a zero's sign can reach its points and roots.
+SIGNED_ZERO_SEGMENTS = [
+    dataclasses.replace(seg, origin=_negative_zeros(seg.origin),
+                        direction=_negative_zeros(seg.direction),
+                        domain=_negative_zeros(seg.domain))
+    for seg in invariant_segments()
+]
+
+
 def check_fields(check):
     return (repr(check.max_deviation), check.worst_point.tobytes(), check.monotone,
             repr(check.min_slope))
@@ -679,6 +695,7 @@ class TestEpsFreeCaches:
                 st.sampled_from([100, 101, 300]),
                 st.sampled_from([2, 17, 1000]),
                 st.permutations(["upper", "lower"]),
+                st.lists(st.sampled_from(SIGNED_ZERO_SEGMENTS), max_size=3),
             ),
             min_size=2, max_size=5,
         )
@@ -686,12 +703,15 @@ class TestEpsFreeCaches:
     def test_kept_terms_give_the_fresh_results(self, steps):
         # The first step comes back last, after the others may have evicted
         # its lattice (one grid kept) and its samples (one sample count kept).
-        for eps, grid, samples, regions in [*steps, steps[0]]:
+        for eps, grid, samples, regions, made in [*steps, steps[0]]:
             p = params(eps)
-            for segment in invariant_segments():
+            for segment in (*invariant_segments(), *made):
                 check = verify_invariance(segment, p, samples=samples)
                 assert check.name == segment.name
                 assert check_fields(check) == fresh_invariance(segment, p, samples)
+                # replace() builds a new segment, which keeps nothing yet.
+                fresh_roots = dataclasses.replace(segment).roots
+                assert restriction_fixed_points(segment).tobytes() == fresh_roots.tobytes()
             axis = np.linspace(0.0, TWO_PI, grid + 1)
             x, y = (c.ravel() for c in np.meshgrid(axis, axis))
             for region in regions:
@@ -704,16 +724,32 @@ class TestEpsFreeCaches:
                 assert scan.zero_set.shape == expect.shape
                 assert scan.zero_set.tobytes() == expect.tobytes()
 
-    def test_a_coupling_sweep_builds_the_eps_free_terms_once(self):
-        # verify --eps with several couplings is the caller the caches serve:
-        # one lattice, one sample set per segment, one root set per row and
-        # domain for the whole run.
-        kept = (analysis._upper_lattice, analysis._segment_samples, analysis._drift_roots)
-        for cache in kept:
-            cache.cache_clear()
+    def test_a_coupling_sweep_builds_the_eps_free_terms_once(self, monkeypatch):
+        # verify --eps with several couplings is the caller the kept terms
+        # serve: one lattice, and one sample set and one root set per segment,
+        # for the whole run.
+        for seg in invariant_segments():
+            vars(seg).pop("roots", None)
+            vars(seg).pop("_kept_samples", None)
+        analysis._upper_lattice.cache_clear()
+        built = {"roots": 0, "samples": 0}
+        find_roots = InvariantSegment.roots.func
+        slope = InvariantSegment.drift_derivative
+
+        def counted_roots(seg):
+            built["roots"] += 1
+            return find_roots(seg)
+
+        def counted_slope(seg, t):
+            built["samples"] += 1
+            return slope(seg, t)
+
+        monkeypatch.setattr(InvariantSegment.roots, "func", counted_roots)
+        monkeypatch.setattr(InvariantSegment, "drift_derivative", counted_slope)
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli_main(["verify", "--eps", "0.011,0.05,0.08,0.109"]) == 0
-        assert [cache.cache_info().misses for cache in kept] == [1, 10, 6]
+        assert built == {"roots": 10, "samples": 10}
+        assert analysis._upper_lattice.cache_info().misses == 1
 
     def test_kept_arrays_are_read_only_and_returned_arrays_are_the_callers(self):
         seg, p = segment_by_name("d1"), params(0.05)
@@ -721,16 +757,34 @@ class TestEpsFreeCaches:
         for kept in analysis._upper_lattice(100):
             assert not kept.flags.writeable
         check = verify_invariance(seg, p, samples=17)
-        for kept in analysis._segment_samples(seg, 17, repr(seg)):
+        for kept in seg._samples(17):
             assert not kept.flags.writeable
         roots = restriction_fixed_points(seg)
-        row, domain = seg.coefficients, seg.domain
-        assert not analysis._drift_roots(row, domain, repr((row, domain))).flags.writeable
+        assert not seg.roots.flags.writeable
         want_roots, want_worst = roots.tobytes(), check.worst_point.tobytes()
         roots[:] = -1.0
         check.worst_point[:] = -1.0
         assert restriction_fixed_points(seg).tobytes() == want_roots
         assert verify_invariance(seg, p, samples=17).worst_point.tobytes() == want_worst
+
+    @pytest.mark.parametrize("kept", [True, False])
+    def test_a_non_integer_size_is_refused_whatever_is_kept(self, kept):
+        # A float equal to an integer would match that integer's kept data
+        # and fail in np.linspace without it; it is refused either way.
+        seg, p = dataclasses.replace(segment_by_name("s0")), params(0.05)
+        analysis._upper_scan.cache_clear()
+        analysis._upper_lattice.cache_clear()
+        if kept:
+            verify_invariance(seg, p, samples=17)
+            orbital_derivative_scan("upper", p, grid=100)
+        with pytest.raises(ValueError, match="samples must be an integer, got 17.0"):
+            verify_invariance(seg, p, samples=17.0)
+        with pytest.raises(ValueError, match="grid must be an integer, got 100.0"):
+            orbital_derivative_scan("upper", p, grid=100.0)
+        # A numpy integer is an integer.
+        check = verify_invariance(seg, p, samples=np.int64(17))
+        assert check_fields(check) == fresh_invariance(seg, p, 17)
+        assert orbital_derivative_scan("upper", p, grid=np.int64(100)).grid_resolution == 100
 
     def test_keys_tell_a_zero_from_a_negative_zero(self):
         # Equal under ==, these segments differ in the sign of a zero that
