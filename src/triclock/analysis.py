@@ -71,6 +71,7 @@ from .core import (
     omega_field,
     omega_field_xy,
     omega_jacobian,
+    require_integer,
     three_clock_step,
     three_clock_step_scalar,
 )
@@ -515,7 +516,7 @@ def verify_invariance(
     ``t``, their points and drift slope do not depend on eps; the segment
     keeps its last set.
     """
-    _require_integer(samples, "samples")
+    require_integer(samples, "samples")
     params.require_analysis_range()
     if samples < 2:
         raise ValueError("need at least 2 samples")
@@ -538,13 +539,6 @@ def verify_invariance(
         monotone=monotone,
         min_slope=float(np.min(slope)),
     )
-
-
-def _require_integer(value, name: str) -> None:
-    """Refuse a non-integer size, which would match kept data of an equal
-    integer but fail in ``np.linspace`` without it."""
-    if not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -854,7 +848,7 @@ def orbital_derivative_scan(
     reported, never assumed; a positive maximum is a reported failure.  The
     zero set is read-only.
     """
-    _require_integer(grid, "grid")
+    require_integer(grid, "grid")
     params.require_analysis_range()
     if grid < 100:
         raise ValueError("grid must be at least 100 per side")

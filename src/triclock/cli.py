@@ -15,8 +15,10 @@ names against ``render.LAYERS`` and passes the renderer data for the
 named layers only; the renderer draws what it is given.  ``verify``
 takes one coupling or several (``--eps 0.01,0.05``) and checks them in
 turn in one process, so the analysis terms that do not depend on eps are
-computed once for the run.  Exit codes: 0
-success, 1 I/O or check failure, 2 usage or validation failure.
+computed once for the run.  ``basins`` and ``portrait`` rasterize with
+one process per CPU this process may run on (see ``basin.rasterize``).
+Exit codes: 0 success, 1 I/O or check failure, 2 usage or validation
+failure.
 ``TRICLOCK_OUTDIR`` redirects relative output paths.
 """
 
@@ -159,9 +161,17 @@ def _cmd_fixed_points(o: argparse.Namespace) -> Report:
 # basins
 # ---------------------------------------------------------------------------
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: the raster's process count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _cmd_basins(o: argparse.Namespace) -> Report:
     params = _analysis_params(o)
-    grid = basin.rasterize(o.resolution, params, tol=o.tol, max_iter=o.max_iter)
+    grid = basin.rasterize(o.resolution, params, tol=o.tol, max_iter=o.max_iter,
+                           workers=_usable_cpus())
     return {
         "csv": lambda stream: basin.write_grid_csv(grid, stream),
         "bin": lambda stream: basin.write_grid_binary(grid, stream),
@@ -410,7 +420,8 @@ def _cmd_portrait(o: argparse.Namespace) -> Report:
     if o.resolution < 2:
         raise ValueError("resolution must be at least 2")
     svg = render.render_portrait(
-        grid=basin.rasterize(o.resolution, params) if "basin_background" in layers else None,
+        grid=(basin.rasterize(o.resolution, params, workers=_usable_cpus())
+              if "basin_background" in layers else None),
         segments=analysis.invariant_segments() if "invariant_segments" in layers else None,
         heteroclinics=(analysis.heteroclinic_census(params).orbits
                        if "heteroclinics" in layers else None),

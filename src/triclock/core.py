@@ -46,6 +46,7 @@ __all__ = [
     "CouplingParams",
     "normalize_phase",
     "require_basin_velocity",
+    "require_integer",
     "andronov_step",
     "andronov_fixed_point",
     "omega_field",
@@ -127,6 +128,12 @@ def require_basin_velocity(v: float, params: CouplingParams, name: str = "v") ->
     if v <= 4.0 * params.mu:
         raise ValueError(f"{name}={v} is outside the limit-cycle basin "
                          f"(requires {name} > 4*mu = {4.0 * params.mu})")
+
+
+def require_integer(value, name: str) -> None:
+    """Refuse a non-integer size or count (a float, even an integral one)."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def andronov_step(v: float, params: CouplingParams) -> float:

@@ -1,11 +1,16 @@
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from triclock import basin
 from triclock.analysis import default_max_iterations, lyapunov_value
 from triclock.basin import (
     ATTRACTOR_LOWER,
@@ -62,8 +67,8 @@ class TestClassifyPoint:
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"tol": -1.0}, {"tol": math.nan}, {"tol": math.inf}, {"max_iter": -3}],
-    ids=["negative-tol", "nan-tol", "inf-tol", "negative-max-iter"],
+    [{"tol": -1.0}, {"tol": math.nan}, {"tol": math.inf}, {"max_iter": -3}, {"max_iter": 2.0}],
+    ids=["negative-tol", "nan-tol", "inf-tol", "negative-max-iter", "float-max-iter"],
 )
 @pytest.mark.parametrize("classify", ["rasterize", "classify_point"])
 def test_meaningless_budget_rejected(classify, kwargs):
@@ -72,6 +77,13 @@ def test_meaningless_budget_rejected(classify, kwargs):
             rasterize(4, params(), **kwargs)
         else:
             classify_point((1.0, 2.0), params(), **kwargs)
+
+
+@pytest.mark.parametrize("args, kwargs", [((50.5,), {}), ((10,), {"workers": 2.5})],
+                         ids=["resolution", "workers"])
+def test_non_integer_sizes_rejected(args, kwargs):
+    with pytest.raises(ValueError, match="must be an integer"):
+        rasterize(*args, params(), **kwargs)
 
 
 def full_lattice_reference(resolution, p, tol, max_iter):
@@ -173,6 +185,75 @@ class TestRasterize:
             rasterize(10, params(), workers=0)
         with pytest.raises(ValueError):
             rasterize(10, CouplingParams(epsilon=0.5))
+
+
+# Half lattices of 1275 cells (below the per-process minimum at 2 and 3
+# processes) and 7021 (above it; neither 2 nor 3 divides it).
+BELOW, ABOVE = 50, 118
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the raster forks only where os.fork exists")
+class TestForkedRaster:
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The number of os.fork calls the parent makes."""
+        made = []
+        real_fork = os.fork
+
+        def fork():
+            made.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        return made
+
+    @pytest.mark.parametrize("resolution", [BELOW, ABOVE])
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_equals_serial_byte_for_byte(self, forks, resolution, workers):
+        p = params(0.045)
+        serial = rasterize(resolution, p)
+        assert forks == []
+        split = rasterize(resolution, p, workers=workers)
+        assert len(forks) == (workers - 1 if resolution == ABOVE else 0)
+        assert split.labels.tobytes() == serial.labels.tobytes()
+        assert split.iterations.tobytes() == serial.iterations.tobytes()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("fault", ["raises", "short", "long"])
+    def test_failed_worker_raises_and_leaves_no_child(self, monkeypatch, capfd, fault):
+        parent = os.getpid()
+        classify = basin._classify
+
+        def faulty(x, y, *args):
+            labels, iters = classify(x, y, *args)
+            if os.getpid() == parent:
+                return labels, iters
+            if fault == "raises":
+                raise ArithmeticError("worker fault")
+            if fault == "short":
+                return labels[:-1], iters[:-1]
+            return np.append(labels, labels[:1]), np.append(iters, iters[:1])
+
+        monkeypatch.setattr(basin, "_classify", faulty)
+        with pytest.raises(RuntimeError, match="raster worker"):
+            rasterize(ABOVE, params(), workers=3)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        if fault == "raises":
+            assert "ArithmeticError: worker fault" in capfd.readouterr().err
+
+    def test_cli_writes_the_grid_once(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "triclock.cli", "basins", "--eps", "0.05",
+             "--resolution", str(ABOVE), "--format", "csv"],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
+        )
+        expected = io.StringIO()
+        write_grid_csv(rasterize(ABOVE, params()), expected)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == expected.getvalue()
 
 
 class TestOrbit:

@@ -1,7 +1,8 @@
 """The verdicts ``tools/bench_pairs.py`` prints from a report of paired runs,
-and the bytecode it writes before the first pair."""
+the bytecode it writes before the first pair, and its host parallel ratio."""
 
 import importlib.util
+import os
 import statistics
 from pathlib import Path
 
@@ -64,3 +65,11 @@ def test_compile_sources_writes_the_caches_of_src_only(tmp_path):
     for path in sources:
         assert Path(importlib.util.cache_from_source(str(path))).is_file()
     assert not (tmp_path / "__pycache__").exists()
+
+
+def test_parallel_ratio_times_forked_spinners_and_reaps_them():
+    ratio = bench_pairs.parallel_ratio(rounds=3, loops=20_000)
+    assert len(ratio["rounds"]) == 3 and all(r > 0.0 for r in ratio["rounds"])
+    assert ratio["median"] == statistics.median(ratio["rounds"])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -18,7 +18,12 @@ both sides alike.  OUT_JSON gets, per workload and end-to-end metric, the
 per-pair values of both sides, their medians and quartiles, and how many
 pairs the change won; plus each run's correctness counts, the machine
 facts and the ``src/`` line count of both checkouts, as ``run.py`` records
-them in ``.perfbench_out/``.  Progress goes to standard error.
+them in ``.perfbench_out/``.  It also gets the host's two-process parallel
+ratio, measured before the first pair and after the last: the wall time of
+two forked pure-Python spinners over that of one, about 1.0 while the host
+runs two processes in parallel and 2.0 while they share one core, so a
+claim that rests on the second core shows which state the host was in.
+Progress goes to standard error.
 
 The end-to-end metrics, their direction and their bounds come from
 BASE_DIR's ``BENCHMARK.json``, which is only read.  Standard output gets
@@ -37,10 +42,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import statistics
 import subprocess
 import sys
 from pathlib import Path
+from time import perf_counter
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -59,6 +66,34 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 def compile_sources(checkout: Path) -> None:
     """Write the bytecode caches of ``checkout``'s ``src`` tree with this interpreter."""
     subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=checkout, check=True)
+
+
+def _spinners(count: int, loops: int) -> float:
+    """Wall seconds for ``count`` forked children that each count to ``loops``."""
+    start = perf_counter()
+    pids = []
+    for _ in range(count):
+        pid = os.fork()
+        if pid == 0:
+            try:
+                n = 0
+                while n < loops:
+                    n += 1
+            finally:
+                os._exit(0)
+        pids.append(pid)
+    for pid in pids:
+        os.waitpid(pid, 0)
+    return perf_counter() - start
+
+
+def parallel_ratio(rounds: int = 7, loops: int = 2_000_000) -> dict:
+    """Two spinners' time over one's, per round (alternating which runs first), and the median."""
+    ratios = []
+    for i in range(rounds):
+        times = {count: _spinners(count, loops) for count in ((1, 2) if i % 2 == 0 else (2, 1))}
+        ratios.append(times[2] / times[1])
+    return {"median": statistics.median(ratios), "rounds": ratios}
 
 
 def summary(values: list[float]) -> dict:
@@ -144,6 +179,8 @@ def main(argv: list[str]) -> int:
     for checkout in sides.values():
         compile_sources(checkout)
     print(f"compiled src in both checkouts with {sys.executable} -m compileall", file=sys.stderr)
+    parallel = {"before": parallel_ratio()}
+    print(f"host parallel ratio before: {parallel['before']['median']:.3f}", file=sys.stderr)
     runs: dict[str, dict[str, list[dict]]] = {w: {"base": [], "change": []} for w in workloads}
     for i in range(args.pairs):
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
@@ -153,6 +190,8 @@ def main(argv: list[str]) -> int:
                 runs[workload][side].append(result)
                 print(f"pair {i} {workload} {side}: wall_s {result['metrics']['wall_s']['value']:.3f}"
                       f" correct {result['correct']} failed {result['failed']}", file=sys.stderr)
+    parallel["after"] = parallel_ratio()
+    print(f"host parallel ratio after: {parallel['after']['median']:.3f}", file=sys.stderr)
 
     report: dict = {
         "command": f"python3 perfbench/run.py --workload W --seed {args.seed} "
@@ -160,6 +199,7 @@ def main(argv: list[str]) -> int:
         "pairs": args.pairs,
         "order": "base first in even pairs, change first in odd pairs",
         "machine": runs[workloads[0]]["base"][0]["facts"]["machine"],
+        "host_parallel_ratio": parallel,
         "src_lines": {side: runs[workloads[0]][side][0]["facts"]["code"]["src_lines"]
                       for side in sides},
         "workloads": {},
