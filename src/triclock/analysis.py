@@ -24,6 +24,14 @@ evaluates the decrement on them directly, in the same operation order
 as :func:`orbital_derivative`, which checks its points and calls the
 same code.
 
+Work on many fixed points or segments is one array pass per kind, and
+the one-item calls are its one-row form: :func:`classify_rows` makes one
+drift and one Jacobian call for all its rows (:func:`classify` is its
+one-row call, and the census classifies the eleven fixed points in one
+batch), the Newton search runs on the half of its seed lattice with
+``row <= col`` and mirrors the rest, and :func:`verify_invariance` given
+several segments steps all their samples with one map call.
+
 The swap ``(x, y) -> (y, x)`` commutes with the map bit for bit, and
 the work of ``verify`` is done once per mirror pair.  The census traces
 3 of its 6 saddle orbits: a seed that is the exact mirror of a traced
@@ -58,7 +66,7 @@ import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Any, Callable, Literal
+from typing import Any, Callable, Literal, Sequence
 
 import numpy as np
 
@@ -87,6 +95,7 @@ __all__ = [
     "known_fixed_points",
     "find_fixed_points",
     "classify",
+    "classify_rows",
     "invariant_segments",
     "restriction_fixed_points",
     "verify_invariance",
@@ -231,22 +240,42 @@ def _eig2(J: np.ndarray) -> tuple[tuple[float, float], tuple[np.ndarray, np.ndar
 
 
 def classify(location, params: CouplingParams) -> FixedPointRecord:
-    """Fill Jacobian, eigenpairs and the stability class at a fixed point."""
-    params.require_analysis_range()
+    """Fill Jacobian, eigenpairs and the stability class at a fixed point:
+    :func:`classify_rows` of the one location, which must be two floats."""
     location = np.asarray(location, dtype=float)
-    residual = float(np.max(np.abs(omega_field(location))))
-    if residual > 1e-10:
-        raise ValueError(f"{location} is not a fixed point (drift residual {residual:.3e})")
-    J = jacobian(location, params)
-    lams, vecs = _eig2(J)
-    moduli = [abs(l) for l in lams]
-    if all(m < 1.0 for m in moduli):
-        kind = "attractor"
-    elif all(m > 1.0 for m in moduli):
-        kind = "repeller"
-    else:
-        kind = "saddle"
-    return FixedPointRecord(location, J, lams, vecs, kind, residual)
+    if location.shape != (2,):
+        raise ValueError(f"a location is two floats, got shape {location.shape}")
+    return classify_rows(location[None], params)[0]
+
+
+def classify_rows(locations, params: CouplingParams) -> tuple[FixedPointRecord, ...]:
+    """:func:`classify` at each row of an ``(n, 2)`` array, in order.
+
+    One drift and one Jacobian evaluation serve all rows; the eigenpairs
+    and the class are found row by row.  Every row must be a drift zero
+    (residual at most 1e-10), else ValueError: a non-finite coordinate
+    gives a NaN residual and is refused too.  The records' locations are
+    rows of a copy of ``locations``.
+    """
+    params.require_analysis_range()
+    rows = np.array(locations, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != 2:
+        raise ValueError(f"locations must have shape (n, 2), got {rows.shape}")
+    residuals = np.max(np.abs(omega_field(rows)), axis=-1)
+    records = []
+    for location, J, residual in zip(rows, jacobian(rows, params), residuals):
+        if not residual <= 1e-10:
+            raise ValueError(f"{location} is not a fixed point (drift residual {residual:.3e})")
+        lams, vecs = _eig2(J)
+        moduli = [abs(l) for l in lams]
+        if all(m < 1.0 for m in moduli):
+            kind = "attractor"
+        elif all(m > 1.0 for m in moduli):
+            kind = "repeller"
+        else:
+            kind = "saddle"
+        records.append(FixedPointRecord(location, J, lams, vecs, kind, float(residual)))
+    return tuple(records)
 
 
 def _newton_on_drift(seeds: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -324,29 +353,48 @@ def find_fixed_points(
     if params is None:
         raise ValueError("params is required")
     params.require_analysis_range()
+    require_integer(seed_grid, "seed_grid")
     if seed_grid < 2:
         raise ValueError("seed_grid must be at least 2")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
+    seeds, roots, ok = _newton_on_lattice(seed_grid, tol)
+    unique = np.array(_dedupe_roots(roots[ok], 1e-6)).reshape(-1, 2)
+    # Roots within rounding of an edge are boundary roots; snap them onto it
+    # when that does not cost residual accuracy.
+    cand = unique.copy()
+    cand[np.abs(cand) < 1e-9] = 0.0
+    cand[np.abs(cand - TWO_PI) < 1e-9] = TWO_PI
+    keep = np.max(np.abs(omega_field(cand)), axis=-1) <= tol
+    snapped = np.where(keep[:, None], cand, unique)
+    order = sorted(range(len(snapped)),
+                   key=lambda i: (round(float(snapped[i, 0]), 9), round(float(snapped[i, 1]), 9)))
+    records = classify_rows(snapped[order], params)
+    return FixedPointSearch(records=records, unconverged_seeds=seeds[~ok])
+
+
+def _newton_on_lattice(seed_grid: int, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The seed lattice of :func:`find_fixed_points` in row-major order, and
+    :func:`_newton_on_drift`'s final iterates and converged mask on it.
+
+    The drift and its Jacobian commute with the swap ``(x, y) -> (y, x)``
+    bit for bit, so Newton from the mirror seed ends at the mirror of the
+    seed's iterate.  Newton runs on the seeds with ``row <= col`` only,
+    listed by index; the mirror results (columns swapped) are scattered
+    first and the half's second, which rebuilds the whole lattice's
+    arrays in seed order.
+    """
     axis = np.linspace(0.0, TWO_PI, seed_grid)
     gx, gy = np.meshgrid(axis, axis)
     seeds = np.column_stack((gx.ravel(), gy.ravel()))
-    roots, ok = _newton_on_drift(seeds, tol)
-    unique = _dedupe_roots(roots[ok], 1e-6)
-    # Roots within rounding of an edge are boundary roots; snap them onto it
-    # when that does not cost residual accuracy.
-    snapped: list[np.ndarray] = []
-    for root in unique:
-        cand = root.copy()
-        cand[np.abs(cand) < 1e-9] = 0.0
-        cand[np.abs(cand - TWO_PI) < 1e-9] = TWO_PI
-        if float(np.max(np.abs(omega_field(cand)))) <= tol:
-            snapped.append(cand)
-        else:
-            snapped.append(root)
-    snapped.sort(key=lambda r: (round(float(r[0]), 9), round(float(r[1]), 9)))
-    records = tuple(classify(r, params) for r in snapped)
-    return FixedPointSearch(records=records, unconverged_seeds=seeds[~ok])
+    row, col = np.triu_indices(seed_grid)
+    half, half_ok = _newton_on_drift(np.column_stack((axis[col], axis[row])), tol)
+    roots = np.empty_like(seeds)
+    ok = np.empty(seeds.shape[0], dtype=bool)
+    for index, found in ((col * seed_grid + row, half[:, ::-1]), (row * seed_grid + col, half)):
+        roots[index] = found
+        ok[index] = half_ok
+    return seeds, roots, ok
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +554,10 @@ def restriction_fixed_points(segment: InvariantSegment) -> np.ndarray:
 
 
 def verify_invariance(
-    segment: InvariantSegment, params: CouplingParams, samples: int = 1000
-) -> InvarianceCheck:
+    segment: InvariantSegment | Sequence[InvariantSegment],
+    params: CouplingParams,
+    samples: int = 1000,
+) -> InvarianceCheck | tuple[InvarianceCheck, ...]:
     """Sample the segment, apply the map, and measure the off-segment drift.
 
     Passes when the worst perpendicular deviation stays below
@@ -515,30 +565,49 @@ def verify_invariance(
     slope 1 + eps * q'(t) stays positive on a dense sample).  The samples
     ``t``, their points and drift slope do not depend on eps; the segment
     keeps its last set.
+
+    Given a sequence of segments, it checks them all with one map call on
+    their stacked samples and returns their checks as a tuple, in order;
+    one segment is the one-row call of that form.  The deviations of all
+    segments are one ``(segments, samples)`` array.
     """
     require_integer(samples, "samples")
     params.require_analysis_range()
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    t, pts, drift_slope = segment._samples(samples)
-    img = three_clock_step(pts, params)
-    dx, dy = segment.direction
-    w = img - np.asarray(segment.origin, dtype=float)
+    if isinstance(segment, InvariantSegment):
+        return _check_segments((segment,), params, samples)[0]
+    return _check_segments(tuple(segment), params, samples)
+
+
+def _check_segments(segments: tuple[InvariantSegment, ...], params: CouplingParams,
+                    samples: int) -> tuple[InvarianceCheck, ...]:
+    """:func:`verify_invariance` of each segment, with one map call."""
+    if not segments:
+        return ()
+    kept = [seg._samples(samples) for seg in segments]
+    pts = np.stack([points for _, points, _ in kept])
+    w = three_clock_step(pts, params) - np.array([seg.origin for seg in segments])[:, None]
+    direction = np.array([seg.direction for seg in segments])
+    dx, dy = direction[:, :1], direction[:, 1:]
+    norm = np.array([[math.hypot(*seg.direction)] for seg in segments])
     # Cross-product point-to-line distance: exact zero for images that land
     # exactly on the segment, unlike a projection-based residual.
-    dev = np.abs(dy * w[:, 0] - dx * w[:, 1]) / math.hypot(dx, dy)
-    worst = int(np.argmax(dev))
-    slope = 1.0 + params.epsilon * drift_slope
-    restricted = segment.restriction(t, params)
-    monotone = bool(np.all(np.diff(restricted) > 0.0) and np.all(slope > 0.0))
-    max_dev = float(dev[worst])
-    return InvarianceCheck(
-        name=segment.name,
-        max_deviation=max_dev,
-        worst_point=pts[worst].copy(),
-        monotone=monotone,
-        min_slope=float(np.min(slope)),
-    )
+    dev = np.abs(dy * w[..., 0] - dx * w[..., 1]) / norm
+    worst = np.argmax(dev, axis=1)
+    checks = []
+    for seg, (t, points, drift_slope), row, i in zip(segments, kept, dev, worst):
+        slope = 1.0 + params.epsilon * drift_slope
+        restricted = seg.restriction(t, params)
+        monotone = bool(np.all(np.diff(restricted) > 0.0) and np.all(slope > 0.0))
+        checks.append(InvarianceCheck(
+            name=seg.name,
+            max_deviation=float(row[i]),
+            worst_point=points[i].copy(),
+            monotone=monotone,
+            min_slope=float(np.min(slope)),
+        ))
+    return tuple(checks)
 
 
 # ---------------------------------------------------------------------------
@@ -688,7 +757,8 @@ def heteroclinic_census(params: CouplingParams) -> HeteroclinicCensus:
         # what classify gives.
         return once(location.tobytes(), lambda: classify(location, params))
 
-    records = [classify_at(p) for p in known_fixed_points()]
+    records = classify_rows(_FIXED_POINTS, params)
+    memo.update((rec.location.tobytes(), rec) for rec in records)
     orbits: list[HeteroclinicOrbit] = []
     traced: dict[bytes, tuple[np.ndarray, int]] = {}  # seed bytes -> samples, landing row
     for rec in records:

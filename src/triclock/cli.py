@@ -319,10 +319,8 @@ def _cmd_verify(o: argparse.Namespace) -> Report:
 
 def _verify(params: CouplingParams, samples: int, grid: int) -> tuple[dict, str]:
     """The JSON report and the text report of ``verify`` at one coupling."""
-    segment_checks = [
-        analysis.verify_invariance(seg, params, samples=samples)
-        for seg in analysis.invariant_segments()
-    ]
+    segment_checks = analysis.verify_invariance(analysis.invariant_segments(), params,
+                                                samples=samples)
     census = analysis.heteroclinic_census(params)
     scans = [
         analysis.orbital_derivative_scan(region, params, grid=grid)
@@ -432,8 +430,8 @@ def _cmd_portrait(o: argparse.Namespace) -> Report:
     return {"svg": lambda stream: stream.write(svg)}, 0
 
 
-def _fixed_point_records(params: CouplingParams) -> list[analysis.FixedPointRecord]:
-    return [analysis.classify(p, params) for p in analysis.known_fixed_points()]
+def _fixed_point_records(params: CouplingParams) -> tuple[analysis.FixedPointRecord, ...]:
+    return analysis.classify_rows(analysis.known_fixed_points(), params)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from triclock.analysis import (
     _dedupe_roots,
     _newton_on_drift,
     classify,
+    classify_rows,
     default_max_iterations,
     find_fixed_points,
     heteroclinic_census,
@@ -115,6 +116,27 @@ class TestFindFixedPoints:
                 find_fixed_points(seed_grid=20, tol=tol, params=params())
         with pytest.raises(ValueError):
             find_fixed_points(params=None)
+
+    def test_seed_grid_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="seed_grid must be an integer, got 16.0"):
+            find_fixed_points(seed_grid=16.0, tol=1e-12, params=params())
+        assert len(find_fixed_points(seed_grid=np.int64(16), tol=1e-12, params=params()).records) == 11
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-6])
+    def test_half_lattice_newton_is_the_full_lattice_newton(self, tol):
+        # Newton runs on the seeds with row <= col and mirrors the rest; that
+        # must give the whole lattice's iterates and mask bit for bit, in seed
+        # order.  Grids with g - 1 divisible by 4 have frozen singular seeds.
+        for g in range(2, 71):
+            seeds, roots, ok = analysis._newton_on_lattice(g, tol)
+            axis = np.linspace(0.0, TWO_PI, g)
+            gx, gy = np.meshgrid(axis, axis)
+            assert seeds.tobytes() == np.column_stack((gx.ravel(), gy.ravel())).tobytes()
+            full, full_ok = _newton_on_drift(seeds, tol)
+            assert roots.tobytes() == full.tobytes(), g
+            assert ok.tolist() == full_ok.tolist(), g
+            if (g - 1) % 4 == 0:
+                assert not ok.all(), g
 
     @pytest.mark.parametrize("seed", range(6))
     def test_dedupe_keeps_the_pairwise_loops_representatives(self, seed):
@@ -221,6 +243,52 @@ class TestClassify:
     def test_rejects_non_fixed_point(self):
         with pytest.raises(ValueError):
             classify((1.0, 2.0), params())
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("location", [(math.nan, 0.0), (0.0, math.nan), (math.inf, PI),
+                                          (-math.inf, 0.0)])
+    def test_rejects_a_non_finite_location(self, location):
+        # nan > 1e-10 is False, so a NaN residual once passed as a fixed point.
+        with pytest.raises(ValueError, match="is not a fixed point"):
+            classify(location, params())
+        with pytest.raises(ValueError, match="is not a fixed point"):
+            classify_rows([(PI, PI), location], params())
+
+    @pytest.mark.parametrize("location", [(PI, PI, 7.0), (PI,), [[PI, PI]], PI])
+    def test_a_location_is_two_floats(self, location):
+        with pytest.raises(ValueError, match="a location is two floats"):
+            classify(location, params())
+
+    @pytest.mark.parametrize("locations", [(PI, PI), [(PI, PI, 7.0)], np.zeros((1, 1, 2))])
+    def test_rows_are_an_n_by_2_array(self, locations):
+        with pytest.raises(ValueError, match=r"locations must have shape \(n, 2\)"):
+            classify_rows(locations, params())
+
+    def test_no_rows_give_no_records(self):
+        assert classify_rows(np.empty((0, 2)), params()) == ()
+
+    @settings(deadline=None, max_examples=50)
+    @given(
+        log_eps=st.floats(
+            math.log(1e-8), math.log(1 / 9), exclude_min=True, exclude_max=True
+        ).filter(lambda u: 1e-8 < math.exp(u) < 1 / 9)
+    )
+    def test_rows_form_is_the_one_point_form(self, log_eps):
+        # One drift and one Jacobian call for all eleven points must give what
+        # each point gives alone, bit for bit.
+        p = params(math.exp(log_eps))
+        rows = classify_rows(known_fixed_points(), p)
+        assert len(rows) == 11
+        for location, rec in zip(known_fixed_points(), rows):
+            J = analysis.jacobian(location, p)
+            lams, vecs = analysis._eig2(J)
+            residual = float(np.max(np.abs(omega_field(location))))
+            fresh = (location.tobytes(), J.tobytes(), repr(lams), [v.tobytes() for v in vecs],
+                     repr(residual))
+            for one in (rec, classify(location, p)):
+                assert (one.location.tobytes(), one.jacobian.tobytes(), repr(one.eigenvalues),
+                        [v.tobytes() for v in one.eigenvectors], repr(one.residual)) == fresh
+            assert rec.kind == classify(location, p).kind
 
     def test_complex_spectrum_rejected(self):
         with pytest.raises(ValueError, match="complex eigenvalue pair"):
@@ -478,11 +546,14 @@ class TestHeteroclinicCensus:
     def test_each_location_is_classified_once(self, monkeypatch):
         # The eleven fixed points, and three segment endpoints whose floats
         # differ from the table's: the traced orbits add no classification.
-        real = analysis.classify
-        calls = []
-        monkeypatch.setattr(analysis, "classify", lambda loc, p: calls.append(1) or real(loc, p))
+        # classify is the one-row call of classify_rows, so rows are counted.
+        real = analysis.classify_rows
+        rows = []
+        monkeypatch.setattr(analysis, "classify_rows",
+                            lambda locs, p: rows.append(len(locs)) or real(locs, p))
         assert heteroclinic_census(params()).counts == {"sa": 6, "rs": 10, "ra": 2}
-        assert len(calls) == 14
+        assert sum(rows) == 14
+        assert rows == [11, 1, 1, 1]
 
     def test_kind_comes_from_the_endpoints(self, census):
         orbit = census.orbits[0]
@@ -802,6 +873,34 @@ class TestEpsFreeCaches:
                 for stop in (0.0, -0.0, 0.0)]
         assert [np.signbit(restriction_fixed_points(seg)[-1]) for seg in ends] == [
             False, True, False]
+
+
+class TestBatchedSegmentChecks:
+    """``verify_invariance`` of a sequence steps all its segments' samples
+    with one map call; each check must be that segment's own."""
+
+    @pytest.mark.parametrize("samples", [2, 17, 1000])
+    def test_batched_checks_are_the_one_segment_checks(self, samples):
+        segments = (*invariant_segments(), *SIGNED_ZERO_SEGMENTS)
+        for eps in (0.011, 0.05, 0.109):
+            p = params(eps)
+            batched = verify_invariance(segments, p, samples=samples)
+            assert isinstance(batched, tuple) and len(batched) == len(segments)
+            for seg, check in zip(segments, batched):
+                assert check.name == seg.name
+                fields = check_fields(check)
+                assert fields == check_fields(verify_invariance(seg, p, samples=samples))
+                assert fields == fresh_invariance(seg, p, samples)
+
+    def test_any_sequence_and_none(self):
+        p = params()
+        segments = list(invariant_segments()[:3])
+        assert [c.name for c in verify_invariance(segments, p, samples=17)] == ["s0", "s1", "r0"]
+        assert verify_invariance((), p, samples=17) == ()
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            verify_invariance(segments, p, samples=17.0)
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            verify_invariance(segments, p, samples=1)
 
 
 # ---------------------------------------------------------------------------

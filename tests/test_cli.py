@@ -483,14 +483,13 @@ class TestVerify:
 
     def test_failed_segment_names_its_bound(self, capsys, monkeypatch):
         real = analysis.verify_invariance
+        broken = {"d1": {"max_deviation": 3e-12}, "c2": {"monotone": False}}
 
-        def failing(segment, params, **kwargs):
-            check = real(segment, params, **kwargs)
-            if segment.name == "d1":
-                return dataclasses.replace(check, max_deviation=3e-12)
-            if segment.name == "c2":
-                return dataclasses.replace(check, monotone=False)
-            return check
+        def failing(segments, params, **kwargs):
+            # verify checks all ten segments in one batched call.
+            checks = real(segments, params, **kwargs)
+            return tuple(dataclasses.replace(check, **broken.get(check.name, {}))
+                         for check in checks)
 
         monkeypatch.setattr(analysis, "verify_invariance", failing)
         code, out, _ = run_cli(capsys, *self.ARGV)
@@ -679,7 +678,7 @@ class TestPortrait:
             raise AssertionError("computed before the resolution was checked")
 
         for module, name in ((basin, "rasterize"), (basin, "orbit"), (analysis, "classify"),
-                             (render, "render_portrait")):
+                             (analysis, "classify_rows"), (render, "render_portrait")):
             monkeypatch.setattr(module, name, refuse)
         code, out, err = run_cli(capsys, "portrait", "--eps", "0.05", "--layers", layers,
                                  "--resolution", resolution)

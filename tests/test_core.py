@@ -490,6 +490,21 @@ class TestJacobian:
                 fd[:, i] = (three_clock_step(pt + d, p) - three_clock_step(pt - d, p)) / (2 * h)
             assert np.max(np.abs(J - fd)) < 1e-6
 
+    @settings(deadline=None, max_examples=200)
+    @given(pts=st.one_of(square_point_arrays(),
+                         st.lists(st.tuples(angles, angles), min_size=1, max_size=20),
+                         st.lists(st.tuples(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, PI]),
+                                            square_coords), min_size=1, max_size=20)))
+    def test_transpose_conjugates_the_jacobian_bitwise(self, pts):
+        # D-omega(y, x) == P @ D-omega(x, y) @ P with P the swap, bit for bit,
+        # signed zeros included; the half-lattice Newton search rests on it.
+        # P @ J @ P reverses both axes of J; written as a product, 0*x + 1*y
+        # would turn a -0 entry into +0.
+        pts = np.asarray(pts, dtype=float)
+        swapped = np.ascontiguousarray(pts[:, ::-1])
+        assert omega_jacobian(swapped).tobytes() == np.ascontiguousarray(
+            omega_jacobian(pts)[:, ::-1, ::-1]).tobytes()
+
     def test_omega_jacobian_shape_broadcasts(self):
         pts = np.zeros((4, 3, 2))
         assert omega_jacobian(pts).shape == (4, 3, 2, 2)
