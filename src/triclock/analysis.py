@@ -119,6 +119,10 @@ MAX_DF_TOL = 1e-12
 ZERO_TOL = 1e-12
 ZERO_SET_CELLS = 2
 
+# A fixed point's drift residual (max-norm) is at most RESIDUAL_TOL, and the
+# fixed-point search's Newton tolerance may not exceed it.
+RESIDUAL_TOL = 1e-10
+
 # A heteroclinic orbit starts SEED_STEP off its source fixed point and ends
 # once within CAPTURE_TOL of another one.
 SEED_STEP = 1e-6
@@ -253,9 +257,9 @@ def classify_rows(locations, params: CouplingParams) -> tuple[FixedPointRecord, 
 
     One drift and one Jacobian evaluation serve all rows; the eigenpairs
     and the class are found row by row.  Every row must be a drift zero
-    (residual at most 1e-10), else ValueError: a non-finite coordinate
-    gives a NaN residual and is refused too.  The records' locations are
-    rows of a copy of ``locations``.
+    (residual at most ``RESIDUAL_TOL``), else ValueError: a non-finite
+    coordinate gives a NaN residual and is refused too.  The records'
+    locations are rows of a copy of ``locations``.
     """
     params.require_analysis_range()
     rows = np.array(locations, dtype=float)
@@ -264,7 +268,7 @@ def classify_rows(locations, params: CouplingParams) -> tuple[FixedPointRecord, 
     residuals = np.max(np.abs(omega_field(rows)), axis=-1)
     records = []
     for location, J, residual in zip(rows, jacobian(rows, params), residuals):
-        if not residual <= 1e-10:
+        if not residual <= RESIDUAL_TOL:
             raise ValueError(f"{location} is not a fixed point (drift residual {residual:.3e})")
         lams, vecs = _eig2(J)
         moduli = [abs(l) for l in lams]
@@ -348,7 +352,8 @@ def find_fixed_points(
 
     Roots are deduplicated within 1e-6 and classified; seeds that fail to
     converge are returned, never silently dropped.  For eps < 1/9 the root
-    set is exactly the eleven points of :func:`known_fixed_points`.
+    set is exactly the eleven points of :func:`known_fixed_points`.  ``tol``
+    is at most ``RESIDUAL_TOL``, so that every root it accepts classifies.
     """
     if params is None:
         raise ValueError("params is required")
@@ -356,8 +361,8 @@ def find_fixed_points(
     require_integer(seed_grid, "seed_grid")
     if seed_grid < 2:
         raise ValueError("seed_grid must be at least 2")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    if not (math.isfinite(tol) and 0.0 < tol <= RESIDUAL_TOL):
+        raise ValueError(f"tol must be finite and > 0 and at most {RESIDUAL_TOL}, got {tol}")
     seeds, roots, ok = _newton_on_lattice(seed_grid, tol)
     unique = np.array(_dedupe_roots(roots[ok], 1e-6)).reshape(-1, 2)
     # Roots within rounding of an edge are boundary roots; snap them onto it

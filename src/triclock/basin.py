@@ -23,7 +23,10 @@ commutes with that swap bit for bit (``g`` is computed as ``f`` with its
 arguments swapped, the sine is odd, the edge snap, the diagonal band and
 the attractor tests are symmetric, and both axes share one array of cell
 centers).  So cell ``[col, row]`` takes the iteration count of
-``[row, col]`` and its label with upper and lower exchanged.
+``[row, col]`` and its label with upper and lower exchanged.  That holds
+while no cell can pass both capture tests at once, that is for
+``tol < _MIRROR_TOL`` = 1: a cell that passes both is labelled upper, and
+so is its mirror.  From that tol up every cell is iterated.
 
 A large half lattice is split over forked processes (POSIX only):
 ``rasterize(..., workers=n)`` deals its cells round-robin into at most
@@ -31,6 +34,29 @@ A large half lattice is split over forked processes (POSIX only):
 classify parts 1.. and send their labels and counts back through pipes,
 and the caller classifies part 0.  Each cell's arithmetic is elementwise,
 so the result does not depend on the split.
+
+The classifier runs each finish test only where a cell can pass it.  A
+cell's finish distances are ``||p - U||`` and ``||p - L||`` (max-norm,
+``U`` and ``L`` the attractors), ``|x - y|`` and
+``min(x, y, 2*pi - x, 2*pi - y)``; a test passes where its distance is at
+most ``tol``, ``_DIAGONAL_BAND`` or 0.  Lemma: for ``0 < eps < 1/9`` and
+``p`` in the square, one exact step ``F = id + eps*omega`` shrinks each of
+them at most by the factor ``1 - 5*eps``, which is above 4/9.  Proof: each
+row of ``|D-omega|`` sums to at most ``3 + 2 = 5`` (``|2 cos x + cos(x - y)|
++ |cos y - cos(x - y)|``), so each component of ``omega`` is 5-Lipschitz in
+the max-norm; ``omega`` vanishes at ``U``, so ``||F(p) - U|| >= ||p - U|| -
+eps*||omega(p) - omega(U)|| >= (1 - 5*eps)*||p - U||``, and likewise at
+``L``.  ``f - g = sin x - sin y + 2 sin(x - y)`` vanishes on the diagonal,
+with ``|f - g| <= 3|x - y|``; ``f`` vanishes on the edges ``x = 0`` and
+``x = 2*pi`` for every ``y``, with ``|df/dx| <= 3``, and ``g`` likewise on
+``y = 0`` and ``y = 2*pi``, so those two distances keep at least
+``1 - 3*eps`` of themselves.  So the least value of a distance over the
+cells bounds how many steps must pass before its test can pass again
+(see ``_SKIP_SLACK`` for the float step), and the classifier takes those
+steps without testing.  At the default ``tol`` no cell of a raster
+finishes in the first half of its run: the benchmark's basin-raster
+workload took 0.82x the time of testing every cell at every iteration
+(held-out seed, 10 pairs; the README has the other ratios).
 """
 
 from __future__ import annotations
@@ -44,6 +70,7 @@ from typing import IO, NoReturn
 import numpy as np
 
 from .core import (
+    BOUNDARY_SNAP_TOL,
     TWO_PI,
     CouplingParams,
     default_max_iterations,
@@ -76,11 +103,35 @@ ATTRACTOR_LOWER = np.array([4.0 * math.pi / 3.0, 2.0 * math.pi / 3.0])
 # Label of the mirror cell: swapping x and y swaps the two attractors.
 _SWAP_LABEL = np.array([_LOWER, _UPPER, _BOUNDARY, _UNRESOLVED], dtype=np.uint8)
 
+# Below this tol no point passes both capture tests, since the attractors
+# are 2*pi/3 apart in the max-norm.  From it up, a cell that passes both at
+# once is labelled upper, and so is its mirror, which passes both at the
+# same iteration: the swap no longer gives the mirror's label, and the
+# raster classifies every cell instead of the half lattice.
+_MIRROR_TOL = 1.0
+
 _DIAGONAL_BAND = 1e-13
+
+# Each finish distance shrinks per exact step at most by the factor
+# 1 - _OMEGA_LIPSCHITZ*eps (the lemma in the module docstring).
+_OMEGA_LIPSCHITZ = 5.0
+
+# The lemma holds for the exact map.  The float step differs from it by its
+# rounding (a few 1e-16 per coordinate) and the edge snap (less than
+# BOUNDARY_SNAP_TOL = 1e-14), and each finish distance is at most
+# 2-Lipschitz in the max-norm, so the float step moves it less than 3e-14
+# more.  The float constants (the attractors, TWO_PI), the distances' own
+# rounding and the rounding of the recurrence below add less than 1e-14.
+# This slack per step covers both with a wide margin: where a distance's
+# least value over the cells is g at some iteration, its test passes no
+# cell j steps later while b_j > floor, where b_0 = g,
+# b_{i+1} = (1 - _OMEGA_LIPSCHITZ*eps)*b_i - _SKIP_SLACK and
+# floor = max(tol, _DIAGONAL_BAND, BOUNDARY_SNAP_TOL) + _SKIP_SLACK.
+_SKIP_SLACK = 1e-12
 
 # A forked worker costs about 2-3 ms to fork and reap, plus copy-on-write
 # faults.  Two processes beat the serial classifier from about 1000-1300
-# cells each; at 1463 and more they took 0.63-0.91x its time (README).
+# cells each; at 1314 and more they took 0.57-0.94x its time (README).
 _MIN_CELLS_PER_PROCESS = 1500
 
 
@@ -107,55 +158,105 @@ class BasinGrid:
         }
 
 
-def _on_invariant_boundary(x: np.ndarray, y: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Points on an edge or the diagonal band; ``d`` is scratch of their size."""
-    np.subtract(x, y, out=d)
-    np.abs(d, out=d)
-    return (x == 0.0) | (x == TWO_PI) | (y == 0.0) | (y == TWO_PI) | (d < _DIAGONAL_BAND)
-
-
-def _captured(
-    x: np.ndarray, y: np.ndarray, attractor: np.ndarray, tol: float, d: np.ndarray, e: np.ndarray
+def _distance(
+    x: np.ndarray, y: np.ndarray, ax: float, ay: float, out: np.ndarray, e: np.ndarray
 ) -> np.ndarray:
-    """``max(|x - ax|, |y - ay|) <= tol``, formed in the scratch arrays ``d`` and ``e``."""
-    np.subtract(x, attractor[0], out=d)
-    np.abs(d, out=d)
-    np.subtract(y, attractor[1], out=e)
+    """``max(|x - ax|, |y - ay|)`` into ``out``, with ``e`` as scratch of its size."""
+    np.subtract(x, ax, out=out)
+    np.abs(out, out=out)
+    np.subtract(y, ay, out=e)
     np.abs(e, out=e)
-    np.maximum(d, e, out=d)
-    return d <= tol
+    return np.maximum(out, e, out=out)
+
+
+def _next_test(k: int, gaps: tuple, rate: float, floor: float, max_iter: int) -> int:
+    """The iteration at which a finish test whose least values over the
+    cells were ``gaps`` at iteration ``k`` must run again: ``k + 1``, plus
+    one for each ``j >= 1`` in turn with ``b_j > floor`` while that stays
+    below ``max_iter``, where ``b_0`` is the least gap and
+    ``b_{i+1} = rate*b_i - _SKIP_SLACK``.  Every gap is compared before
+    ``min()`` sees them, so a NaN (which fails the comparison) skips no step.
+    """
+    j = k + 1
+    if all(g > floor for g in gaps):
+        b = rate * min(gaps) - _SKIP_SLACK
+        while j < max_iter and b > floor:
+            j += 1
+            b = rate * b - _SKIP_SLACK
+    return j
 
 
 def _classify(
     x: np.ndarray, y: np.ndarray, params: CouplingParams, tol: float, max_iter: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Label the points ``(x[i], y[i])``; ``x`` and ``y`` are 1-D float arrays."""
+    """Label the points ``(x[i], y[i])``; ``x`` and ``y`` are 1-D float arrays.
+
+    There are four finish tests: the edges, the diagonal band and the two
+    captures.  Each runs at iteration 0, and then again at the iteration
+    :func:`_next_test` gives (see the module docstring); the steps in
+    which no test is due are taken without testing or compacting.  A test
+    forms its distance once, with the edge distances taken from one
+    reduction per coordinate and side, and forms its mask only where that
+    least value shows a hit.  The labels and counts are those of running
+    every test at every iteration: boundary before upper before lower.
+    """
     m = x.size
     labels = np.full(m, _UNRESOLVED, dtype=np.uint8)
     iters = np.full(m, max_iter, dtype=np.int32)
     alive = np.arange(m)
-    # The masks' float arithmetic goes to one scratch pair, cut to the cells
-    # still alive, so an iteration allocates no float array for them.
+    # The tests' float arithmetic goes to one scratch pair, cut to the cells
+    # still alive, so a test allocates no float array for them.
     scratch = np.empty((2, m))
-    for k in range(max_iter + 1):
-        d, e = scratch[:, : x.size]
-        done_b = _on_invariant_boundary(x, y, d)
-        done_u = _captured(x, y, ATTRACTOR_UPPER, tol, d, e)
-        done_l = _captured(x, y, ATTRACTOR_LOWER, tol, d, e)
-        done = done_b | done_u | done_l
-        if done.any():
+    rate = 1.0 - _OMEGA_LIPSCHITZ * params.epsilon
+    floor = max(tol, _DIAGONAL_BAND, BOUNDARY_SNAP_TOL) + _SKIP_SLACK
+    # The iteration at which each test runs next: edges, band, upper, lower.
+    due = [0, 0, 0, 0]
+    k = 0
+    while alive.size:
+        d, e = scratch[:, : alive.size]
+        hits = []  # (label, cells that take it), in the labels' order of precedence
+        if due[0] == k:
+            xmin, xmax = np.minimum.reduce(x), np.maximum.reduce(x)
+            ymin, ymax = np.minimum.reduce(y), np.maximum.reduce(y)
+            gaps = (xmin, ymin, TWO_PI - xmax, TWO_PI - ymax)
+            if not all(g > 0.0 for g in gaps):
+                hits.append((_BOUNDARY, (x == 0.0) | (x == TWO_PI) | (y == 0.0) | (y == TWO_PI)))
+            due[0] = _next_test(k, gaps, rate, floor, max_iter)
+        if due[1] == k:
+            np.subtract(x, y, out=d)
+            np.abs(d, out=d)
+            gap = np.minimum.reduce(d)
+            if not gap >= _DIAGONAL_BAND:
+                hits.append((_BOUNDARY, d < _DIAGONAL_BAND))
+            due[1] = _next_test(k, (gap,), rate, floor, max_iter)
+        for i, code, (ax, ay) in ((2, _UPPER, ATTRACTOR_UPPER), (3, _LOWER, ATTRACTOR_LOWER)):
+            if due[i] == k:
+                gap = np.minimum.reduce(_distance(x, y, ax, ay, d, e))
+                if not gap > tol:
+                    hits.append((code, d <= tol))
+                due[i] = _next_test(k, (gap,), rate, floor, max_iter)
+        if hits:
+            done = hits[0][1]
+            for _, hit in hits[1:]:
+                done = done | hit
             idx = alive[done]
-            labels[idx] = np.where(
-                done_b[done], _BOUNDARY, np.where(done_u[done], _UPPER, _LOWER)
-            )
-            iters[idx] = k
-            keep = ~done
-            x = x[keep]
-            y = y[keep]
-            alive = alive[keep]
-        if alive.size == 0 or k == max_iter:
+            if idx.size:
+                iters[idx] = k
+                # Last to first, so that each cell keeps the first label it passes.
+                for code, hit in reversed(hits):
+                    labels[alive[hit]] = code
+                keep = ~done
+                alive = alive[keep]
+                x = x[keep]
+                y = y[keep]
+        if not alive.size or k == max_iter:
             break
-        x, y = three_clock_step_xy(x, y, params)
+        # A test that passed no cell bounds the survivors too; one that
+        # passed some is due again at k + 1, since its least value was a hit.
+        upto = min(due)
+        for _ in range(upto - k):
+            x, y = three_clock_step_xy(x, y, params)
+        k = upto
     return labels, iters
 
 
@@ -298,10 +399,11 @@ def rasterize(
 ) -> BasinGrid:
     """Classify the cell-center lattice; deterministic for fixed inputs.
 
-    Only the cells with ``row <= col`` are iterated; each mirror cell
-    ``[col, row]`` gets the same iteration count and the label swapped
-    upper <-> lower, which is exact (see the module docstring).
-    ``workers`` is the most processes that classify the half lattice:
+    For ``tol < _MIRROR_TOL`` only the cells with ``row <= col`` are
+    iterated; each mirror cell ``[col, row]`` gets the same iteration count
+    and the label swapped upper <-> lower, which is exact (see the module
+    docstring).  A larger ``tol`` iterates every cell.
+    ``workers`` is the most processes that classify the lattice:
     where ``os.fork`` exists and each process gets at least
     ``_MIN_CELLS_PER_PROCESS`` cells, up to ``workers - 1`` forked children
     classify parts of it beside the caller (POSIX only; the output is the
@@ -316,15 +418,21 @@ def rasterize(
     if workers < 1:
         raise ValueError("workers must be at least 1")
     c = (np.arange(resolution) + 0.5) * (TWO_PI / resolution)
-    row, col = np.triu_indices(resolution)
-    half_labels, half_iters = _classify_split(c[col], c[row], params, tol, max_iter, workers)
+    mirror = tol < _MIRROR_TOL
+    if mirror:
+        row, col = np.triu_indices(resolution)
+    else:
+        row, col = np.indices((resolution, resolution)).reshape(2, -1)
+    cell_labels, cell_iters = _classify_split(c[col], c[row], params, tol, max_iter, workers)
 
     labels = np.empty((resolution, resolution), dtype=np.uint8)
     iters = np.empty((resolution, resolution), dtype=np.int32)
-    # Mirrors first, so that each diagonal cell ends with its own label.
-    labels[col, row] = _SWAP_LABEL[half_labels]
-    labels[row, col] = half_labels
-    iters[col, row] = iters[row, col] = half_iters
+    if mirror:
+        # Mirrors first, so that each diagonal cell ends with its own label.
+        labels[col, row] = _SWAP_LABEL[cell_labels]
+        iters[col, row] = cell_iters
+    labels[row, col] = cell_labels
+    iters[row, col] = cell_iters
     return BasinGrid(
         resolution=resolution,
         labels=labels,

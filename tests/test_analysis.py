@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from triclock import analysis
 from triclock.analysis import (
+    RESIDUAL_TOL,
     HeteroclinicOrbit,
     InvariantSegment,
     _dedupe_roots,
@@ -111,11 +112,20 @@ class TestFindFixedPoints:
             find_fixed_points(seed_grid=1, tol=1e-12, params=params())
         with pytest.raises(ValueError):
             find_fixed_points(seed_grid=20, tol=0.0, params=params())
-        for tol in (math.nan, math.inf, -math.inf, -1e-12):
+        for tol in (math.nan, math.inf, -math.inf, -1e-12, 2e-10, 1e-6):
             with pytest.raises(ValueError, match="tol must be finite"):
                 find_fixed_points(seed_grid=20, tol=tol, params=params())
         with pytest.raises(ValueError):
             find_fixed_points(params=None)
+
+    @pytest.mark.parametrize("eps", [0.011, 0.05, 0.1111])
+    @pytest.mark.parametrize("seed_grid", [16, 23, 50])
+    def test_the_loosest_tolerance_classifies_every_root(self, eps, seed_grid):
+        # Seed grid 23 ends Newton at (2*pi, pi) with residual 1.3e-10 under
+        # tol 2e-10, which classify would refuse; that tol is refused up front.
+        search = find_fixed_points(seed_grid=seed_grid, tol=RESIDUAL_TOL, params=params(eps))
+        assert len(search.records) == 11
+        assert all(rec.residual <= RESIDUAL_TOL for rec in search.records)
 
     def test_seed_grid_must_be_an_integer(self):
         with pytest.raises(ValueError, match="seed_grid must be an integer, got 16.0"):

@@ -24,7 +24,7 @@ from triclock.basin import (
     write_grid_binary,
     write_grid_csv,
 )
-from triclock.core import TWO_PI, CouplingParams, three_clock_step
+from triclock.core import TWO_PI, CouplingParams, three_clock_step, three_clock_step_xy
 
 PI = math.pi
 
@@ -86,12 +86,10 @@ def test_non_integer_sizes_rejected(args, kwargs):
         rasterize(*args, params(), **kwargs)
 
 
-def full_lattice_reference(resolution, p, tol, max_iter):
-    """The classifier spelled out over every cell, on (n, 2) point arrays."""
-    h = TWO_PI / resolution
-    c = (np.arange(resolution) + 0.5) * h
-    gx, gy = np.meshgrid(c, c)
-    pts = np.stack((gx.ravel(), gy.ravel()), axis=-1)
+def reference_classification(points, p, tol, max_iter):
+    """The classifier spelled out: every test on every open point at every
+    iteration, on an (n, 2) point array.  Labels and counts per point."""
+    pts = np.array(points, dtype=float).reshape(-1, 2)
     labels = np.full(pts.shape[0], 3, dtype=np.uint8)
     iters = np.full(pts.shape[0], max_iter, dtype=np.int32)
     open_ = np.ones(pts.shape[0], dtype=bool)
@@ -109,7 +107,137 @@ def full_lattice_reference(resolution, p, tol, max_iter):
         if not open_.any() or k == max_iter:
             break
         pts = three_clock_step(pts, p)
+    return labels, iters
+
+
+def full_lattice_reference(resolution, p, tol, max_iter):
+    """:func:`reference_classification` of every cell centre, as grids."""
+    c = (np.arange(resolution) + 0.5) * (TWO_PI / resolution)
+    gx, gy = np.meshgrid(c, c)
+    labels, iters = reference_classification(
+        np.stack((gx.ravel(), gy.ravel()), axis=-1), p, tol, max_iter
+    )
     return labels.reshape(resolution, resolution), iters.reshape(resolution, resolution)
+
+
+def _ulps(value, n):
+    """``value`` moved ``n`` floats up (n > 0) or down (n < 0)."""
+    toward = math.inf if n > 0 else -math.inf
+    for _ in range(abs(n)):
+        value = math.nextafter(value, toward)
+    return value
+
+
+# Couplings over the analysis range, weighted to both of its ends.
+COUPLINGS = st.one_of(
+    st.floats(1e-8, 1 / 9, exclude_min=True, exclude_max=True),
+    st.floats(1e-8, 1e-6, exclude_min=True),
+    st.floats(0.11, 1 / 9, exclude_max=True),
+)
+
+
+@st.composite
+def adversarial_starts(draw, tol):
+    """A point of the square drawn uniformly, or where a finish test is close
+    to firing: 1e-14 to 1e-9 off an edge, a few ulps about the diagonal band,
+    or about ``tol`` (max-norm) off an attractor."""
+    t = draw(st.floats(0.0, TWO_PI))
+    kind = draw(st.sampled_from(["uniform", "edge", "diagonal", "attractor"]))
+    if kind == "uniform":
+        return t, draw(st.floats(0.0, TWO_PI))
+    if kind == "edge":
+        off = draw(st.one_of(st.floats(1e-14, 1e-9), st.sampled_from([0.0, 1e-14])))
+        q = draw(st.sampled_from([off, TWO_PI - off]))
+        return draw(st.sampled_from([(q, t), (t, q)]))
+    if kind == "diagonal":
+        x = draw(st.floats(0.01, TWO_PI - 0.01))
+        band = draw(st.sampled_from([0.0, 1e-13, -1e-13]))
+        return x, _ulps(x + band, draw(st.integers(-4, 4)))
+    ax, ay = draw(st.sampled_from([ATTRACTOR_UPPER, ATTRACTOR_LOWER]))
+    r = _ulps(tol * draw(st.sampled_from([1.0, 1.0, 1.01, 1.3, 3.0])), draw(st.integers(-3, 3)))
+    r = min(max(r, 0.0), 2.0)
+    w = draw(st.floats(-1.0, 1.0))
+    sx, sy = draw(st.sampled_from([(r, w * r), (-r, w * r), (w * r, r), (w * r, -r)]))
+    return float(ax) + sx, float(ay) + sy
+
+
+def finish_distances(x, y):
+    """The distances the classifier's finish tests compare (max-norm)."""
+    return {
+        "upper": np.maximum(np.abs(x - ATTRACTOR_UPPER[0]), np.abs(y - ATTRACTOR_UPPER[1])),
+        "lower": np.maximum(np.abs(x - ATTRACTOR_LOWER[0]), np.abs(y - ATTRACTOR_LOWER[1])),
+        "diagonal": np.abs(x - y),
+        "edge": np.minimum(np.minimum(x, y), np.minimum(TWO_PI - x, TWO_PI - y)),
+    }
+
+
+class TestSkipBound:
+    """The classifier skips its finish tests on this bound: one float step
+    shrinks each finish distance at most by the factor
+    ``1 - _OMEGA_LIPSCHITZ*eps``, less ``_SKIP_SLACK``."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(eps=COUPLINGS, tol=st.sampled_from([0.0, 1e-9, 1e-6, 1e-3]), data=st.data())
+    def test_each_finish_distance_shrinks_at_most_by_the_bound(self, eps, tol, data):
+        pts = np.array(data.draw(st.lists(adversarial_starts(tol), min_size=1, max_size=16)))
+        x, y = pts[:, 0], pts[:, 1]
+        before = finish_distances(x, y)
+        after = finish_distances(*three_clock_step_xy(x, y, params(eps)))
+        rate = 1.0 - basin._OMEGA_LIPSCHITZ * eps
+        for name, d in before.items():
+            shrunk = after[name] < rate * d - basin._SKIP_SLACK
+            assert not shrunk.any(), (name, pts[shrunk], d[shrunk], after[name][shrunk])
+
+    def test_the_bound_is_nearly_tight_near_an_attractor(self):
+        # At an attractor the distance shrinks by 1 - 1.5*eps per step, so a
+        # Lipschitz factor below 1.5 would be false: the bound is not vacuous.
+        eps = 0.1
+        x, y = ATTRACTOR_LOWER[0] + np.array([1e-3]), ATTRACTOR_LOWER[1] + np.array([0.0])
+        ratio = finish_distances(*three_clock_step_xy(x, y, params(eps)))["lower"][0] / 1e-3
+        assert 1.0 - basin._OMEGA_LIPSCHITZ * eps < ratio < 1.0 - 1.4 * eps
+
+
+TOLERANCES = st.one_of(
+    st.sampled_from([0.0, 1e-6, 1e-3, 2.0 * math.pi / 3.0, 2.5]), st.floats(0.0, 3.0)
+)
+BUDGETS = st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, 160))
+
+
+class TestClassifierOracle:
+    """The classifier, which runs each finish test only where it can fire,
+    labels and counts as :func:`reference_classification` does."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(eps=COUPLINGS, tol=TOLERANCES, max_iter=BUDGETS, data=st.data())
+    def test_points_match_the_reference(self, eps, tol, max_iter, data):
+        pts = data.draw(st.lists(adversarial_starts(tol), min_size=1, max_size=8))
+        p = params(eps)
+        labels, iters = reference_classification(pts, p, tol, max_iter)
+        for point, code, count in zip(pts, labels, iters):
+            assert classify_point(point, p, tol=tol, max_iter=max_iter) == (
+                LABEL_NAMES[code], count)
+        xy = np.array(pts, dtype=float)
+        batch = basin._classify(xy[:, 0].copy(), xy[:, 1].copy(), p, tol, max_iter)
+        assert batch[0].tobytes() == labels.tobytes()
+        assert batch[1].tobytes() == iters.tobytes()
+
+    @settings(deadline=None, max_examples=60)
+    @given(resolution=st.integers(2, 9), eps=COUPLINGS, tol=TOLERANCES, max_iter=BUDGETS)
+    def test_rasters_match_the_reference(self, resolution, eps, tol, max_iter):
+        p = params(eps)
+        grid = rasterize(resolution, p, tol=tol, max_iter=max_iter)
+        labels, iters = full_lattice_reference(resolution, p, tol, max_iter)
+        assert grid.labels.tobytes() == labels.tobytes()
+        assert grid.iterations.tobytes() == iters.tobytes()
+
+    @pytest.mark.parametrize("tol", [2.0 * math.pi / 3.0, 2.5])
+    def test_upper_wins_where_both_captures_fire(self, tol):
+        point = (math.pi - 0.5, math.pi + 0.5)
+        for x, y in (point, point[::-1]):
+            near = finish_distances(np.array([x]), np.array([y]))
+            assert near["upper"][0] <= tol and near["lower"][0] <= tol
+        assert classify_point(point, params(), tol=tol, max_iter=0) == ("upper", 0)
+        assert classify_point(point[::-1], params(), tol=tol, max_iter=0) == ("upper", 0)
 
 
 class TestRasterize:
@@ -148,8 +276,9 @@ class TestRasterize:
 
     @pytest.mark.parametrize(
         "resolution, eps, tol, max_iter",
-        [(33, 0.05, 1e-6, None), (48, 0.08, 1e-6, None), (20, 0.05, 1e-3, 50)],
-        ids=["odd", "even", "unresolved"],
+        [(33, 0.05, 1e-6, None), (48, 0.08, 1e-6, None), (20, 0.05, 1e-3, 50),
+         (4, 0.0625, 2.0 * math.pi / 3.0, None), (24, 0.05, 2.5, None)],
+        ids=["odd", "even", "unresolved", "both-captures-at-once", "wide-tol"],
     )
     def test_mirror_equals_full_lattice(self, resolution, eps, tol, max_iter):
         p = params(eps)

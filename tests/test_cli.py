@@ -166,6 +166,13 @@ class TestFixedPoints:
         assert out == ""
         assert "tol must be finite and > 0" in err
 
+    def test_tolerance_above_the_residual_bound_refused(self, capsys):
+        # Newton would stop at roots that classify refuses as fixed points.
+        code, out, err = run_cli(capsys, "fixed-points", "--eps", "0.05", "--tol", "1e-6")
+        assert code == 2
+        assert out == ""
+        assert "tol must be finite and > 0 and at most 1e-10, got 1e-06" in err
+
 
 # ---------------------------------------------------------------------------
 # basins

@@ -24,7 +24,10 @@ in binary, CSV and SVG, at resolutions 2, 3, 48 and 144 and couplings
 0.011, 0.05 and 0.11, each with the default settings, ``--tol 0`` and
 ``--max-iter 0`` (which between them draw all four SVG fill colours), and
 in binary and CSV also with ``--max-iter 1``, plus one binary grid of
-resolution 200.  Then ``fixed-points`` in JSON and ``portrait`` with the
+resolution 200.  Then ``basins`` in binary at resolutions 48 and 200 at
+the ends of the raster's skip bound: ``--eps 2e-8 --max-iter 40``,
+``--eps 0.1111`` and ``--tol 2.5`` (where both capture tests can pass at
+one cell).  Then ``fixed-points`` in JSON and ``portrait`` with the
 fixed points alone at couplings 2e-8 and 0.1111, the two ends of the
 analysis range.  Then
 ``simulate``: seeded ``--random-starts`` in JSON at 2, 3, 4 and 5 clocks
@@ -108,6 +111,10 @@ def sweep(readme: str) -> list[list[str]]:
                 for extra in settings[:3] if fmt == "svg" else settings:
                     commands.append(["basins", "--eps", eps, "--resolution", res,
                                      "--format", fmt, *extra])
+    for extra in (["--eps", "2e-8", "--max-iter", "40"], ["--eps", "0.1111"],
+                  ["--eps", "0.05", "--tol", "2.5"]):
+        for res in ("48", "200"):
+            commands.append(["basins", *extra, "--resolution", res, "--format", "bin"])
     for eps in ("2e-8", "0.1111"):
         commands.append(["fixed-points", "--eps", eps, "--format", "json"])
         commands.append(["portrait", "--eps", eps, "--layers", "fixed_points"])
