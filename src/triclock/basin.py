@@ -31,8 +31,8 @@ so is its mirror.  From that tol up every cell is iterated.
 A large half lattice is split over forked processes (POSIX only):
 ``rasterize(..., workers=n)`` deals its cells round-robin into at most
 ``n`` parts of at least ``_MIN_CELLS_PER_PROCESS`` cells, forked children
-classify parts 1.. and send their labels and counts back through pipes,
-and the caller classifies part 0.  Each cell's arithmetic is elementwise,
+classify parts 1.. into one shared mapping made before the fork, and the
+caller classifies part 0 into it.  Each cell's arithmetic is elementwise,
 so the result does not depend on the split.
 
 The classifier runs each finish test only where a cell can pass it.  A
@@ -62,10 +62,11 @@ workload took 0.82x the time of testing every cell at every iteration
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import struct
 from dataclasses import dataclass
-from typing import IO, NoReturn
+from typing import IO
 
 import numpy as np
 
@@ -265,52 +266,49 @@ def _classify_split(
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_classify` over at most ``workers`` processes.
 
-    The points are dealt round-robin into parts of at least
-    ``_MIN_CELLS_PER_PROCESS`` points, each laid out as one slice.  Parts
-    1.. run in forked children, which write their labels and counts to a
-    pipe; the caller runs part 0 and reads each pipe into its part's slice.
-    With one part, or without ``os.fork``, this is :func:`_classify`.  Each
-    point's arithmetic is elementwise, so the result is the serial one bit
-    for bit.
+    Part ``j`` of the points is the slice ``j::parts``, of at least
+    ``_MIN_CELLS_PER_PROCESS`` points.  Forked children classify parts 1..
+    into one shared mapping made before the fork, the caller part 0 before
+    it reaps them; with one part, or without ``os.fork``, this is
+    :func:`_classify`.  Each point's arithmetic is elementwise, so the
+    result is the serial one bit for bit.
     """
     m = x.size
     parts = min(workers, m // _MIN_CELLS_PER_PROCESS)
     if parts < 2 or not hasattr(os, "fork"):
         return _classify(x, y, params, tol, max_iter)
-    dealt = [np.arange(j, m, parts) for j in range(parts)]
-    order = np.concatenate(dealt)
-    bounds = np.cumsum([0] + [d.size for d in dealt]).tolist()
-    first, *rest = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
-    x, y = x[order], y[order]
-    labels = np.empty(m, dtype=np.uint8)
-    iters = np.empty(m, dtype=np.int32)
-    children: dict[int, tuple[int, slice]] = {}  # pid -> (read end of its pipe, its part)
+    # Counts first, so that their view is aligned.  The views keep the
+    # mapping alive; closing it under them would raise BufferError.
+    shared = mmap.mmap(-1, 5 * m)
+    iters = np.frombuffer(shared, dtype=np.int32, count=m)
+    labels = np.frombuffer(shared, dtype=np.uint8, count=m, offset=4 * m)
+
+    def classify_part(j: int) -> None:
+        part = slice(j, None, parts)
+        labels[part], iters[part] = _classify(x[part], y[part], params, tol, max_iter)
+
+    children: list[int] = []  # each pid stays here until its waitpid has returned
     try:
-        for part in rest:
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(r)
-                os.close(w)
-                raise
-            if pid == 0:
-                _classify_in_child(w, x[part], y[part], params, tol, max_iter)
-            os.close(w)
-            children[pid] = (r, part)
-        labels[first], iters[first] = _classify(x[first], y[first], params, tol, max_iter)
-        for pid, (r, part) in list(children.items()):
-            complete = _receive(r, (labels[part], iters[part]))
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[pid]
-            os.close(r)
+        for j in range(1, parts):
+            pid = os.fork()
+            if pid == 0:  # the child leaves by os._exit only: no stdio flush, no atexit
+                status = 1
+                try:
+                    classify_part(j)
+                    status = 0
+                except BaseException:  # reported here; the caller sees the exit status
+                    import traceback
+
+                    os.write(2, traceback.format_exc().encode())
+                finally:
+                    os._exit(status)
+            children.append(pid)
+        classify_part(0)
+        while children:
+            status = os.waitstatus_to_exitcode(os.waitpid(children[0], 0)[1])
+            pid = children.pop(0)
             if status != 0:
                 raise RuntimeError(f"raster worker {pid} exited with status {status}")
-            if not complete:
-                raise RuntimeError(
-                    f"raster worker {pid} did not send exactly the {5 * (part.stop - part.start)} "
-                    "bytes of its part"
-                )
     except BaseException:
         import signal
 
@@ -318,55 +316,20 @@ def _classify_split(
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        for pid, (r, _) in children.items():
-            os.close(r)
+        for pid in children:
             os.waitpid(pid, 0)
-    out_labels = np.empty_like(labels)
-    out_iters = np.empty_like(iters)
-    out_labels[order] = labels
-    out_iters[order] = iters
-    return out_labels, out_iters
+    return labels, iters
 
 
-def _classify_in_child(
-    fd: int, x: np.ndarray, y: np.ndarray, params: CouplingParams, tol: float, max_iter: int
-) -> NoReturn:
-    """In a forked child: classify, write labels then counts to ``fd``, and
-    leave by ``os._exit`` only, so inherited stdio buffers are never flushed
-    and ``atexit`` handlers never run."""
-    status = 1
-    try:
-        for a in _classify(x, y, params, tol, max_iter):
-            view = memoryview(a).cast("B")
-            while view:
-                view = view[os.write(fd, view):]
-        status = 0
-    except BaseException:  # reported here; the caller sees the exit status
-        import traceback
-
-        os.write(2, traceback.format_exc().encode())
-    finally:
-        os._exit(status)
-
-
-def _receive(fd: int, arrays: tuple[np.ndarray, ...]) -> bool:
-    """Fill the contiguous ``arrays`` in turn from the pipe ``fd``; whether
-    the pipe held exactly their bytes."""
-    for a in arrays:
-        view = memoryview(a).cast("B")
-        while view:
-            n = os.readv(fd, [view])
-            if n == 0:
-                return False
-            view = view[n:]
-    return os.read(fd, 1) == b""
+def _require_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
 
 
 def _budget(params: CouplingParams, tol: float, max_iter: int | None) -> int:
     """Validate the classifier's inputs and resolve the default iteration budget."""
     params.require_analysis_range()
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    _require_tol(tol)
     if max_iter is None:
         return default_max_iterations(params)
     require_integer(max_iter, "max_iter")
@@ -403,12 +366,10 @@ def rasterize(
     iterated; each mirror cell ``[col, row]`` gets the same iteration count
     and the label swapped upper <-> lower, which is exact (see the module
     docstring).  A larger ``tol`` iterates every cell.
-    ``workers`` is the most processes that classify the lattice:
-    where ``os.fork`` exists and each process gets at least
-    ``_MIN_CELLS_PER_PROCESS`` cells, up to ``workers - 1`` forked children
-    classify parts of it beside the caller (POSIX only; the output is the
-    same bit for bit at any ``workers``).  A failed child raises
-    ``RuntimeError``, and no child outlives the call.
+    ``workers`` is the most processes that classify the lattice, each
+    of at least ``_MIN_CELLS_PER_PROCESS`` cells (forked, so POSIX only; the
+    output is the same bit for bit at any ``workers``).  A failed child
+    raises ``RuntimeError``, and no child outlives the call.
     """
     require_integer(resolution, "resolution")
     require_integer(workers, "workers")
@@ -445,6 +406,7 @@ def rasterize(
 
 def orbit(p, params: CouplingParams, n: int) -> np.ndarray:
     """Forward orbit polyline (p, F(p), ..., F^n(p)), shape (n + 1, 2)."""
+    require_integer(n, "n")
     if n < 0:
         raise ValueError("n must be non-negative")
     start = np.asarray(p, dtype=float).reshape(2)
@@ -479,13 +441,15 @@ def write_grid_binary(grid: BasinGrid, stream: IO[bytes]) -> None:
 
 
 def read_grid_binary(stream: IO[bytes]) -> BasinGrid:
-    """Read what :func:`write_grid_binary` wrote; any other length is a ValueError."""
+    """Read what :func:`write_grid_binary` wrote; a wrong length, label code,
+    count or ``tol`` is a ValueError."""
     header = stream.read(_HEADER.size)
     if len(header) != _HEADER.size:
         raise ValueError(f"grid header needs {_HEADER.size} bytes, got {len(header)}")
     resolution, epsilon, tol = _HEADER.unpack(header)
     if resolution < 1:
         raise ValueError(f"grid header gives resolution {resolution}")
+    _require_tol(tol)
     n = resolution * resolution
     body = stream.read()
     if len(body) != 5 * n:
@@ -495,6 +459,10 @@ def read_grid_binary(stream: IO[bytes]) -> BasinGrid:
         )
     labels = np.frombuffer(body, dtype=np.uint8, count=n).reshape(resolution, resolution)
     iters = np.frombuffer(body, dtype="<i4", offset=n).reshape(resolution, resolution)
+    if labels.max() >= len(LABEL_NAMES):
+        raise ValueError(f"grid holds label code {labels.max()}; codes run 0..{_UNRESOLVED}")
+    if iters.min() < 0:
+        raise ValueError(f"grid holds iteration count {iters.min()}; counts are >= 0")
     return BasinGrid(
         resolution=int(resolution),
         labels=labels.copy(),

@@ -65,8 +65,10 @@ def _read_config(path: str) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        cfg[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in cfg:
+            raise ValueError(f"{path}:{lineno}: key {key!r} given twice")
+        cfg[key] = value
     return cfg
 
 

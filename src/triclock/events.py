@@ -43,7 +43,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .core import TWO_PI, CouplingParams, json_data, normalize_phase
+from .core import TWO_PI, CouplingParams, json_data, normalize_phase, require_integer
 
 __all__ = [
     "ClockEnsemble",
@@ -298,6 +298,7 @@ def run_until_locked(
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
+    require_integer(max_cycles, "max_cycles")
     if max_cycles < 1:
         raise ValueError("max_cycles must be at least 1")
     state = ensemble

@@ -1,6 +1,8 @@
 import io
 import math
 import os
+import signal
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -336,25 +338,32 @@ class TestForkedRaster:
         monkeypatch.setattr(os, "fork", fork)
         return made
 
-    @pytest.mark.parametrize("resolution", [BELOW, ABOVE])
+    # tol=2.5 iterates the full lattice (13924 cells at ABOVE) instead of the half.
+    @pytest.mark.parametrize(
+        "resolution, tol",
+        [(BELOW, 1e-6), (ABOVE, 1e-6), (ABOVE, 2.5)],
+        ids=["50", "118", "118-tol2.5"],
+    )
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_equals_serial_byte_for_byte(self, forks, resolution, workers):
+    def test_equals_serial_byte_for_byte(self, forks, resolution, tol, workers):
         p = params(0.045)
-        serial = rasterize(resolution, p)
+        serial = rasterize(resolution, p, tol)
         assert forks == []
-        split = rasterize(resolution, p, workers=workers)
+        split = rasterize(resolution, p, tol, workers=workers)
         assert len(forks) == (workers - 1 if resolution == ABOVE else 0)
         assert split.labels.tobytes() == serial.labels.tobytes()
         assert split.iterations.tobytes() == serial.iterations.tobytes()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    @pytest.mark.parametrize("fault", ["raises", "short", "long"])
+    @pytest.mark.parametrize("fault", ["raises", "short", "long", "killed", "caller"])
     def test_failed_worker_raises_and_leaves_no_child(self, monkeypatch, capfd, fault):
         parent = os.getpid()
         classify = basin._classify
 
         def faulty(x, y, *args):
+            if fault == "caller" and os.getpid() == parent:
+                raise ArithmeticError("caller fault")
             labels, iters = classify(x, y, *args)
             if os.getpid() == parent:
                 return labels, iters
@@ -362,10 +371,17 @@ class TestForkedRaster:
                 raise ArithmeticError("worker fault")
             if fault == "short":
                 return labels[:-1], iters[:-1]
+            if fault == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
             return np.append(labels, labels[:1]), np.append(iters, iters[:1])
 
         monkeypatch.setattr(basin, "_classify", faulty)
-        with pytest.raises(RuntimeError, match="raster worker"):
+        error, message = RuntimeError, "raster worker"
+        if fault == "killed":
+            message = "raster worker [0-9]+ exited with status -9"
+        if fault == "caller":
+            error, message = ArithmeticError, "caller fault"
+        with pytest.raises(error, match=message):
             rasterize(ABOVE, params(), workers=3)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -425,6 +441,8 @@ class TestOrbit:
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
             orbit((1.0, 2.0), params(), -1)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            orbit((1.0, 2.0), params(), 2.5)
 
     @pytest.mark.parametrize("start", [(7.0, -1.0), (1.0, TWO_PI + 1e-9), (math.nan, 1.0)])
     def test_start_outside_square_rejected(self, start):
@@ -490,6 +508,8 @@ class TestGridSerialization:
         assert np.array_equal(back.labels, grid.labels)
         assert np.array_equal(back.iterations, grid.iterations)
 
+    # The resolution-4 file: the header (resolution, epsilon, tol) fills
+    # bytes 0-24, the 16 labels 24-40 and the 16 counts 40-104.
     @pytest.mark.parametrize(
         "cut, message",
         [
@@ -497,8 +517,14 @@ class TestGridSerialization:
             (lambda raw: raw[:-1], "needs 80 bytes after the header, got 79"),
             (lambda raw: raw + b"\0", "needs 80 bytes after the header, got 81"),
             (lambda raw: bytes(8) + raw[8:], "grid header gives resolution 0"),
+            (lambda raw: raw[:24] + b"\x09" + raw[25:], r"label code 9; codes run 0\.\.3"),
+            (lambda raw: raw[:40] + struct.pack("<i", -5) + raw[44:], "iteration count -5"),
+            (lambda raw: raw[:16] + struct.pack("<d", math.nan) + raw[24:], "got nan"),
+            (lambda raw: raw[:16] + struct.pack("<d", math.inf) + raw[24:], "got inf"),
+            (lambda raw: raw[:16] + struct.pack("<d", -1.0) + raw[24:], "got -1.0"),
         ],
-        ids=["short-header", "short-body", "trailing-bytes", "zero-resolution"],
+        ids=["short-header", "short-body", "trailing-bytes", "zero-resolution", "label-9",
+             "negative-count", "nan-tol", "inf-tol", "negative-tol"],
     )
     def test_binary_length_checked(self, cut, message):
         buf = io.BytesIO()

@@ -760,6 +760,13 @@ class TestPlumbing:
         )
         assert code == 2
 
+    def test_repeated_config_key_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("eps = 0.05\nresolution = 4\n# resolution = 5\nresolution = 6\n")
+        code, out, err = run_cli(capsys, "basins", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert f"{cfg}:4: key 'resolution' given twice" in err
+
     @pytest.mark.parametrize(
         "argv",
         [["step", "--x", "180", "--y", "90", "-n", "2"],

@@ -305,6 +305,8 @@ class TestRunUntilLocked:
                 run_until_locked(ensemble([0.0, 1.0, 2.0]), tol=tol, max_cycles=10)
         with pytest.raises(ValueError):
             run_until_locked(ensemble([0.0, 1.0, 2.0]), tol=1e-6, max_cycles=0)
+        with pytest.raises(ValueError, match="max_cycles must be an integer"):
+            run_until_locked(ensemble([0.0, 1.0, 2.0]), tol=1e-6, max_cycles=2.5)
 
     @pytest.mark.parametrize("phases", [[0.0, 1.3, 4.1], [0.0, 0.7, 2.9, 5.1]])
     def test_recorded_events_are_the_cycles_events(self, phases):
