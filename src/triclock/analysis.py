@@ -34,14 +34,12 @@ several segments steps all their samples with one map call.
 
 The swap ``(x, y) -> (y, x)`` commutes with the map bit for bit, and
 the work of ``verify`` is done once per mirror pair.  The census traces
-3 of its 6 saddle orbits: a seed that is the exact mirror of a traced
-one takes the traced samples with swapped columns (a seed that misses
-its mirror by a rounding is traced).  It iterates 4 of its 12 segment
-orbits, since the restriction map depends only on a segment's
-coefficient row.  The lower Lyapunov scan is the upper one mirrored: the
-decrement at ``(y, x)`` in the lower triangle equals the upper one at
-``(x, y)`` bit for bit, so the last upper scan's maximum and zero set
-are kept for it.
+3 of its 6 saddle orbits and takes the other 3 as their mirror images,
+paired by fixed-point row.  It iterates 4 of its 12 segment orbits,
+since the restriction map depends only on a segment's coefficient row.
+The lower Lyapunov scan is the upper one mirrored: the decrement at
+``(y, x)`` in the lower triangle equals the upper one at ``(x, y)`` bit
+for bit, so the last upper scan's maximum and zero set are kept for it.
 
 The work of ``verify`` that does not depend on eps is done once and kept
 for later calls in the process, each of which then does only its eps
@@ -742,12 +740,13 @@ def heteroclinic_census(params: CouplingParams) -> HeteroclinicCensus:
     orbit is not built when its endpoints make it saddle-to-attractor,
     since tracing has already found that connection.
 
-    The map commutes with the swap ``(x, y) -> (y, x)`` bit for bit, and so
-    does the capture test, so a seed that is the exact mirror of a traced
-    one gets the traced samples with their columns swapped, landing on the
-    mirror fixed point; any other seed is traced.  The restriction map
-    depends only on a segment's coefficient row, so its orbits are iterated
-    once per row and pair of end parameters.
+    The map and the capture test commute with the swap ``(x, y) -> (y, x)``
+    bit for bit, so 3 orbits are traced.  A saddle whose mirror has an
+    earlier row takes that saddle's orbits in order, columns swapped and
+    landing rows mirrored; ``(pi, pi)`` is its own mirror, and its second
+    orbit is its first one's mirror image.  The restriction map depends
+    only on a segment's coefficient row, so its orbits are iterated once
+    per row and pair of end parameters.
     """
     params.require_analysis_range()
     memo: dict[Any, Any] = {}
@@ -765,22 +764,20 @@ def heteroclinic_census(params: CouplingParams) -> HeteroclinicCensus:
     records = classify_rows(_FIXED_POINTS, params)
     memo.update((rec.location.tobytes(), rec) for rec in records)
     orbits: list[HeteroclinicOrbit] = []
-    traced: dict[bytes, tuple[np.ndarray, int]] = {}  # seed bytes -> samples, landing row
-    for rec in records:
+    paths: dict[int, list[tuple[np.ndarray, int]]] = {}  # saddle row -> samples, landing row
+    for i, rec in enumerate(records):
         if rec.kind != "saddle":
             continue
-        for u in rec.unstable_directions():
-            for sign in (1.0, -1.0):
-                seed = _seed_point(rec, sign * u)
-                if not bool(in_square(seed)):
-                    continue
-                # A seed lies SEED_STEP off its source, so it fixes the source too.
-                mirror = traced.get(seed[::-1].tobytes())
-                if mirror is None:
-                    samples, j = traced[seed.tobytes()] = _trace(rec, seed, params)
-                else:
-                    samples, j = mirror[0][:, ::-1].copy(), _MIRROR_ROW[mirror[1]]
-                orbits.append(HeteroclinicOrbit(rec, records[j], samples))
+        m = _MIRROR_ROW[i]
+        if m >= i:  # traced; (pi, pi), its own mirror, traces its first seed only
+            seeds = [_seed_point(rec, sign * u) for u in rec.unstable_directions()
+                     for sign in (1.0, -1.0)]
+            seeds = [seed for seed in seeds if bool(in_square(seed))]
+            paths[i] = [_trace(rec, seed, params) for seed in seeds[: 1 if m == i else None]]
+        if m <= i:  # then the mirror's orbits in order, columns swapped
+            mirrored = [(s[:, ::-1].copy(), _MIRROR_ROW[j]) for s, j in paths[m]]
+            paths[i] = paths.get(i, []) + mirrored
+        orbits.extend(HeteroclinicOrbit(rec, records[j], s) for s, j in paths[i])
     for segment in invariant_segments():
         fps_t = segment.roots
         for t0, t1 in zip(fps_t[:-1], fps_t[1:]):

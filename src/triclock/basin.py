@@ -23,10 +23,9 @@ commutes with that swap bit for bit (``g`` is computed as ``f`` with its
 arguments swapped, the sine is odd, the edge snap, the diagonal band and
 the attractor tests are symmetric, and both axes share one array of cell
 centers).  So cell ``[col, row]`` takes the iteration count of
-``[row, col]`` and its label with upper and lower exchanged.  That holds
-while no cell can pass both capture tests at once, that is for
-``tol < _MIRROR_TOL`` = 1: a cell that passes both is labelled upper, and
-so is its mirror.  From that tol up every cell is iterated.
+``[row, col]`` and its label with upper and lower exchanged.  That needs
+no cell to pass two tests of different labels, which holds for every
+accepted ``tol``, ``0 <= tol < _TOL_BOUND`` = 1 (see there).
 
 A large half lattice is split over forked processes (POSIX only):
 ``rasterize(..., workers=n)`` deals its cells round-robin into at most
@@ -104,12 +103,14 @@ ATTRACTOR_LOWER = np.array([4.0 * math.pi / 3.0, 2.0 * math.pi / 3.0])
 # Label of the mirror cell: swapping x and y swaps the two attractors.
 _SWAP_LABEL = np.array([_LOWER, _UPPER, _BOUNDARY, _UNRESOLVED], dtype=np.uint8)
 
-# Below this tol no point passes both capture tests, since the attractors
-# are 2*pi/3 apart in the max-norm.  From it up, a cell that passes both at
-# once is labelled upper, and so is its mirror, which passes both at the
-# same iteration: the swap no longer gives the mirror's label, and the
-# raster classifies every cell instead of the half lattice.
-_MIRROR_TOL = 1.0
+# A capture tol is below this round number under pi/3, from which up the
+# upper capture box would take cells of the lower triangle.  A point within
+# tol (max-norm) of U = (2*pi/3, 4*pi/3) has y - x >= 2*pi/3 - 2*tol > 0.094:
+# the upper box lies in the open upper triangle, more than pi/3 - 1 off the
+# diagonal and 2*pi/3 - 1 off every edge, and the lower box likewise.  So
+# no cell passes two tests of different labels, and a mirror cell's label
+# is the swapped one.
+_TOL_BOUND = 1.0
 
 _DIAGONAL_BAND = 1e-13
 
@@ -322,8 +323,8 @@ def _classify_split(
 
 
 def _require_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    if not 0.0 <= tol < _TOL_BOUND:  # NaN fails it too
+        raise ValueError(f"tol must be >= 0 and < {_TOL_BOUND:g}, got {tol}")
 
 
 def _budget(params: CouplingParams, tol: float, max_iter: int | None) -> int:
@@ -362,13 +363,13 @@ def rasterize(
 ) -> BasinGrid:
     """Classify the cell-center lattice; deterministic for fixed inputs.
 
-    For ``tol < _MIRROR_TOL`` only the cells with ``row <= col`` are
-    iterated; each mirror cell ``[col, row]`` gets the same iteration count
-    and the label swapped upper <-> lower, which is exact (see the module
-    docstring).  A larger ``tol`` iterates every cell.
-    ``workers`` is the most processes that classify the lattice, each
-    of at least ``_MIN_CELLS_PER_PROCESS`` cells (forked, so POSIX only; the
-    output is the same bit for bit at any ``workers``).  A failed child
+    Only the cells with ``row <= col`` are iterated; each mirror cell
+    ``[col, row]`` gets the same iteration count and the label swapped
+    upper <-> lower, which is exact for every accepted ``0 <= tol < 1``
+    (see the module docstring).  ``workers`` is the most processes that
+    classify the lattice, each of at least ``_MIN_CELLS_PER_PROCESS``
+    cells (forked, so POSIX only; the output is the same bit for bit at
+    any ``workers``).  A failed child
     raises ``RuntimeError``, and no child outlives the call.
     """
     require_integer(resolution, "resolution")
@@ -379,19 +380,14 @@ def rasterize(
     if workers < 1:
         raise ValueError("workers must be at least 1")
     c = (np.arange(resolution) + 0.5) * (TWO_PI / resolution)
-    mirror = tol < _MIRROR_TOL
-    if mirror:
-        row, col = np.triu_indices(resolution)
-    else:
-        row, col = np.indices((resolution, resolution)).reshape(2, -1)
+    row, col = np.triu_indices(resolution)
     cell_labels, cell_iters = _classify_split(c[col], c[row], params, tol, max_iter, workers)
 
     labels = np.empty((resolution, resolution), dtype=np.uint8)
     iters = np.empty((resolution, resolution), dtype=np.int32)
-    if mirror:
-        # Mirrors first, so that each diagonal cell ends with its own label.
-        labels[col, row] = _SWAP_LABEL[cell_labels]
-        iters[col, row] = cell_iters
+    # Mirrors first, so that each diagonal cell ends with its own label.
+    labels[col, row] = _SWAP_LABEL[cell_labels]
+    iters[col, row] = cell_iters
     labels[row, col] = cell_labels
     iters[row, col] = cell_iters
     return BasinGrid(
@@ -406,6 +402,7 @@ def rasterize(
 
 def orbit(p, params: CouplingParams, n: int) -> np.ndarray:
     """Forward orbit polyline (p, F(p), ..., F^n(p)), shape (n + 1, 2)."""
+    params.require_analysis_range()
     require_integer(n, "n")
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -441,14 +438,16 @@ def write_grid_binary(grid: BasinGrid, stream: IO[bytes]) -> None:
 
 
 def read_grid_binary(stream: IO[bytes]) -> BasinGrid:
-    """Read what :func:`write_grid_binary` wrote; a wrong length, label code,
-    count or ``tol`` is a ValueError."""
+    """Read what :func:`write_grid_binary` wrote; a wrong length, label code
+    or count, or an eps or ``tol`` that :func:`rasterize` refuses, is a ValueError."""
     header = stream.read(_HEADER.size)
     if len(header) != _HEADER.size:
         raise ValueError(f"grid header needs {_HEADER.size} bytes, got {len(header)}")
     resolution, epsilon, tol = _HEADER.unpack(header)
     if resolution < 1:
         raise ValueError(f"grid header gives resolution {resolution}")
+    params = CouplingParams(epsilon=float(epsilon))
+    params.require_analysis_range()
     _require_tol(tol)
     n = resolution * resolution
     body = stream.read()
@@ -467,7 +466,7 @@ def read_grid_binary(stream: IO[bytes]) -> BasinGrid:
         resolution=int(resolution),
         labels=labels.copy(),
         iterations=iters.astype(np.int32),
-        params=CouplingParams(epsilon=float(epsilon)),
+        params=params,
         tol=float(tol),
         max_iter=None,
     )

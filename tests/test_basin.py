@@ -26,6 +26,7 @@ from triclock.basin import (
     write_grid_binary,
     write_grid_csv,
 )
+from triclock.cli import main as cli_main
 from triclock.core import TWO_PI, CouplingParams, three_clock_step, three_clock_step_xy
 
 PI = math.pi
@@ -199,8 +200,11 @@ class TestSkipBound:
         assert 1.0 - basin._OMEGA_LIPSCHITZ * eps < ratio < 1.0 - 1.4 * eps
 
 
+# The largest accepted capture tolerance: a tol must be >= 0 and < 1.
+LARGEST_TOL = math.nextafter(1.0, 0.0)
 TOLERANCES = st.one_of(
-    st.sampled_from([0.0, 1e-6, 1e-3, 2.0 * math.pi / 3.0, 2.5]), st.floats(0.0, 3.0)
+    st.sampled_from([0.0, 1e-6, 1e-3, 0.5, LARGEST_TOL]),
+    st.floats(0.0, 1.0, exclude_max=True),
 )
 BUDGETS = st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, 160))
 
@@ -232,14 +236,22 @@ class TestClassifierOracle:
         assert grid.labels.tobytes() == labels.tobytes()
         assert grid.iterations.tobytes() == iters.tobytes()
 
-    @pytest.mark.parametrize("tol", [2.0 * math.pi / 3.0, 2.5])
-    def test_upper_wins_where_both_captures_fire(self, tol):
-        point = (math.pi - 0.5, math.pi + 0.5)
-        for x, y in (point, point[::-1]):
-            near = finish_distances(np.array([x]), np.array([y]))
-            assert near["upper"][0] <= tol and near["lower"][0] <= tol
-        assert classify_point(point, params(), tol=tol, max_iter=0) == ("upper", 0)
-        assert classify_point(point[::-1], params(), tol=tol, max_iter=0) == ("upper", 0)
+    # From tol = pi/3 up a capture box takes cells of the other triangle, and
+    # the raster would mislabel them; every tol from 1 up is refused, as are
+    # negative ones and NaN.
+    @pytest.mark.parametrize("tol", [1.0, 2.5, math.inf, -math.inf, math.nan],
+                             ids=["1", "2.5", "inf", "-inf", "nan"])
+    def test_tolerances_outside_zero_to_one_refused(self, tmp_path, capsys, tol):
+        with pytest.raises(ValueError, match="tol must be >= 0 and < 1"):
+            rasterize(4, params(), tol=tol)
+        with pytest.raises(ValueError, match="tol must be >= 0 and < 1"):
+            classify_point((1.0, 2.0), params(), tol=tol)
+        out = tmp_path / "grid.bin"
+        code = cli_main(["basins", "--eps", "0.05", "--resolution", "48", "--tol", repr(tol),
+                         "--format", "bin", "--out", str(out)])
+        assert code == 2
+        assert "tol must be >= 0 and < 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRasterize:
@@ -279,8 +291,8 @@ class TestRasterize:
     @pytest.mark.parametrize(
         "resolution, eps, tol, max_iter",
         [(33, 0.05, 1e-6, None), (48, 0.08, 1e-6, None), (20, 0.05, 1e-3, 50),
-         (4, 0.0625, 2.0 * math.pi / 3.0, None), (24, 0.05, 2.5, None)],
-        ids=["odd", "even", "unresolved", "both-captures-at-once", "wide-tol"],
+         (24, 0.05, LARGEST_TOL, None)],
+        ids=["odd", "even", "unresolved", "largest-tol"],
     )
     def test_mirror_equals_full_lattice(self, resolution, eps, tol, max_iter):
         p = params(eps)
@@ -338,18 +350,13 @@ class TestForkedRaster:
         monkeypatch.setattr(os, "fork", fork)
         return made
 
-    # tol=2.5 iterates the full lattice (13924 cells at ABOVE) instead of the half.
-    @pytest.mark.parametrize(
-        "resolution, tol",
-        [(BELOW, 1e-6), (ABOVE, 1e-6), (ABOVE, 2.5)],
-        ids=["50", "118", "118-tol2.5"],
-    )
+    @pytest.mark.parametrize("resolution", [BELOW, ABOVE], ids=["50", "118"])
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_equals_serial_byte_for_byte(self, forks, resolution, tol, workers):
+    def test_equals_serial_byte_for_byte(self, forks, resolution, workers):
         p = params(0.045)
-        serial = rasterize(resolution, p, tol)
+        serial = rasterize(resolution, p)
         assert forks == []
-        split = rasterize(resolution, p, tol, workers=workers)
+        split = rasterize(resolution, p, workers=workers)
         assert len(forks) == (workers - 1 if resolution == ABOVE else 0)
         assert split.labels.tobytes() == serial.labels.tobytes()
         assert split.iterations.tobytes() == serial.iterations.tobytes()
@@ -449,6 +456,11 @@ class TestOrbit:
         with pytest.raises(ValueError, match="outside the square"):
             orbit(start, params(), 3)
 
+    @pytest.mark.parametrize("eps", [5.0, 0.0, 1 / 9])
+    def test_coupling_outside_the_analysis_range_rejected(self, eps):
+        with pytest.raises(ValueError, match="outside the analysis range"):
+            orbit((1.0, 2.0), CouplingParams(epsilon=eps), 3)
+
 
 class TestGridSerialization:
     def test_csv_layout(self):
@@ -486,8 +498,8 @@ class TestGridSerialization:
     @settings(deadline=None, max_examples=50)
     @given(
         resolution=st.integers(1, 9),
-        eps=st.floats(0.0, 0.11),
-        tol=st.floats(0.0, 1.0),
+        eps=st.floats(1e-8, 1 / 9, exclude_min=True, exclude_max=True),
+        tol=st.floats(0.0, 1.0, exclude_max=True),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_binary_round_trip_of_any_grid(self, resolution, eps, tol, seed):
@@ -522,9 +534,14 @@ class TestGridSerialization:
             (lambda raw: raw[:16] + struct.pack("<d", math.nan) + raw[24:], "got nan"),
             (lambda raw: raw[:16] + struct.pack("<d", math.inf) + raw[24:], "got inf"),
             (lambda raw: raw[:16] + struct.pack("<d", -1.0) + raw[24:], "got -1.0"),
+            (lambda raw: raw[:16] + struct.pack("<d", 1.0) + raw[24:], "< 1, got 1.0"),
+            (lambda raw: raw[:8] + struct.pack("<d", 5.0) + raw[16:],
+             "epsilon=5.0 outside the analysis range"),
+            (lambda raw: raw[:8] + struct.pack("<d", 0.0) + raw[16:],
+             "epsilon=0.0 outside the analysis range"),
         ],
         ids=["short-header", "short-body", "trailing-bytes", "zero-resolution", "label-9",
-             "negative-count", "nan-tol", "inf-tol", "negative-tol"],
+             "negative-count", "nan-tol", "inf-tol", "negative-tol", "tol-1", "eps-5", "eps-0"],
     )
     def test_binary_length_checked(self, cut, message):
         buf = io.BytesIO()

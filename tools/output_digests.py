@@ -25,11 +25,11 @@ in binary, CSV and SVG, at resolutions 2, 3, 48 and 144 and couplings
 ``--max-iter 0`` (which between them draw all four SVG fill colours), and
 in binary and CSV also with ``--max-iter 1``, plus one binary grid of
 resolution 200.  Then ``basins`` in binary at resolutions 48 and 200 at
-the ends of the raster's skip bound: ``--eps 2e-8 --max-iter 40``,
-``--eps 0.1111`` and ``--tol 2.5`` (where both capture tests can pass at
-one cell).  Then ``fixed-points`` in JSON and ``portrait`` with the
-fixed points alone at couplings 2e-8 and 0.1111, the two ends of the
-analysis range.  Then
+the ends of the raster's skip bound, ``--eps 2e-8 --max-iter 40`` and
+``--eps 0.1111``, and at the edge of the accepted capture tolerances:
+``--tol 0.999`` and the refused ``--tol 1`` and ``--tol 2.5``.  Then
+``fixed-points`` in JSON and ``portrait`` with the fixed points alone at
+couplings 2e-8 and 0.1111, the two ends of the analysis range.  Then
 ``simulate``: seeded ``--random-starts`` in JSON at 2, 3, 4 and 5 clocks
 and three couplings (and in CSV at one), ``--phases`` in radians and with
 ``--deg``, a ``--max-cycles`` run that does not lock, the near-tie starts
@@ -112,6 +112,7 @@ def sweep(readme: str) -> list[list[str]]:
                     commands.append(["basins", "--eps", eps, "--resolution", res,
                                      "--format", fmt, *extra])
     for extra in (["--eps", "2e-8", "--max-iter", "40"], ["--eps", "0.1111"],
+                  ["--eps", "0.05", "--tol", "0.999"], ["--eps", "0.05", "--tol", "1"],
                   ["--eps", "0.05", "--tol", "2.5"]):
         for res in ("48", "200"):
             commands.append(["basins", *extra, "--resolution", res, "--format", "bin"])
