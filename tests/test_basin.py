@@ -292,7 +292,7 @@ class TestRasterize:
         "resolution, eps, tol, max_iter",
         [(33, 0.05, 1e-6, None), (48, 0.08, 1e-6, None), (20, 0.05, 1e-3, 50),
          (24, 0.05, LARGEST_TOL, None)],
-        ids=["odd", "even", "unresolved", "largest-tol"],
+        ids=["odd", "even", "unresolved", "wide-tol"],
     )
     def test_mirror_equals_full_lattice(self, resolution, eps, tol, max_iter):
         p = params(eps)
