@@ -167,7 +167,8 @@ class FixedPointRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FixedPointRecord":
-        """The record ``json_data`` wrote; a ``kind`` other than attractor,
+        """The record as ``json.dumps(rec, default=json_data)`` wrote it, the
+        form of the ``fixed-points`` JSON; a ``kind`` other than attractor,
         repeller or saddle raises ValueError."""
         kind = str(d["kind"])
         if kind not in _KIND_LETTER:

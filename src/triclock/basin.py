@@ -439,13 +439,14 @@ def write_grid_binary(grid: BasinGrid, stream: IO[bytes]) -> None:
 
 def read_grid_binary(stream: IO[bytes]) -> BasinGrid:
     """Read what :func:`write_grid_binary` wrote; a wrong length, label code
-    or count, or an eps or ``tol`` that :func:`rasterize` refuses, is a ValueError."""
+    or count, or a resolution, eps or ``tol`` that :func:`rasterize` refuses,
+    is a ValueError."""
     header = stream.read(_HEADER.size)
     if len(header) != _HEADER.size:
         raise ValueError(f"grid header needs {_HEADER.size} bytes, got {len(header)}")
     resolution, epsilon, tol = _HEADER.unpack(header)
-    if resolution < 1:
-        raise ValueError(f"grid header gives resolution {resolution}")
+    if resolution < 2:
+        raise ValueError(f"grid header gives resolution {resolution}; rasters have at least 2")
     params = CouplingParams(epsilon=float(epsilon))
     params.require_analysis_range()
     _require_tol(tol)

@@ -103,7 +103,7 @@ def _write(path: str, write: Writer, binary: bool = False) -> None:
 
 
 def _json(obj: Any) -> Writer:
-    return lambda stream: stream.write(json.dumps(obj, indent=2) + "\n")
+    return lambda stream: stream.write(json.dumps(obj, indent=2, default=json_data) + "\n")
 
 
 def _csv(header: list[str], rows: Iterable[list]) -> Writer:
@@ -146,8 +146,8 @@ def _cmd_fixed_points(o: argparse.Namespace) -> Report:
     search = analysis.find_fixed_points(seed_grid=o.seed_grid, tol=o.tol, params=params)
     payload = {
         "epsilon": params.epsilon,
-        "fixed_points": json_data(search.records),
-        "unconverged_seeds": search.unconverged_seeds.tolist(),
+        "fixed_points": search.records,
+        "unconverged_seeds": search.unconverged_seeds,
     }
     rows = (
         [repr(float(v)) for v in (*rec.location, *rec.eigenvalues)] + [rec.kind]
@@ -331,13 +331,13 @@ def _verify(params: CouplingParams, samples: int, grid: int) -> tuple[dict, str]
     passed = all(check.passed for check in (*segment_checks, census, *scans))
     report = {
         "epsilon": params.epsilon,
-        "segments": json_data(segment_checks),
+        "segments": segment_checks,
         "census": {
             "counts": census.counts,
             "orbits": [
                 {
-                    "source": orb.source.location.tolist(),
-                    "target": orb.target.location.tolist(),
+                    "source": orb.source.location,
+                    "target": orb.target.location,
                     "kind": orb.kind,
                     "length": len(orb.samples),
                 }

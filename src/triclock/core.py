@@ -32,7 +32,6 @@ can move a coordinate (see :func:`_snap_to_edges`).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, fields, is_dataclass
 
@@ -320,22 +319,16 @@ def default_max_iterations(params: CouplingParams) -> int:
     return math.ceil(60.0 / params.epsilon)
 
 
-@functools.cache
-def _field_names(cls: type) -> tuple[str, ...]:
-    # Once per type: ``fields()`` costs about as much as a kick event's data.
-    return tuple(f.name for f in fields(cls))
-
-
 def json_data(obj):
-    """A dataclass as plain JSON data, field by field in declaration order.
+    """The ``default=`` hook of every ``json.dumps`` in the package.
 
-    Nested dataclasses become dicts, arrays (nested) lists of Python
-    scalars, tuples and lists lists; any other value is returned as is.
+    An array or numpy scalar becomes its ``tolist()``, a dataclass the dict
+    of its fields in declaration order; ``json`` itself walks what comes
+    back, so nested dataclasses and arrays take the same hook.  Any other
+    value raises TypeError, as ``json`` does without a hook.
     """
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
     if is_dataclass(obj):
-        return {name: json_data(getattr(obj, name)) for name in _field_names(type(obj))}
-    if isinstance(obj, (tuple, list)):
-        return [json_data(v) for v in obj]
-    return obj
+        return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")

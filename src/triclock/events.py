@@ -16,7 +16,8 @@ simulator an independent oracle for it.
 The kick rule, the time shift and the tie order exist once, in the
 cycle kernel ``_cycle``.  It runs on a list of Python floats for any N:
 per kick, one ``max`` finds the leader, one pass shifts every phase and
-one pass kicks them, with no numpy call unless it records kick events.
+one pass kicks them, with no numpy call; a recorded kick event holds the
+same floats as tuples.
 :func:`run_cycle` wraps it, converting the phases to a list once on entry
 and to an array once on exit.  :func:`run_until_locked` calls
 :func:`run_cycle` once per cycle and reads each cycle's difference vector
@@ -38,7 +39,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import IO, Iterable
 
 import numpy as np
@@ -104,29 +105,58 @@ class ClockEnsemble:
         return int(self.phases.size)
 
 
+def _read_phases(phases, name: str, closed: bool) -> tuple[float, ...]:
+    """A kick event's phase list as floats; ValueError unless it lists
+    numbers in [0, 2*pi] (``closed``) or in [0, 2*pi)."""
+    if isinstance(phases, (list, tuple)) and all(
+        type(p) in (int, float) and (0.0 <= p <= TWO_PI if closed else 0.0 <= p < TWO_PI)
+        for p in phases
+    ):
+        return tuple(map(float, phases))
+    raise ValueError(f"{name} must list phases in [0, 2*pi{']' if closed else ')'}, "
+                     f"got {phases!r}")
+
+
 @dataclass(frozen=True)
 class KickEvent:
     """One kick: who fired and the phases just before and just after it.
 
+    The phases are tuples of Python floats, one per clock.
     ``phases_after`` lies in [0, 2*pi).  ``phases_before`` has the kicker
     at 0 and lies in [0, 2*pi]: a clock due to kick in the same instant
     stands at exactly 2*pi there (the start ``[0, 0, 3]`` gives
-    ``[0.0, 6.283185307179586, 3.0]``) and at 0 in ``phases_after``.
+    ``(0.0, 6.283185307179586, 3.0)``) and at 0 in ``phases_after``.
     """
 
     cycle_index: int
     kicking_clock: int
-    phases_before: np.ndarray
-    phases_after: np.ndarray
+    phases_before: tuple[float, ...]
+    phases_after: tuple[float, ...]
 
     @classmethod
     def from_dict(cls, d: dict) -> "KickEvent":
-        return cls(
-            cycle_index=int(d["cycle_index"]),
-            kicking_clock=int(d["kicking_clock"]),
-            phases_before=np.asarray(d["phases_before"], dtype=float),
-            phases_after=np.asarray(d["phases_after"], dtype=float),
-        )
+        """The event :func:`write_events_jsonl` wrote, read strictly.
+
+        ValueError unless ``d`` has exactly the four fields, an integer
+        ``cycle_index`` >= 0, two phase lists of one length N >= 2 within
+        the ranges above (no NaN), and an integer ``kicking_clock`` in
+        [0, N); a bool or a float is not an integer here.
+        """
+        names = [f.name for f in fields(cls)]
+        if not isinstance(d, dict) or set(d) != set(names):
+            raise ValueError(f"a kick event has the fields {', '.join(names)}, got {d!r}")
+        before = _read_phases(d["phases_before"], "phases_before", closed=True)
+        after = _read_phases(d["phases_after"], "phases_after", closed=False)
+        n = len(before)
+        if n < 2 or len(after) != n:
+            raise ValueError(f"phases_before and phases_after must list the same N >= 2 "
+                             f"clocks, got {n} and {len(after)}")
+        cycle, kicker = d["cycle_index"], d["kicking_clock"]
+        if type(cycle) is not int or cycle < 0:
+            raise ValueError(f"cycle_index must be an integer >= 0, got {cycle!r}")
+        if type(kicker) is not int or not 0 <= kicker < n:
+            raise ValueError(f"kicking_clock must be an integer in [0, {n}), got {kicker!r}")
+        return cls(cycle, kicker, before, after)
 
 
 @dataclass(frozen=True)
@@ -227,14 +257,14 @@ def _cycle(
         # The kick rule, with the kicker just fired and at 0: every clock j
         # gains eps*sin(psi_j), psi_j being its phase relative to the kicker.
         psi[k] = 0.0
-        before = np.array(psi) if record else None
+        before = psi  # the kick builds a new list
         psi = [p + eps * sin(p) for p in psi]
         if min(psi) < 0.0:
             raise RuntimeError(_OUTSIDE.format(eps))
         kicked[k] = True
         kick_times.append((k, now))
         if record:
-            events.append(KickEvent(cycle_index, k, before, np.array(_wrapped(psi))))
+            events.append(KickEvent(cycle_index, k, tuple(before), tuple(_wrapped(psi))))
     psi[0] = 0.0
     return _wrapped(psi), events, kick_times, now
 
@@ -331,10 +361,11 @@ def run_until_locked(
 def write_events_jsonl(events: Iterable[KickEvent], stream: IO[str]) -> None:
     """One JSON object per kick event, fields as named on the type."""
     for ev in events:
-        stream.write(json.dumps(json_data(ev)) + "\n")
+        stream.write(json.dumps(ev, default=json_data) + "\n")
 
 
 def read_events_jsonl(stream: IO[str]) -> list[KickEvent]:
+    """The events of every non-blank line, read by :meth:`KickEvent.from_dict`."""
     return [KickEvent.from_dict(json.loads(line)) for line in stream if line.strip()]
 
 
@@ -344,5 +375,5 @@ def write_events_csv(events: Iterable[KickEvent], stream: IO[str], n: int) -> No
     writer.writerow(["cycle_index", "kicker"] + [f"psi_{i + 1}" for i in range(n)])
     for ev in events:
         writer.writerow(
-            [ev.cycle_index, ev.kicking_clock] + [repr(float(v)) for v in ev.phases_after]
+            [ev.cycle_index, ev.kicking_clock] + [repr(v) for v in ev.phases_after]
         )

@@ -497,7 +497,7 @@ class TestGridSerialization:
 
     @settings(deadline=None, max_examples=50)
     @given(
-        resolution=st.integers(1, 9),
+        resolution=st.integers(2, 9),
         eps=st.floats(1e-8, 1 / 9, exclude_min=True, exclude_max=True),
         tol=st.floats(0.0, 1.0, exclude_max=True),
         seed=st.integers(0, 2**32 - 1),
@@ -529,6 +529,8 @@ class TestGridSerialization:
             (lambda raw: raw[:-1], "needs 80 bytes after the header, got 79"),
             (lambda raw: raw + b"\0", "needs 80 bytes after the header, got 81"),
             (lambda raw: bytes(8) + raw[8:], "grid header gives resolution 0"),
+            (lambda raw: struct.pack("<q", 1) + raw[8:25] + raw[40:44],
+             "grid header gives resolution 1; rasters have at least 2"),
             (lambda raw: raw[:24] + b"\x09" + raw[25:], r"label code 9; codes run 0\.\.3"),
             (lambda raw: raw[:40] + struct.pack("<i", -5) + raw[44:], "iteration count -5"),
             (lambda raw: raw[:16] + struct.pack("<d", math.nan) + raw[24:], "got nan"),
@@ -540,7 +542,7 @@ class TestGridSerialization:
             (lambda raw: raw[:8] + struct.pack("<d", 0.0) + raw[16:],
              "epsilon=0.0 outside the analysis range"),
         ],
-        ids=["short-header", "short-body", "trailing-bytes", "zero-resolution", "label-9",
+        ids=["short-header", "short-body", "trailing-bytes", "zero-resolution", "res-1", "label-9",
              "negative-count", "nan-tol", "inf-tol", "negative-tol", "tol-1", "eps-5", "eps-0"],
     )
     def test_binary_length_checked(self, cut, message):

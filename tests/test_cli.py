@@ -141,7 +141,7 @@ class TestFixedPoints:
         # lossless report round trip
         for r in records:
             rec = FixedPointRecord.from_dict(r)
-            assert json_data(rec) == r
+            assert json.loads(json.dumps(rec, default=json_data)) == r
 
     def test_csv_table(self, capsys):
         code, out, _ = run_cli(capsys, "fixed-points", "--eps", "0.05", "--format", "csv")

@@ -130,11 +130,12 @@ class TestRunCycle:
         trace = run_cycle(ensemble([0.0, 1.3, 4.1]))
         for ev in trace.events:
             k = ev.kicking_clock
-            assert ev.phases_after[k] == ev.phases_before[k]
+            before, after = np.asarray(ev.phases_before), np.asarray(ev.phases_after)
+            assert after[k] == before[k]
             others = np.delete(np.arange(3), k)
             eps = 0.05
-            expect = ev.phases_before[others] + eps * np.sin(ev.phases_before[others])
-            assert np.max(np.abs(ev.phases_after[others] - expect)) < 1e-12
+            expect = before[others] + eps * np.sin(before[others])
+            assert np.max(np.abs(after[others] - expect)) < 1e-12
 
     def test_reference_back_at_threshold(self):
         trace = run_cycle(ensemble([0.0, 1.3, 4.1]))
@@ -153,8 +154,8 @@ class TestRunCycle:
 
     def test_clock_due_in_the_same_instant_is_at_two_pi_before(self):
         first = run_cycle(ensemble([0.0, 0.0, 3.0])).events[0]
-        assert first.phases_before.tolist() == [0.0, TWO_PI, 3.0]
-        assert first.phases_after.tolist()[:2] == [0.0, 0.0]
+        assert np.asarray(first.phases_before).tolist() == [0.0, TWO_PI, 3.0]
+        assert np.asarray(first.phases_after).tolist()[:2] == [0.0, 0.0]
 
     def test_kick_outside_the_circle_raises(self):
         # Unreachable through a valid ensemble (eps < 1 keeps every kick inside
@@ -545,6 +546,13 @@ def kernel_states(draw):
     return phases
 
 
+def kick_bits(ev):
+    """A kick record with its phases by ``float.hex``, so that the reference
+    kernel's arrays and the kernel's tuples compare by their value bits."""
+    return (ev.cycle_index, ev.kicking_clock,
+            [float.hex(p) for p in ev.phases_before], [float.hex(p) for p in ev.phases_after])
+
+
 def kernel_outcome(kernel, phases, eps, record, cycles=3):
     """Every output of ``cycles`` chained kernel cycles in a comparable form,
     floats by ``float.hex``, or the exception that ended them."""
@@ -554,7 +562,7 @@ def kernel_outcome(kernel, phases, eps, record, cycles=3):
             phases, recorded, kick_times, period = kernel(list(phases), eps, cycle, record)
             out.append((
                 [p.hex() for p in phases],
-                [bits(ev) for ev in recorded],
+                [kick_bits(ev) for ev in recorded],
                 [(k, t.hex()) for k, t in kick_times],
                 period.hex(),
             ))
@@ -591,6 +599,37 @@ class TestCycleKernelOracle:
     @example(phases=[0.0, 0.0, 5e-324, 2.2e-16], eps=0.11)
     def test_on_clustered_and_special_states(self, phases, eps):
         self.check(phases, eps)
+
+    @settings(deadline=None, max_examples=100)
+    @given(phases=tie_states(), eps=st.floats(0.0, 0.11))
+    @example(phases=[0.0, 0.0, 3.0], eps=0.1)
+    @example(phases=[0.0, 5e-324, 3.0], eps=0.1)
+    @example(phases=[0.0, 2.2e-16, 3.0], eps=0.1)
+    def test_trace_writers_format_the_reference_events(self, phases, eps):
+        """The jsonl and csv bytes written from the kernel's records equal
+        those formatted from the reference kernel's numpy records by
+        ``tolist()``, over three chained cycles."""
+        got, want = [], []
+        for kernel, out in ((events._cycle, got), (pre_change_cycle, want)):
+            psi = list(phases)
+            for cycle in range(3):
+                psi, recorded, _, _ = kernel(psi, eps, cycle, True)
+                out.extend(recorded)
+        jsonl, table = io.StringIO(), io.StringIO()
+        write_events_jsonl(got, jsonl)
+        write_events_csv(got, table, len(phases))
+        assert jsonl.getvalue() == "".join(
+            json.dumps({"cycle_index": ev.cycle_index, "kicking_clock": ev.kicking_clock,
+                        "phases_before": ev.phases_before.tolist(),
+                        "phases_after": ev.phases_after.tolist()}) + "\n"
+            for ev in want
+        )
+        header = ["cycle_index", "kicker"] + [f"psi_{i + 1}" for i in range(len(phases))]
+        assert table.getvalue() == "".join(
+            ",".join(row) + "\n"
+            for row in [header] + [[str(ev.cycle_index), str(ev.kicking_clock)]
+                                   + [repr(v) for v in ev.phases_after.tolist()] for ev in want]
+        )
 
     @given(p=st.one_of(st.floats(0.0, TWO_PI), st.sampled_from(SPECIAL_PHASES)))
     def test_the_shift_lands_the_leader_on_the_threshold(self, p):
@@ -658,8 +697,54 @@ class TestEventSerialization:
         assert len(lines) == 4
 
     def test_kick_event_dict_round_trip(self):
-        ev = KickEvent(2, 1, np.array([0.1, 0.0, 2.2]), np.array([0.1, 0.0, 2.21]))
+        ev = KickEvent(2, 1, (0.1, 0.0, TWO_PI), (0.1, 0.0, 2.21))
         back = KickEvent.from_dict(json_data(ev))
         assert back.cycle_index == 2 and back.kicking_clock == 1
         assert np.array_equal(back.phases_before, ev.phases_before)
         assert np.array_equal(back.phases_after, ev.phases_after)
+        assert KickEvent.from_dict(json.loads(json.dumps(ev, default=json_data))) == ev
+
+    # Each case changes fields of a valid 3-clock event (None drops one); the
+    # reader must refuse it with ValueError, from a dict and a jsonl line alike.
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"phases_after": None}, "has the fields"),
+            ({"extra": 1}, "has the fields"),
+            ({"cycle_index": 2.7}, "cycle_index must be an integer >= 0, got 2.7"),
+            ({"cycle_index": 2.0}, "cycle_index must be an integer >= 0, got 2.0"),
+            ({"cycle_index": -1}, "cycle_index must be an integer >= 0, got -1"),
+            ({"kicking_clock": True}, r"kicking_clock must be an integer in \[0, 3\), got True"),
+            ({"kicking_clock": 3}, r"in \[0, 3\), got 3"),
+            ({"kicking_clock": 7, "phases_before": [0.0, 1.0], "phases_after": [0.0, 1.0]},
+             r"in \[0, 2\), got 7"),
+            ({"phases_after": [0.1, 0.0]}, "the same N >= 2 clocks, got 3 and 2"),
+            ({"phases_before": [0.0], "phases_after": [0.0]}, "got 1 and 1"),
+            ({"phases_before": [0.1, 0.0, math.nan]},
+             r"phases_before must list phases in \[0, 2\*pi\]"),
+            ({"phases_after": [math.nan, 0.0, 2.2]},
+             r"phases_after must list phases in \[0, 2\*pi\)"),
+            ({"phases_after": [0.1, 0.0, TWO_PI]}, "phases_after must list phases"),
+            ({"phases_before": [0.1, 0.0, math.nextafter(TWO_PI, 7.0)]}, "phases_before must"),
+            ({"phases_before": [-1e-300, 0.0, 2.2]}, "phases_before must"),
+            ({"phases_after": [0.1, 0.0, math.inf]}, "phases_after must"),
+            ({"phases_after": [0.1, False, 2.2]}, "phases_after must"),
+            ({"phases_after": "0.1"}, "phases_after must"),
+        ],
+        ids=["missing-key", "extra-key", "fractional-cycle", "float-cycle", "negative-cycle",
+             "bool-kicker", "kicker-3-of-3", "kicker-7-of-2", "unequal-lengths", "one-clock",
+             "nan-before", "nan-after", "after-at-two-pi", "before-above-two-pi",
+             "negative-before", "inf-after", "bool-phase", "string-phases"],
+    )
+    def test_kick_event_reader_is_strict(self, change, message):
+        d = {"cycle_index": 2, "kicking_clock": 1,
+             "phases_before": [0.1, 0.0, TWO_PI], "phases_after": [0.1, 0.0, 2.2]}
+        d = {k: v for k, v in (d | change).items() if v is not None}
+        with pytest.raises(ValueError, match=message):
+            KickEvent.from_dict(d)
+        with pytest.raises(ValueError, match=message):
+            read_events_jsonl(io.StringIO(json.dumps(d) + "\n"))
+
+    def test_jsonl_reader_refuses_a_line_that_is_not_an_object(self):
+        with pytest.raises(ValueError, match="has the fields"):
+            read_events_jsonl(io.StringIO("[2, 1, [0.0, 1.0], [0.0, 1.0]]\n"))

@@ -34,9 +34,10 @@ couplings 2e-8 and 0.1111, the two ends of the analysis range.  Then
 and three couplings (and in CSV at one), ``--phases`` in radians and with
 ``--deg``, a ``--max-cycles`` run that does not lock, the near-tie starts
 ``0,5e-324,3.0`` and ``0,2.2e-16,3.0``, and ``--trace-out`` to ``.jsonl``
-and ``.csv``.  It ends with the ``triclock`` command lines of the
-README's ``sh`` blocks, read from the checkout's README.md, in README
-order.
+and ``.csv``, also from the start ``0,0,3.0``, whose first kick record
+has a clock at exactly ``2*pi`` in ``phases_before``.  It ends with the
+``triclock`` command lines of the README's ``sh`` blocks, read from the
+checkout's README.md, in README order.
 Each command runs in an empty temporary directory, with
 ``TRICLOCK_OUTDIR`` unset.  OUTFILE gets one line per command: one sha256
 of its standard output, its standard error and every file it left in that
@@ -135,6 +136,8 @@ def sweep(readme: str) -> list[list[str]]:
                       ["--tol", "1e-8", "--trace-out", "trace.jsonl"],
                       ["--tol", "1e-8", "--trace-out", "trace.csv"]):
             commands.append(["simulate", "--eps", "0.1", *start, *extra])
+    for trace in ("trace.jsonl", "trace.csv"):
+        commands.append(["simulate", "--eps", "0.1", "--phases", "0,0,3.0", "--trace-out", trace])
     commands.extend(readme_examples(readme))
     return commands
 
