@@ -345,7 +345,7 @@ def _dedupe_roots(roots: np.ndarray, radius: float) -> list[np.ndarray]:
 
 
 def find_fixed_points(
-    seed_grid: int = 50, tol: float = 1e-12, params: CouplingParams | None = None
+    seed_grid: int = 50, tol: float = 1e-12, *, params: CouplingParams
 ) -> FixedPointSearch:
     """Newton search for all drift zeros from a uniform seed lattice over S.
 
@@ -354,12 +354,8 @@ def find_fixed_points(
     set is exactly the eleven points of :func:`known_fixed_points`.  ``tol``
     is at most ``RESIDUAL_TOL``, so that every root it accepts classifies.
     """
-    if params is None:
-        raise ValueError("params is required")
     params.require_analysis_range()
-    require_integer(seed_grid, "seed_grid")
-    if seed_grid < 2:
-        raise ValueError("seed_grid must be at least 2")
+    require_integer(seed_grid, "seed_grid", 2)
     if not (math.isfinite(tol) and 0.0 < tol <= RESIDUAL_TOL):
         raise ValueError(f"tol must be finite and > 0 and at most {RESIDUAL_TOL}, got {tol}")
     seeds, roots, ok = _newton_on_lattice(seed_grid, tol)
@@ -575,10 +571,8 @@ def verify_invariance(
     one segment is the one-row call of that form.  The deviations of all
     segments are one ``(segments, samples)`` array.
     """
-    require_integer(samples, "samples")
+    require_integer(samples, "samples", 2)
     params.require_analysis_range()
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
     if isinstance(segment, InvariantSegment):
         return _check_segments((segment,), params, samples)[0]
     return _check_segments(tuple(segment), params, samples)
@@ -921,10 +915,8 @@ def orbital_derivative_scan(
     reported, never assumed; a positive maximum is a reported failure.  The
     zero set is read-only.
     """
-    require_integer(grid, "grid")
+    require_integer(grid, "grid", 100)
     params.require_analysis_range()
-    if grid < 100:
-        raise ValueError("grid must be at least 100 per side")
     _require_region(region)
     max_df, zero_pts = _upper_scan(params.epsilon, grid)
     if region == "lower":

@@ -333,9 +333,7 @@ def _budget(params: CouplingParams, tol: float, max_iter: int | None) -> int:
     _require_tol(tol)
     if max_iter is None:
         return default_max_iterations(params)
-    require_integer(max_iter, "max_iter")
-    if max_iter < 0:
-        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
+    require_integer(max_iter, "max_iter", 0)
     return max_iter
 
 
@@ -372,13 +370,9 @@ def rasterize(
     any ``workers``).  A failed child
     raises ``RuntimeError``, and no child outlives the call.
     """
-    require_integer(resolution, "resolution")
-    require_integer(workers, "workers")
+    require_integer(resolution, "resolution", 2)
+    require_integer(workers, "workers", 1)
     max_iter = _budget(params, tol, max_iter)
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
     c = (np.arange(resolution) + 0.5) * (TWO_PI / resolution)
     row, col = np.triu_indices(resolution)
     cell_labels, cell_iters = _classify_split(c[col], c[row], params, tol, max_iter, workers)
@@ -403,9 +397,7 @@ def rasterize(
 def orbit(p, params: CouplingParams, n: int) -> np.ndarray:
     """Forward orbit polyline (p, F(p), ..., F^n(p)), shape (n + 1, 2)."""
     params.require_analysis_range()
-    require_integer(n, "n")
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    require_integer(n, "n", 0)
     start = np.asarray(p, dtype=float).reshape(2)
     if not bool(in_square(start)):
         raise ValueError(f"point {p} outside the square")
@@ -445,8 +437,7 @@ def read_grid_binary(stream: IO[bytes]) -> BasinGrid:
     if len(header) != _HEADER.size:
         raise ValueError(f"grid header needs {_HEADER.size} bytes, got {len(header)}")
     resolution, epsilon, tol = _HEADER.unpack(header)
-    if resolution < 2:
-        raise ValueError(f"grid header gives resolution {resolution}; rasters have at least 2")
+    require_integer(resolution, "grid header resolution", 2)
     params = CouplingParams(epsilon=float(epsilon))
     params.require_analysis_range()
     _require_tol(tol)

@@ -46,6 +46,7 @@ from .core import (
     default_max_iterations,
     json_data,
     require_basin_velocity,
+    require_integer,
 )
 
 __all__ = ["main"]
@@ -72,8 +73,8 @@ def _read_config(path: str) -> dict[str, str]:
     return cfg
 
 
-def _analysis_params(o: argparse.Namespace) -> CouplingParams:
-    params = CouplingParams(epsilon=o.eps)
+def _analysis_params(eps: float) -> CouplingParams:
+    params = CouplingParams(epsilon=eps)
     params.require_analysis_range()
     return params
 
@@ -126,9 +127,8 @@ def _boolean(text: str) -> bool:
 # ---------------------------------------------------------------------------
 
 def _cmd_step(o: argparse.Namespace) -> Report:
-    params = _analysis_params(o)
-    if o.count < 1:
-        raise ValueError("-n must be at least 1")
+    params = _analysis_params(o.eps)
+    require_integer(o.count, "-n", 1)
     start = (math.radians(o.x), math.radians(o.y)) if o.deg else (o.x, o.y)
     line = basin.orbit(start, params, o.count)[1:].tolist()
     return {
@@ -142,7 +142,7 @@ def _cmd_step(o: argparse.Namespace) -> Report:
 # ---------------------------------------------------------------------------
 
 def _cmd_fixed_points(o: argparse.Namespace) -> Report:
-    params = _analysis_params(o)
+    params = _analysis_params(o.eps)
     search = analysis.find_fixed_points(seed_grid=o.seed_grid, tol=o.tol, params=params)
     payload = {
         "epsilon": params.epsilon,
@@ -171,7 +171,7 @@ def _usable_cpus() -> int:
 
 
 def _cmd_basins(o: argparse.Namespace) -> Report:
-    params = _analysis_params(o)
+    params = _analysis_params(o.eps)
     grid = basin.rasterize(o.resolution, params, tol=o.tol, max_iter=o.max_iter,
                            workers=_usable_cpus())
     return {
@@ -216,8 +216,7 @@ def _run_report(start: np.ndarray, result: events.LockResult, splay_tol: float) 
 def _cmd_simulate(o: argparse.Namespace) -> Report:
     params = CouplingParams(epsilon=o.eps)
     n = o.n_clocks
-    if n < 2:
-        raise ValueError("--n-clocks must be at least 2")
+    require_integer(n, "--n-clocks", 2)
     if not (math.isfinite(o.splay_tol) and o.splay_tol > 0.0):
         raise ValueError(f"--splay-tol must be finite and > 0, got {o.splay_tol}")
 
@@ -233,8 +232,7 @@ def _cmd_simulate(o: argparse.Namespace) -> Report:
         starts.append(np.asarray([math.radians(v) for v in values] if o.deg else values))
     else:
         count = 1 if o.random_starts is None else o.random_starts
-        if count < 1:
-            raise ValueError("--random-starts must be at least 1")
+        require_integer(count, "--random-starts", 1)
         rng = np.random.default_rng(o.seed)
         while len(starts) < count:
             psi = np.concatenate(([0.0], rng.uniform(0.0, TWO_PI, size=n - 1)))
@@ -307,9 +305,7 @@ def _cmd_verify(o: argparse.Namespace) -> Report:
     """One report per coupling, in the given order; the JSON of a single
     coupling is its report, of several the list of them.  Every coupling is
     checked against the analysis range before any is verified."""
-    runs = [CouplingParams(epsilon=eps) for eps in o.eps]
-    for params in runs:
-        params.require_analysis_range()
+    runs = [_analysis_params(eps) for eps in o.eps]
     reports, texts = zip(*(_verify(params, o.samples, o.grid) for params in runs))
     passed = all(report["passed"] for report in reports)
     text = "".join(texts)
@@ -379,8 +375,7 @@ def _bounds(check: Any) -> str:
 # ---------------------------------------------------------------------------
 
 def _cmd_andronov(o: argparse.Namespace) -> Report:
-    if o.steps < 0:
-        raise ValueError("--steps must be non-negative")
+    require_integer(o.steps, "--steps", 0)
     params = CouplingParams(epsilon=0.0, mu=o.mu, h=o.h)
     require_basin_velocity(o.v0, params, "v0")
     vf = andronov_fixed_point(params)
@@ -408,7 +403,7 @@ _SAMPLE_ORBIT_SEEDS = ((0.9, 2.1), (0.9, 5.0), (2.6, 5.8), (5.0, 5.9),
 
 
 def _cmd_portrait(o: argparse.Namespace) -> Report:
-    params = _analysis_params(o)
+    params = _analysis_params(o.eps)
     # Layer names are checked here, where they arrive; the renderer draws
     # each layer whose data it is given.
     layers = tuple(name.strip() for name in o.layers.split(",") if name.strip())
@@ -417,8 +412,7 @@ def _cmd_portrait(o: argparse.Namespace) -> Report:
     unknown = [name for name in layers if name not in render.LAYERS]
     if unknown:
         raise ValueError(f"unknown layers: {unknown}; choose from {render.LAYERS}")
-    if o.resolution < 2:
-        raise ValueError("resolution must be at least 2")
+    require_integer(o.resolution, "--resolution", 2)
     svg = render.render_portrait(
         grid=(basin.rasterize(o.resolution, params, workers=_usable_cpus())
               if "basin_background" in layers else None),

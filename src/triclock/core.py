@@ -129,10 +129,13 @@ def require_basin_velocity(v: float, params: CouplingParams, name: str = "v") ->
                          f"(requires {name} > 4*mu = {4.0 * params.mu})")
 
 
-def require_integer(value, name: str) -> None:
-    """Refuse a non-integer size or count (a float, even an integral one)."""
-    if not isinstance(value, (int, np.integer)):
+def require_integer(value, name: str, least: int) -> None:
+    """Refuse a size or count that is not an integer of at least ``least``:
+    a bool or a float (even an integral one) is not an integer here."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value!r}")
 
 
 def andronov_step(v: float, params: CouplingParams) -> float:

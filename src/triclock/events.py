@@ -328,9 +328,7 @@ def run_until_locked(
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
-    require_integer(max_cycles, "max_cycles")
-    if max_cycles < 1:
-        raise ValueError("max_cycles must be at least 1")
+    require_integer(max_cycles, "max_cycles", 1)
     state = ensemble
     prev = _differences(state.phases.tolist())
     locked = False
@@ -358,10 +356,14 @@ def run_until_locked(
     )
 
 
+# One encoder for every kick: json.dumps with default= builds one per call.
+_encode_event = json.JSONEncoder(default=json_data).encode
+
+
 def write_events_jsonl(events: Iterable[KickEvent], stream: IO[str]) -> None:
     """One JSON object per kick event, fields as named on the type."""
     for ev in events:
-        stream.write(json.dumps(ev, default=json_data) + "\n")
+        stream.write(_encode_event(ev) + "\n")
 
 
 def read_events_jsonl(stream: IO[str]) -> list[KickEvent]:

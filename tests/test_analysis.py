@@ -115,8 +115,8 @@ class TestFindFixedPoints:
         for tol in (math.nan, math.inf, -math.inf, -1e-12, 2e-10, 1e-6):
             with pytest.raises(ValueError, match="tol must be finite"):
                 find_fixed_points(seed_grid=20, tol=tol, params=params())
-        with pytest.raises(ValueError):
-            find_fixed_points(params=None)
+        with pytest.raises(TypeError):
+            find_fixed_points()
 
     @pytest.mark.parametrize("eps", [0.011, 0.05, 0.1111])
     @pytest.mark.parametrize("seed_grid", [16, 23, 50])
@@ -361,7 +361,7 @@ class TestInvariantSegments:
         assert check.max_deviation == 0.0
 
     def test_needs_two_samples(self):
-        with pytest.raises(ValueError, match="at least 2 samples"):
+        with pytest.raises(ValueError, match="samples must be at least 2, got 1"):
             verify_invariance(segment_by_name("diag"), params(), samples=1)
 
     @settings(deadline=None, max_examples=300)
@@ -940,7 +940,7 @@ class TestBatchedSegmentChecks:
         assert verify_invariance((), p, samples=17) == ()
         with pytest.raises(ValueError, match="samples must be an integer"):
             verify_invariance(segments, p, samples=17.0)
-        with pytest.raises(ValueError, match="at least 2 samples"):
+        with pytest.raises(ValueError, match="samples must be at least 2, got 1"):
             verify_invariance(segments, p, samples=1)
 
 

@@ -528,9 +528,9 @@ class TestGridSerialization:
             (lambda raw: raw[:20], "header needs 24 bytes, got 20"),
             (lambda raw: raw[:-1], "needs 80 bytes after the header, got 79"),
             (lambda raw: raw + b"\0", "needs 80 bytes after the header, got 81"),
-            (lambda raw: bytes(8) + raw[8:], "grid header gives resolution 0"),
+            (lambda raw: bytes(8) + raw[8:], "grid header resolution must be at least 2, got 0"),
             (lambda raw: struct.pack("<q", 1) + raw[8:25] + raw[40:44],
-             "grid header gives resolution 1; rasters have at least 2"),
+             "grid header resolution must be at least 2, got 1"),
             (lambda raw: raw[:24] + b"\x09" + raw[25:], r"label code 9; codes run 0\.\.3"),
             (lambda raw: raw[:40] + struct.pack("<i", -5) + raw[44:], "iteration count -5"),
             (lambda raw: raw[:16] + struct.pack("<d", math.nan) + raw[24:], "got nan"),

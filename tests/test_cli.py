@@ -600,7 +600,7 @@ class TestAndronov:
     def test_abbreviated_int_flag_takes_a_separate_negative_number(self, capsys):
         code, out, err = run_cli(capsys, "andronov", "--v0", "5", "--st", "-1")
         assert (code, out) == (2, "")
-        assert err == "triclock: error: --steps must be non-negative\n"
+        assert err == "triclock: error: --steps must be at least 0, got -1\n"
 
     def test_fixed_point_underflowing_friction_refused(self, capsys):
         # h**2 / (8*mu) overflows to inf, which made a -inf column.
@@ -617,7 +617,7 @@ class TestAndronov:
     def test_negative_steps_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "andronov", "--v0", "5", "--steps", "-1")
         assert (code, out) == (2, "")
-        assert "triclock: error: --steps must be non-negative" in err
+        assert "triclock: error: --steps must be at least 0, got -1" in err
 
     def test_coupling_flag_refused(self, capsys):
         # andronov reads no coupling strength, so --eps is not one of its options.
@@ -690,7 +690,7 @@ class TestPortrait:
         code, out, err = run_cli(capsys, "portrait", "--eps", "0.05", "--layers", layers,
                                  "--resolution", resolution)
         assert (code, out) == (2, "")
-        assert err == "triclock: error: resolution must be at least 2\n"
+        assert err == f"triclock: error: --resolution must be at least 2, got {resolution}\n"
 
     def test_only_svg_format(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "portrait", "--eps", "0.05", "--layers", "fixed_points",

@@ -18,6 +18,7 @@ from triclock.core import (
     omega_field,
     omega_field_xy,
     omega_jacobian,
+    require_integer,
     three_clock_step,
     three_clock_step_scalar,
     three_clock_step_xy,
@@ -81,6 +82,32 @@ class TestCouplingParams:
     @pytest.mark.parametrize("eps", [1e-7, 0.01, 0.05, 0.1])
     def test_analysis_range_accepts(self, eps):
         CouplingParams(epsilon=eps).require_analysis_range()
+
+
+# ---------------------------------------------------------------------------
+# sizes and counts
+# ---------------------------------------------------------------------------
+
+class TestRequireInteger:
+    @pytest.mark.parametrize("least", [0, 1, 2, 100])
+    @pytest.mark.parametrize("kind", [int, np.int64])
+    @pytest.mark.parametrize("above", [0, 1, 1000])
+    def test_accepts_an_integer_at_or_above_least(self, least, kind, above):
+        require_integer(kind(least + above), "size", least)
+
+    @pytest.mark.parametrize("value", [True, False, 2.0, np.float64(2.0)])
+    def test_refuses_a_bool_or_a_float(self, value):
+        with pytest.raises(ValueError) as exc:
+            require_integer(value, "size", 0)
+        assert str(exc.value) == f"size must be an integer, got {value!r}"
+
+    @pytest.mark.parametrize("least", [0, 1, 2, 100])
+    @pytest.mark.parametrize("kind", [int, np.int64])
+    def test_refuses_a_value_below_least(self, least, kind):
+        value = kind(least - 1)
+        with pytest.raises(ValueError) as exc:
+            require_integer(value, "size", least)
+        assert str(exc.value) == f"size must be at least {least}, got {value!r}"
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,12 @@ evicted and rebuilt, as calls in one process do), ``fixed-points`` in JSON
 and CSV at 4 couplings and seed grids 16, 33 and 50, ``portrait`` with all
 five layers, with each layer alone, with the heteroclinics alone at
 couplings 0.02 and 0.1, with the rejected ``--layers ''`` and
-``--layers bogus`` and with the rejected ``--resolution 1``, the
-rejected ``andronov --v0 nan``, the negative
+``--layers bogus`` and with the rejected ``--resolution 1``, one
+refused value for each other size or count option (``step -n 0``,
+``simulate --n-clocks 1``, ``--random-starts 0`` and ``--max-cycles 0``,
+``andronov --steps -1``, ``fixed-points --seed-grid 1``, ``verify
+--samples 1`` and ``--grid 99``, ``basins --resolution 1`` and
+``--max-iter -1``), the rejected ``andronov --v0 nan``, the negative
 values ``step --x -1e-3`` (as a separate argument and as ``--x=-1e-3``),
 ``andronov --v0 -inf`` and ``andronov --v0 -1e-3``, and ``basins``:
 in binary, CSV and SVG, at resolutions 2, 3, 48 and 144 and couplings
@@ -99,6 +103,18 @@ def sweep(readme: str) -> list[list[str]]:
     for eps in ("0.02", "0.1"):
         commands.append(["portrait", "--eps", eps, "--layers", "heteroclinics"])
     commands.append(["portrait", "--eps", "0.05", "--resolution", "1"])
+    # One refused value per other size or count option.
+    for refused in (["step", "--eps", "0.05", "--x", "1", "--y", "2", "-n", "0"],
+                    ["simulate", "--eps", "0.05", "--n-clocks", "1"],
+                    ["simulate", "--eps", "0.05", "--random-starts", "0"],
+                    ["simulate", "--eps", "0.05", "--max-cycles", "0"],
+                    ["andronov", "--v0", "5", "--steps", "-1"],
+                    ["fixed-points", "--eps", "0.05", "--seed-grid", "1"],
+                    ["verify", "--eps", "0.05", "--samples", "1"],
+                    ["verify", "--eps", "0.05", "--grid", "99"],
+                    ["basins", "--eps", "0.05", "--resolution", "1"],
+                    ["basins", "--eps", "0.05", "--max-iter", "-1"]):
+        commands.append(refused)
     commands.append(["andronov", "--v0", "nan"])
     commands.append(["step", "--eps", "0.05", "--x", "-1e-3", "--y", "1"])
     commands.append(["step", "--eps", "0.05", "--x=-1e-3", "--y", "1"])
