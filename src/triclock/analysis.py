@@ -842,12 +842,7 @@ def orbital_derivative(p, region: Region, params: CouplingParams) -> np.ndarray:
         DV = eps**2 * (f**2 + g**2 - f*g) + eps * (u*(2f - g) + v*(2g - f))
     """
     p = _require_inside(p, region)
-    return _decrement(p[..., 0], p[..., 1], region, params.epsilon)
-
-
-def _decrement(x: np.ndarray, y: np.ndarray, region: str, eps: float) -> np.ndarray:
-    """:func:`orbital_derivative` at points given as coordinates, unchecked."""
-    return _combine(*_decrement_terms(x, y, region), eps)
+    return _combine(*_decrement_terms(p[..., 0], p[..., 1], region), params.epsilon)
 
 
 def _decrement_terms(x: np.ndarray, y: np.ndarray, region: str) -> tuple[np.ndarray, np.ndarray]:

@@ -7,16 +7,17 @@ file layer (flat ``key = value`` lines; any option but ``--config``, by its
 long name, and no other key) are built from it.  ``main`` resolves every
 option (command line > config file > declared default), taking a number
 after a numeric flag as its value even when it reads like a flag
-(``--x -1e-3``), and rejects an unknown ``--format`` before the handler
-does any work; the handler returns one writer per format, and one
-function (``_write``) puts the chosen one on stdout or ``--out``, and a
-kick trace on ``--trace-out``.  ``portrait`` checks its ``--layers``
-names against ``render.LAYERS`` and passes the renderer data for the
-named layers only; the renderer draws what it is given.  ``verify``
-takes one coupling or several (``--eps 0.01,0.05``) and checks them in
-turn in one process, so the analysis terms that do not depend on eps are
-computed once for the run.  ``basins`` and ``portrait`` rasterize with
-one process per CPU this process may run on (see ``basin.rasterize``).
+(``--x -1e-3``), and rejects an int option below its declared least value
+and an unknown ``--format`` before the handler does any work; the handler
+returns one writer per format, and one function (``_write``) puts the
+chosen one on stdout or ``--out``, and a kick trace on ``--trace-out``.
+``portrait`` checks its ``--layers`` names against ``render.LAYERS`` and
+passes the renderer data for the named layers only; the renderer draws
+what it is given.  ``verify`` takes one coupling or several (``--eps
+0.01,0.05``) and checks them in turn in one process, so the analysis
+terms that do not depend on eps are computed once for the run.
+``basins`` and ``portrait`` rasterize with one process per CPU this
+process may run on (see ``basin.rasterize``).
 Exit codes: 0 success, 1 I/O or check failure, 2 usage or validation
 failure.
 ``TRICLOCK_OUTDIR`` redirects relative output paths.
@@ -128,7 +129,6 @@ def _boolean(text: str) -> bool:
 
 def _cmd_step(o: argparse.Namespace) -> Report:
     params = _analysis_params(o.eps)
-    require_integer(o.count, "-n", 1)
     start = (math.radians(o.x), math.radians(o.y)) if o.deg else (o.x, o.y)
     line = basin.orbit(start, params, o.count)[1:].tolist()
     return {
@@ -200,7 +200,7 @@ def _run_report(start: np.ndarray, result: events.LockResult, splay_tol: float) 
     splay_distance = float(np.max(np.abs(result.firing_gaps - TWO_PI / result.ensemble.n)))
     return {
         "start_phases": start.tolist(),
-        "final_phases": result.ensemble.phases.tolist(),
+        "final_phases": result.ensemble.phases,
         "differences": result.differences.tolist(),
         "gaps": result.gaps.tolist(),
         "firing_gaps": result.firing_gaps.tolist(),
@@ -216,7 +216,6 @@ def _run_report(start: np.ndarray, result: events.LockResult, splay_tol: float) 
 def _cmd_simulate(o: argparse.Namespace) -> Report:
     params = CouplingParams(epsilon=o.eps)
     n = o.n_clocks
-    require_integer(n, "--n-clocks", 2)
     if not (math.isfinite(o.splay_tol) and o.splay_tol > 0.0):
         raise ValueError(f"--splay-tol must be finite and > 0, got {o.splay_tol}")
 
@@ -232,7 +231,6 @@ def _cmd_simulate(o: argparse.Namespace) -> Report:
         starts.append(np.asarray([math.radians(v) for v in values] if o.deg else values))
     else:
         count = 1 if o.random_starts is None else o.random_starts
-        require_integer(count, "--random-starts", 1)
         rng = np.random.default_rng(o.seed)
         while len(starts) < count:
             psi = np.concatenate(([0.0], rng.uniform(0.0, TWO_PI, size=n - 1)))
@@ -375,7 +373,6 @@ def _bounds(check: Any) -> str:
 # ---------------------------------------------------------------------------
 
 def _cmd_andronov(o: argparse.Namespace) -> Report:
-    require_integer(o.steps, "--steps", 0)
     params = CouplingParams(epsilon=0.0, mu=o.mu, h=o.h)
     require_basin_velocity(o.v0, params, "v0")
     vf = andronov_fixed_point(params)
@@ -412,7 +409,6 @@ def _cmd_portrait(o: argparse.Namespace) -> Report:
     unknown = [name for name in layers if name not in render.LAYERS]
     if unknown:
         raise ValueError(f"unknown layers: {unknown}; choose from {render.LAYERS}")
-    require_integer(o.resolution, "--resolution", 2)
     svg = render.render_portrait(
         grid=(basin.rasterize(o.resolution, params, workers=_usable_cpus())
               if "basin_background" in layers else None),
@@ -434,11 +430,12 @@ def _fixed_point_records(params: CouplingParams) -> tuple[analysis.FixedPointRec
 # parser
 # ---------------------------------------------------------------------------
 
-# An option is declared once: its flags, type, default and help.  Its long
-# flag without the dashes is its config key and, with "_" for "-", its name in
-# the handler's namespace.  A type of bool makes a switch; a default of
+# An option is declared once: its flags, type, default and help, and for an
+# int option its least value, which _resolve checks under its first flag.  Its
+# long flag without the dashes is its config key and, with "_" for "-", its name
+# in the handler's namespace.  A type of bool makes a switch; a default of
 # _REQUIRED makes the option required.
-Option = tuple[str, type, Any, str]
+Option = tuple[str, type, Any, str] | tuple[str, type, Any, str, int]
 _REQUIRED = object()
 
 _EPS: Option = ("--eps", float, _REQUIRED, "coupling strength")
@@ -450,48 +447,48 @@ _COMMANDS = {
         _EPS,
         ("--x", float, _REQUIRED, "first phase difference (radians)"),
         ("--y", float, _REQUIRED, "second phase difference (radians)"),
-        ("-n --count", int, 1, "number of iterates"),
+        ("-n --count", int, 1, "number of iterates", 1),
         ("--deg", bool, False, "interpret --x/--y in degrees"),
     )),
     "fixed-points": ("find and classify all fixed points", _cmd_fixed_points, ("json", "csv"), (
         _EPS,
-        ("--seed-grid", int, 50, "seeds per side"),
+        ("--seed-grid", int, 50, "seeds per side", 2),
         ("--tol", float, 1e-12, "residual tolerance"),
     )),
     "basins": ("rasterize the basins of attraction", _cmd_basins, ("csv", "bin", "svg"), (
         _EPS,
-        ("--resolution", int, 200, "cells per side"),
+        ("--resolution", int, 200, "cells per side", 2),
         ("--tol", float, 1e-6, "attractor capture tolerance"),
-        ("--max-iter", int, None, "iteration budget per cell; none sets it from eps"),
+        ("--max-iter", int, None, "iteration budget per cell; none sets it from eps", 0),
     )),
     "simulate": ("event-driven simulation of N clocks", _cmd_simulate, ("json", "csv"), (
         _EPS,
-        ("--n-clocks", int, 3, "number of clocks"),
+        ("--n-clocks", int, 3, "number of clocks", 2),
         ("--phases", str, None, "comma-separated start phases (reference first)"),
-        ("--random-starts", int, None, "number of random starts; none is 1 without --phases"),
-        ("--seed", int, 0, "random seed for --random-starts"),
+        ("--random-starts", int, None, "number of random starts; none is 1 without --phases", 1),
+        ("--seed", int, 0, "random seed for --random-starts", 0),
         ("--tol", float, 1e-8, "lock tolerance on difference movement"),
-        ("--max-cycles", int, 2000, "cycle budget per run"),
+        ("--max-cycles", int, 2000, "cycle budget per run", 1),
         ("--splay-tol", float, 1e-3, "near-splay threshold"),
         ("--trace-out", str, None, "write kick events (.jsonl or .csv)"),
         ("--deg", bool, False, "interpret --phases in degrees"),
     )),
     "verify": ("invariance, census, and Lyapunov checks", _cmd_verify, ("text", "json"), (
         ("--eps", _couplings, _REQUIRED, "coupling strength, or comma-separated couplings"),
-        ("--samples", int, 1000, "samples per segment"),
-        ("--grid", int, 300, "Lyapunov lattice per side"),
+        ("--samples", int, 1000, "samples per segment", 2),
+        ("--grid", int, 300, "Lyapunov lattice per side", 100),
     )),
     "andronov": ("escapement return-map convergence table", _cmd_andronov, ("csv", "json"), (
         ("--mu", float, 0.1, "dry friction coefficient"),
         ("--h", float, 1.0, "energy-kick velocity scale"),
         ("--v0", float, _REQUIRED, "initial section velocity"),
-        ("--steps", int, 200, "iterations to tabulate"),
+        ("--steps", int, 200, "iterations to tabulate", 0),
     )),
     "portrait": ("layered SVG phase portrait", _cmd_portrait, ("svg",), (
         _EPS,
         ("--layers", str, "basin_background,invariant_segments,heteroclinics,fixed_points",
          "comma-separated layer names"),
-        ("--resolution", int, 160, "background raster per side"),
+        ("--resolution", int, 160, "background raster per side", 2),
     )),
 }
 
@@ -524,7 +521,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (summary, *_) in _COMMANDS.items():
         p = sub.add_parser(command, help=summary)
-        for flags, kind, default, text in _options(command):
+        for flags, kind, default, text, *_ in _options(command):
             # An absent flag parses to None, so that the config file can fill it in.
             how = {"action": "store_true", "default": None} if kind is bool else {"type": kind}
             p.add_argument(*flags.split(), help=_help(text, default), **how)
@@ -534,9 +531,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _resolve(args: argparse.Namespace) -> None:
     """Set each option of the parsed command line in ``args`` to its flag's
     value, else its config file value cast by its declared type, else its
-    declared default."""
-    options = {flags.split()[-1][2:]: (kind, default)
-               for flags, kind, default, _ in _options(args.command)}
+    declared default, and check an int option's value, if it has one,
+    against its least value."""
+    options = {flags.split()[-1][2:]: (flags.split()[0], kind, default, least)
+               for flags, kind, default, _, *least in _options(args.command)}
     keys = sorted(options.keys() - {"config"})
     cfg = _read_config(args.config) if args.config else {}
     unknown = sorted(cfg.keys() - set(keys))
@@ -545,7 +543,7 @@ def _resolve(args: argparse.Namespace) -> None:
             f"config file {args.config}: unknown key{'s' if len(unknown) > 1 else ''} "
             f"{', '.join(map(repr, unknown))} for {args.command} (keys: {', '.join(keys)})"
         )
-    for key, (kind, default) in options.items():
+    for key, (flag, kind, default, least) in options.items():
         value = getattr(args, key.replace("-", "_"))
         if value is None and key in cfg:
             try:
@@ -554,7 +552,10 @@ def _resolve(args: argparse.Namespace) -> None:
                 raise ValueError(f"config key {key!r}: {exc}") from exc
         if value is None and default is _REQUIRED:
             raise ValueError(f"missing required value for --{key}")
-        setattr(args, key.replace("-", "_"), default if value is None else value)
+        value = default if value is None else value
+        if least and value is not None:
+            require_integer(value, flag, *least)
+        setattr(args, key.replace("-", "_"), value)
 
 
 def _join_numbers(argv: list[str]) -> list[str]:
@@ -568,7 +569,7 @@ def _join_numbers(argv: list[str]) -> list[str]:
     command = next((a for a in argv if a in _COMMANDS), None)
     kinds: dict[str, Any] = {"-h": None, "--help": None}  # argparse gives every command these
     if command:
-        kinds.update((f, kind) for flags, kind, _, _ in _options(command) for f in flags.split())
+        kinds.update((f, kind) for flags, kind, *_ in _options(command) for f in flags.split())
 
     def numeric(arg: str) -> bool:
         matches = [arg] if arg in kinds else [f for f in kinds if f.startswith(arg)]

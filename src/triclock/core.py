@@ -169,22 +169,16 @@ def omega_field(p) -> np.ndarray:
     return np.concatenate(omega_field_xy(p[..., :1], p[..., 1:2]), axis=-1)
 
 
-def omega_field_xy(x, y) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`omega_field` on separate coordinate arrays, which broadcast:
-    ``(f, g)``, the two rows of one fresh array (numpy scalars for 0-d
-    inputs)."""
-    f, g = _field(x, y)
-    return f, g
-
-
 def _rows(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The two rows of ``q`` as writable views (0-d views when ``q`` is 1-D)."""
     return q[0, ...], q[1, ...]
 
 
-def _field(x, y) -> np.ndarray:
-    """``(f, g)`` stacked in one fresh array of shape ``(2,) + shape``, where
-    ``shape`` is the broadcast shape of ``x`` and ``y``.
+def omega_field_xy(x, y) -> np.ndarray:
+    """:func:`omega_field` on separate coordinate arrays, which broadcast:
+    ``(f, g)`` stacked in one fresh array of shape ``(2,) + shape``, where
+    ``shape`` is the broadcast shape of ``x`` and ``y``, so its rows unpack
+    as ``f, g``.
 
     It is formed in place in that array and one scratch array of its size,
     with the operands and order of ``2*sx + sy + sxy`` and
@@ -272,7 +266,7 @@ def three_clock_step_xy(x, y, params: CouplingParams) -> tuple[np.ndarray, np.nd
     and both coordinates are snapped in one pass; ``x`` and ``y`` are only
     read.
     """
-    q = _field(x, y)
+    q = omega_field_xy(x, y)
     f, g = _rows(q)
     np.multiply(params.epsilon, q, out=q)
     np.add(x, f, out=f)

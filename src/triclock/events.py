@@ -14,12 +14,12 @@ map in :mod:`triclock.core` up to O(eps**2), which is what makes this
 simulator an independent oracle for it.
 
 The kick rule, the time shift and the tie order exist once, in the
-cycle kernel ``_cycle``.  It runs on a list of Python floats for any N:
-per kick, one ``max`` finds the leader, one pass shifts every phase and
-one pass kicks them, with no numpy call; a recorded kick event holds the
-same floats as tuples.
-:func:`run_cycle` wraps it, converting the phases to a list once on entry
-and to an array once on exit.  :func:`run_until_locked` calls
+cycle kernel ``_cycle``.  It runs on Python floats for any N: per kick,
+one ``max`` finds the leader, one pass shifts every phase and one pass
+kicks them, with no numpy call.  An ensemble and a recorded kick event
+hold the same floats as tuples, so :func:`run_cycle` hands the kernel the
+ensemble's phases as they are and checks the end phases once, in the
+ensemble's constructor.  :func:`run_until_locked` calls
 :func:`run_cycle` once per cycle and reads each cycle's difference vector
 straight off its end state, whose reference is at exactly 0.  A kick
 trace is recorded by the same run that reports the lock.  The simulator
@@ -40,11 +40,11 @@ import csv
 import json
 import math
 from dataclasses import dataclass, fields
-from typing import IO, Iterable
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .core import TWO_PI, CouplingParams, json_data, normalize_phase, require_integer
+from .core import TWO_PI, CouplingParams, json_data, require_integer
 
 __all__ = [
     "ClockEnsemble",
@@ -62,47 +62,34 @@ __all__ = [
 ]
 
 
-_NOT_FLAT = "an ensemble needs a flat list of at least 2 phases"
 _OUTSIDE = "a kick carried a clock outside [0, 2*pi] at eps={}"
-
-
-def _check_state(psi: list[float], params: CouplingParams) -> None:
-    """The checks every ensemble passes, on its phases as Python floats."""
-    if len(psi) < 2:
-        raise ValueError(_NOT_FLAT)
-    if not all([0.0 <= p < TWO_PI for p in psi]):
-        raise ValueError("phases must be finite and normalized to [0, 2*pi)")
-    if params.epsilon >= 1.0:
-        raise ValueError(f"the simulator needs eps < 1, got eps={params.epsilon}")
 
 
 @dataclass(frozen=True)
 class ClockEnsemble:
-    """N absolute clock phases plus the coupling they interact with."""
+    """N absolute clock phases plus the coupling they interact with.
 
-    phases: np.ndarray
+    The constructor takes any flat sequence or array of at least 2 phases
+    in [0, 2*pi) and stores them as a tuple of Python floats.
+    """
+
+    phases: tuple[float, ...]
     params: CouplingParams
 
     def __post_init__(self) -> None:
         phases = np.asarray(self.phases, dtype=float)
-        if phases.ndim != 1:
-            raise ValueError(_NOT_FLAT)
-        _check_state(phases.tolist(), self.params)
-        object.__setattr__(self, "phases", phases)
-
-    @classmethod
-    def _of_floats(cls, psi: list[float], params: CouplingParams) -> "ClockEnsemble":
-        """The ensemble of a flat list of Python floats, under the same checks
-        as the constructor, made with one array build and no ``tolist``."""
-        _check_state(psi, params)
-        ensemble = object.__new__(cls)
-        object.__setattr__(ensemble, "phases", np.array(psi))
-        object.__setattr__(ensemble, "params", params)
-        return ensemble
+        if phases.ndim != 1 or phases.size < 2:
+            raise ValueError("an ensemble needs a flat list of at least 2 phases")
+        psi = tuple(phases.tolist())
+        if not all([0.0 <= p < TWO_PI for p in psi]):
+            raise ValueError("phases must be finite and normalized to [0, 2*pi)")
+        if self.params.epsilon >= 1.0:
+            raise ValueError(f"the simulator needs eps < 1, got eps={self.params.epsilon}")
+        object.__setattr__(self, "phases", psi)
 
     @property
     def n(self) -> int:
-        return int(self.phases.size)
+        return len(self.phases)
 
 
 def _read_phases(phases, name: str, closed: bool) -> tuple[float, ...]:
@@ -213,12 +200,12 @@ def _wrapped(psi: list[float]) -> list[float]:
     return [0.0 if r == TWO_PI else r for r in [p % TWO_PI for p in psi]]
 
 
-def _differences(psi: list[float]) -> list[float]:
+def _differences(psi: Sequence[float]) -> list[float]:
     return _wrapped([p - psi[0] for p in psi[1:]])
 
 
 def _cycle(
-    psi: list[float], eps: float, cycle_index: int, record: bool
+    psi: Sequence[float], eps: float, cycle_index: int, record: bool
 ) -> tuple[list[float], list[KickEvent], list[tuple[int, float]], float]:
     """The cycle kernel: one reference cycle on a state of Python floats.
 
@@ -287,14 +274,12 @@ def run_cycle(
     Raises RuntimeError if some clock would kick twice first, which cannot
     happen for identical clocks at small eps and signals bad parameters.
     """
-    psi = ensemble.phases.tolist()
+    psi = ensemble.phases
     if min(psi[0], TWO_PI - psi[0]) > 1e-9:
         raise ValueError("the reference clock must start at the kick threshold")
     params = ensemble.params
     end, events, kick_times, period = _cycle(psi, params.epsilon, cycle_index, record)
-    return CycleTrace(
-        tuple(events), ClockEnsemble._of_floats(end, params), tuple(kick_times), period
-    )
+    return CycleTrace(tuple(events), ClockEnsemble(end, params), tuple(kick_times), period)
 
 
 def phase_differences(ensemble: ClockEnsemble) -> np.ndarray:
@@ -306,12 +291,12 @@ def phase_differences(ensemble: ClockEnsemble) -> np.ndarray:
 
 def difference_vector(ensemble: ClockEnsemble) -> np.ndarray:
     """Differences of every clock to the reference, (psi_i - psi_0) mod 2*pi."""
-    return np.array(_differences(ensemble.phases.tolist()))
+    return np.array(_differences(ensemble.phases))
 
 
 def cyclic_gaps(ensemble: ClockEnsemble) -> np.ndarray:
     """Sorted gaps between consecutive clocks around the circle (sums to 2*pi)."""
-    ordered = np.sort(normalize_phase(ensemble.phases))
+    ordered = np.sort(ensemble.phases)
     gaps = np.diff(ordered, append=ordered[0] + TWO_PI)
     return np.sort(gaps)
 
@@ -330,7 +315,7 @@ def run_until_locked(
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     require_integer(max_cycles, "max_cycles", 1)
     state = ensemble
-    prev = _differences(state.phases.tolist())
+    prev = _differences(state.phases)
     locked = False
     recorded: list[KickEvent] = []
     for cycles in range(1, max_cycles + 1):
@@ -339,7 +324,7 @@ def run_until_locked(
         state = trace.end_state
         # A cycle ends with the reference at exactly 0, where the difference
         # vector is the other clocks' phases as they stand.
-        cur = state.phases.tolist()[1:]
+        cur = state.phases[1:]
         if max([abs(c - p) for c, p in zip(cur, prev)]) < tol:
             locked = True
             break

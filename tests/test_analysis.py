@@ -743,7 +743,8 @@ class TestOrbitalDerivativeScan:
             x, y = (c.ravel() for c in np.meshgrid(axis, axis))
             for region, scan in scans.items():
                 inside = y >= x if region == "upper" else y <= x
-                df = analysis._decrement(x[inside], y[inside], region, eps)
+                df = orbital_derivative(np.column_stack((x[inside], y[inside])), region,
+                                        params(eps))
                 zero = np.abs(df) < analysis.ZERO_TOL
                 expect = np.column_stack((x[inside][zero], y[inside][zero]))
                 assert repr(scan.max_df) == repr(float(np.max(df)))
@@ -829,7 +830,7 @@ class TestEpsFreeCaches:
             for region in regions:
                 scan = orbital_derivative_scan(region, p, grid=grid)
                 inside = y >= x if region == "upper" else y <= x
-                df = analysis._decrement(x[inside], y[inside], region, eps)
+                df = orbital_derivative(np.column_stack((x[inside], y[inside])), region, p)
                 zero = np.abs(df) < analysis.ZERO_TOL
                 expect = np.column_stack((x[inside][zero], y[inside][zero]))
                 assert repr(scan.max_df) == repr(float(np.max(df)))

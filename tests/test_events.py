@@ -40,6 +40,21 @@ class TestClockEnsemble:
     def test_needs_flat_phases(self):
         with pytest.raises(ValueError, match="flat list"):
             ensemble([[0.0, 1.0], [2.0, 3.0]])
+        with pytest.raises(ValueError, match="flat list"):
+            ClockEnsemble(np.array([[0.0], [1.0], [2.5]]), CouplingParams(epsilon=0.05))
+
+    @pytest.mark.parametrize("phases", [
+        np.array([0.0, 0.1, 2.5]),
+        [0.0, 0.1, TWO_PI - 1e-15],
+        (0.0, 5e-324, 0.1),
+        np.array([0.0, 0.1, 2.5], dtype=np.float32),
+        (np.float64(0.0), np.float64(0.1), np.float64(2.5)),
+    ], ids=["ndarray", "list", "tuple", "float32", "float64-scalars"])
+    def test_stores_the_input_as_a_tuple_of_floats(self, phases):
+        stored = ClockEnsemble(phases, CouplingParams(epsilon=0.05)).phases
+        assert type(stored) is tuple
+        assert all(type(p) is float for p in stored)
+        assert [p.hex() for p in stored] == [float(p).hex() for p in phases]
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
@@ -137,6 +152,11 @@ class TestRunCycle:
             expect = before[others] + eps * np.sin(before[others])
             assert np.max(np.abs(after[others] - expect)) < 1e-12
 
+    @pytest.mark.parametrize("phases", [[0.0, 1.3, 4.1], [0.0, 0.0, 3.0], [0.0, 0.7, 2.9, 5.1]])
+    def test_end_state_is_the_ensemble_of_its_phases(self, phases):
+        end = run_cycle(ensemble(phases)).end_state
+        assert bits(end) == bits(ClockEnsemble(end.phases, end.params))
+
     def test_reference_back_at_threshold(self):
         trace = run_cycle(ensemble([0.0, 1.3, 4.1]))
         assert trace.end_state.phases[0] == 0.0
@@ -149,7 +169,7 @@ class TestRunCycle:
     def test_reference_offset_within_1e_9_is_dropped(self, reference):
         exact = run_cycle(ensemble([0.0, 1.0, 3.0]))
         near = run_cycle(ensemble([reference, 1.0, 3.0]))
-        assert near.end_state.phases.tobytes() == exact.end_state.phases.tobytes()
+        assert np.array(near.end_state.phases).tobytes() == np.array(exact.end_state.phases).tobytes()
         assert (near.kick_times, near.period) == (exact.kick_times, exact.period)
 
     def test_clock_due_in_the_same_instant_is_at_two_pi_before(self):
@@ -393,9 +413,9 @@ class TestNearTies:
         n = len(phases)
         state = ensemble(phases, eps=eps)
         for cycle in range(3):
-            start = state.phases.tolist()
+            start = state.phases
             trace = run_cycle(state, cycle_index=cycle)
-            end = trace.end_state.phases.tolist()
+            end = trace.end_state.phases
             assert all(0.0 <= p < TWO_PI for p in end)
             assert end[0] == 0.0
             kickers = [ev.kicking_clock for ev in trace.events]
