@@ -92,6 +92,7 @@ __all__ = [
     "LyapunovReport",
     "known_fixed_points",
     "find_fixed_points",
+    "require_residual_tol",
     "classify",
     "classify_rows",
     "invariant_segments",
@@ -344,6 +345,13 @@ def _dedupe_roots(roots: np.ndarray, radius: float) -> list[np.ndarray]:
     return unique
 
 
+def require_residual_tol(tol: float, name: str = "tol") -> None:
+    """Refuse a Newton residual tolerance that is not finite, or not in
+    ``(0, RESIDUAL_TOL]``; the message names it ``name``."""
+    if not (math.isfinite(tol) and 0.0 < tol <= RESIDUAL_TOL):
+        raise ValueError(f"{name} must be finite and > 0 and at most {RESIDUAL_TOL}, got {tol}")
+
+
 def find_fixed_points(
     seed_grid: int = 50, tol: float = 1e-12, *, params: CouplingParams
 ) -> FixedPointSearch:
@@ -356,8 +364,7 @@ def find_fixed_points(
     """
     params.require_analysis_range()
     require_integer(seed_grid, "seed_grid", 2)
-    if not (math.isfinite(tol) and 0.0 < tol <= RESIDUAL_TOL):
-        raise ValueError(f"tol must be finite and > 0 and at most {RESIDUAL_TOL}, got {tol}")
+    require_residual_tol(tol)
     seeds, roots, ok = _newton_on_lattice(seed_grid, tol)
     unique = np.array(_dedupe_roots(roots[ok], 1e-6)).reshape(-1, 2)
     # Roots within rounding of an edge are boundary roots; snap them onto it

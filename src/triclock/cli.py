@@ -143,6 +143,7 @@ def _cmd_step(o: argparse.Namespace) -> Report:
 
 def _cmd_fixed_points(o: argparse.Namespace) -> Report:
     params = _analysis_params(o.eps)
+    analysis.require_residual_tol(o.tol, "--tol")
     search = analysis.find_fixed_points(seed_grid=o.seed_grid, tol=o.tol, params=params)
     payload = {
         "epsilon": params.epsilon,
@@ -172,6 +173,7 @@ def _usable_cpus() -> int:
 
 def _cmd_basins(o: argparse.Namespace) -> Report:
     params = _analysis_params(o.eps)
+    basin.require_capture_tol(o.tol, "--tol")
     grid = basin.rasterize(o.resolution, params, tol=o.tol, max_iter=o.max_iter,
                            workers=_usable_cpus())
     return {
@@ -216,6 +218,7 @@ def _run_report(start: np.ndarray, result: events.LockResult, splay_tol: float) 
 def _cmd_simulate(o: argparse.Namespace) -> Report:
     params = CouplingParams(epsilon=o.eps)
     n = o.n_clocks
+    events.require_lock_tol(o.tol, "--tol")
     if not (math.isfinite(o.splay_tol) and o.splay_tol > 0.0):
         raise ValueError(f"--splay-tol must be finite and > 0, got {o.splay_tol}")
 

@@ -28,6 +28,13 @@ the sines of ``x`` and ``y``, then ``sin(x - y)``, then ``(f, g)`` and
 then the image, all in place, and the other is scratch.  It snaps both
 coordinates in one pass, and runs the edge snap's rule only where it
 can move a coordinate (see :func:`_snap_to_edges`).
+
+:func:`three_clock_step_centred` is the same map in the centred
+coordinates ``u = x - pi``, ``v = y - pi`` of the square ``[-pi, pi]**2``,
+built the same way.  There both mirror symmetries of the map are exact in
+floats: the transpose ``(u, v) -> (v, u)`` and the anti-transpose
+``(u, v) -> (-v, -u)`` only swap and negate, and the basin raster
+classifies a quarter of its lattice on that.
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ __all__ = [
     "omega_field_xy",
     "omega_jacobian",
     "three_clock_step",
-    "three_clock_step_xy",
+    "three_clock_step_centred",
     "three_clock_step_scalar",
     "jacobian",
     "in_square",
@@ -74,7 +81,7 @@ MIN_ANALYSIS_EPSILON = 1e-8
 # boundary stays exactly invariant under accumulated rounding.
 BOUNDARY_SNAP_TOL = 1e-14
 
-# The edge snap runs only on coordinates with |q - pi| above this (see
+# The edge snap runs only on coordinates with |q - centre| above this (see
 # _snap_to_edges); it holds every coordinate the snap can move.
 _SNAP_GATE = math.pi - 1e-12
 
@@ -219,26 +226,33 @@ def omega_jacobian(p) -> np.ndarray:
     return np.stack((row0, row1), axis=-2)
 
 
-def _snap_to_edges(q: np.ndarray) -> np.ndarray:
-    """Snap, in place, the coordinates within ``BOUNDARY_SNAP_TOL`` of 0 or 2*pi
-    onto that edge; ``q`` is an array the caller owns.  Returns ``q``.
+def _snap_to_edges(q: np.ndarray, centre: float = math.pi) -> np.ndarray:
+    """Snap, in place, the coordinates within ``BOUNDARY_SNAP_TOL`` of an edge
+    ``centre - pi`` or ``centre + pi`` onto that edge; ``q`` is an array the
+    caller owns.  Returns ``q``.
 
-    The exact rule runs only where ``|q - pi| > pi - 1e-12``.  That set holds
-    every coordinate the rule can move: one below ``BOUNDARY_SNAP_TOL`` =
-    1e-14 from 0 or 2*pi (-0.0 and the band outside the square included) is
-    ``pi - 1e-14`` from pi, give or take one rounding of at most 2.3e-16, so
-    about 1e-12 inside it.  Rounding is monotone, so ``|q - pi|`` is largest
-    at the least or the greatest coordinate: two reductions, with no array
-    written, show when the set is empty, as it is for all but a few steps.
-    A NaN fails both tests and takes the exact path.
+    ``centre`` is pi for the square's coordinates, whose edges are 0 and
+    2*pi, and 0 for the centred ones, whose edges are -pi and pi; both
+    pairs of edges are exact in floats.
+
+    The exact rule runs only where ``|q - centre| > pi - 1e-12``.  That set
+    holds every coordinate the rule can move: one below ``BOUNDARY_SNAP_TOL``
+    = 1e-14 from an edge (-0.0 and the band outside the square included) is
+    ``pi - 1e-14`` from the centre, give or take one rounding of at most
+    2.3e-16 (none for the centre 0), so about 1e-12 inside it.  Rounding is
+    monotone, so ``|q - centre|`` is largest at the least or the greatest
+    coordinate: two reductions, with no array written, show when the set is
+    empty, as it is for all but a few steps.  A NaN fails both tests and
+    takes the exact path.
     """
-    lo = np.minimum.reduce(q, axis=None, initial=math.pi)
-    hi = np.maximum.reduce(q, axis=None, initial=math.pi)
-    if not (abs(lo - math.pi) <= _SNAP_GATE and abs(hi - math.pi) <= _SNAP_GATE):
-        near = np.abs(q - math.pi) > _SNAP_GATE
+    lo = np.minimum.reduce(q, axis=None, initial=centre)
+    hi = np.maximum.reduce(q, axis=None, initial=centre)
+    if not (abs(lo - centre) <= _SNAP_GATE and abs(hi - centre) <= _SNAP_GATE):
+        near = np.abs(q - centre) > _SNAP_GATE
         e = q[near]
-        e = np.where(np.abs(e) < BOUNDARY_SNAP_TOL, 0.0, e)
-        q[near] = np.where(np.abs(e - TWO_PI) < BOUNDARY_SNAP_TOL, TWO_PI, e)
+        for edge in (centre - math.pi, centre + math.pi):
+            e = np.where(np.abs(e - edge) < BOUNDARY_SNAP_TOL, edge, e)
+        q[near] = e
     return q
 
 
@@ -248,31 +262,60 @@ def three_clock_step(p, params: CouplingParams) -> np.ndarray:
     For ``p`` in the closed square S and eps < 1/9 the image stays in S and
     edge points stay on their edge; coordinates within ``BOUNDARY_SNAP_TOL``
     of 0 or 2*pi are snapped onto the boundary to keep that exact under
-    rounding.  This is :func:`three_clock_step_xy` on the two columns of
-    ``p``, joined back into a ``(..., 2)`` array.
+    rounding.  ``x + eps*f`` and ``y + eps*g`` are formed in the array of
+    :func:`omega_field_xy` on the two columns of ``p``, both coordinates are
+    snapped in one pass, and the two rows are joined back into a ``(..., 2)``
+    array; ``p`` is only read.
     """
     p = np.asarray(p, dtype=float)
-    return np.concatenate(three_clock_step_xy(p[..., :1], p[..., 1:2], params), axis=-1)
-
-
-def three_clock_step_xy(x, y, params: CouplingParams) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`three_clock_step` on separate coordinate arrays, which
-    broadcast: ``(x', y')``, the two rows of one fresh array (numpy scalars
-    for 0-d inputs).
-
-    The bulk form for classifiers that keep ``x`` and ``y`` as contiguous
-    1-D arrays: it avoids strided column reads and the ``(..., 2)`` join.
-    ``x + eps*f`` and ``y + eps*g`` are formed in the array of ``(f, g)``,
-    and both coordinates are snapped in one pass; ``x`` and ``y`` are only
-    read.
-    """
+    x, y = p[..., :1], p[..., 1:2]
     q = omega_field_xy(x, y)
     f, g = _rows(q)
     np.multiply(params.epsilon, q, out=q)
     np.add(x, f, out=f)
     np.add(y, g, out=g)
-    x1, y1 = _snap_to_edges(q)
-    return x1, y1
+    return np.concatenate(_snap_to_edges(q), axis=-1)
+
+
+def three_clock_step_centred(u, v, params: CouplingParams) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`three_clock_step` in centred coordinates ``u = x - pi``,
+    ``v = y - pi``, on coordinate arrays that broadcast: ``(u', v')``, the
+    two rows of one fresh array (numpy scalars for 0-d inputs); ``u`` and
+    ``v`` are only read.  It agrees with :func:`three_clock_step` of the
+    translated point to within rounding, not bit for bit.
+
+    The field ``f = (0.0 - (2*su + sv)) + suv``, ``g = (0.0 - (su + 2*sv))
+    - suv`` (``su = sin(u)``, ``sv = sin(v)``, ``suv = sin(u - v)``) is
+    formed in place as in :func:`omega_field_xy`, and coordinates within
+    ``BOUNDARY_SNAP_TOL`` of -pi or pi are snapped onto that edge.
+    Negation is exact, IEEE addition commutes, ``a - b`` is ``a + (-b)``,
+    the sine is odd bit for bit and ``0.0 - a`` is never -0, so the step
+    commutes with the transpose ``(u, v) -> (v, u)`` bit for bit and with
+    the anti-transpose ``(u, v) -> (-v, -u)`` up to the sign of zeros,
+    which no later operation turns into a nonzero difference.
+    """
+    q = np.empty((2,) + np.broadcast(u, v).shape)
+    t = np.empty_like(q)
+    su, sv = _rows(q)
+    np.sin(u, out=su)
+    np.sin(v, out=sv)
+    np.multiply(2.0, q, out=t)
+    a, b = _rows(t)
+    np.add(a, sv, out=a)
+    np.add(su, b, out=b)
+    np.subtract(0.0, t, out=t)
+    # t holds 0.0 - (2*su + sv) and 0.0 - (su + 2*sv); q takes suv, then (f, g).
+    suv, g = _rows(q)
+    np.subtract(u, v, out=suv)
+    np.sin(suv, out=suv)
+    np.subtract(b, suv, out=g)
+    np.add(a, suv, out=suv)
+    np.multiply(params.epsilon, q, out=q)
+    f, g = _rows(q)
+    np.add(u, f, out=f)
+    np.add(v, g, out=g)
+    u1, v1 = _snap_to_edges(q, 0.0)
+    return u1, v1
 
 
 def three_clock_step_scalar(x: float, y: float, eps: float) -> tuple[float, float]:

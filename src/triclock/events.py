@@ -56,6 +56,7 @@ __all__ = [
     "difference_vector",
     "cyclic_gaps",
     "run_until_locked",
+    "require_lock_tol",
     "write_events_jsonl",
     "read_events_jsonl",
     "write_events_csv",
@@ -301,6 +302,13 @@ def cyclic_gaps(ensemble: ClockEnsemble) -> np.ndarray:
     return np.sort(gaps)
 
 
+def require_lock_tol(tol: float, name: str = "tol") -> None:
+    """Refuse a lock tolerance that is not finite and > 0; the message
+    names it ``name``."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"{name} must be finite and > 0, got {tol}")
+
+
 def run_until_locked(
     ensemble: ClockEnsemble, tol: float, max_cycles: int, record: bool = False
 ) -> LockResult:
@@ -311,8 +319,7 @@ def run_until_locked(
     ``max_cycles`` is exhausted first; that is a result, not an error.
     With ``record`` the result also carries every cycle's kick events.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    require_lock_tol(tol)
     require_integer(max_cycles, "max_cycles", 1)
     state = ensemble
     prev = _differences(state.phases)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from triclock import basin
@@ -27,9 +27,11 @@ from triclock.basin import (
     write_grid_csv,
 )
 from triclock.cli import main as cli_main
-from triclock.core import TWO_PI, CouplingParams, three_clock_step, three_clock_step_xy
+from triclock.core import TWO_PI, CouplingParams, three_clock_step, three_clock_step_centred
 
 PI = math.pi
+# The attractors in the classifier's centred coordinates u = x - pi, v = y - pi.
+CENTRED_UPPER, CENTRED_LOWER = (-PI / 3, PI / 3), (PI / 3, -PI / 3)
 
 
 def params(eps=0.05):
@@ -89,19 +91,16 @@ def test_non_integer_sizes_rejected(args, kwargs):
         rasterize(*args, params(), **kwargs)
 
 
-def reference_classification(points, p, tol, max_iter):
-    """The classifier spelled out: every test on every open point at every
-    iteration, on an (n, 2) point array.  Labels and counts per point."""
-    pts = np.array(points, dtype=float).reshape(-1, 2)
-    labels = np.full(pts.shape[0], 3, dtype=np.uint8)
-    iters = np.full(pts.shape[0], max_iter, dtype=np.int32)
-    open_ = np.ones(pts.shape[0], dtype=bool)
+def centred_reference(u, v, p, tol, max_iter):
+    """The classifier spelled out on centred coordinates: every test on every
+    open point at every iteration.  Labels and counts per point."""
+    labels = np.full(u.size, 3, dtype=np.uint8)
+    iters = np.full(u.size, max_iter, dtype=np.int32)
+    open_ = np.ones(u.size, dtype=bool)
     for k in range(max_iter + 1):
-        x, y = pts[:, 0], pts[:, 1]
-        on_boundary = (
-            (x == 0.0) | (x == TWO_PI) | (y == 0.0) | (y == TWO_PI) | (np.abs(x - y) < 1e-13)
-        )
-        near = [np.max(np.abs(pts - a), axis=1) <= tol for a in (ATTRACTOR_UPPER, ATTRACTOR_LOWER)]
+        on_boundary = (np.abs(u) == PI) | (np.abs(v) == PI) | (np.abs(u - v) < 1e-13)
+        near = [np.maximum(np.abs(u - au), np.abs(v - av)) <= tol
+                for au, av in (CENTRED_UPPER, CENTRED_LOWER)]
         for code, hit in ((2, on_boundary), (0, near[0]), (1, near[1])):
             new = open_ & hit
             labels[new] = code
@@ -109,17 +108,22 @@ def reference_classification(points, p, tol, max_iter):
             open_ &= ~new
         if not open_.any() or k == max_iter:
             break
-        pts = three_clock_step(pts, p)
+        u, v = three_clock_step_centred(u, v, p)
     return labels, iters
 
 
+def reference_classification(points, p, tol, max_iter):
+    """:func:`centred_reference` of an (n, 2) array of points of the square,
+    taken to centred coordinates as ``classify_point`` takes them."""
+    pts = np.array(points, dtype=float).reshape(-1, 2) - PI
+    return centred_reference(pts[:, 0], pts[:, 1], p, tol, max_iter)
+
+
 def full_lattice_reference(resolution, p, tol, max_iter):
-    """:func:`reference_classification` of every cell centre, as grids."""
-    c = (np.arange(resolution) + 0.5) * (TWO_PI / resolution)
-    gx, gy = np.meshgrid(c, c)
-    labels, iters = reference_classification(
-        np.stack((gx.ravel(), gy.ravel()), axis=-1), p, tol, max_iter
-    )
+    """:func:`centred_reference` of every centred cell centre, as grids."""
+    c = (np.arange(resolution) + (0.5 - resolution / 2)) * (TWO_PI / resolution)
+    gu, gv = np.meshgrid(c, c)
+    labels, iters = centred_reference(gu.ravel(), gv.ravel(), p, tol, max_iter)
     return labels.reshape(resolution, resolution), iters.reshape(resolution, resolution)
 
 
@@ -164,28 +168,30 @@ def adversarial_starts(draw, tol):
     return float(ax) + sx, float(ay) + sy
 
 
-def finish_distances(x, y):
-    """The distances the classifier's finish tests compare (max-norm)."""
+def finish_distances(u, v):
+    """The distances the classifier's finish tests compare (max-norm), on
+    centred coordinates."""
     return {
-        "upper": np.maximum(np.abs(x - ATTRACTOR_UPPER[0]), np.abs(y - ATTRACTOR_UPPER[1])),
-        "lower": np.maximum(np.abs(x - ATTRACTOR_LOWER[0]), np.abs(y - ATTRACTOR_LOWER[1])),
-        "diagonal": np.abs(x - y),
-        "edge": np.minimum(np.minimum(x, y), np.minimum(TWO_PI - x, TWO_PI - y)),
+        "upper": np.maximum(np.abs(u - CENTRED_UPPER[0]), np.abs(v - CENTRED_UPPER[1])),
+        "lower": np.maximum(np.abs(u - CENTRED_LOWER[0]), np.abs(v - CENTRED_LOWER[1])),
+        "diagonal": np.abs(u - v),
+        "edge": np.minimum(PI + np.minimum(u, v), PI - np.maximum(u, v)),
     }
 
 
 class TestSkipBound:
     """The classifier skips its finish tests on this bound: one float step
-    shrinks each finish distance at most by the factor
-    ``1 - _OMEGA_LIPSCHITZ*eps``, less ``_SKIP_SLACK``."""
+    of the centred map, the one the classifier takes, shrinks each finish
+    distance at most by the factor ``1 - _OMEGA_LIPSCHITZ*eps``, less
+    ``_SKIP_SLACK``."""
 
     @settings(deadline=None, max_examples=300)
     @given(eps=COUPLINGS, tol=st.sampled_from([0.0, 1e-9, 1e-6, 1e-3]), data=st.data())
     def test_each_finish_distance_shrinks_at_most_by_the_bound(self, eps, tol, data):
-        pts = np.array(data.draw(st.lists(adversarial_starts(tol), min_size=1, max_size=16)))
-        x, y = pts[:, 0], pts[:, 1]
-        before = finish_distances(x, y)
-        after = finish_distances(*three_clock_step_xy(x, y, params(eps)))
+        pts = np.array(data.draw(st.lists(adversarial_starts(tol), min_size=1, max_size=16))) - PI
+        u, v = pts[:, 0], pts[:, 1]
+        before = finish_distances(u, v)
+        after = finish_distances(*three_clock_step_centred(u, v, params(eps)))
         rate = 1.0 - basin._OMEGA_LIPSCHITZ * eps
         for name, d in before.items():
             shrunk = after[name] < rate * d - basin._SKIP_SLACK
@@ -195,8 +201,8 @@ class TestSkipBound:
         # At an attractor the distance shrinks by 1 - 1.5*eps per step, so a
         # Lipschitz factor below 1.5 would be false: the bound is not vacuous.
         eps = 0.1
-        x, y = ATTRACTOR_LOWER[0] + np.array([1e-3]), ATTRACTOR_LOWER[1] + np.array([0.0])
-        ratio = finish_distances(*three_clock_step_xy(x, y, params(eps)))["lower"][0] / 1e-3
+        u, v = CENTRED_LOWER[0] + np.array([1e-3]), CENTRED_LOWER[1] + np.array([0.0])
+        ratio = finish_distances(*three_clock_step_centred(u, v, params(eps)))["lower"][0] / 1e-3
         assert 1.0 - basin._OMEGA_LIPSCHITZ * eps < ratio < 1.0 - 1.4 * eps
 
 
@@ -223,7 +229,7 @@ class TestClassifierOracle:
             assert classify_point(point, p, tol=tol, max_iter=max_iter) == (
                 LABEL_NAMES[code], count)
         xy = np.array(pts, dtype=float)
-        batch = basin._classify(xy[:, 0].copy(), xy[:, 1].copy(), p, tol, max_iter)
+        batch = basin._classify(xy[:, 0] - PI, xy[:, 1] - PI, p, tol, max_iter)
         assert batch[0].tobytes() == labels.tobytes()
         assert batch[1].tobytes() == iters.tobytes()
 
@@ -279,14 +285,38 @@ class TestRasterize:
                 elif row < col:
                     assert LABEL_NAMES[grid.labels[row, col]] == "lower"
 
-    def test_swap_symmetry(self):
-        grid = rasterize(16, params())
-        mirrored = grid.labels.T.copy()
-        swap = mirrored.copy()
-        swap[mirrored == 0] = 1
-        swap[mirrored == 1] = 0
-        assert np.array_equal(grid.labels, swap)
-        assert np.array_equal(grid.iterations, grid.iterations.T)
+    @settings(deadline=None, max_examples=80)
+    @given(resolution=st.integers(2, 48), eps=COUPLINGS, tol=TOLERANCES,
+           max_iter=st.one_of(BUDGETS, st.none()))
+    def test_d2_symmetry_bit_for_bit(self, resolution, eps, tol, max_iter):
+        # The transpose and the point reflection swap upper and lower; the
+        # anti-transpose [r, c] -> [res-1-c, res-1-r] keeps every label.  All
+        # three keep the iteration counts.  (The default budget only where it
+        # is short enough to run.)
+        assume(max_iter is not None or eps >= 0.01)
+        grid = rasterize(resolution, params(eps), tol=tol, max_iter=max_iter)
+        swap = np.array([1, 0, 2, 3], dtype=np.uint8)
+        labels, iters = grid.labels, grid.iterations
+        for image, swapped in ((lambda a: a.T, True), (lambda a: a[::-1, ::-1].T, False),
+                               (lambda a: a[::-1, ::-1], True)):
+            expected = swap[labels] if swapped else labels
+            assert np.ascontiguousarray(image(labels)).tobytes() == expected.tobytes()
+            assert np.ascontiguousarray(image(iters)).tobytes() == iters.tobytes()
+
+    @settings(deadline=None, max_examples=15)
+    @given(resolution=st.integers(2, 96), eps=st.floats(0.02, 1 / 9, exclude_max=True),
+           tol=st.sampled_from([0.0, 1e-12, 1e-9, 1e-6]), max_iter=st.sampled_from([None, 37]))
+    def test_quarter_equals_the_full_centred_lattice(self, resolution, eps, tol, max_iter):
+        # The fold is exact: the classifier run on every centred cell centre
+        # gives the same bytes, also at tight tol and larger resolutions
+        # than the spelled-out reference can afford.
+        p = params(eps)
+        grid = rasterize(resolution, p, tol=tol, max_iter=max_iter)
+        c = (np.arange(resolution) + (0.5 - resolution / 2)) * (TWO_PI / resolution)
+        gu, gv = np.meshgrid(c, c)
+        labels, iters = basin._classify(gu.ravel(), gv.ravel(), p, tol, grid.max_iter)
+        assert grid.labels.tobytes() == labels.tobytes()
+        assert grid.iterations.tobytes() == iters.tobytes()
 
     @pytest.mark.parametrize(
         "resolution, eps, tol, max_iter",
@@ -330,9 +360,10 @@ class TestRasterize:
             rasterize(10, CouplingParams(epsilon=0.5))
 
 
-# Half lattices of 1275 cells (below the per-process minimum at 2 and 3
-# processes) and 7021 (above it; neither 2 nor 3 divides it).
-BELOW, ABOVE = 50, 118
+# Quarter lattices of 1260 cells (below the per-process minimum, so no split
+# at 2 or 3 processes) and 5041 (above three times it; neither 2 nor 3
+# divides it).
+BELOW, ABOVE = 70, 141
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the raster forks only where os.fork exists")
@@ -350,7 +381,7 @@ class TestForkedRaster:
         monkeypatch.setattr(os, "fork", fork)
         return made
 
-    @pytest.mark.parametrize("resolution", [BELOW, ABOVE], ids=["50", "118"])
+    @pytest.mark.parametrize("resolution", [BELOW, ABOVE], ids=["70", "141"])
     @pytest.mark.parametrize("workers", [2, 3])
     def test_equals_serial_byte_for_byte(self, forks, resolution, workers):
         p = params(0.045)

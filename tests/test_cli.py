@@ -758,6 +758,26 @@ class TestPlumbing:
         assert err == f"triclock: error: {flag} must be at least {least}, got {value}\n"
         assert not target.exists()
 
+    # Each command's --tol, a value its range refuses and the refusal: the
+    # range is the library's, and the message names the flag.
+    TOLERANCES = [
+        (["basins", "--eps", "0.05", "--resolution", "10"], "-1",
+         "--tol must be >= 0 and < 1, got -1.0"),
+        (["fixed-points", "--eps", "0.05"], "0",
+         "--tol must be finite and > 0 and at most 1e-10, got 0.0"),
+        (["simulate", "--eps", "0.05"], "0", "--tol must be finite and > 0, got 0.0"),
+    ]
+
+    @pytest.mark.parametrize("argv, value, message", TOLERANCES,
+                             ids=[argv[0] for argv, _, _ in TOLERANCES])
+    def test_a_tolerance_out_of_range_is_refused_by_its_flag(
+            self, capsys, tmp_path, argv, value, message):
+        target = tmp_path / "out"
+        code, out, err = run_cli(capsys, *argv, "--tol", value, "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err == f"triclock: error: {message}\n"
+        assert not target.exists()
+
     def test_config_file_supplies_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("eps = 0.05\ncount = 2\n# a comment\n")

@@ -20,8 +20,8 @@ from triclock.core import (
     omega_jacobian,
     require_integer,
     three_clock_step,
+    three_clock_step_centred,
     three_clock_step_scalar,
-    three_clock_step_xy,
 )
 
 PI = math.pi
@@ -290,12 +290,40 @@ class TestThreeClockStep:
         rev = three_clock_step(np.ascontiguousarray(pts[:, ::-1]), p)
         assert np.ascontiguousarray(fwd[:, ::-1]).tobytes() == rev.tobytes()
 
+    # Translating by pi rounds x - pi and the image - pi, and moves each sine
+    # argument by at most half an ulp of pi, so the two steps part by about
+    # an ulp of 2*pi (observed worst case over 4e6 points: exactly one).
+    # Where either step snapped a coordinate onto an edge, they may part by
+    # up to the snap width more.
+    CENTRED_STEP_BOUND = 4 * math.ulp(TWO_PI)
+
     @settings(deadline=None, max_examples=200)
-    @given(pts=square_point_arrays(), eps=st.floats(1e-6, 0.11))
-    def test_coordinate_array_step_is_the_same_map(self, pts, eps):
+    @given(pts=square_point_arrays(),
+           eps=st.floats(1e-8, 1 / 9, exclude_min=True, exclude_max=True))
+    def test_centred_step_is_the_same_map_within_ulps(self, pts, eps):
         p = CouplingParams(epsilon=eps)
-        x, y = three_clock_step_xy(pts[:, 0].copy(), pts[:, 1].copy(), p)
-        assert np.stack((x, y), axis=-1).tobytes() == three_clock_step(pts, p).tobytes()
+        expected = three_clock_step(pts, p) - PI
+        u, v = three_clock_step_centred(pts[:, 0] - PI, pts[:, 1] - PI, p)
+        got = np.stack((u, v), axis=-1)
+        on_edge = (np.abs(got) == PI) | (np.abs(expected) == PI)
+        bound = np.where(on_edge, BOUNDARY_SNAP_TOL + self.CENTRED_STEP_BOUND,
+                         self.CENTRED_STEP_BOUND)
+        assert np.all(np.abs(got - expected) <= bound), np.max(np.abs(got - expected))
+
+    @settings(deadline=None, max_examples=200)
+    @given(pts=square_point_arrays(), eps=st.floats(0.0, 0.11))
+    def test_centred_step_commutes_with_both_mirrors(self, pts, eps):
+        # The raster classifies a quarter of its lattice on this.  The
+        # transpose (u, v) -> (v, u) commutes bit for bit; the anti-transpose
+        # (u, v) -> (-v, -u) up to the sign of zeros, which == ignores.
+        p = CouplingParams(epsilon=eps)
+        u = np.concatenate((pts[:, 0] - PI, [0.0, -0.0, 0.0, -0.0, PI, -PI]))
+        v = np.concatenate((pts[:, 1] - PI, [-0.0, 0.0, 0.0, -0.0, -PI, 0.0]))
+        su, sv = three_clock_step_centred(u, v, p)
+        tu, tv = three_clock_step_centred(v, u, p)
+        assert tu.tobytes() == sv.tobytes() and tv.tobytes() == su.tobytes()
+        ru, rv = three_clock_step_centred(-v, -u, p)
+        assert np.array_equal(ru, -sv) and np.array_equal(rv, -su)
 
     @settings(deadline=None, max_examples=200)
     @given(
@@ -375,9 +403,9 @@ class TestThreeClockStep:
         assert np.max(np.abs(raw[:, 0] - TWO_PI)) < BOUNDARY_SNAP_TOL
 
 
-def _plain_snap(q):
-    q = np.where(np.abs(q) < BOUNDARY_SNAP_TOL, 0.0, q)
-    return np.where(np.abs(q - TWO_PI) < BOUNDARY_SNAP_TOL, TWO_PI, q)
+def _plain_snap(q, lo=0.0, hi=TWO_PI):
+    q = np.where(np.abs(q - lo) < BOUNDARY_SNAP_TOL, lo, q)
+    return np.where(np.abs(q - hi) < BOUNDARY_SNAP_TOL, hi, q)
 
 
 def _plain_step_xy(x, y, eps):
@@ -390,6 +418,17 @@ def _plain_step_xy(x, y, eps):
     f = 2.0 * sx + sy + sxy
     g = sx + 2.0 * sy - sxy
     return _plain_snap(x + eps * f), _plain_snap(y + eps * g)
+
+
+def _plain_centred_step(u, v, eps):
+    # The centred map written plainly, each product and sum a fresh array
+    # and the snap rule at -pi and pi over every coordinate.
+    su = np.sin(u)
+    sv = np.sin(v)
+    suv = np.sin(u - v)
+    f = (0.0 - (2.0 * su + sv)) + suv
+    g = (0.0 - (su + 2.0 * sv)) - suv
+    return _plain_snap(u + eps * f, -PI, PI), _plain_snap(v + eps * g, -PI, PI)
 
 
 _ULP_2PI = math.ulp(TWO_PI)
@@ -444,22 +483,24 @@ class TestInPlaceStepOracle:
 
     @settings(deadline=None, max_examples=200)
     @given(pts=oracle_point_arrays(), eps=oracle_eps)
-    def test_three_clock_step_xy(self, pts, eps):
+    def test_three_clock_step_centred(self, pts, eps):
+        # The snap-relevant points translated: the edges -pi and pi, the snap
+        # band on both sides of each, the gate's margin and signed zeros.
+        pts = np.concatenate((pts - PI, [[0.0, -0.0], [-0.0, 0.0], [PI, -PI]]))
         before = pts.tobytes()
         params = CouplingParams(epsilon=eps)
-        ex, ey = _plain_step_xy(pts[:, 0], pts[:, 1], eps)
-        # Strided column views, as three_clock_step passes them, and
-        # contiguous copies, as the raster classifier passes them.
-        for x, y in ((pts[:, 0], pts[:, 1]), (pts[:, :1], pts[:, 1:2]),
+        eu, ev = _plain_centred_step(pts[:, 0], pts[:, 1], eps)
+        # Strided column views and contiguous copies, as the raster passes them.
+        for u, v in ((pts[:, 0], pts[:, 1]), (pts[:, :1], pts[:, 1:2]),
                      (pts[:, 0].copy(), pts[:, 1].copy())):
-            gx, gy = three_clock_step_xy(x, y, params)
-            assert gx.tobytes() == ex.tobytes() and gy.tobytes() == ey.tobytes()
+            gu, gv = three_clock_step_centred(u, v, params)
+            assert gu.ravel().tobytes() == eu.tobytes() and gv.ravel().tobytes() == ev.tobytes()
         # 0-d and one-element arrays.
         for i in range(min(len(pts), 8)):
-            for x, y in ((pts[i, 0:1], pts[i, 1:2]), (pts[i, 0, ...], pts[i, 1, ...])):
-                gx, gy = three_clock_step_xy(x, y, params)
-                assert gx.shape == x.shape and gy.shape == y.shape
-                assert gx.tobytes() == ex[i].tobytes() and gy.tobytes() == ey[i].tobytes()
+            for u, v in ((pts[i, 0:1], pts[i, 1:2]), (pts[i, 0, ...], pts[i, 1, ...])):
+                gu, gv = three_clock_step_centred(u, v, params)
+                assert gu.shape == u.shape and gv.shape == v.shape
+                assert gu.tobytes() == eu[i].tobytes() and gv.tobytes() == ev[i].tobytes()
         assert pts.tobytes() == before
 
     @settings(deadline=None, max_examples=100)
@@ -470,8 +511,8 @@ class TestInPlaceStepOracle:
         params = CouplingParams(epsilon=eps)
         xs, ys = pts[:40, 0], pts[:40, 1]
         for x, y in ((xs[:, None], ys[None, :]), (xs[0, ...], ys), (xs, float(ys[-1]))):
-            ex, ey = _plain_step_xy(x, y, eps)
-            gx, gy = three_clock_step_xy(x, y, params)
+            ex, ey = _plain_centred_step(x - PI, y - PI, eps)
+            gx, gy = three_clock_step_centred(x - PI, y - PI, params)
             assert gx.tobytes() == ex.tobytes() and gy.tobytes() == ey.tobytes()
             f, g = omega_field_xy(x, y)
             assert f.shape == g.shape == ex.shape
@@ -483,6 +524,9 @@ class TestInPlaceStepOracle:
             expected = _plain_snap(q)
             got = _snap_to_edges(np.array(q))
             assert got.tobytes() == expected.tobytes()
+            centred = np.array(np.array(q) - PI)
+            expected = _plain_snap(centred, -PI, PI)
+            assert _snap_to_edges(centred, 0.0).tobytes() == expected.tobytes()
 
     def test_snap_to_edges_writes_in_place(self):
         q = np.array([-0.0, 5e-324, 1.0, TWO_PI + BOUNDARY_SNAP_TOL / 2])

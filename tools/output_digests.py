@@ -32,6 +32,12 @@ resolution 200.  Then ``basins`` in binary at resolutions 48 and 200 at
 the ends of the raster's skip bound, ``--eps 2e-8 --max-iter 40`` and
 ``--eps 0.1111``, and at the edge of the accepted capture tolerances:
 ``--tol 0.999`` and the refused ``--tol 1`` and ``--tol 2.5``.  Then
+``basins`` in binary at the tight capture tolerances ``--tol 1e-9`` and
+``--tol 1e-12``, at couplings 0.0063 and 0.0387 and resolutions 48 and
+200, whose iteration counts move in their last steps when the raster's
+float arithmetic changes, and the out-of-range ``--tol`` of each command
+that takes one: ``basins --tol -1``, ``fixed-points --tol 0`` and
+``simulate --tol 0``.  Then
 ``fixed-points`` in JSON and ``portrait`` with the fixed points alone at
 couplings 2e-8 and 0.1111, the two ends of the analysis range.  Then
 ``simulate``: seeded ``--random-starts`` in JSON at 2, 3, 4 and 5 clocks
@@ -136,6 +142,14 @@ def sweep(readme: str) -> list[list[str]]:
                   ["--eps", "0.05", "--tol", "2.5"]):
         for res in ("48", "200"):
             commands.append(["basins", *extra, "--resolution", res, "--format", "bin"])
+    for tol in ("1e-9", "1e-12"):
+        for eps in ("0.0063", "0.0387"):
+            for res in ("48", "200"):
+                commands.append(["basins", "--eps", eps, "--tol", tol, "--resolution", res,
+                                 "--format", "bin"])
+    commands.append(["basins", "--eps", "0.05", "--tol", "-1"])
+    commands.append(["fixed-points", "--eps", "0.05", "--tol", "0"])
+    commands.append(["simulate", "--eps", "0.05", "--tol", "0"])
     for eps in ("2e-8", "0.1111"):
         commands.append(["fixed-points", "--eps", eps, "--format", "json"])
         commands.append(["portrait", "--eps", eps, "--layers", "fixed_points"])
