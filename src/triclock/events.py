@@ -14,12 +14,13 @@ map in :mod:`triclock.core` up to O(eps**2), which is what makes this
 simulator an independent oracle for it.
 
 The kick rule, the time shift and the tie order exist once, in the
-cycle kernel ``_cycle``.  It runs on Python floats for any N: per kick,
-one ``max`` finds the leader, one pass shifts every phase and one pass
-kicks them, with no numpy call.  An ensemble and a recorded kick event
-hold the same floats as tuples, so :func:`run_cycle` hands the kernel the
-ensemble's phases as they are and checks the end phases once, in the
-ensemble's constructor.  :func:`run_until_locked` calls
+cycle kernel ``_cycle``.  It runs on Python floats for any N, with no
+numpy call: it copies the start phases once into a working list, and per
+kick one ``max`` finds the leader, then one index loop shifts every
+phase and another kicks them, both in place.  An ensemble and a recorded
+kick event hold the same floats as tuples, so :func:`run_cycle` hands
+the kernel the ensemble's phases as they are and checks the end phases
+once, in the ensemble's constructor.  :func:`run_until_locked` calls
 :func:`run_cycle` once per cycle and reads each cycle's difference vector
 straight off its end state, whose reference is at exactly 0.  A kick
 trace is recorded by the same run that reports the lock.  The simulator
@@ -211,14 +212,18 @@ def _cycle(
     """The cycle kernel: one reference cycle on a state of Python floats.
 
     ``psi`` holds the start phases with the reference (index 0) at the
-    threshold; it is left unchanged.  Returns the end phases (wrapped to
-    [0, 2*pi), the reference at exactly 0), the kick events (only when
-    ``record``), the (clock, time) of every kick and the cycle's period.
+    threshold; it is left unchanged.  The kernel copies it once and steps
+    that copy in place: per kick, one loop adds the time shift to every
+    phase and one applies the kick rule to every phase.  Returns the end
+    phases (wrapped to [0, 2*pi), the reference at exactly 0), the kick
+    events (only when ``record``), the (clock, time) of every kick and the
+    cycle's period.
     """
     # The reference is snapped onto the threshold; any other clock at exactly
     # 0 kicks in the same opening instant, after it.  Mid-cycle, phases lie in
     # [0, 2*pi]: exactly 2*pi is "due to kick now" and 0 is "just kicked".
     psi = [TWO_PI] + [TWO_PI if p == 0.0 else p for p in psi[1:]]
+    clocks = range(len(psi))
     kicked = [False] * len(psi)
     events: list[KickEvent] = []
     kick_times: list[tuple[int, float]] = []
@@ -234,7 +239,8 @@ def _cycle(
         # rounds to 2*pi for every float p in [0, 2*pi].  A phase that rounds
         # onto the threshold with it ties with it; ties go to the lowest index.
         shift = TWO_PI - lead
-        psi = [p + shift for p in psi]
+        for j in clocks:
+            psi[j] += shift
         now += shift
         k = psi.index(TWO_PI)
         if kicked[k]:
@@ -245,14 +251,17 @@ def _cycle(
         # The kick rule, with the kicker just fired and at 0: every clock j
         # gains eps*sin(psi_j), psi_j being its phase relative to the kicker.
         psi[k] = 0.0
-        before = psi  # the kick builds a new list
-        psi = [p + eps * sin(p) for p in psi]
+        if record:
+            before = tuple(psi)
+        for j in clocks:
+            p = psi[j]
+            psi[j] = p + eps * sin(p)
         if min(psi) < 0.0:
             raise RuntimeError(_OUTSIDE.format(eps))
         kicked[k] = True
         kick_times.append((k, now))
         if record:
-            events.append(KickEvent(cycle_index, k, tuple(before), tuple(_wrapped(psi))))
+            events.append(KickEvent(cycle_index, k, before, tuple(_wrapped(psi))))
     psi[0] = 0.0
     return _wrapped(psi), events, kick_times, now
 

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import math
@@ -217,6 +218,28 @@ class TestRunCycle:
         assert times[0] == 0.0
         assert all(b >= a for a, b in zip(times, times[1:]))
         assert trace.period == pytest.approx(TWO_PI, abs=0.05)
+
+    @settings(deadline=None, max_examples=300)
+    @given(t=st.one_of(st.floats(0.0, TWO_PI, exclude_max=True), st.sampled_from((PI, 5e-324))),
+           eps=st.floats(0.0, 1.0, exclude_max=True),
+           tied=st.sampled_from(((0, 1), (0, 2), (1, 2))))
+    @example(t=2.0, eps=0.05, tied=(0, 1))
+    @example(t=2.0, eps=math.nextafter(1.0, 0.0), tied=(1, 2))
+    def test_the_edges_and_the_diagonal_are_invariant(self, t, eps, tied):
+        """The starts ``[0, 0, t]``, ``[0, t, 0]`` and ``[0, t, t]`` stay on
+        the edge ``x = 0``, the edge ``y = 0`` and the diagonal ``x = y`` bit
+        for bit, for any eps in [0, 1).  Tied clocks take the same float
+        operations, and a clock tied to the kicker at 2*pi keeps its bits
+        through the kick: |eps*sin(2*pi)| < 2.5e-16 is below half an ulp of
+        2*pi, so it kicks in the same instant."""
+        i, j = tied
+        phases = [0.0, t, t]
+        if i == 0:
+            phases[j] = 0.0
+        state = ensemble(phases, eps=eps)
+        for cycle in range(4):
+            state = run_cycle(state, cycle_index=cycle, record=False).end_state
+            assert state.phases[i].hex() == state.phases[j].hex()
 
 
 class TestOracleAgreement:
@@ -650,6 +673,20 @@ class TestCycleKernelOracle:
             for row in [header] + [[str(ev.cycle_index), str(ev.kicking_clock)]
                                    + [repr(v) for v in ev.phases_after.tolist()] for ev in want]
         )
+
+    @settings(deadline=None, max_examples=300)
+    @given(phases=st.one_of(tie_states(), kernel_states()), eps=kernel_eps)
+    @example(phases=[0.0, 0.0, 3.0], eps=0.1)
+    @example(phases=[0.0, 1.5, 5.0], eps=5.0)
+    def test_leaves_its_input_alone(self, phases, eps):
+        """The kernel steps a copy of its input in place; the input list
+        keeps every bit, with and without recording, also when the cycle
+        raises."""
+        for record in (False, True):
+            psi = list(phases)
+            with contextlib.suppress(RuntimeError):
+                events._cycle(psi, eps, 0, record)
+            assert [p.hex() for p in psi] == [p.hex() for p in phases]
 
     @given(p=st.one_of(st.floats(0.0, TWO_PI), st.sampled_from(SPECIAL_PHASES)))
     def test_the_shift_lands_the_leader_on_the_threshold(self, p):

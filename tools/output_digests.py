@@ -45,10 +45,15 @@ and three couplings (and in CSV at one), ``--phases`` in radians and with
 ``--deg``, a ``--max-cycles`` run that does not lock, the near-tie starts
 ``0,5e-324,3.0`` and ``0,2.2e-16,3.0``, and ``--trace-out`` to ``.jsonl``
 and ``.csv``, also from the start ``0,0,3.0``, whose first kick record
-has a clock at exactly ``2*pi`` in ``phases_before``, and the refused
-runs ``--phases 0,nan,3.0``, ``0,7.0,1.0``, ``0,6.283185307179586,1.0``
-(a phase at ``2*pi``) and ``1.0,2.0,3.0`` (the reference off the
-threshold) at eps 0.05 and ``--eps 1 --phases 0,1,2``.  It ends with the
+has a clock at exactly ``2*pi`` in ``phases_before``, seeded random
+starts at eps 0.9 with ``--tol 1e-12`` in CSV, some of which end in 2+1
+clusters with differences near ``(2*pi, pi)`` and ``(pi, pi)``, a 5-clock
+``--trace-out`` run to ``.jsonl`` and ``.csv`` at eps 0.5 from
+``--phases 0,1.0,2.2,3.9,5.1`` with ``--tol 1e-10`` (730 kicks), and
+the refused runs ``--phases 0,nan,3.0``, ``0,7.0,1.0``,
+``0,6.283185307179586,1.0`` (a phase at ``2*pi``) and ``1.0,2.0,3.0``
+(the reference off the threshold) at eps 0.05 and ``--eps 1 --phases
+0,1,2``.  It ends with the
 ``triclock`` command lines of the README's ``sh`` blocks, read from the
 checkout's README.md, in README order.
 Each command runs in an empty temporary directory, with
@@ -171,6 +176,11 @@ def sweep(readme: str) -> list[list[str]]:
             commands.append(["simulate", "--eps", "0.1", *start, *extra])
     for trace in ("trace.jsonl", "trace.csv"):
         commands.append(["simulate", "--eps", "0.1", "--phases", "0,0,3.0", "--trace-out", trace])
+    commands.append(["simulate", "--eps", "0.9", "--random-starts", "6", "--seed", "4",
+                     "--tol", "1e-12", "--format", "csv"])
+    for trace in ("trace.jsonl", "trace.csv"):
+        commands.append(["simulate", "--eps", "0.5", "--n-clocks", "5",
+                         "--phases", "0,1.0,2.2,3.9,5.1", "--tol", "1e-10", "--trace-out", trace])
     for phases in ("0,nan,3.0", "0,7.0,1.0", "0,6.283185307179586,1.0", "1.0,2.0,3.0"):
         commands.append(["simulate", "--eps", "0.05", "--phases", phases])
     commands.append(["simulate", "--eps", "1", "--phases", "0,1,2"])
