@@ -64,7 +64,7 @@ import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Any, Callable, Literal, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -751,20 +751,11 @@ def heteroclinic_census(params: CouplingParams) -> HeteroclinicCensus:
     per row and pair of end parameters.
     """
     params.require_analysis_range()
-    memo: dict[Any, Any] = {}
-
-    def once(key: Any, compute: Callable[[], Any]) -> Any:
-        if key not in memo:
-            memo[key] = compute()
-        return memo[key]
-
-    def classify_at(location: np.ndarray) -> FixedPointRecord:
-        # Keyed by the exact floats (signed zeros apart), so every record is
-        # what classify gives.
-        return once(location.tobytes(), lambda: classify(location, params))
-
     records = classify_rows(_FIXED_POINTS, params)
-    memo.update((rec.location.tobytes(), rec) for rec in records)
+    # Keyed by the exact floats (signed zeros apart), so every record is what
+    # classify gives.
+    by_location = {rec.location.tobytes(): rec for rec in records}
+    restricted: dict[tuple, list[float]] = {}  # (coefficients, t_src, t_dst) -> orbit
     orbits: list[HeteroclinicOrbit] = []
     paths: dict[int, list[tuple[np.ndarray, int]]] = {}  # saddle row -> samples, landing row
     for i, rec in enumerate(records):
@@ -781,18 +772,21 @@ def heteroclinic_census(params: CouplingParams) -> HeteroclinicCensus:
             paths[i] = paths.get(i, []) + mirrored
         orbits.extend(HeteroclinicOrbit(rec, records[j], s) for s, j in paths[i])
     for segment in invariant_segments():
-        fps_t = segment.roots
-        for t0, t1 in zip(fps_t[:-1], fps_t[1:]):
-            qm = segment.drift(0.5 * (t0 + t1))
+        ts = [float(t) for t in segment.roots]
+        # Each root's record: the table's, or classify's off the table's rows.
+        located = [by_location.get(point.tobytes()) or classify(point, params)
+                   for point in map(segment.point, ts)]
+        for i in range(len(ts) - 1):
+            qm = segment.drift(0.5 * (ts[i] + ts[i + 1]))
             if qm == 0.0:
                 continue
-            t_src, t_dst = (float(t0), float(t1)) if qm > 0.0 else (float(t1), float(t0))
-            source = classify_at(segment.point(t_src))
-            target = classify_at(segment.point(t_dst))
-            if _orbit_kind(source, target) != "sa":  # sa orbits were already found by tracing
-                ts = once((segment.coefficients, t_src, t_dst),
-                          lambda: _restriction_orbit(segment, t_src, t_dst, params))
-                orbits.append(HeteroclinicOrbit(source, target, segment.point(ts)))
+            src, dst = (i, i + 1) if qm > 0.0 else (i + 1, i)
+            if _orbit_kind(located[src], located[dst]) != "sa":  # found by tracing
+                key = (segment.coefficients, ts[src], ts[dst])
+                if key not in restricted:
+                    restricted[key] = _restriction_orbit(segment, ts[src], ts[dst], params)
+                orbits.append(HeteroclinicOrbit(located[src], located[dst],
+                                                segment.point(restricted[key])))
     counts: dict[str, int] = {}
     for orbit in orbits:
         counts[orbit.kind] = counts.get(orbit.kind, 0) + 1

@@ -219,8 +219,7 @@ def _cmd_simulate(o: argparse.Namespace) -> Report:
     params = CouplingParams(epsilon=o.eps)
     n = o.n_clocks
     events.require_lock_tol(o.tol, "--tol")
-    if not (math.isfinite(o.splay_tol) and o.splay_tol > 0.0):
-        raise ValueError(f"--splay-tol must be finite and > 0, got {o.splay_tol}")
+    events.require_lock_tol(o.splay_tol, "--splay-tol")
 
     starts: list[np.ndarray] = []
     if o.phases is not None and o.random_starts is not None:
@@ -241,9 +240,10 @@ def _cmd_simulate(o: argparse.Namespace) -> Report:
                 starts.append(psi)
 
     record = o.trace_out is not None
+    suffix = Path(o.trace_out).suffix if record else None
     if record and len(starts) != 1:
         raise ValueError("--trace-out needs a single-start run")
-    if record and Path(o.trace_out).suffix not in (".jsonl", ".csv"):
+    if record and suffix not in (".jsonl", ".csv"):
         raise ValueError(f"--trace-out {o.trace_out!r} must end in .jsonl or .csv")
 
     results = [
@@ -256,7 +256,7 @@ def _cmd_simulate(o: argparse.Namespace) -> Report:
 
     if record:
         kicks = results[0].events
-        if o.trace_out.endswith(".csv"):
+        if suffix == ".csv":
             _write(o.trace_out, lambda stream: events.write_events_csv(kicks, stream, n))
         else:
             _write(o.trace_out, lambda stream: events.write_events_jsonl(kicks, stream))

@@ -21,18 +21,20 @@ phase and another kicks them, both in place.  An ensemble and a recorded
 kick event hold the same floats as tuples, so :func:`run_cycle` hands
 the kernel the ensemble's phases as they are and checks the end phases
 once, in the ensemble's constructor.  :func:`run_until_locked` calls
-:func:`run_cycle` once per cycle and reads each cycle's difference vector
-straight off its end state, whose reference is at exactly 0.  A kick
-trace is recorded by the same run that reports the lock.  The simulator
-accepts 0 <= eps < 1, where a kick cannot carry a clock across the
-threshold; the kernel raises if one ever does.
+:func:`run_cycle` once per cycle and reads the start's and each cycle's
+difference vector straight off its phases, whose reference is at exactly
+0.  A kick trace is recorded by the same run that reports the lock.  The
+simulator accepts 0 <= eps < 1, where a kick cannot carry a clock across
+the threshold; the kernel raises if one ever does.
 
-Convention: in a state handed to :func:`run_cycle` (or produced by it),
-phase 0 on the reference clock means "at the threshold, about to kick".
-Mid-cycle, a clock at phase 0 has just kicked and has a full period to
-go.  Exact phase ties are processed within the same instant in
-ascending clock index; results can depend on that order only at
-O(eps**2).
+Convention, the one threshold rule: a clock at exactly 0 stands on the
+threshold when a cycle opens and kicks in the opening instant, the
+reference included (:func:`run_cycle` takes it at exactly 0 and nothing
+else).  Mid-cycle, a clock at 0 has just kicked.  Ties in one instant go
+in ascending clock index, which matters only at O(eps**2).  So a clock
+that reaches the threshold with the returning reference ends the cycle
+at 0 and kicks at the next opening (an N-1-kick cycle), and a clock due
+in the same instant as a kicker stands at 2*pi in ``phases_before``.
 """
 
 from __future__ import annotations
@@ -170,9 +172,7 @@ class CycleTrace:
         these gaps all equal 2*pi/N exactly, unlike the phase-difference
         snapshot which carries an O(eps) offset from the received kicks.
         """
-        times = np.asarray([t for _, t in self.kick_times], dtype=float)
-        intervals = np.diff(times, append=self.period + times[0])
-        return np.sort(intervals) * (TWO_PI / self.period)
+        return _gaps([t for _, t in self.kick_times], self.period) * (TWO_PI / self.period)
 
 
 @dataclass(frozen=True)
@@ -202,8 +202,10 @@ def _wrapped(psi: list[float]) -> list[float]:
     return [0.0 if r == TWO_PI else r for r in [p % TWO_PI for p in psi]]
 
 
-def _differences(psi: Sequence[float]) -> list[float]:
-    return _wrapped([p - psi[0] for p in psi[1:]])
+def _gaps(points: Sequence[float], length: float) -> np.ndarray:
+    """Sorted gaps between consecutive points around a circle of ``length``."""
+    ordered = np.sort(points)
+    return np.sort(np.diff(ordered, append=ordered[0] + length))
 
 
 def _cycle(
@@ -211,18 +213,19 @@ def _cycle(
 ) -> tuple[list[float], list[KickEvent], list[tuple[int, float]], float]:
     """The cycle kernel: one reference cycle on a state of Python floats.
 
-    ``psi`` holds the start phases with the reference (index 0) at the
-    threshold; it is left unchanged.  The kernel copies it once and steps
+    ``psi`` holds the start phases with the reference (index 0) at exactly
+    0; it is left unchanged.  The kernel copies it once and steps
     that copy in place: per kick, one loop adds the time shift to every
     phase and one applies the kick rule to every phase.  Returns the end
     phases (wrapped to [0, 2*pi), the reference at exactly 0), the kick
     events (only when ``record``), the (clock, time) of every kick and the
     cycle's period.
     """
-    # The reference is snapped onto the threshold; any other clock at exactly
-    # 0 kicks in the same opening instant, after it.  Mid-cycle, phases lie in
-    # [0, 2*pi]: exactly 2*pi is "due to kick now" and 0 is "just kicked".
-    psi = [TWO_PI] + [TWO_PI if p == 0.0 else p for p in psi[1:]]
+    # The opening rule: a clock at exactly 0 stands on the threshold and kicks
+    # now, the reference first by the tie order; one that reaches it with the
+    # returning reference ends at 0 and kicks at the next opening.  Mid-cycle,
+    # 2*pi is "due to kick now" (so in phases_before) and 0 is "just kicked".
+    psi = [TWO_PI if p == 0.0 else p for p in psi]
     clocks = range(len(psi))
     kicked = [False] * len(psi)
     events: list[KickEvent] = []
@@ -271,21 +274,21 @@ def run_cycle(
 ) -> CycleTrace:
     """Simulate one full cycle of the reference clock (index 0).
 
-    The input must have the reference at the threshold, meaning about to
-    kick.  A reference within 1e-9 of 0 or of 2*pi is taken as exactly 0,
-    and the offset is dropped: ``[5e-10, 1, 3]`` and ``[2*pi - 5e-10, 1, 3]``
-    give the end phases, kick times and period of ``[0, 1, 3]``; one farther
-    off raises ValueError.  Any other clock at exactly 0 is taken to kick
-    in the same instant, after the reference (ascending index).  Alternates
-    kicks and time shifts until the reference returns to the threshold,
-    which closes the cycle; the reference's next kick belongs to the
-    following cycle.
+    One rule opens the cycle: a clock at exactly 0 stands on the threshold
+    and kicks in the opening instant, in ascending index.  The reference
+    must be at exactly 0 (``-0.0`` too); any other reference phase, however
+    close to 0 or 2*pi, raises ValueError.  Alternates kicks and time shifts
+    until the reference returns to the threshold, which closes the cycle.
+    So a clock that reaches the threshold with the returning reference ends
+    at 0 and kicks at the next opening (this cycle has N-1 kicks), and a
+    clock due in the same instant as a kicker stands at 2*pi in that kick's
+    ``phases_before``.
 
     Raises RuntimeError if some clock would kick twice first, which cannot
     happen for identical clocks at small eps and signals bad parameters.
     """
     psi = ensemble.phases
-    if min(psi[0], TWO_PI - psi[0]) > 1e-9:
+    if psi[0] != 0.0:
         raise ValueError("the reference clock must start at the kick threshold")
     params = ensemble.params
     end, events, kick_times, period = _cycle(psi, params.epsilon, cycle_index, record)
@@ -301,14 +304,13 @@ def phase_differences(ensemble: ClockEnsemble) -> np.ndarray:
 
 def difference_vector(ensemble: ClockEnsemble) -> np.ndarray:
     """Differences of every clock to the reference, (psi_i - psi_0) mod 2*pi."""
-    return np.array(_differences(ensemble.phases))
+    psi = ensemble.phases
+    return np.array(_wrapped([p - psi[0] for p in psi[1:]]))
 
 
 def cyclic_gaps(ensemble: ClockEnsemble) -> np.ndarray:
     """Sorted gaps between consecutive clocks around the circle (sums to 2*pi)."""
-    ordered = np.sort(ensemble.phases)
-    gaps = np.diff(ordered, append=ordered[0] + TWO_PI)
-    return np.sort(gaps)
+    return _gaps(ensemble.phases, TWO_PI)
 
 
 def require_lock_tol(tol: float, name: str = "tol") -> None:
@@ -331,15 +333,15 @@ def run_until_locked(
     require_lock_tol(tol)
     require_integer(max_cycles, "max_cycles", 1)
     state = ensemble
-    prev = _differences(state.phases)
+    prev = state.phases[1:]
     locked = False
     recorded: list[KickEvent] = []
     for cycles in range(1, max_cycles + 1):
         trace = run_cycle(state, cycle_index=cycles - 1, record=record)
         recorded.extend(trace.events)
         state = trace.end_state
-        # A cycle ends with the reference at exactly 0, where the difference
-        # vector is the other clocks' phases as they stand.
+        # Every cycle starts and ends with the reference at exactly 0, where the
+        # difference vector is the other clocks' phases as they stand.
         cur = state.phases[1:]
         if max([abs(c - p) for c, p in zip(cur, prev)]) < tol:
             locked = True

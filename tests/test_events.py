@@ -6,13 +6,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from triclock import events
 from triclock.core import TWO_PI, CouplingParams, json_data, normalize_phase, three_clock_step
 from triclock.events import (
     ClockEnsemble,
+    CycleTrace,
     KickEvent,
     LockResult,
     cyclic_gaps,
@@ -166,12 +167,15 @@ class TestRunCycle:
         with pytest.raises(ValueError):
             run_cycle(ensemble([1.0, 2.0, 3.0]))
 
-    @pytest.mark.parametrize("reference", [5e-10, TWO_PI - 5e-10])
-    def test_reference_offset_within_1e_9_is_dropped(self, reference):
-        exact = run_cycle(ensemble([0.0, 1.0, 3.0]))
-        near = run_cycle(ensemble([reference, 1.0, 3.0]))
-        assert np.array(near.end_state.phases).tobytes() == np.array(exact.end_state.phases).tobytes()
-        assert (near.kick_times, near.period) == (exact.kick_times, exact.period)
+    @pytest.mark.parametrize("reference",
+                             [5e-10, TWO_PI - 5e-10, 5e-324, math.nextafter(TWO_PI, 0.0)])
+    def test_reference_off_zero_by_any_amount_is_refused(self, reference):
+        with pytest.raises(ValueError, match="reference clock must start at the kick threshold"):
+            run_cycle(ensemble([reference, 1.0, 3.0]))
+
+    def test_a_negative_zero_reference_is_on_the_threshold(self):
+        zero = run_cycle(ensemble([0.0, 1.0, 3.0]))
+        assert bits(run_cycle(ensemble([-0.0, 1.0, 3.0]))) == bits(zero)
 
     def test_clock_due_in_the_same_instant_is_at_two_pi_before(self):
         first = run_cycle(ensemble([0.0, 0.0, 3.0])).events[0]
@@ -324,6 +328,22 @@ class TestRunUntilLocked:
         # O(eps) offset from the splay point.
         assert np.max(np.abs(res.firing_gaps - TWO_PI / 3)) < 1e-6
         assert np.max(np.abs(res.differences - SPLAY[1:])) < 2.0 * 0.05
+
+    @settings(deadline=None, max_examples=60)
+    @given(eps=st.floats(0.02, 1 / 9, exclude_max=True),
+           x=st.floats(1e-6, TWO_PI - 1e-6), y=st.floats(1e-6, TWO_PI - 1e-6))
+    @example(eps=0.02, x=2.0, y=2.0 + 1e-6)
+    @example(eps=0.02, x=1e-6, y=TWO_PI - 1e-6)
+    def test_starts_off_the_edges_and_the_diagonal_lock_to_their_splay(self, eps, x, y):
+        """The paper's global claim on the exact oracle: a start at least
+        1e-6 off the edges and the diagonal locks, its kicks are splay
+        within 1e-6, and it keeps the orientation of its own triangle
+        (kicks never change the clocks' cyclic order)."""
+        assume(abs(x - y) >= 1e-6)
+        res = run_until_locked(ensemble([0.0, x, y], eps=eps), tol=1e-10, max_cycles=5000)
+        assert res.locked
+        assert np.max(np.abs(res.firing_gaps - TWO_PI / 3)) < 1e-6
+        assert (res.differences[0] < res.differences[1]) == (x < y)
 
     def test_diagonal_start_stays_on_diagonal(self):
         res = run_until_locked(ensemble([0.0, 2.0, 2.0]), tol=1e-8, max_cycles=5000)
@@ -484,7 +504,7 @@ def bits(value):
         return (value.dtype.str, value.shape, value.tobytes())
     if isinstance(value, float):
         return ("float", value.hex())
-    if isinstance(value, (LockResult, KickEvent, ClockEnsemble)):
+    if isinstance(value, (LockResult, KickEvent, ClockEnsemble, CycleTrace)):
         return (type(value).__name__, tuple(bits(v) for v in vars(value).values()))
     if isinstance(value, tuple):
         return tuple(bits(v) for v in value)
@@ -495,20 +515,16 @@ class TestLockLoop:
     @settings(deadline=None, max_examples=150)
     @given(
         phases=tie_states(),
-        reference=st.sampled_from((0.0, 5e-10, TWO_PI - 5e-10)),
         eps=st.floats(0.0, 0.11),
         tol=st.sampled_from((1e-12, 1e-8, 1e-4, 0.05, 1.0)),
         max_cycles=st.integers(1, 30),
     )
-    @example(phases=[0.0, 2.0, 2.0], reference=0.0, eps=0.05, tol=1e-8, max_cycles=30)
-    @example(phases=[0.0, 1.0, 3.0], reference=5e-10, eps=0.0, tol=1e-12, max_cycles=3)
-    @example(phases=[0.0, 0.0, 0.0, 0.0, 0.0, 0.0], reference=0.0, eps=0.11, tol=1e-8,
-             max_cycles=5)
-    def test_equals_the_pre_change_loop(self, phases, reference, eps, tol, max_cycles):
+    @example(phases=[0.0, 2.0, 2.0], eps=0.05, tol=1e-8, max_cycles=30)
+    @example(phases=[0.0, 0.0, 0.0, 0.0, 0.0, 0.0], eps=0.11, tol=1e-8, max_cycles=5)
+    def test_equals_the_pre_change_loop(self, phases, eps, tol, max_cycles):
         """Bit for bit, every field and every recorded event, with and
-        without recording; the reference may start up to 1e-9 off the
-        threshold, where the start's differences are not its phases."""
-        start = ensemble([reference] + phases[1:], eps=eps)
+        without recording, from starts with the reference at exactly 0."""
+        start = ensemble(phases, eps=eps)
         for record in (False, True):
             got = run_until_locked(start, tol=tol, max_cycles=max_cycles, record=record)
             want = pre_change_lock_loop(start, tol, max_cycles, record)

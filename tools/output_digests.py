@@ -51,9 +51,10 @@ clusters with differences near ``(2*pi, pi)`` and ``(pi, pi)``, a 5-clock
 ``--trace-out`` run to ``.jsonl`` and ``.csv`` at eps 0.5 from
 ``--phases 0,1.0,2.2,3.9,5.1`` with ``--tol 1e-10`` (730 kicks), and
 the refused runs ``--phases 0,nan,3.0``, ``0,7.0,1.0``,
-``0,6.283185307179586,1.0`` (a phase at ``2*pi``) and ``1.0,2.0,3.0``
-(the reference off the threshold) at eps 0.05 and ``--eps 1 --phases
-0,1,2``.  It ends with the
+``0,6.283185307179586,1.0`` (a phase at ``2*pi``), ``1.0,2.0,3.0``,
+``5e-10,1,3`` and ``6.2831853067,1,3`` (the reference off the threshold,
+the last two within 1e-9 of it) and ``--splay-tol 0`` and ``--splay-tol
+nan`` at eps 0.05, and ``--eps 1 --phases 0,1,2``.  It ends with the
 ``triclock`` command lines of the README's ``sh`` blocks, read from the
 checkout's README.md, in README order.
 Each command runs in an empty temporary directory, with
@@ -181,8 +182,11 @@ def sweep(readme: str) -> list[list[str]]:
     for trace in ("trace.jsonl", "trace.csv"):
         commands.append(["simulate", "--eps", "0.5", "--n-clocks", "5",
                          "--phases", "0,1.0,2.2,3.9,5.1", "--tol", "1e-10", "--trace-out", trace])
-    for phases in ("0,nan,3.0", "0,7.0,1.0", "0,6.283185307179586,1.0", "1.0,2.0,3.0"):
+    for phases in ("0,nan,3.0", "0,7.0,1.0", "0,6.283185307179586,1.0", "1.0,2.0,3.0",
+                   "5e-10,1,3", "6.2831853067,1,3"):
         commands.append(["simulate", "--eps", "0.05", "--phases", phases])
+    for splay_tol in ("0", "nan"):
+        commands.append(["simulate", "--eps", "0.05", "--splay-tol", splay_tol])
     commands.append(["simulate", "--eps", "1", "--phases", "0,1,2"])
     commands.extend(readme_examples(readme))
     return commands
