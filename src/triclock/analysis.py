@@ -46,8 +46,8 @@ for later calls in the process, each of which then does only its eps
 arithmetic, with the same operands in the same order:
 
 - each segment finds its drift roots once (:attr:`InvariantSegment.roots`)
-  and keeps its last sample set, ``t`` with its points and drift slope:
-  about 32 kB a segment at 1000 samples;
+  and keeps its last sample set, ``t`` with its points, drift and drift
+  slope: about 40 kB a segment at 1000 samples;
 - the upper Lyapunov lattice and the decrement's terms ``quad`` and
   ``lin`` on it (``DV = eps*eps*quad + eps*lin``) are kept for the last
   grid: about 1.5 MB at grid 300.
@@ -488,13 +488,14 @@ class InvariantSegment:
         found.flags.writeable = False
         return found
 
-    def _samples(self, samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``t``, ``point(t)`` and ``drift_derivative(t)`` on ``samples`` equal
-        steps of the domain, read-only; the last set is kept for the next call."""
+    def _samples(self, samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``t``, ``point(t)``, ``drift(t)`` and ``drift_derivative(t)`` on
+        ``samples`` equal steps of the domain, read-only; the last set is kept
+        for the next call."""
         kept = getattr(self, "_kept_samples", None)
         if kept is None or kept[0].size != samples:
             t = np.linspace(*self.domain, samples)
-            kept = (t, self.point(t), self.drift_derivative(t))
+            kept = (t, self.point(t), self.drift(t), self.drift_derivative(t))
             for a in kept:
                 a.flags.writeable = False
             object.__setattr__(self, "_kept_samples", kept)
@@ -570,8 +571,8 @@ def verify_invariance(
     Passes when the worst perpendicular deviation stays below
     ``DEVIATION_TOL`` and the restriction map is strictly increasing (its
     slope 1 + eps * q'(t) stays positive on a dense sample).  The samples
-    ``t``, their points and drift slope do not depend on eps; the segment
-    keeps its last set.
+    ``t``, their points, drift and drift slope do not depend on eps; the
+    segment keeps its last set.
 
     Given a sequence of segments, it checks them all with one map call on
     their stacked samples and returns their checks as a tuple, in order;
@@ -591,7 +592,7 @@ def _check_segments(segments: tuple[InvariantSegment, ...], params: CouplingPara
     if not segments:
         return ()
     kept = [seg._samples(samples) for seg in segments]
-    pts = np.stack([points for _, points, _ in kept])
+    pts = np.stack([points for _, points, _, _ in kept])
     w = three_clock_step(pts, params) - np.array([seg.origin for seg in segments])[:, None]
     direction = np.array([seg.direction for seg in segments])
     dx, dy = direction[:, :1], direction[:, 1:]
@@ -601,9 +602,10 @@ def _check_segments(segments: tuple[InvariantSegment, ...], params: CouplingPara
     dev = np.abs(dy * w[..., 0] - dx * w[..., 1]) / norm
     worst = np.argmax(dev, axis=1)
     checks = []
-    for seg, (t, points, drift_slope), row, i in zip(segments, kept, dev, worst):
+    for seg, (t, points, drift, drift_slope), row, i in zip(segments, kept, dev, worst):
         slope = 1.0 + params.epsilon * drift_slope
-        restricted = seg.restriction(t, params)
+        # seg.restriction(t, params), with the same operands in the same order.
+        restricted = t + params.epsilon * drift
         monotone = bool(np.all(np.diff(restricted) > 0.0) and np.all(slope > 0.0))
         checks.append(InvarianceCheck(
             name=seg.name,

@@ -377,7 +377,7 @@ def _bounds(check: Any) -> str:
 
 def _cmd_andronov(o: argparse.Namespace) -> Report:
     params = CouplingParams(epsilon=0.0, mu=o.mu, h=o.h)
-    require_basin_velocity(o.v0, params, "v0")
+    require_basin_velocity(o.v0, params, "--v0")
     vf = andronov_fixed_point(params)
     rows = []
     v = o.v0

@@ -23,16 +23,11 @@ and the main diagonal are invariant sets that the analysis layer has to
 see exactly.  A separate
 :func:`normalize_phase` exists for absolute clock phases, which do wrap.
 
-The array step allocates only two arrays, each of two rows: one takes
-the sines of ``x`` and ``y``, then ``sin(x - y)``, then ``(f, g)`` and
-then the image, all in place, and the other is scratch.  It snaps both
-coordinates in one pass, and runs the edge snap's rule only where it
-can move a coordinate (see :func:`_snap_to_edges`).
-
 :func:`three_clock_step_centred` is the same map in the centred
 coordinates ``u = x - pi``, ``v = y - pi`` of the square ``[-pi, pi]**2``,
-built the same way.  There both mirror symmetries of the map are exact in
-floats: the transpose ``(u, v) -> (v, u)`` and the anti-transpose
+and the package's one step formed in place, since the basin raster runs
+it on whole lattices.  There both mirror symmetries of the map are exact
+in floats: the transpose ``(u, v) -> (v, u)`` and the anti-transpose
 ``(u, v) -> (-v, -u)`` only swap and negate, and the basin raster
 classifies a quarter of its lattice on that.
 """
@@ -173,12 +168,8 @@ def omega_field(p) -> np.ndarray:
     Accepts any ``(..., 2)`` array and broadcasts.
     """
     p = np.asarray(p, dtype=float)
-    return np.concatenate(omega_field_xy(p[..., :1], p[..., 1:2]), axis=-1)
-
-
-def _rows(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The two rows of ``q`` as writable views (0-d views when ``q`` is 1-D)."""
-    return q[0, ...], q[1, ...]
+    f, g = omega_field_xy(p[..., 0], p[..., 1])
+    return np.stack((f, g), axis=-1)
 
 
 def omega_field_xy(x, y) -> np.ndarray:
@@ -187,30 +178,17 @@ def omega_field_xy(x, y) -> np.ndarray:
     ``shape`` is the broadcast shape of ``x`` and ``y``, so its rows unpack
     as ``f, g``.
 
-    It is formed in place in that array and one scratch array of its size,
-    with the operands and order of ``2*sx + sy + sxy`` and
+    It has the operands and order of ``2*sx + sy + sxy`` and
     ``sx + 2*sy + (0.0 - sxy)``.
     """
-    q = np.empty((2,) + np.broadcast(x, y).shape)
-    t = np.empty_like(q)
-    sx, sy = _rows(q)
-    np.sin(x, out=sx)
-    np.sin(y, out=sy)
-    np.multiply(2.0, q, out=t)
-    two_sx, two_sy = _rows(t)
-    np.add(two_sx, sy, out=two_sx)
-    np.add(sx, two_sy, out=two_sy)
-    # t holds 2*sx + sy and sx + 2*sy; the rows of q take sxy and 0.0 - sxy.
+    sx = np.sin(x)
+    sy = np.sin(y)
+    sxy = np.sin(x - y)
     # 0.0 - sxy, not -sxy: the two differ only where sxy is a zero, and there
     # 0.0 - sxy is +0, as sin(y - x) is, except at x = +0, y = -0, where the
     # +0 of sx + 2*sy absorbs either sign.  So g(x, y) == f(y, x) bit for bit,
     # signed zeros included, since the sine is odd and IEEE addition commutes.
-    sxy, neg_sxy = _rows(q)
-    np.subtract(x, y, out=sxy)
-    np.sin(sxy, out=sxy)
-    np.subtract(0.0, sxy, out=neg_sxy)
-    np.add(t, q, out=q)
-    return q
+    return np.array((2.0 * sx + sy + sxy, sx + 2.0 * sy + (0.0 - sxy)))
 
 
 def omega_jacobian(p) -> np.ndarray:
@@ -262,19 +240,15 @@ def three_clock_step(p, params: CouplingParams) -> np.ndarray:
     For ``p`` in the closed square S and eps < 1/9 the image stays in S and
     edge points stay on their edge; coordinates within ``BOUNDARY_SNAP_TOL``
     of 0 or 2*pi are snapped onto the boundary to keep that exact under
-    rounding.  ``x + eps*f`` and ``y + eps*g`` are formed in the array of
-    :func:`omega_field_xy` on the two columns of ``p``, both coordinates are
-    snapped in one pass, and the two rows are joined back into a ``(..., 2)``
-    array; ``p`` is only read.
+    rounding.  ``p`` is any ``(..., 2)`` array and is only read.
     """
     p = np.asarray(p, dtype=float)
-    x, y = p[..., :1], p[..., 1:2]
-    q = omega_field_xy(x, y)
-    f, g = _rows(q)
-    np.multiply(params.epsilon, q, out=q)
-    np.add(x, f, out=f)
-    np.add(y, g, out=g)
-    return np.concatenate(_snap_to_edges(q), axis=-1)
+    return _snap_to_edges(p + params.epsilon * omega_field(p))
+
+
+def _rows(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two rows of ``q`` as writable views (0-d views when ``q`` is 1-D)."""
+    return q[0, ...], q[1, ...]
 
 
 def three_clock_step_centred(u, v, params: CouplingParams) -> tuple[np.ndarray, np.ndarray]:
@@ -286,8 +260,9 @@ def three_clock_step_centred(u, v, params: CouplingParams) -> tuple[np.ndarray, 
 
     The field ``f = (0.0 - (2*su + sv)) + suv``, ``g = (0.0 - (su + 2*sv))
     - suv`` (``su = sin(u)``, ``sv = sin(v)``, ``suv = sin(u - v)``) is
-    formed in place as in :func:`omega_field_xy`, and coordinates within
-    ``BOUNDARY_SNAP_TOL`` of -pi or pi are snapped onto that edge.
+    formed in place in the returned array and one scratch array of its
+    size, and coordinates within ``BOUNDARY_SNAP_TOL`` of -pi or pi are
+    snapped onto that edge.
     Negation is exact, IEEE addition commutes, ``a - b`` is ``a + (-b)``,
     the sine is odd bit for bit and ``0.0 - a`` is never -0, so the step
     commutes with the transpose ``(u, v) -> (v, u)`` bit for bit and with

@@ -880,6 +880,13 @@ class TestEpsFreeCaches:
         assert restriction_fixed_points(seg).tobytes() == want_roots
         assert verify_invariance(seg, p, samples=17).worst_point.tobytes() == want_worst
 
+    def test_kept_drift_is_the_segments_drift(self):
+        # verify forms the restriction t + eps*drift from the kept drift.
+        for seg in invariant_segments():
+            t, _, drift, _ = seg._samples(1000)
+            assert not drift.flags.writeable
+            assert drift.tobytes() == seg.drift(t).tobytes()
+
     @pytest.mark.parametrize("kept", [True, False])
     def test_a_non_integer_size_is_refused_whatever_is_kept(self, kept):
         # A float equal to an integer would match that integer's kept data

@@ -577,25 +577,25 @@ class TestAndronov:
         monkeypatch.setattr(cli, "andronov_step", refuse)
         code, out, err = run_cli(capsys, "andronov", "--v0", v0)
         assert (code, out) == (2, "")
-        assert err == f"triclock: error: v0={float(v0)} is not finite\n"
+        assert err == f"triclock: error: --v0={float(v0)} is not finite\n"
 
     def test_separate_negative_infinity_reaches_the_finite_check(self, capsys):
         code, out, err = run_cli(capsys, "andronov", "--v0", "-inf")
         assert (code, out) == (2, "")
-        assert err == "triclock: error: v0=-inf is not finite\n"
+        assert err == "triclock: error: --v0=-inf is not finite\n"
 
     def test_separate_negative_exponent_reaches_the_basin_check(self, capsys):
         code, out, err = run_cli(capsys, "andronov", "--v0", "-1e-3")
         assert (code, out) == (2, "")
-        assert err == ("triclock: error: v0=-0.001 is outside the limit-cycle basin "
-                       "(requires v0 > 4*mu = 0.4)\n")
+        assert err == ("triclock: error: --v0=-0.001 is outside the limit-cycle basin "
+                       "(requires --v0 > 4*mu = 0.4)\n")
 
     def test_abbreviated_flag_takes_a_separate_negative_number(self, capsys):
         # argparse reads "--v" as "--v0", the one option it abbreviates.
         code, out, err = run_cli(capsys, "andronov", "--v", "-1e-3")
         assert (code, out) == (2, "")
-        assert err == ("triclock: error: v0=-0.001 is outside the limit-cycle basin "
-                       "(requires v0 > 4*mu = 0.4)\n")
+        assert err == ("triclock: error: --v0=-0.001 is outside the limit-cycle basin "
+                       "(requires --v0 > 4*mu = 0.4)\n")
 
     def test_abbreviated_int_flag_takes_a_separate_negative_number(self, capsys):
         code, out, err = run_cli(capsys, "andronov", "--v0", "5", "--st", "-1")

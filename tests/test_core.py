@@ -331,8 +331,9 @@ class TestThreeClockStep:
         eps=st.floats(1e-8, 1 / 9, exclude_min=True, exclude_max=True),
     )
     def test_scalar_step_is_the_same_map(self, pts, eps):
-        # The census and orbits step floats; the raster steps arrays.  Both
-        # must walk the same orbit, snapping included.
+        # The census and orbits step floats and verify steps square arrays
+        # (the raster steps centred ones).  Both must walk the same orbit,
+        # snapping included.
         stepped = [three_clock_step_scalar(x, y, eps) for x, y in pts.tolist()]
         assert all(type(v) is float for xy in stepped for v in xy)
         expected = three_clock_step(pts, CouplingParams(epsilon=eps))
@@ -462,7 +463,7 @@ def oracle_point_arrays(draw):
 
 
 class TestInPlaceStepOracle:
-    """The in-place step and the gated snap equal the plain formula bit for
+    """The array steps and the gated snap equal the plain formula bit for
     bit, and leave their inputs untouched."""
 
     @settings(deadline=None, max_examples=200)
@@ -516,6 +517,34 @@ class TestInPlaceStepOracle:
             assert gx.tobytes() == ex.tobytes() and gy.tobytes() == ey.tobytes()
             f, g = omega_field_xy(x, y)
             assert f.shape == g.shape == ex.shape
+
+    @settings(deadline=None, max_examples=50)
+    @given(pts=oracle_point_arrays(), eps=oracle_eps)
+    def test_a_stack_steps_as_its_rows(self, pts, eps):
+        # verify steps its segments' samples as one (k, n, 2) stack; the
+        # snap's gate sees the whole stack, a row call only its row.
+        params = CouplingParams(epsilon=eps)
+        n = len(pts) // 3
+        stack = pts[: 3 * n].reshape(3, n, 2)
+        rows = np.stack([three_clock_step(row, params) for row in stack])
+        assert three_clock_step(stack, params).tobytes() == rows.tobytes()
+
+    def test_a_step_needs_two_coordinates(self):
+        params = CouplingParams(epsilon=0.05)
+        for p in (np.zeros((4, 3)), np.zeros((4, 1)), np.zeros(3)):
+            with pytest.raises((ValueError, IndexError)):
+                three_clock_step(p, params)
+
+    @settings(deadline=None, max_examples=50)
+    @given(pts=oracle_point_arrays())
+    def test_field_of_a_column_and_a_row(self, pts):
+        # The outer form (2, n, m) in float64, each element the 0-d call's.
+        x, y = pts[:12, 0], pts[-7:, 1]
+        w = omega_field_xy(x[:, None], y[None, :])
+        assert w.shape == (2, len(x), len(y)) and w.dtype == np.float64
+        each = np.array([[omega_field_xy(x[i, ...], y[j, ...]) for j in range(len(y))]
+                         for i in range(len(x))])
+        assert np.moveaxis(each, -1, 0).tobytes() == w.tobytes()
 
     @settings(deadline=None, max_examples=200)
     @given(pts=oracle_point_arrays())

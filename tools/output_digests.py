@@ -12,7 +12,9 @@ in JSON with Lyapunov lattices of 100, 101 and 301 per side at couplings
 couplings 0.05, 0.011, 0.05 and 0.109, each revisited, with ``--grid``
 300, 100 and 300 and then ``--samples`` 1000, 17 and 1000 (so a coupling
 meets lattice terms and segment samples that an earlier command kept,
-evicted and rebuilt, as calls in one process do), ``fixed-points`` in JSON
+evicted and rebuilt, as calls in one process do), in JSON at coupling
+0.05 with ``--samples 2``, the fewest the segment check takes, and at
+coupling 0.1111, the top of the analysis range, ``fixed-points`` in JSON
 and CSV at 4 couplings and seed grids 16, 33 and 50, ``portrait`` with all
 five layers, with each layer alone, with the heteroclinics alone at
 couplings 0.02 and 0.1, with the rejected ``--layers ''`` and
@@ -106,6 +108,8 @@ def sweep(readme: str) -> list[list[str]]:
         for extra in (["--grid", "300"], ["--grid", "100"], ["--grid", "300"],
                       ["--samples", "1000"], ["--samples", "17"], ["--samples", "1000"]):
             commands.append(["verify", "--eps", eps, *extra, "--format", "json"])
+    commands.append(["verify", "--eps", "0.05", "--samples", "2", "--format", "json"])
+    commands.append(["verify", "--eps", "0.1111", "--format", "json"])
     for eps in ("0.01", "0.035", "0.07", "0.105"):
         for grid in ("16", "33", "50"):
             for fmt in ("json", "csv"):
