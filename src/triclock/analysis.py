@@ -14,15 +14,15 @@ certify the global pull toward the splay attractors; their decrement per
 step is evaluated in expanded form to avoid cancellation.
 
 Single orbits run on Python floats: the census traces the 2-D orbits
-through :func:`~triclock.core.three_clock_step_scalar` and takes the
-record of the fixed-point row each lands on.  Each segment is a row of
-drift coefficients ``(a, b, c)`` of ``a*sin(t) + b*sin(c*t)``, whose
-drift picks ``math.sin`` for a float, as in the segment orbits and root
-bisection, and ``np.sin`` for an array.  The Lyapunov scan lists its
-triangle's lattice nodes by index, as two 1-D coordinate arrays, and
-evaluates the decrement on them directly, in the same operation order
-as :func:`orbital_derivative`, which checks its points and calls the
-same code.
+through :func:`~triclock.core.three_clock_step_scalar`, and every orbit
+end, traced or a segment root, takes the record of its fixed-point row.
+Each segment is a row of drift coefficients ``(a, b, c)`` of ``a*sin(t)
++ b*sin(c*t)``, whose drift picks ``math.sin`` for a float, as in the
+segment orbits and root bisection, and ``np.sin`` for an array.  The
+Lyapunov scan lists its triangle's lattice nodes by index, as two 1-D
+coordinate arrays, and evaluates the decrement on them directly, in the
+same operation order as :func:`orbital_derivative`, which checks its
+points and calls the same code.
 
 Work on many fixed points or segments is one array pass per kind, and
 the one-item calls are its one-row form: :func:`classify_rows` makes one
@@ -63,6 +63,7 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Literal, Sequence
 
@@ -684,16 +685,24 @@ def _seed_point(source: FixedPointRecord, direction) -> np.ndarray:
     return np.asarray(source.location, dtype=float) + SEED_STEP * (v / norm)
 
 
+def _fixed_row(x: float, y: float) -> int | None:
+    """The row of ``_FIXED_POINTS`` within ``CAPTURE_TOL`` (max-norm) of ``(x, y)``,
+    or None; the eleven lie at least pi/3 apart, so at most one qualifies."""
+    for j, (fx, fy) in enumerate(_FIXED_XY):
+        if max(abs(fx - x), abs(fy - y)) <= CAPTURE_TOL:
+            return j
+    return None
+
+
 def _trace(source: FixedPointRecord, seed: np.ndarray, params: CouplingParams
            ) -> tuple[np.ndarray, int]:
     """The samples of the orbit from ``seed`` (in the square) that
     :func:`trace_heteroclinic` follows, and the row of ``_FIXED_POINTS`` it
-    lands on."""
+    lands on: any row but the source's own, if the source has one."""
     max_iter = default_max_iterations(params)
-    fp_xy, fp_x = _FIXED_XY, _FIXED_X
-    src_x, src_y = (float(v) for v in source.location)
+    fp_x = _FIXED_X
+    src_row = _fixed_row(*(float(v) for v in source.location))
     last = len(fp_x) - 1
-    off_source = [max(abs(fx - src_x), abs(fy - src_y)) > CAPTURE_TOL for fx, fy in fp_xy]
     eps = params.epsilon
     x, y = float(seed[0]), float(seed[1])
     samples = [(x, y)]
@@ -708,10 +717,8 @@ def _trace(source: FixedPointRecord, seed: np.ndarray, params: CouplingParams
         i = bisect_left(fp_x, x)
         if (i > last or fp_x[i] - x > CAPTURE_TOL) and (i == 0 or x - fp_x[i - 1] > CAPTURE_TOL):
             continue
-        dists = [max(abs(fx - x), abs(fy - y)) for fx, fy in fp_xy]
-        nearest = min(dists)
-        j = dists.index(nearest)  # the first minimum, as np.argmin
-        if nearest <= CAPTURE_TOL and off_source[j]:
+        j = _fixed_row(x, y)
+        if j is not None and j != src_row:
             return np.array(samples), j
     raise RuntimeError(
         f"no fixed point captured within {max_iter} iterations from "
@@ -742,7 +749,8 @@ def heteroclinic_census(params: CouplingParams) -> HeteroclinicCensus:
     between the remaining fixed points live inside the invariant segments
     and are enumerated from the segment restriction dynamics; a segment
     orbit is not built when its endpoints make it saddle-to-attractor,
-    since tracing has already found that connection.
+    since tracing has already found that connection.  Each orbit end takes
+    its :func:`known_fixed_points` row's record, the eleven classified at once.
 
     The map and the capture test commute with the swap ``(x, y) -> (y, x)``
     bit for bit, so 3 orbits are traced.  A saddle whose mirror has an
@@ -754,9 +762,6 @@ def heteroclinic_census(params: CouplingParams) -> HeteroclinicCensus:
     """
     params.require_analysis_range()
     records = classify_rows(_FIXED_POINTS, params)
-    # Keyed by the exact floats (signed zeros apart), so every record is what
-    # classify gives.
-    by_location = {rec.location.tobytes(): rec for rec in records}
     restricted: dict[tuple, list[float]] = {}  # (coefficients, t_src, t_dst) -> orbit
     orbits: list[HeteroclinicOrbit] = []
     paths: dict[int, list[tuple[np.ndarray, int]]] = {}  # saddle row -> samples, landing row
@@ -775,13 +780,9 @@ def heteroclinic_census(params: CouplingParams) -> HeteroclinicCensus:
         orbits.extend(HeteroclinicOrbit(rec, records[j], s) for s, j in paths[i])
     for segment in invariant_segments():
         ts = [float(t) for t in segment.roots]
-        # Each root's record: the table's, or classify's off the table's rows.
-        located = [by_location.get(point.tobytes()) or classify(point, params)
-                   for point in map(segment.point, ts)]
+        located = [records[_fixed_row(*point)] for point in map(segment.point, ts)]
         for i in range(len(ts) - 1):
             qm = segment.drift(0.5 * (ts[i] + ts[i + 1]))
-            if qm == 0.0:
-                continue
             src, dst = (i, i + 1) if qm > 0.0 else (i + 1, i)
             if _orbit_kind(located[src], located[dst]) != "sa":  # found by tracing
                 key = (segment.coefficients, ts[src], ts[dst])
@@ -789,10 +790,7 @@ def heteroclinic_census(params: CouplingParams) -> HeteroclinicCensus:
                     restricted[key] = _restriction_orbit(segment, ts[src], ts[dst], params)
                 orbits.append(HeteroclinicOrbit(located[src], located[dst],
                                                 segment.point(restricted[key])))
-    counts: dict[str, int] = {}
-    for orbit in orbits:
-        counts[orbit.kind] = counts.get(orbit.kind, 0) + 1
-    return HeteroclinicCensus(orbits=tuple(orbits), counts=counts)
+    return HeteroclinicCensus(orbits=tuple(orbits), counts=dict(Counter(o.kind for o in orbits)))
 
 
 # ---------------------------------------------------------------------------

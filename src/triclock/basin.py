@@ -96,8 +96,6 @@ from .core import (
 
 __all__ = [
     "LABEL_NAMES",
-    "ATTRACTOR_UPPER",
-    "ATTRACTOR_LOWER",
     "BasinGrid",
     "classify_point",
     "rasterize",
@@ -110,9 +108,6 @@ __all__ = [
 
 _UPPER, _LOWER, _BOUNDARY, _UNRESOLVED = 0, 1, 2, 3
 LABEL_NAMES = ("upper", "lower", "boundary", "unresolved")
-
-ATTRACTOR_UPPER = np.array([2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0])
-ATTRACTOR_LOWER = np.array([4.0 * math.pi / 3.0, 2.0 * math.pi / 3.0])
 
 # The attractors in centred coordinates, from one float and its negation:
 # (label, u, v), upper before lower.

@@ -75,8 +75,11 @@ def _read_config(path: str) -> dict[str, str]:
 
 
 def _analysis_params(eps: float) -> CouplingParams:
-    params = CouplingParams(epsilon=eps)
-    params.require_analysis_range()
+    try:
+        params = CouplingParams(epsilon=eps)
+        params.require_analysis_range()
+    except ValueError as exc:
+        raise ValueError(f"--eps: {exc}") from exc
     return params
 
 
@@ -227,7 +230,10 @@ def _cmd_simulate(o: argparse.Namespace) -> Report:
     if o.phases is None and o.deg:
         raise ValueError("--deg applies only to --phases; random starts are drawn in radians")
     if o.phases is not None:
-        values = [float(v) for v in o.phases.split(",")]
+        try:
+            values = [float(v) for v in o.phases.split(",")]
+        except ValueError as exc:
+            raise ValueError(f"--phases: {exc}") from exc
         if len(values) != n:
             raise ValueError(f"--phases lists {len(values)} values for {n} clocks")
         starts.append(np.asarray([math.radians(v) for v in values] if o.deg else values))
@@ -297,8 +303,8 @@ def _cmd_simulate(o: argparse.Namespace) -> Report:
 # verify
 # ---------------------------------------------------------------------------
 
-def _couplings(text: str) -> tuple[float, ...]:
-    """``verify``'s ``--eps``: one coupling, or several separated by commas."""
+def couplings(text: str) -> tuple[float, ...]:
+    """``verify``'s ``--eps``, couplings split at commas; argparse's refusal names the type."""
     return tuple(map(float, text.split(",")))
 
 
@@ -477,7 +483,7 @@ _COMMANDS = {
         ("--deg", bool, False, "interpret --phases in degrees"),
     )),
     "verify": ("invariance, census, and Lyapunov checks", _cmd_verify, ("text", "json"), (
-        ("--eps", _couplings, _REQUIRED, "coupling strength, or comma-separated couplings"),
+        ("--eps", couplings, _REQUIRED, "coupling strength, or comma-separated couplings"),
         ("--samples", int, 1000, "samples per segment", 2),
         ("--grid", int, 300, "Lyapunov lattice per side", 100),
     )),
@@ -576,7 +582,7 @@ def _join_numbers(argv: list[str]) -> list[str]:
 
     def numeric(arg: str) -> bool:
         matches = [arg] if arg in kinds else [f for f in kinds if f.startswith(arg)]
-        return len(matches) == 1 and kinds[matches[0]] in (int, float, _couplings)
+        return len(matches) == 1 and kinds[matches[0]] in (int, float, couplings)
 
     out: list[str] = []
     for arg in argv:

@@ -494,6 +494,24 @@ class TestTraceHeteroclinic:
         orbit = trace_heteroclinic(rec, (2.0, 1.0), p)
         assert orbit.samples.shape[0] - 1 <= default_max_iterations(p)
 
+    def test_a_source_off_its_row_by_rounding_traces_as_the_table_row(self):
+        # A source record one ulp off (pi, pi) still excludes the row it
+        # rounds to: from the same seed, the orbit and its target match the
+        # table source's (trace_heteroclinic seeds off the record's own
+        # floats, so its samples differ in the last bit).
+        p = params()
+        table = classify((PI, PI), p)
+        nudged = classify((math.nextafter(PI, 4.0), PI), p)
+        assert nudged.location.tobytes() != table.location.tobytes()
+        for direction in ((-1.0, 1.0), (1.0, -1.0)):
+            want = trace_heteroclinic(table, direction, p)
+            seed = analysis._seed_point(table, direction)
+            got_samples, j = analysis._trace(nudged, seed, p)
+            assert got_samples.tobytes() == want.samples.tobytes()
+            assert known_fixed_points()[j].tobytes() == want.target.location.tobytes()
+            got = trace_heteroclinic(nudged, direction, p)
+            assert got.target.location.tobytes() == want.target.location.tobytes()
+
     @settings(deadline=None, max_examples=20)
     @given(eps=st.floats(0.01, 1 / 9, exclude_max=True))
     def test_mirror_seed_gives_the_mirror_orbit(self, eps):
@@ -555,16 +573,42 @@ class TestHeteroclinicCensus:
         assert on_edges == 8 and on_diag == 2
 
     def test_each_location_is_classified_once(self, monkeypatch):
-        # The eleven fixed points, and three segment endpoints whose floats
-        # differ from the table's: the traced orbits add no classification.
+        # The eleven fixed points in one batch: the traced orbits and the
+        # segment roots take their rows' records and add no classification.
         # classify is the one-row call of classify_rows, so rows are counted.
         real = analysis.classify_rows
         rows = []
         monkeypatch.setattr(analysis, "classify_rows",
                             lambda locs, p: rows.append(len(locs)) or real(locs, p))
         assert heteroclinic_census(params()).counts == {"sa": 6, "rs": 10, "ra": 2}
-        assert sum(rows) == 14
-        assert rows == [11, 1, 1, 1]
+        assert rows == [11]
+
+    def test_every_segment_root_lies_on_one_table_row(self):
+        # The census names each segment root by the one table row within
+        # CAPTURE_TOL of it; the roots are found by their own scan and
+        # bisection, so this checks the table against the drift.
+        table = known_fixed_points()
+        for segment in invariant_segments():
+            for t in segment.roots:
+                dist = np.max(np.abs(table - segment.point(float(t))), axis=-1)
+                assert np.count_nonzero(dist < 1e-12) == 1, (segment.name, t)
+                assert analysis._fixed_row(*segment.point(float(t))) == int(np.argmin(dist))
+
+    def test_the_drift_is_nonzero_between_consecutive_roots(self):
+        # The census orients each segment orbit by the drift's sign at the
+        # midpoint of its two roots, which is never zero.
+        for segment in invariant_segments():
+            ts = [float(t) for t in segment.roots]
+            for lo, hi in zip(ts, ts[1:]):
+                assert segment.drift(0.5 * (lo + hi)) != 0.0, (segment.name, lo, hi)
+
+    def test_fixed_row_is_the_one_row_within_the_capture_tolerance(self):
+        table = known_fixed_points()
+        for j, (fx, fy) in enumerate(table):
+            assert analysis._fixed_row(fx, fy) == j
+            assert analysis._fixed_row(fx + analysis.CAPTURE_TOL * 0.5, fy) == j
+        assert analysis._fixed_row(1.0, 2.0) is None
+        assert analysis._fixed_row(PI + 2 * analysis.CAPTURE_TOL, PI) is None
 
     def test_kind_comes_from_the_endpoints(self, census):
         orbit = census.orbits[0]

@@ -13,10 +13,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from triclock import basin
-from triclock.analysis import default_max_iterations, lyapunov_value
+from triclock.analysis import default_max_iterations, known_fixed_points, lyapunov_value
 from triclock.basin import (
-    ATTRACTOR_LOWER,
-    ATTRACTOR_UPPER,
     LABEL_NAMES,
     BasinGrid,
     classify_point,
@@ -30,7 +28,9 @@ from triclock.cli import main as cli_main
 from triclock.core import TWO_PI, CouplingParams, three_clock_step, three_clock_step_centred
 
 PI = math.pi
-# The attractors in the classifier's centred coordinates u = x - pi, v = y - pi.
+# The splay attractors, rows 1 and 2 of the fixed-point table, and the same
+# two in the classifier's centred coordinates u = x - pi, v = y - pi.
+ATTRACTOR_UPPER, ATTRACTOR_LOWER = known_fixed_points()[1:3]
 CENTRED_UPPER, CENTRED_LOWER = (-PI / 3, PI / 3), (PI / 3, -PI / 3)
 
 

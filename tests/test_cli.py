@@ -479,6 +479,24 @@ class TestVerify:
         assert (code, out, calls) == (2, "", [])
         assert err.startswith("triclock: error: ")
 
+    def test_census_names_each_fixed_point_by_the_tables_floats(self, capsys):
+        # Every orbit end, traced or a segment root, is spelled as its row of
+        # the fixed-point table: eleven points, eleven spellings.
+        table = {tuple(map(repr, row)) for row in analysis.known_fixed_points().tolist()}
+        opts = ("--samples", "2", "--grid", "100", "--format", "json")
+        reports = []
+        for eps in ("0.011", "0.05", "0.109"):
+            code, out, _ = run_cli(capsys, "verify", "--eps", eps, *opts)
+            assert code == 0
+            reports.append(json.loads(out))
+        code, out, _ = run_cli(capsys, "verify", "--eps", "0.011,0.05,0.109", *opts)
+        assert code == 0
+        reports.extend(json.loads(out))
+        for report in reports:
+            ends = {tuple(map(repr, orbit[end])) for orbit in report["census"]["orbits"]
+                    for end in ("source", "target")}
+            assert ends == table and len(ends) == 11
+
     @pytest.mark.parametrize("couplings", ["0.05,", "0.05,x", ""])
     def test_a_malformed_coupling_is_a_parser_error(self, capsys, couplings):
         with pytest.raises(SystemExit) as exc:
@@ -541,6 +559,49 @@ class TestVerify:
             f"FAIL  max_df=2.500e-09  zero_set=7  (max_df=2.500e-09 > 1e-12; {bound})"
         )
         assert lines["lower"].endswith(f"zero_set=7  ({bound})")
+
+
+# A refused --eps or --phases names its flag, exits 2 and writes no --out file.
+REFUSED_VALUES = [
+    (["verify", "--eps", "0.2"],
+     "triclock: error: --eps: epsilon=0.2 outside the analysis range"),
+    (["verify", "--eps", "0.05,0.2"],
+     "triclock: error: --eps: epsilon=0.2 outside the analysis range"),
+    (["fixed-points", "--eps", "-1"],
+     "triclock: error: --eps: epsilon must be finite and >= 0, got -1.0\n"),
+    (["basins", "--eps", "nan"],
+     "triclock: error: --eps: epsilon must be finite and >= 0, got nan\n"),
+    (["step", "--eps", "0", "--x", "1", "--y", "2"],
+     "triclock: error: --eps: epsilon=0.0 outside the analysis range"),
+    (["portrait", "--eps", "5"],
+     "triclock: error: --eps: epsilon=5.0 outside the analysis range"),
+    (["verify", "--eps", "0.05,,0.06"],
+     "triclock verify: error: argument --eps: invalid couplings value: '0.05,,0.06'\n"),
+    (["simulate", "--eps", "0.05", "--phases", "0,1,"],
+     "triclock: error: --phases: could not convert string to float: ''\n"),
+]
+
+
+@pytest.mark.parametrize("argv, message", REFUSED_VALUES,
+                         ids=[shlex.join(argv) for argv, _ in REFUSED_VALUES])
+def test_a_refused_value_names_its_flag(argv, message, capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("TRICLOCK_OUTDIR", str(tmp_path))
+    try:
+        code = main([*argv, "--out", "out.txt"])
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert message in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_malformed_coupling_in_a_config_file_names_its_key(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("eps = 0.05,,x\n")
+    code, out, err = run_cli(capsys, "verify", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == "triclock: error: config key 'eps': could not convert string to float: ''\n"
 
 
 # ---------------------------------------------------------------------------

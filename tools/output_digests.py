@@ -56,7 +56,12 @@ the refused runs ``--phases 0,nan,3.0``, ``0,7.0,1.0``,
 ``0,6.283185307179586,1.0`` (a phase at ``2*pi``), ``1.0,2.0,3.0``,
 ``5e-10,1,3`` and ``6.2831853067,1,3`` (the reference off the threshold,
 the last two within 1e-9 of it) and ``--splay-tol 0`` and ``--splay-tol
-nan`` at eps 0.05, and ``--eps 1 --phases 0,1,2``.  It ends with the
+nan`` at eps 0.05, and ``--eps 1 --phases 0,1,2``.  Then the refused
+couplings of the analysis commands, ``verify --eps 0.2``, ``verify --eps
+0.05,0.2``, ``fixed-points --eps -1``, ``basins --eps nan``, ``step --eps
+0 --x 1 --y 2`` and ``portrait --eps 5``, and the malformed lists
+``verify --eps 0.05,,0.06`` and ``simulate --eps 0.05 --phases 0,1,``.
+It ends with the
 ``triclock`` command lines of the README's ``sh`` blocks, read from the
 checkout's README.md, in README order.
 Each command runs in an empty temporary directory, with
@@ -192,6 +197,11 @@ def sweep(readme: str) -> list[list[str]]:
     for splay_tol in ("0", "nan"):
         commands.append(["simulate", "--eps", "0.05", "--splay-tol", splay_tol])
     commands.append(["simulate", "--eps", "1", "--phases", "0,1,2"])
+    commands.extend([["verify", "--eps", "0.2"], ["verify", "--eps", "0.05,0.2"],
+                     ["fixed-points", "--eps", "-1"], ["basins", "--eps", "nan"],
+                     ["step", "--eps", "0", "--x", "1", "--y", "2"],
+                     ["portrait", "--eps", "5"], ["verify", "--eps", "0.05,,0.06"],
+                     ["simulate", "--eps", "0.05", "--phases", "0,1,"]])
     commands.extend(readme_examples(readme))
     return commands
 
