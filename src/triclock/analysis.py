@@ -346,11 +346,11 @@ def _dedupe_roots(roots: np.ndarray, radius: float) -> list[np.ndarray]:
     return unique
 
 
-def require_residual_tol(tol: float, name: str = "tol") -> None:
+def require_residual_tol(tol: float) -> None:
     """Refuse a Newton residual tolerance that is not finite, or not in
-    ``(0, RESIDUAL_TOL]``; the message names it ``name``."""
+    ``(0, RESIDUAL_TOL]``."""
     if not (math.isfinite(tol) and 0.0 < tol <= RESIDUAL_TOL):
-        raise ValueError(f"{name} must be finite and > 0 and at most {RESIDUAL_TOL}, got {tol}")
+        raise ValueError(f"tol must be finite and > 0 and at most {RESIDUAL_TOL}, got {tol}")
 
 
 def find_fixed_points(

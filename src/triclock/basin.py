@@ -341,11 +341,10 @@ def _classify_split(
     return labels, iters
 
 
-def require_capture_tol(tol: float, name: str = "tol") -> None:
-    """Refuse a capture tolerance outside ``[0, 1)`` (see ``_TOL_BOUND``);
-    the message names it ``name``."""
+def require_capture_tol(tol: float) -> None:
+    """Refuse a capture tolerance outside ``[0, 1)`` (see ``_TOL_BOUND``)."""
     if not 0.0 <= tol < _TOL_BOUND:  # NaN fails it too
-        raise ValueError(f"{name} must be >= 0 and < {_TOL_BOUND:g}, got {tol}")
+        raise ValueError(f"tol must be >= 0 and < {_TOL_BOUND:g}, got {tol}")
 
 
 def _budget(params: CouplingParams, tol: float, max_iter: int | None) -> int:

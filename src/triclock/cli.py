@@ -7,8 +7,9 @@ file layer (flat ``key = value`` lines; any option but ``--config``, by its
 long name, and no other key) are built from it.  ``main`` resolves every
 option (command line > config file > declared default), taking a number
 after a numeric flag as its value even when it reads like a flag
-(``--x -1e-3``), and rejects an int option below its declared least value
-and an unknown ``--format`` before the handler does any work; the handler
+(``--x -1e-3``), and runs each given value's declared check and refuses an
+unknown ``--format`` before the handler does any work, naming a refused value
+by its origin (``--tol: ...`` or ``config key 'tol': ...``); the handler
 returns one writer per format, and one function (``_write``) puts the
 chosen one on stdout or ``--out``, and a kick trace on ``--trace-out``.
 ``portrait`` checks its ``--layers`` names against ``render.LAYERS`` and
@@ -74,15 +75,6 @@ def _read_config(path: str) -> dict[str, str]:
     return cfg
 
 
-def _analysis_params(eps: float) -> CouplingParams:
-    try:
-        params = CouplingParams(epsilon=eps)
-        params.require_analysis_range()
-    except ValueError as exc:
-        raise ValueError(f"--eps: {exc}") from exc
-    return params
-
-
 # A writer puts one output format onto an open stream; each handler returns
 # one writer per format its subcommand declares, plus the exit code.
 Writer = Callable[[IO], None]
@@ -131,7 +123,7 @@ def _boolean(text: str) -> bool:
 # ---------------------------------------------------------------------------
 
 def _cmd_step(o: argparse.Namespace) -> Report:
-    params = _analysis_params(o.eps)
+    params = CouplingParams(epsilon=o.eps)
     start = (math.radians(o.x), math.radians(o.y)) if o.deg else (o.x, o.y)
     line = basin.orbit(start, params, o.count)[1:].tolist()
     return {
@@ -145,8 +137,7 @@ def _cmd_step(o: argparse.Namespace) -> Report:
 # ---------------------------------------------------------------------------
 
 def _cmd_fixed_points(o: argparse.Namespace) -> Report:
-    params = _analysis_params(o.eps)
-    analysis.require_residual_tol(o.tol, "--tol")
+    params = CouplingParams(epsilon=o.eps)
     search = analysis.find_fixed_points(seed_grid=o.seed_grid, tol=o.tol, params=params)
     payload = {
         "epsilon": params.epsilon,
@@ -175,8 +166,7 @@ def _usable_cpus() -> int:
 
 
 def _cmd_basins(o: argparse.Namespace) -> Report:
-    params = _analysis_params(o.eps)
-    basin.require_capture_tol(o.tol, "--tol")
+    params = CouplingParams(epsilon=o.eps)
     grid = basin.rasterize(o.resolution, params, tol=o.tol, max_iter=o.max_iter,
                            workers=_usable_cpus())
     return {
@@ -221,43 +211,43 @@ def _run_report(start: np.ndarray, result: events.LockResult, splay_tol: float) 
 def _cmd_simulate(o: argparse.Namespace) -> Report:
     params = CouplingParams(epsilon=o.eps)
     n = o.n_clocks
-    events.require_lock_tol(o.tol, "--tol")
-    events.require_lock_tol(o.splay_tol, "--splay-tol")
+    given = o.phases is not None
+    if given and o.random_starts is not None:
+        raise ValueError("give either --phases or --random-starts, not both")
+    if not given and o.deg:
+        raise ValueError("--deg applies only to --phases; random starts are drawn in radians")
+    if given and "seed" in o.origins:
+        raise ValueError(f"{o.origins['seed']}: applies only to random starts, not to --phases")
+    count = 1 if o.random_starts is None else o.random_starts
+    record = o.trace_out is not None
+    suffix = Path(o.trace_out).suffix if record else None
+    if record and count != 1:
+        raise ValueError("--trace-out needs a single-start run")
+    if record and suffix not in (".jsonl", ".csv"):
+        raise ValueError(f"--trace-out {o.trace_out!r} must end in .jsonl or .csv")
 
     starts: list[np.ndarray] = []
-    if o.phases is not None and o.random_starts is not None:
-        raise ValueError("give either --phases or --random-starts, not both")
-    if o.phases is None and o.deg:
-        raise ValueError("--deg applies only to --phases; random starts are drawn in radians")
-    if o.phases is not None:
-        try:
-            values = [float(v) for v in o.phases.split(",")]
-        except ValueError as exc:
-            raise ValueError(f"--phases: {exc}") from exc
-        if len(values) != n:
-            raise ValueError(f"--phases lists {len(values)} values for {n} clocks")
-        starts.append(np.asarray([math.radians(v) for v in values] if o.deg else values))
-    else:
-        count = 1 if o.random_starts is None else o.random_starts
+    if not given:
         rng = np.random.default_rng(o.seed)
         while len(starts) < count:
             psi = np.concatenate(([0.0], rng.uniform(0.0, TWO_PI, size=n - 1)))
             if np.unique(psi).size == n:  # interior start: all phases distinct
                 starts.append(psi)
-
-    record = o.trace_out is not None
-    suffix = Path(o.trace_out).suffix if record else None
-    if record and len(starts) != 1:
-        raise ValueError("--trace-out needs a single-start run")
-    if record and suffix not in (".jsonl", ".csv"):
-        raise ValueError(f"--trace-out {o.trace_out!r} must end in .jsonl or .csv")
-
-    results = [
-        events.run_until_locked(
-            events.ClockEnsemble(psi, params), tol=o.tol, max_cycles=o.max_cycles, record=record
-        )
-        for psi in starts
-    ]
+    # --phases is checked against --n-clocks and --deg here; every other input
+    # is checked, so the ensemble or the first cycle refuses only the start.
+    try:
+        if given:
+            values = [float(v) for v in o.phases.split(",")]
+            if len(values) != n:
+                raise ValueError(f"lists {len(values)} values for {n} clocks")
+            starts.append(np.asarray([math.radians(v) for v in values] if o.deg else values))
+        ensembles = [events.ClockEnsemble(psi, params) for psi in starts]
+        results = [events.run_until_locked(ensemble, tol=o.tol, max_cycles=o.max_cycles,
+                                           record=record) for ensemble in ensembles]
+    except ValueError as exc:
+        if given:
+            raise ValueError(f"{o.origins['phases']}: {exc}") from exc
+        raise
     runs = [_run_report(psi, result, o.splay_tol) for psi, result in zip(starts, results)]
 
     if record:
@@ -310,9 +300,9 @@ def couplings(text: str) -> tuple[float, ...]:
 
 def _cmd_verify(o: argparse.Namespace) -> Report:
     """One report per coupling, in the given order; the JSON of a single
-    coupling is its report, of several the list of them.  Every coupling is
-    checked against the analysis range before any is verified."""
-    runs = [_analysis_params(eps) for eps in o.eps]
+    coupling is its report, of several the list of them.  ``--eps`` checks
+    every coupling against the analysis range before any is verified."""
+    runs = [CouplingParams(epsilon=eps) for eps in o.eps]
     reports, texts = zip(*(_verify(params, o.samples, o.grid) for params in runs))
     passed = all(report["passed"] for report in reports)
     text = "".join(texts)
@@ -383,7 +373,10 @@ def _bounds(check: Any) -> str:
 
 def _cmd_andronov(o: argparse.Namespace) -> Report:
     params = CouplingParams(epsilon=0.0, mu=o.mu, h=o.h)
-    require_basin_velocity(o.v0, params, "--v0")
+    try:
+        require_basin_velocity(o.v0, params)
+    except ValueError as exc:
+        raise ValueError(f"{o.origins['v0']}: {exc}") from exc
     vf = andronov_fixed_point(params)
     rows = []
     v = o.v0
@@ -409,7 +402,7 @@ _SAMPLE_ORBIT_SEEDS = ((0.9, 2.1), (0.9, 5.0), (2.6, 5.8), (5.0, 5.9),
 
 
 def _cmd_portrait(o: argparse.Namespace) -> Report:
-    params = _analysis_params(o.eps)
+    params = CouplingParams(epsilon=o.eps)
     # Layer names are checked here, where they arrive; the renderer draws
     # each layer whose data it is given.
     layers = tuple(name.strip() for name in o.layers.split(",") if name.strip())
@@ -439,15 +432,16 @@ def _fixed_point_records(params: CouplingParams) -> tuple[analysis.FixedPointRec
 # parser
 # ---------------------------------------------------------------------------
 
-# An option is declared once: its flags, type, default and help, and for an
-# int option its least value, which _resolve checks under its first flag.  Its
-# long flag without the dashes is its config key and, with "_" for "-", its name
-# in the handler's namespace.  A type of bool makes a switch; a default of
-# _REQUIRED makes the option required.
-Option = tuple[str, type, Any, str] | tuple[str, type, Any, str, int]
+# An option is declared once: its flags, type, default and help, and its check
+# if it has one: an int option's least value, else a function that raises
+# ValueError on a refused value.  Its long flag without the dashes is its config
+# key and, with "_" for "-", its name in the handler's namespace.  A type of bool
+# makes a switch; a default of _REQUIRED makes the option required.
+Option = tuple[str, type, Any, str] | tuple[str, type, Any, str, int | Callable[[Any], object]]
 _REQUIRED = object()
 
-_EPS: Option = ("--eps", float, _REQUIRED, "coupling strength")
+_EPS: Option = ("--eps", float, _REQUIRED, "coupling strength",
+                lambda eps: CouplingParams(epsilon=eps).require_analysis_range())
 
 # Each subcommand: its summary, handler, output formats (default first) and
 # own options.
@@ -462,34 +456,36 @@ _COMMANDS = {
     "fixed-points": ("find and classify all fixed points", _cmd_fixed_points, ("json", "csv"), (
         _EPS,
         ("--seed-grid", int, 50, "seeds per side", 2),
-        ("--tol", float, 1e-12, "residual tolerance"),
+        ("--tol", float, 1e-12, "residual tolerance", analysis.require_residual_tol),
     )),
     "basins": ("rasterize the basins of attraction", _cmd_basins, ("csv", "bin", "svg"), (
         _EPS,
         ("--resolution", int, 200, "cells per side", 2),
-        ("--tol", float, 1e-6, "attractor capture tolerance"),
+        ("--tol", float, 1e-6, "attractor capture tolerance", basin.require_capture_tol),
         ("--max-iter", int, None, "iteration budget per cell; none sets it from eps", 0),
     )),
     "simulate": ("event-driven simulation of N clocks", _cmd_simulate, ("json", "csv"), (
-        _EPS,
+        ("--eps", float, _REQUIRED, "coupling strength",
+         lambda eps: CouplingParams(epsilon=eps).require_simulator_range()),
         ("--n-clocks", int, 3, "number of clocks", 2),
         ("--phases", str, None, "comma-separated start phases (reference first)"),
         ("--random-starts", int, None, "number of random starts; none is 1 without --phases", 1),
         ("--seed", int, 0, "random seed for --random-starts", 0),
-        ("--tol", float, 1e-8, "lock tolerance on difference movement"),
+        ("--tol", float, 1e-8, "lock tolerance on difference movement", events.require_lock_tol),
         ("--max-cycles", int, 2000, "cycle budget per run", 1),
-        ("--splay-tol", float, 1e-3, "near-splay threshold"),
+        ("--splay-tol", float, 1e-3, "near-splay threshold", events.require_lock_tol),
         ("--trace-out", str, None, "write kick events (.jsonl or .csv)"),
         ("--deg", bool, False, "interpret --phases in degrees"),
     )),
     "verify": ("invariance, census, and Lyapunov checks", _cmd_verify, ("text", "json"), (
-        ("--eps", couplings, _REQUIRED, "coupling strength, or comma-separated couplings"),
+        ("--eps", couplings, _REQUIRED, "coupling strength, or comma-separated couplings",
+         lambda eps: [CouplingParams(epsilon=e).require_analysis_range() for e in eps]),
         ("--samples", int, 1000, "samples per segment", 2),
         ("--grid", int, 300, "Lyapunov lattice per side", 100),
     )),
     "andronov": ("escapement return-map convergence table", _cmd_andronov, ("csv", "json"), (
-        ("--mu", float, 0.1, "dry friction coefficient"),
-        ("--h", float, 1.0, "energy-kick velocity scale"),
+        ("--mu", float, 0.1, "dry friction coefficient", lambda mu: CouplingParams(0.0, mu=mu)),
+        ("--h", float, 1.0, "energy-kick velocity scale", lambda h: CouplingParams(0.0, h=h)),
         ("--v0", float, _REQUIRED, "initial section velocity"),
         ("--steps", int, 200, "iterations to tabulate", 0),
     )),
@@ -540,10 +536,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _resolve(args: argparse.Namespace) -> None:
     """Set each option of the parsed command line in ``args`` to its flag's
     value, else its config file value cast by its declared type, else its
-    declared default, and check an int option's value, if it has one,
-    against its least value."""
-    options = {flags.split()[-1][2:]: (flags.split()[0], kind, default, least)
-               for flags, kind, default, _, *least in _options(args.command)}
+    declared default; check a given value, and name a refusal by its origin
+    in ``args.origins``: its first flag or ``config key 'k'``."""
+    options = {flags.split()[-1][2:]: (flags.split()[0], kind, default, check[0] if check else None)
+               for flags, kind, default, _, *check in _options(args.command)}
     keys = sorted(options.keys() - {"config"})
     cfg = _read_config(args.config) if args.config else {}
     unknown = sorted(cfg.keys() - set(keys))
@@ -552,19 +548,26 @@ def _resolve(args: argparse.Namespace) -> None:
             f"config file {args.config}: unknown key{'s' if len(unknown) > 1 else ''} "
             f"{', '.join(map(repr, unknown))} for {args.command} (keys: {', '.join(keys)})"
         )
-    for key, (flag, kind, default, least) in options.items():
-        value = getattr(args, key.replace("-", "_"))
-        if value is None and key in cfg:
-            try:
+    origins = args.origins = {}
+    for key, (flag, kind, default, check) in options.items():
+        name = key.replace("-", "_")
+        value = getattr(args, name)
+        if value is None and key not in cfg:
+            if default is _REQUIRED:
+                raise ValueError(f"missing required value for --{key}")
+            setattr(args, name, default)
+            continue
+        origins[name] = flag if value is not None else f"config key {key!r}"
+        try:
+            if value is None:
                 value = (_boolean if kind is bool else kind)(cfg[key])
-            except ValueError as exc:
-                raise ValueError(f"config key {key!r}: {exc}") from exc
-        if value is None and default is _REQUIRED:
-            raise ValueError(f"missing required value for --{key}")
-        value = default if value is None else value
-        if least and value is not None:
-            require_integer(value, flag, *least)
-        setattr(args, key.replace("-", "_"), value)
+            if isinstance(check, int):
+                require_integer(value, name, check)
+            elif check:
+                check(value)
+        except ValueError as exc:
+            raise ValueError(f"{origins[name]}: {exc}") from exc
+        setattr(args, name, value)
 
 
 def _join_numbers(argv: list[str]) -> list[str]:

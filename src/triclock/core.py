@@ -110,6 +110,11 @@ class CouplingParams:
                 f"({MIN_ANALYSIS_EPSILON}, 1/9 ~= {EPSILON_BOUND:.6f})"
             )
 
+    def require_simulator_range(self) -> None:
+        """Reject eps >= 1, where a kick can carry a clock across the threshold."""
+        if self.epsilon >= 1.0:
+            raise ValueError(f"the simulator needs eps < 1, got eps={self.epsilon}")
+
 
 def normalize_phase(phi):
     """Reduce absolute phases to the canonical representative in [0, 2*pi).
@@ -121,14 +126,14 @@ def normalize_phase(phi):
     return np.where(out == TWO_PI, 0.0, out)
 
 
-def require_basin_velocity(v: float, params: CouplingParams, name: str = "v") -> None:
+def require_basin_velocity(v: float, params: CouplingParams) -> None:
     """Raise ValueError unless ``v`` is finite and above ``4*mu``: a slower
     section velocity leaves the limit cycle's basin and the clock stops."""
     if not math.isfinite(v):
-        raise ValueError(f"{name}={v} is not finite")
+        raise ValueError(f"v={v} is not finite")
     if v <= 4.0 * params.mu:
-        raise ValueError(f"{name}={v} is outside the limit-cycle basin "
-                         f"(requires {name} > 4*mu = {4.0 * params.mu})")
+        raise ValueError(f"v={v} is outside the limit-cycle basin "
+                         f"(requires v > 4*mu = {4.0 * params.mu})")
 
 
 def require_integer(value, name: str, least: int) -> None:

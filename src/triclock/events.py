@@ -86,9 +86,8 @@ class ClockEnsemble:
             raise ValueError("an ensemble needs a flat list of at least 2 phases")
         psi = tuple(phases.tolist())
         if not all([0.0 <= p < TWO_PI for p in psi]):
-            raise ValueError("phases must be finite and normalized to [0, 2*pi)")
-        if self.params.epsilon >= 1.0:
-            raise ValueError(f"the simulator needs eps < 1, got eps={self.params.epsilon}")
+            raise ValueError(f"phases must be finite and normalized to [0, 2*pi), got {psi}")
+        self.params.require_simulator_range()
         object.__setattr__(self, "phases", psi)
 
     @property
@@ -289,7 +288,7 @@ def run_cycle(
     """
     psi = ensemble.phases
     if psi[0] != 0.0:
-        raise ValueError("the reference clock must start at the kick threshold")
+        raise ValueError(f"the reference clock must start at the kick threshold, got {psi[0]}")
     params = ensemble.params
     end, events, kick_times, period = _cycle(psi, params.epsilon, cycle_index, record)
     return CycleTrace(tuple(events), ClockEnsemble(end, params), tuple(kick_times), period)
@@ -313,11 +312,10 @@ def cyclic_gaps(ensemble: ClockEnsemble) -> np.ndarray:
     return _gaps(ensemble.phases, TWO_PI)
 
 
-def require_lock_tol(tol: float, name: str = "tol") -> None:
-    """Refuse a lock tolerance that is not finite and > 0; the message
-    names it ``name``."""
+def require_lock_tol(tol: float) -> None:
+    """Refuse a lock tolerance that is not finite and > 0."""
     if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"{name} must be finite and > 0, got {tol}")
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
 
 
 def run_until_locked(

@@ -120,7 +120,7 @@ class TestStep:
             capsys, "step", "--x", "1", "--y", "2", "--eps", "0.05", "-n", "0"
         )
         assert (code, out) == (2, "")
-        assert "triclock: error: -n must be at least 1" in err
+        assert err == "triclock: error: -n: count must be at least 1, got 0\n"
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +286,7 @@ class TestSimulate:
     def test_no_random_starts_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "simulate", "--eps", "0.05", "--random-starts", "0")
         assert (code, out) == (2, "")
-        assert "triclock: error: --random-starts must be at least 1" in err
+        assert err == "triclock: error: --random-starts: random_starts must be at least 1, got 0\n"
 
     @pytest.mark.parametrize(
         "extra, config",
@@ -561,39 +561,81 @@ class TestVerify:
         assert lines["lower"].endswith(f"zero_set=7  ({bound})")
 
 
-# A refused --eps or --phases names its flag, exits 2 and writes no --out file.
+# A refused value names its origin, its flag or its config key, exits 2 and
+# writes no --out file.  The argument after "--config" is the file's text.
+_RANGE = "outside the analysis range (1e-08, 1/9 ~= 0.111111)"
 REFUSED_VALUES = [
     (["verify", "--eps", "0.2"],
-     "triclock: error: --eps: epsilon=0.2 outside the analysis range"),
+     f"triclock: error: --eps: epsilon=0.2 {_RANGE}\n"),
     (["verify", "--eps", "0.05,0.2"],
-     "triclock: error: --eps: epsilon=0.2 outside the analysis range"),
+     f"triclock: error: --eps: epsilon=0.2 {_RANGE}\n"),
     (["fixed-points", "--eps", "-1"],
      "triclock: error: --eps: epsilon must be finite and >= 0, got -1.0\n"),
     (["basins", "--eps", "nan"],
      "triclock: error: --eps: epsilon must be finite and >= 0, got nan\n"),
     (["step", "--eps", "0", "--x", "1", "--y", "2"],
-     "triclock: error: --eps: epsilon=0.0 outside the analysis range"),
+     f"triclock: error: --eps: epsilon=0.0 {_RANGE}\n"),
     (["portrait", "--eps", "5"],
-     "triclock: error: --eps: epsilon=5.0 outside the analysis range"),
+     f"triclock: error: --eps: epsilon=5.0 {_RANGE}\n"),
     (["verify", "--eps", "0.05,,0.06"],
      "triclock verify: error: argument --eps: invalid couplings value: '0.05,,0.06'\n"),
     (["simulate", "--eps", "0.05", "--phases", "0,1,"],
      "triclock: error: --phases: could not convert string to float: ''\n"),
+    (["simulate", "--eps", "1", "--phases", "0,1,2"],
+     "triclock: error: --eps: the simulator needs eps < 1, got eps=1.0\n"),
+    (["simulate", "--eps", "-1"],
+     "triclock: error: --eps: epsilon must be finite and >= 0, got -1.0\n"),
+    (["simulate", "--eps", "0.05", "--phases", "0,7,1"],
+     "triclock: error: --phases: phases must be finite and normalized to [0, 2*pi), "
+     "got (0.0, 7.0, 1.0)\n"),
+    (["simulate", "--eps", "0.05", "--phases", "1,2,3"],
+     "triclock: error: --phases: the reference clock must start at the kick threshold, "
+     "got 1.0\n"),
+    (["simulate", "--eps", "0.05", "--phases", "0,1"],
+     "triclock: error: --phases: lists 2 values for 3 clocks\n"),
+    (["simulate", "--eps", "0.05", "--phases", "0,2,4", "--seed", "5"],
+     "triclock: error: --seed: applies only to random starts, not to --phases\n"),
+    (["andronov", "--v0", "5", "--mu", "-1"],
+     "triclock: error: --mu: mu must be finite and >= 0, got -1.0\n"),
+    (["andronov", "--v0", "5", "--h", "0"],
+     "triclock: error: --h: h must be finite and > 0, got 0.0\n"),
+    (["verify", "--config", "eps = 0.05,0.2"],
+     f"triclock: error: config key 'eps': epsilon=0.2 {_RANGE}\n"),
+    (["simulate", "--config", "eps = 1"],
+     "triclock: error: config key 'eps': the simulator needs eps < 1, got eps=1.0\n"),
+    (["simulate", "--eps", "0.05", "--config", "phases = 1,2,3"],
+     "triclock: error: config key 'phases': the reference clock must start at the kick "
+     "threshold, got 1.0\n"),
+    (["simulate", "--eps", "0.05", "--phases", "0,2,4", "--config", "seed = 5"],
+     "triclock: error: config key 'seed': applies only to random starts, not to --phases\n"),
+    (["simulate", "--eps", "0.05", "--config", "splay-tol = nan"],
+     "triclock: error: config key 'splay-tol': tol must be finite and > 0, got nan\n"),
+    (["andronov", "--v0", "5", "--config", "mu = -1"],
+     "triclock: error: config key 'mu': mu must be finite and >= 0, got -1.0\n"),
+    (["andronov", "--config", "v0 = 0.3"],
+     "triclock: error: config key 'v0': v=0.3 is outside the limit-cycle basin "
+     "(requires v > 4*mu = 0.4)\n"),
 ]
 
 
 @pytest.mark.parametrize("argv, message", REFUSED_VALUES,
                          ids=[shlex.join(argv) for argv, _ in REFUSED_VALUES])
 def test_a_refused_value_names_its_flag(argv, message, capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("TRICLOCK_OUTDIR", str(tmp_path))
+    if "--config" in argv:
+        at = argv.index("--config") + 1
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(argv[at] + "\n")
+        argv = [*argv[:at], str(cfg), *argv[at + 1:]]
+    outdir = tmp_path / "out"
+    monkeypatch.setenv("TRICLOCK_OUTDIR", str(outdir))
     try:
         code = main([*argv, "--out", "out.txt"])
     except SystemExit as exc:  # argparse's usage errors
         code = exc.code
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
-    assert message in captured.err
-    assert list(tmp_path.iterdir()) == []
+    assert captured.err.splitlines(keepends=True)[-1] == message
+    assert not outdir.exists()
 
 
 def test_a_malformed_coupling_in_a_config_file_names_its_key(capsys, tmp_path):
@@ -638,30 +680,30 @@ class TestAndronov:
         monkeypatch.setattr(cli, "andronov_step", refuse)
         code, out, err = run_cli(capsys, "andronov", "--v0", v0)
         assert (code, out) == (2, "")
-        assert err == f"triclock: error: --v0={float(v0)} is not finite\n"
+        assert err == f"triclock: error: --v0: v={float(v0)} is not finite\n"
 
     def test_separate_negative_infinity_reaches_the_finite_check(self, capsys):
         code, out, err = run_cli(capsys, "andronov", "--v0", "-inf")
         assert (code, out) == (2, "")
-        assert err == "triclock: error: --v0=-inf is not finite\n"
+        assert err == "triclock: error: --v0: v=-inf is not finite\n"
 
     def test_separate_negative_exponent_reaches_the_basin_check(self, capsys):
         code, out, err = run_cli(capsys, "andronov", "--v0", "-1e-3")
         assert (code, out) == (2, "")
-        assert err == ("triclock: error: --v0=-0.001 is outside the limit-cycle basin "
-                       "(requires --v0 > 4*mu = 0.4)\n")
+        assert err == ("triclock: error: --v0: v=-0.001 is outside the limit-cycle basin "
+                       "(requires v > 4*mu = 0.4)\n")
 
     def test_abbreviated_flag_takes_a_separate_negative_number(self, capsys):
         # argparse reads "--v" as "--v0", the one option it abbreviates.
         code, out, err = run_cli(capsys, "andronov", "--v", "-1e-3")
         assert (code, out) == (2, "")
-        assert err == ("triclock: error: --v0=-0.001 is outside the limit-cycle basin "
-                       "(requires --v0 > 4*mu = 0.4)\n")
+        assert err == ("triclock: error: --v0: v=-0.001 is outside the limit-cycle basin "
+                       "(requires v > 4*mu = 0.4)\n")
 
     def test_abbreviated_int_flag_takes_a_separate_negative_number(self, capsys):
         code, out, err = run_cli(capsys, "andronov", "--v0", "5", "--st", "-1")
         assert (code, out) == (2, "")
-        assert err == "triclock: error: --steps must be at least 0, got -1\n"
+        assert err == "triclock: error: --steps: steps must be at least 0, got -1\n"
 
     def test_fixed_point_underflowing_friction_refused(self, capsys):
         # h**2 / (8*mu) overflows to inf, which made a -inf column.
@@ -678,7 +720,7 @@ class TestAndronov:
     def test_negative_steps_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "andronov", "--v0", "5", "--steps", "-1")
         assert (code, out) == (2, "")
-        assert "triclock: error: --steps must be at least 0, got -1" in err
+        assert err == "triclock: error: --steps: steps must be at least 0, got -1\n"
 
     def test_coupling_flag_refused(self, capsys):
         # andronov reads no coupling strength, so --eps is not one of its options.
@@ -751,7 +793,8 @@ class TestPortrait:
         code, out, err = run_cli(capsys, "portrait", "--eps", "0.05", "--layers", layers,
                                  "--resolution", resolution)
         assert (code, out) == (2, "")
-        assert err == f"triclock: error: --resolution must be at least 2, got {resolution}\n"
+        assert err == ("triclock: error: --resolution: resolution must be at least 2, "
+                       f"got {resolution}\n")
 
     def test_only_svg_format(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "portrait", "--eps", "0.05", "--layers", "fixed_points",
@@ -805,38 +848,47 @@ class TestPlumbing:
     def test_a_size_or_count_below_its_least_is_refused_by_its_flag(
             self, capsys, tmp_path, argv, flags, least, via):
         # The value is checked as it is resolved, from the flag or the
-        # config file, and the refusal names the option's first flag.
-        flag, value = flags.split()[0], least - 1
+        # config file, and the refusal names the option's first flag or its
+        # config key, then the library's message, which names the argument.
+        flag, key, value = flags.split()[0], flags.split()[-1][2:], least - 1
         if via == "flag":
-            argv = [*argv, flag, str(value)]
+            argv, origin = [*argv, flag, str(value)], flag
         else:
             cfg = tmp_path / "run.cfg"
-            cfg.write_text(f"{flags.split()[-1][2:]} = {value}\n")
-            argv = [*argv, "--config", str(cfg)]
+            cfg.write_text(f"{key} = {value}\n")
+            argv, origin = [*argv, "--config", str(cfg)], f"config key '{key}'"
         target = tmp_path / "out"
         code, out, err = run_cli(capsys, *argv, "--out", str(target))
         assert (code, out) == (2, "")
-        assert err == f"triclock: error: {flag} must be at least {least}, got {value}\n"
+        name = key.replace("-", "_")
+        assert err == f"triclock: error: {origin}: {name} must be at least {least}, got {value}\n"
         assert not target.exists()
 
     # Each command's --tol, a value its range refuses and the refusal: the
-    # range is the library's, and the message names the flag.
+    # range and the message are the library's, named by the flag or config key.
     TOLERANCES = [
         (["basins", "--eps", "0.05", "--resolution", "10"], "-1",
-         "--tol must be >= 0 and < 1, got -1.0"),
+         "tol must be >= 0 and < 1, got -1.0"),
         (["fixed-points", "--eps", "0.05"], "0",
-         "--tol must be finite and > 0 and at most 1e-10, got 0.0"),
-        (["simulate", "--eps", "0.05"], "0", "--tol must be finite and > 0, got 0.0"),
+         "tol must be finite and > 0 and at most 1e-10, got 0.0"),
+        (["simulate", "--eps", "0.05"], "0", "tol must be finite and > 0, got 0.0"),
     ]
 
     @pytest.mark.parametrize("argv, value, message", TOLERANCES,
                              ids=[argv[0] for argv, _, _ in TOLERANCES])
+    @pytest.mark.parametrize("via", ["flag", "config"])
     def test_a_tolerance_out_of_range_is_refused_by_its_flag(
-            self, capsys, tmp_path, argv, value, message):
+            self, capsys, tmp_path, argv, value, message, via):
+        if via == "flag":
+            argv, origin = [*argv, "--tol", value], "--tol"
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"tol = {value}\n")
+            argv, origin = [*argv, "--config", str(cfg)], "config key 'tol'"
         target = tmp_path / "out"
-        code, out, err = run_cli(capsys, *argv, "--tol", value, "--out", str(target))
+        code, out, err = run_cli(capsys, *argv, "--out", str(target))
         assert (code, out) == (2, "")
-        assert err == f"triclock: error: {message}\n"
+        assert err == f"triclock: error: {origin}: {message}\n"
         assert not target.exists()
 
     def test_config_file_supplies_defaults(self, capsys, tmp_path):
@@ -861,7 +913,8 @@ class TestPlumbing:
         cfg.write_text("eps = 0.2\n")
         code, _, err = run_cli(capsys, "fixed-points", "--config", str(cfg))
         assert code == 2
-        assert "1/9" in err
+        assert err == ("triclock: error: config key 'eps': epsilon=0.2 outside the analysis "
+                       "range (1e-08, 1/9 ~= 0.111111)\n")
 
     def test_missing_config_is_usage_error(self, capsys, tmp_path):
         code, _, _ = run_cli(
@@ -1073,6 +1126,16 @@ class TestPlumbing:
         assert helps["step"]["--deg"] == "interpret --x/--y in degrees (default: false)"
         assert helps["basins"]["--tol"] == "attractor capture tolerance (default: 1e-06)"
         assert helps["simulate"]["--trace-out"].endswith("(default: none)")
+
+    def test_every_declared_default_passes_its_check(self):
+        # _resolve checks given values only, so each default must pass.
+        for name in cli._COMMANDS:
+            for flags, _, default, _, *check in cli._options(name):
+                if check and default not in (None, cli._REQUIRED):
+                    if isinstance(check[0], int):
+                        assert default >= check[0], (name, flags)
+                    else:
+                        check[0](default)
 
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -56,12 +56,16 @@ the refused runs ``--phases 0,nan,3.0``, ``0,7.0,1.0``,
 ``0,6.283185307179586,1.0`` (a phase at ``2*pi``), ``1.0,2.0,3.0``,
 ``5e-10,1,3`` and ``6.2831853067,1,3`` (the reference off the threshold,
 the last two within 1e-9 of it) and ``--splay-tol 0`` and ``--splay-tol
-nan`` at eps 0.05, and ``--eps 1 --phases 0,1,2``.  Then the refused
-couplings of the analysis commands, ``verify --eps 0.2``, ``verify --eps
-0.05,0.2``, ``fixed-points --eps -1``, ``basins --eps nan``, ``step --eps
-0 --x 1 --y 2`` and ``portrait --eps 5``, and the malformed lists
-``verify --eps 0.05,,0.06`` and ``simulate --eps 0.05 --phases 0,1,``.
-It ends with the
+nan`` at eps 0.05, ``--eps 1 --phases 0,1,2`` and ``--eps -1``, and
+``--seed 5`` given with ``--phases``.  Then the refused couplings of the
+analysis commands, ``verify --eps 0.2``, ``verify --eps 0.05,0.2``,
+``fixed-points --eps -1``, ``basins --eps nan``, ``step --eps 0 --x 1
+--y 2`` and ``portrait --eps 5``, the malformed lists ``verify --eps
+0.05,,0.06`` and ``simulate --eps 0.05 --phases 0,1,``, the refused
+``andronov --mu -1`` and ``--h 0``, and three values refused from a
+config file: ``eps = 0.2`` for ``fixed-points``, ``tol = -1`` and
+``resolution = 1`` for ``basins`` (``CONFIGS`` holds each file, which
+the command's directory gets before it runs).  It ends with the
 ``triclock`` command lines of the README's ``sh`` blocks, read from the
 checkout's README.md, in README order.
 Each command runs in an empty temporary directory, with
@@ -85,6 +89,9 @@ import shlex
 import sys
 import tempfile
 from pathlib import Path
+
+# The config files that sweep commands name, by name.
+CONFIGS = {"eps.cfg": "eps = 0.2\n", "tol.cfg": "tol = -1\n", "resolution.cfg": "resolution = 1\n"}
 
 
 def readme_examples(readme: str) -> list[list[str]]:
@@ -197,11 +204,17 @@ def sweep(readme: str) -> list[list[str]]:
     for splay_tol in ("0", "nan"):
         commands.append(["simulate", "--eps", "0.05", "--splay-tol", splay_tol])
     commands.append(["simulate", "--eps", "1", "--phases", "0,1,2"])
+    commands.append(["simulate", "--eps", "-1"])
+    commands.append(["simulate", "--eps", "0.05", "--phases", "0,2.0,4.0", "--seed", "5"])
     commands.extend([["verify", "--eps", "0.2"], ["verify", "--eps", "0.05,0.2"],
                      ["fixed-points", "--eps", "-1"], ["basins", "--eps", "nan"],
                      ["step", "--eps", "0", "--x", "1", "--y", "2"],
                      ["portrait", "--eps", "5"], ["verify", "--eps", "0.05,,0.06"],
-                     ["simulate", "--eps", "0.05", "--phases", "0,1,"]])
+                     ["simulate", "--eps", "0.05", "--phases", "0,1,"],
+                     ["andronov", "--v0", "5", "--mu", "-1"], ["andronov", "--v0", "5", "--h", "0"],
+                     ["fixed-points", "--config", "eps.cfg"],
+                     ["basins", "--eps", "0.05", "--config", "tol.cfg"],
+                     ["basins", "--eps", "0.05", "--config", "resolution.cfg"]])
     commands.extend(readme_examples(readme))
     return commands
 
@@ -215,6 +228,8 @@ def run(main, args: list[str]) -> tuple[str, int]:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
+            for name in CONFIGS.keys() & set(args):
+                Path(name).write_text(CONFIGS[name], encoding="utf-8")
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 try:
                     code = main(args)
