@@ -7,26 +7,23 @@ file layer (flat ``key = value`` lines; any option but ``--config``, by its
 long name, and no other key) are built from it.  ``main`` resolves every
 option (command line > config file > declared default), taking a number
 after a numeric flag as its value even when it reads like a flag
-(``--x -1e-3``), and runs each given value's declared check and refuses an
-unknown ``--format`` before the handler does any work, naming a refused value
-by its origin (``--tol: ...`` or ``config key 'tol': ...``); the handler
-returns one writer per format, and one function (``_write``) puts the
-chosen one on stdout or ``--out``, and a kick trace on ``--trace-out``.
-``portrait`` checks its ``--layers`` names against ``render.LAYERS`` and
-passes the renderer data for the named layers only; the renderer draws
-what it is given.  ``verify`` takes one coupling or several (``--eps
-0.01,0.05``) and checks them in turn in one process, so the analysis
-terms that do not depend on eps are computed once for the run.
-``basins`` and ``portrait`` rasterize with one process per CPU this
-process may run on (see ``basin.rasterize``).
-Exit codes: 0 success, 1 I/O or check failure, 2 usage or validation
-failure.
-``TRICLOCK_OUTDIR`` redirects relative output paths.
+(``--x -1e-3``), and runs each given value's declared check (``--format``
+and ``--layers`` too) before the handler does any work.  Every refusal reads
+``triclock: error: <origin>: <message>``, the origin being the option's
+first flag or ``config key 'k'``; a handler names its own through ``_named``.
+The handler returns one writer per format, and one function (``_write``)
+puts the chosen one on stdout or ``--out``, and a kick trace on
+``--trace-out``.  ``verify`` takes one coupling or several (``--eps
+0.01,0.05``) and checks them in turn in one process, so the analysis terms
+that do not depend on eps are computed once for the run.  Exit codes: 0
+success, 1 I/O or check failure or a run out of memory, 2 usage or
+validation failure.  ``TRICLOCK_OUTDIR`` redirects relative output paths.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -112,6 +109,15 @@ def _csv(header: list[str], rows: Iterable[list]) -> Writer:
     return write
 
 
+@contextlib.contextmanager
+def _named(args: argparse.Namespace, name: str):
+    """Refuse a ``ValueError`` raised inside under ``args.origins[name]``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{args.origins[name]}: {exc}") from exc
+
+
 def _boolean(text: str) -> bool:
     if text.lower() not in ("true", "false"):
         raise ValueError(f"expected true or false, got {text!r}")
@@ -125,7 +131,8 @@ def _boolean(text: str) -> bool:
 def _cmd_step(o: argparse.Namespace) -> Report:
     params = CouplingParams(epsilon=o.eps)
     start = (math.radians(o.x), math.radians(o.y)) if o.deg else (o.x, o.y)
-    line = basin.orbit(start, params, o.count)[1:].tolist()
+    with _named(o, "x" if not 0.0 <= start[0] <= TWO_PI else "y"):
+        line = basin.orbit(start, params, o.count)[1:].tolist()
     return {
         "csv": _csv(["x", "y"], ([repr(a), repr(b)] for a, b in line)),
         "json": _json({"orbit": line}),
@@ -212,19 +219,21 @@ def _cmd_simulate(o: argparse.Namespace) -> Report:
     params = CouplingParams(epsilon=o.eps)
     n = o.n_clocks
     given = o.phases is not None
-    if given and o.random_starts is not None:
-        raise ValueError("give either --phases or --random-starts, not both")
-    if not given and o.deg:
-        raise ValueError("--deg applies only to --phases; random starts are drawn in radians")
-    if given and "seed" in o.origins:
-        raise ValueError(f"{o.origins['seed']}: applies only to random starts, not to --phases")
     count = 1 if o.random_starts is None else o.random_starts
     record = o.trace_out is not None
     suffix = Path(o.trace_out).suffix if record else None
-    if record and count != 1:
-        raise ValueError("--trace-out needs a single-start run")
-    if record and suffix not in (".jsonl", ".csv"):
-        raise ValueError(f"--trace-out {o.trace_out!r} must end in .jsonl or .csv")
+    for name, refused, message in (
+        ("random_starts", given and o.random_starts is not None, "cannot be given with --phases"),
+        ("deg", not given and o.deg,
+         "applies only to --phases; random starts are drawn in radians"),
+        ("seed", given and "seed" in o.origins, "applies only to random starts, not to --phases"),
+        ("trace_out", record and count != 1, "needs a single-start run"),
+        ("trace_out", record and suffix not in (".jsonl", ".csv"),
+         f"{o.trace_out!r} must end in .jsonl or .csv"),
+    ):
+        with _named(o, name):
+            if refused:
+                raise ValueError(message)
 
     starts: list[np.ndarray] = []
     if not given:
@@ -235,7 +244,7 @@ def _cmd_simulate(o: argparse.Namespace) -> Report:
                 starts.append(psi)
     # --phases is checked against --n-clocks and --deg here; every other input
     # is checked, so the ensemble or the first cycle refuses only the start.
-    try:
+    with _named(o, "phases") if given else contextlib.nullcontext():
         if given:
             values = [float(v) for v in o.phases.split(",")]
             if len(values) != n:
@@ -244,10 +253,6 @@ def _cmd_simulate(o: argparse.Namespace) -> Report:
         ensembles = [events.ClockEnsemble(psi, params) for psi in starts]
         results = [events.run_until_locked(ensemble, tol=o.tol, max_cycles=o.max_cycles,
                                            record=record) for ensemble in ensembles]
-    except ValueError as exc:
-        if given:
-            raise ValueError(f"{o.origins['phases']}: {exc}") from exc
-        raise
     runs = [_run_report(psi, result, o.splay_tol) for psi, result in zip(starts, results)]
 
     if record:
@@ -373,10 +378,8 @@ def _bounds(check: Any) -> str:
 
 def _cmd_andronov(o: argparse.Namespace) -> Report:
     params = CouplingParams(epsilon=0.0, mu=o.mu, h=o.h)
-    try:
+    with _named(o, "v0"):
         require_basin_velocity(o.v0, params)
-    except ValueError as exc:
-        raise ValueError(f"{o.origins['v0']}: {exc}") from exc
     vf = andronov_fixed_point(params)
     rows = []
     v = o.v0
@@ -401,16 +404,19 @@ _SAMPLE_ORBIT_SEEDS = ((0.9, 2.1), (0.9, 5.0), (2.6, 5.8), (5.0, 5.9),
                        (2.1, 0.9), (5.0, 0.9), (5.8, 2.6), (5.9, 5.0))
 
 
-def _cmd_portrait(o: argparse.Namespace) -> Report:
-    params = CouplingParams(epsilon=o.eps)
-    # Layer names are checked here, where they arrive; the renderer draws
-    # each layer whose data it is given.
-    layers = tuple(name.strip() for name in o.layers.split(",") if name.strip())
+def _layer_names(text: str) -> tuple[str, ...]:
+    layers = tuple(name.strip() for name in text.split(",") if name.strip())
     if not layers:
         raise ValueError("a portrait needs at least one layer")
     unknown = [name for name in layers if name not in render.LAYERS]
     if unknown:
         raise ValueError(f"unknown layers: {unknown}; choose from {render.LAYERS}")
+    return layers
+
+
+def _cmd_portrait(o: argparse.Namespace) -> Report:
+    params = CouplingParams(epsilon=o.eps)
+    layers = _layer_names(o.layers)
     svg = render.render_portrait(
         grid=(basin.rasterize(o.resolution, params, workers=_usable_cpus())
               if "basin_background" in layers else None),
@@ -492,7 +498,7 @@ _COMMANDS = {
     "portrait": ("layered SVG phase portrait", _cmd_portrait, ("svg",), (
         _EPS,
         ("--layers", str, "basin_background,invariant_segments,heteroclinics,fixed_points",
-         "comma-separated layer names"),
+         "comma-separated layer names", _layer_names),
         ("--resolution", int, 160, "background raster per side", 2),
     )),
 }
@@ -501,10 +507,14 @@ _COMMANDS = {
 def _options(command: str) -> tuple[Option, ...]:
     """Every option of ``command``: the common ones, then its own."""
     _, _, formats, own = _COMMANDS[command]
+
+    def emits(fmt: str) -> None:
+        if fmt not in formats:
+            raise ValueError(f"{command} cannot emit format {fmt!r}; choose from {formats}")
     return (
         ("--config", str, None, "flat key = value settings file"),
         ("--out", str, "-", "output path, - for stdout"),
-        ("--format", str, formats[0], f"output format: {', '.join(formats)}"),
+        ("--format", str, formats[0], f"output format: {', '.join(formats)}", emits),
         *own,
     )
 
@@ -534,10 +544,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve(args: argparse.Namespace) -> None:
-    """Set each option of the parsed command line in ``args`` to its flag's
-    value, else its config file value cast by its declared type, else its
-    declared default; check a given value, and name a refusal by its origin
-    in ``args.origins``: its first flag or ``config key 'k'``."""
+    """Set each option of the parsed command line in ``args`` to its flag's value,
+    else its config file value cast by its declared type, else its declared
+    default; check a given value under its origin in ``args.origins``."""
     options = {flags.split()[-1][2:]: (flags.split()[0], kind, default, check[0] if check else None)
                for flags, kind, default, _, *check in _options(args.command)}
     keys = sorted(options.keys() - {"config"})
@@ -558,15 +567,13 @@ def _resolve(args: argparse.Namespace) -> None:
             setattr(args, name, default)
             continue
         origins[name] = flag if value is not None else f"config key {key!r}"
-        try:
+        with _named(args, name):
             if value is None:
                 value = (_boolean if kind is bool else kind)(cfg[key])
             if isinstance(check, int):
                 require_integer(value, name, check)
             elif check:
                 check(value)
-        except ValueError as exc:
-            raise ValueError(f"{origins[name]}: {exc}") from exc
         setattr(args, name, value)
 
 
@@ -603,22 +610,15 @@ def _join_numbers(argv: list[str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(_join_numbers(sys.argv[1:] if argv is None else argv))
-    _, handler, formats, _ = _COMMANDS[args.command]
     try:
         _resolve(args)
-        # The format is checked before the handler does any work.
-        if args.format not in formats:
-            raise ValueError(
-                f"{args.command} cannot emit format {args.format!r} "
-                f"(formats: {', '.join(formats)})"
-            )
-        writers, code = handler(args)
+        writers, code = _COMMANDS[args.command][1](args)
         _write(args.out, writers[args.format], binary=args.format == "bin")
         return code
     except ValueError as exc:
         print(f"triclock: error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
+    except (RuntimeError, MemoryError) as exc:
         print(f"triclock: failed: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -76,13 +76,13 @@ class TestStep:
         code, out, err = run_cli(capsys, "step", "--eps", "0.05", "--x", "7", "--y", "-1")
         assert code == 2
         assert out == ""
-        assert "outside the square" in err
+        assert err == "triclock: error: --x: point (7.0, -1.0) outside the square\n"
 
     def test_separate_negative_exponent_reaches_the_square_check(self, capsys):
         # argparse alone reads a separate "-1e-3" as an unknown flag.
         code, out, err = run_cli(capsys, "step", "--eps", "0.05", "--x", "-1e-3", "--y", "1")
         assert (code, out) == (2, "")
-        assert err == "triclock: error: point (-0.001, 1.0) outside the square\n"
+        assert err == "triclock: error: --x: point (-0.001, 1.0) outside the square\n"
 
     def test_non_numeric_value_is_still_a_parser_error(self, capsys):
         for value, message in (("--y", "expected one argument"),
@@ -236,6 +236,15 @@ class TestBasins:
         code, out, err = run_cli(capsys, "basins", "--eps", "0.05", "--config", str(cfg))
         assert (code, out) == (2, "") and "unknown key 'workers' for basins" in err
 
+    def test_out_of_memory_is_one_failed_line(self, capsys, monkeypatch):
+        def exhaust(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.88 PiB for an array")
+
+        monkeypatch.setattr(basin, "rasterize", exhaust)
+        code, out, err = run_cli(capsys, "basins", "--eps", "0.05", "--resolution", "100000000")
+        assert (code, out, err) == (1, "", "triclock: failed: Unable to allocate 8.88 PiB "
+                                           "for an array\n")
+
 
 # ---------------------------------------------------------------------------
 # simulate
@@ -304,7 +313,9 @@ class TestSimulate:
         code, out, err = run_cli(capsys, "simulate", "--eps", "0.05", "--max-cycles", "2",
                                  "--config", str(cfg), *extra)
         assert (code, out) == (2, "")
-        assert "--deg applies only to --phases" in err
+        origin = "config key 'deg'" if config else "--deg"
+        assert err == (f"triclock: error: {origin}: applies only to --phases; random starts "
+                       "are drawn in radians\n")
 
     def test_phases_and_random_conflict(self, capsys):
         code, _, _ = run_cli(
@@ -615,6 +626,41 @@ REFUSED_VALUES = [
     (["andronov", "--config", "v0 = 0.3"],
      "triclock: error: config key 'v0': v=0.3 is outside the limit-cycle basin "
      "(requires v > 4*mu = 0.4)\n"),
+    (["simulate", "--eps", "0.05", "--deg"],
+     "triclock: error: --deg: applies only to --phases; random starts are drawn in radians\n"),
+    (["simulate", "--eps", "0.05", "--config", "deg = true"],
+     "triclock: error: config key 'deg': applies only to --phases; random starts are drawn "
+     "in radians\n"),
+    (["simulate", "--eps", "0.05", "--phases", "0,2,4", "--random-starts", "2"],
+     "triclock: error: --random-starts: cannot be given with --phases\n"),
+    (["simulate", "--eps", "0.05", "--phases", "0,2,4", "--config", "random-starts = 2"],
+     "triclock: error: config key 'random-starts': cannot be given with --phases\n"),
+    (["simulate", "--eps", "0.05", "--phases", "0,2,4", "--trace-out", "k.txt"],
+     "triclock: error: --trace-out: 'k.txt' must end in .jsonl or .csv\n"),
+    (["simulate", "--eps", "0.05", "--phases", "0,2,4", "--config", "trace-out = k.txt"],
+     "triclock: error: config key 'trace-out': 'k.txt' must end in .jsonl or .csv\n"),
+    (["simulate", "--eps", "0.05", "--random-starts", "2", "--trace-out", "k.jsonl"],
+     "triclock: error: --trace-out: needs a single-start run\n"),
+    (["simulate", "--eps", "0.05", "--random-starts", "2", "--config", "trace-out = k.jsonl"],
+     "triclock: error: config key 'trace-out': needs a single-start run\n"),
+    (["step", "--eps", "0.05", "--x", "7", "--y", "1"],
+     "triclock: error: --x: point (7.0, 1.0) outside the square\n"),
+    (["step", "--eps", "0.05", "--y", "1", "--config", "x = 7"],
+     "triclock: error: config key 'x': point (7.0, 1.0) outside the square\n"),
+    (["step", "--eps", "0.05", "--x", "1", "--y", "7"],
+     "triclock: error: --y: point (1.0, 7.0) outside the square\n"),
+    (["step", "--eps", "0.05", "--x", "1", "--config", "y = 7"],
+     "triclock: error: config key 'y': point (1.0, 7.0) outside the square\n"),
+    (["portrait", "--eps", "0.05", "--layers", "bogus"],
+     f"triclock: error: --layers: unknown layers: ['bogus']; choose from {render.LAYERS}\n"),
+    (["portrait", "--eps", "0.05", "--config", "layers = bogus"],
+     "triclock: error: config key 'layers': unknown layers: ['bogus']; "
+     f"choose from {render.LAYERS}\n"),
+    (["step", "--eps", "0.05", "--x", "1", "--y", "2", "--format", "xml"],
+     "triclock: error: --format: step cannot emit format 'xml'; choose from ('csv', 'json')\n"),
+    (["step", "--eps", "0.05", "--x", "1", "--y", "2", "--config", "format = xml"],
+     "triclock: error: config key 'format': step cannot emit format 'xml'; "
+     "choose from ('csv', 'json')\n"),
 ]
 
 
@@ -772,13 +818,14 @@ class TestPortrait:
     def test_unknown_layer_rejected(self, capsys):
         code, _, err = run_cli(capsys, "portrait", "--eps", "0.05", "--layers", "bogus")
         assert code == 2
-        assert f"unknown layers: ['bogus']; choose from {render.LAYERS}" in err
+        assert err == (f"triclock: error: --layers: unknown layers: ['bogus']; "
+                       f"choose from {render.LAYERS}\n")
 
     @pytest.mark.parametrize("layers", ["", " , ,"], ids=["empty", "blank-names"])
     def test_empty_layers_rejected(self, capsys, layers):
         code, out, err = run_cli(capsys, "portrait", "--eps", "0.05", "--layers", layers)
         assert (code, out) == (2, "")
-        assert err == "triclock: error: a portrait needs at least one layer\n"
+        assert err == "triclock: error: --layers: a portrait needs at least one layer\n"
 
     @pytest.mark.parametrize("layers", ["fixed_points", "basin_background", "sample_orbits"])
     @pytest.mark.parametrize("resolution", ["1", "0", "-5"])
@@ -1024,7 +1071,9 @@ class TestPlumbing:
             capsys, *argv, "--config", str(cfg), *extra, "--out", str(tmp_path / "report")
         )
         assert (code, out) == (2, "")
-        assert f"{argv[0]} cannot emit format 'xml'" in err
+        origin = "--format" if source == "flag" else "config key 'format'"
+        assert err == (f"triclock: error: {origin}: {argv[0]} cannot emit format 'xml'; "
+                       f"choose from {cli._COMMANDS[argv[0]][2]}\n")
         assert not (tmp_path / "report").exists()
 
     # Cheap command lines that between them set every option of each

@@ -41,7 +41,8 @@ class TestPortraitSpec:
         code = main(["portrait", "--eps", "0.05", "--layers", "fixed_points,flow_arrows"])
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
-        assert f"unknown layers: ['flow_arrows']; choose from {render.LAYERS}" in captured.err
+        assert captured.err == ("triclock: error: --layers: unknown layers: ['flow_arrows']; "
+                                f"choose from {render.LAYERS}\n")
 
 
 class TestRenderPortrait:

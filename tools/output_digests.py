@@ -65,17 +65,24 @@ analysis commands, ``verify --eps 0.2``, ``verify --eps 0.05,0.2``,
 ``andronov --mu -1`` and ``--h 0``, and three values refused from a
 config file: ``eps = 0.2`` for ``fixed-points``, ``tol = -1`` and
 ``resolution = 1`` for ``basins`` (``CONFIGS`` holds each file, which
-the command's directory gets before it runs).  It ends with the
-``triclock`` command lines of the README's ``sh`` blocks, read from the
-checkout's README.md, in README order.
+the command's directory gets before it runs).  Then the refusals that a
+handler or a declared check names by origin: ``simulate`` with ``deg =
+true`` and without phases, with ``trace-out = kicks.txt`` and ``--phases``
+and with ``trace-out = kicks.jsonl`` and ``--random-starts 2``, each from a
+config file, ``step --x 7 --y 1``, ``step`` with ``format = xml`` from a
+config file, and ``basins --resolution 100000000``, whose raster fails at
+once for want of memory (after about 1.6 GB of cell centres).  It ends
+with the ``triclock`` command lines of the README's ``sh`` blocks, read
+from the checkout's README.md, in README order.
 Each command runs in an empty temporary directory, with
 ``TRICLOCK_OUTDIR`` unset.  OUTFILE gets one line per command: one sha256
 of its standard output, its standard error and every file it left in that
 directory (name and bytes, in sorted name order), then its exit code and
 the command itself; a command that ends in argparse's usage error records
-that exit code.  Running the script in two checkouts and comparing
-the two OUTFILEs with ``diff`` shows whether a change altered any of
-those bytes.
+that exit code, and one that raises out of ``main`` records
+``traceback:`` and the exception's type in its place.  Running the script
+in two checkouts and comparing the two OUTFILEs with ``diff`` shows
+whether a change altered any of those bytes.
 """
 
 from __future__ import annotations
@@ -91,7 +98,9 @@ import tempfile
 from pathlib import Path
 
 # The config files that sweep commands name, by name.
-CONFIGS = {"eps.cfg": "eps = 0.2\n", "tol.cfg": "tol = -1\n", "resolution.cfg": "resolution = 1\n"}
+CONFIGS = {"eps.cfg": "eps = 0.2\n", "tol.cfg": "tol = -1\n", "resolution.cfg": "resolution = 1\n",
+           "deg.cfg": "deg = true\n", "trace-suffix.cfg": "trace-out = kicks.txt\n",
+           "trace.cfg": "trace-out = kicks.jsonl\n", "format.cfg": "format = xml\n"}
 
 
 def readme_examples(readme: str) -> list[list[str]]:
@@ -215,11 +224,20 @@ def sweep(readme: str) -> list[list[str]]:
                      ["fixed-points", "--config", "eps.cfg"],
                      ["basins", "--eps", "0.05", "--config", "tol.cfg"],
                      ["basins", "--eps", "0.05", "--config", "resolution.cfg"]])
+    commands.extend([["simulate", "--eps", "0.05", "--config", "deg.cfg"],
+                     ["simulate", "--eps", "0.05", "--phases", "0,2,4", "--config",
+                      "trace-suffix.cfg"],
+                     ["simulate", "--eps", "0.05", "--random-starts", "2",
+                      "--config", "trace.cfg"],
+                     ["step", "--eps", "0.05", "--x", "7", "--y", "1"],
+                     ["step", "--eps", "0.05", "--x", "1", "--y", "2",
+                      "--config", "format.cfg"],
+                     ["basins", "--eps", "0.05", "--resolution", "100000000"]])
     commands.extend(readme_examples(readme))
     return commands
 
 
-def run(main, args: list[str]) -> tuple[str, int]:
+def run(main, args: list[str]) -> tuple[str, int | str]:
     """Run ``main(args)`` in an empty directory with stdout and stderr captured;
     one sha256 of those and of every file left in the directory, and the exit code."""
     out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", write_through=True)
@@ -235,6 +253,8 @@ def run(main, args: list[str]) -> tuple[str, int]:
                     code = main(args)
                 except SystemExit as exc:  # argparse's usage errors
                     code = exc.code
+                except Exception as exc:  # a traceback exit
+                    code = f"traceback:{type(exc).__name__}"
         finally:
             os.chdir(cwd)
         files = sorted((path.relative_to(tmp).as_posix(), path.read_bytes())
