@@ -19,10 +19,10 @@ end, traced or a segment root, takes the record of its fixed-point row.
 Each segment is a row of drift coefficients ``(a, b, c)`` of ``a*sin(t)
 + b*sin(c*t)``, whose drift picks ``math.sin`` for a float, as in the
 segment orbits and root bisection, and ``np.sin`` for an array.  The
-Lyapunov scan lists its triangle's lattice nodes by index, as two 1-D
-coordinate arrays, and evaluates the decrement on them directly, in the
-same operation order as :func:`orbital_derivative`, which checks its
-points and calls the same code.
+Lyapunov scan lists its triangle's lattice nodes by index, as one
+``(n, 2)`` point array, and evaluates the decrement on them directly,
+in the same operation order as :func:`orbital_derivative`, which checks
+its points and calls the same code.
 
 Work on many fixed points or segments is one array pass per kind, and
 the one-item calls are its one-row form: :func:`classify_rows` makes one
@@ -76,7 +76,6 @@ from .core import (
     in_square,
     jacobian,
     omega_field,
-    omega_field_xy,
     omega_jacobian,
     require_integer,
     three_clock_step,
@@ -803,9 +802,11 @@ def _require_region(region: str) -> tuple[float, float]:
     return _CENTERS[region]
 
 
-def _in_region(x: np.ndarray, y: np.ndarray, region: str) -> np.ndarray:
-    """Membership of the points ``(x, y)`` in the closed triangle, with 1e-12
-    of slack for rounding."""
+def _in_region(p: np.ndarray, region: str) -> np.ndarray:
+    """Membership of the points ``p`` in the closed triangle, with 1e-12 of
+    slack for rounding."""
+    x = p[..., 0]
+    y = p[..., 1]
     lo, hi = -1e-12, TWO_PI + 1e-12
     side = y >= x - 1e-12 if region == "upper" else y <= x + 1e-12
     return (x >= lo) & (x <= hi) & (y >= lo) & (y <= hi) & side
@@ -815,7 +816,7 @@ def _require_inside(p, region: str) -> np.ndarray:
     """``p`` as a float array, all of whose points lie in the closed triangle."""
     _require_region(region)
     p = np.asarray(p, dtype=float)
-    if not np.all(_in_region(p[..., 0], p[..., 1], region)):
+    if not np.all(_in_region(p, region)):
         raise ValueError(f"point outside the closed {region} triangle")
     return p
 
@@ -843,16 +844,18 @@ def orbital_derivative(p, region: Region, params: CouplingParams) -> np.ndarray:
         DV = eps**2 * (f**2 + g**2 - f*g) + eps * (u*(2f - g) + v*(2g - f))
     """
     p = _require_inside(p, region)
-    return _combine(*_decrement_terms(p[..., 0], p[..., 1], region), params.epsilon)
+    return _combine(*_decrement_terms(p, region), params.epsilon)
 
 
-def _decrement_terms(x: np.ndarray, y: np.ndarray, region: str) -> tuple[np.ndarray, np.ndarray]:
-    """The eps-free terms of the decrement, ``quad = f*f + g*g - f*g`` and
-    ``lin = u*(2f - g) + v*(2g - f)``."""
+def _decrement_terms(p: np.ndarray, region: str) -> tuple[np.ndarray, np.ndarray]:
+    """The eps-free terms of the decrement at the points ``p``,
+    ``quad = f*f + g*g - f*g`` and ``lin = u*(2f - g) + v*(2g - f)``."""
     cx, cy = _CENTERS[region]
-    f, g = omega_field_xy(x, y)
-    u = x - cx
-    v = y - cy
+    w = omega_field(p)
+    f = w[..., 0]
+    g = w[..., 1]
+    u = p[..., 0] - cx
+    v = p[..., 1] - cy
     return f * f + g * g - f * g, u * (2.0 * f - g) + v * (2.0 * g - f)
 
 
@@ -868,7 +871,7 @@ def region_fixed_points(region: Region) -> np.ndarray:
     return _REGION_POINTS[region].copy()
 
 
-_REGION_POINTS = {r: _FIXED_POINTS[_in_region(*_FIXED_POINTS.T, r)] for r in _CENTERS}
+_REGION_POINTS = {r: _FIXED_POINTS[_in_region(_FIXED_POINTS, r)] for r in _CENTERS}
 
 
 @dataclass(frozen=True)
@@ -936,27 +939,27 @@ def orbital_derivative_scan(
 def _upper_scan(eps: float, grid: int) -> tuple[float, np.ndarray]:
     """The decrement's maximum and read-only zero set on the upper triangle's
     lattice, kept for the lower scan that follows with the same arguments."""
-    x, y, quad, lin = _upper_lattice(grid)
+    p, quad, lin = _upper_lattice(grid)
     df = _combine(quad, lin, eps)
     zero = np.abs(df) < ZERO_TOL
-    zero_pts = np.column_stack((x[zero], y[zero]))
+    zero_pts = p[zero]
     zero_pts.flags.writeable = False
     return float(np.max(df)), zero_pts
 
 
 @functools.lru_cache(maxsize=1)
-def _upper_lattice(grid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The upper triangle's lattice nodes ``x``, ``y`` and the decrement's
-    eps-free terms ``quad``, ``lin`` on them, all read-only: four arrays of
-    ``(grid + 1) * (grid + 2) / 2`` floats, about 1.5 MB at grid 300, kept
-    for the scans of later couplings on the same grid.
+def _upper_lattice(grid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The upper triangle's lattice nodes ``p``, an ``(n, 2)`` array, and the
+    decrement's eps-free terms ``quad``, ``lin`` on them, all read-only:
+    ``n = (grid + 1) * (grid + 2) / 2``, about 1.5 MB at grid 300, kept for
+    the scans of later couplings on the same grid.
     """
     # The triangle's nodes, y >= x, in row-major order: the nodes _in_region
     # admits, since no off-diagonal node lies within its slack of the diagonal.
     axis = np.linspace(0.0, TWO_PI, grid + 1)
     row, col = np.tril_indices(grid + 1)
-    x, y = axis[col], axis[row]
-    arrays = (x, y, *_decrement_terms(x, y, "upper"))
+    p = np.stack((axis[col], axis[row]), axis=-1)
+    arrays = (p, *_decrement_terms(p, "upper"))
     for a in arrays:
         a.flags.writeable = False
     return arrays

@@ -29,6 +29,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -52,6 +53,10 @@ __all__ = ["main"]
 
 _ENV_OUTDIR = "TRICLOCK_OUTDIR"
 
+# A config comment starts at a "#" that opens its line or follows whitespace;
+# any other "#" belongs to the value (out = a#b.csv).
+_COMMENT = re.compile(r"(?<!\S)#")
+
 
 def _read_config(path: str) -> dict[str, str]:
     cfg: dict[str, str] = {}
@@ -60,7 +65,7 @@ def _read_config(path: str) -> dict[str, str]:
     except OSError as exc:
         raise ValueError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -380,7 +385,8 @@ def _cmd_andronov(o: argparse.Namespace) -> Report:
     params = CouplingParams(epsilon=0.0, mu=o.mu, h=o.h)
     with _named(o, "v0"):
         require_basin_velocity(o.v0, params)
-    vf = andronov_fixed_point(params)
+    with _named(o, "mu" if "mu" in o.origins else "h"):
+        vf = andronov_fixed_point(params)
     rows = []
     v = o.v0
     for k in range(o.steps + 1):

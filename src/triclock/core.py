@@ -51,7 +51,6 @@ __all__ = [
     "andronov_step",
     "andronov_fixed_point",
     "omega_field",
-    "omega_field_xy",
     "omega_jacobian",
     "three_clock_step",
     "three_clock_step_centred",
@@ -153,8 +152,8 @@ def andronov_step(v: float, params: CouplingParams) -> float:
 
 
 def andronov_fixed_point(params: CouplingParams) -> float:
-    """Stationary section velocity v_f = h**2 / (8*mu) + 2*mu (needs mu > 0
-    and a finite v_f)."""
+    """Stationary section velocity v_f = h**2 / (8*mu) + 2*mu (needs mu > 0 and
+    a finite v_f above 4*mu, that is h > 4*mu, where every iterate is >= h)."""
     if params.mu <= 0.0:
         raise ValueError("the escapement fixed point requires mu > 0")
     try:
@@ -163,6 +162,9 @@ def andronov_fixed_point(params: CouplingParams) -> float:
         vf = math.inf
     if math.isinf(vf):
         raise ValueError(f"the escapement fixed point overflows at mu={params.mu}, h={params.h}")
+    if vf <= 4.0 * params.mu:
+        raise ValueError(f"the escapement has no limit cycle at mu={params.mu}, h={params.h}: "
+                         f"v_f={vf} is not above 4*mu = {4.0 * params.mu} (requires h > 4*mu)")
     return vf
 
 
@@ -173,27 +175,14 @@ def omega_field(p) -> np.ndarray:
     Accepts any ``(..., 2)`` array and broadcasts.
     """
     p = np.asarray(p, dtype=float)
-    f, g = omega_field_xy(p[..., 0], p[..., 1])
-    return np.stack((f, g), axis=-1)
-
-
-def omega_field_xy(x, y) -> np.ndarray:
-    """:func:`omega_field` on separate coordinate arrays, which broadcast:
-    ``(f, g)`` stacked in one fresh array of shape ``(2,) + shape``, where
-    ``shape`` is the broadcast shape of ``x`` and ``y``, so its rows unpack
-    as ``f, g``.
-
-    It has the operands and order of ``2*sx + sy + sxy`` and
-    ``sx + 2*sy + (0.0 - sxy)``.
-    """
-    sx = np.sin(x)
-    sy = np.sin(y)
-    sxy = np.sin(x - y)
+    sx = np.sin(p[..., 0])
+    sy = np.sin(p[..., 1])
+    sxy = np.sin(p[..., 0] - p[..., 1])
     # 0.0 - sxy, not -sxy: the two differ only where sxy is a zero, and there
     # 0.0 - sxy is +0, as sin(y - x) is, except at x = +0, y = -0, where the
     # +0 of sx + 2*sy absorbs either sign.  So g(x, y) == f(y, x) bit for bit,
     # signed zeros included, since the sine is odd and IEEE addition commutes.
-    return np.array((2.0 * sx + sy + sxy, sx + 2.0 * sy + (0.0 - sxy)))
+    return np.stack((2.0 * sx + sy + sxy, sx + 2.0 * sy + (0.0 - sxy)), axis=-1)
 
 
 def omega_jacobian(p) -> np.ndarray:

@@ -610,6 +610,18 @@ REFUSED_VALUES = [
      "triclock: error: --mu: mu must be finite and >= 0, got -1.0\n"),
     (["andronov", "--v0", "5", "--h", "0"],
      "triclock: error: --h: h must be finite and > 0, got 0.0\n"),
+    (["andronov", "--v0", "5", "--mu", "0"],
+     "triclock: error: --mu: the escapement fixed point requires mu > 0\n"),
+    (["andronov", "--v0", "5", "--h", "0.3"],
+     "triclock: error: --h: the escapement has no limit cycle at mu=0.1, h=0.3: "
+     "v_f=0.3125 is not above 4*mu = 0.4 (requires h > 4*mu)\n"),
+    (["andronov", "--v0", "5", "--mu", "1", "--h", "1", "--steps", "1"],
+     "triclock: error: --mu: the escapement has no limit cycle at mu=1.0, h=1.0: "
+     "v_f=2.125 is not above 4*mu = 4.0 (requires h > 4*mu)\n"),
+    (["andronov", "--v0", "5", "--mu", "1e-320"],
+     "triclock: error: --mu: the escapement fixed point overflows at mu=1e-320, h=1.0\n"),
+    (["andronov", "--v0", "5", "--h", "1e308"],
+     "triclock: error: --h: the escapement fixed point overflows at mu=0.1, h=1e+308\n"),
     (["verify", "--config", "eps = 0.05,0.2"],
      f"triclock: error: config key 'eps': epsilon=0.2 {_RANGE}\n"),
     (["simulate", "--config", "eps = 1"],
@@ -623,6 +635,20 @@ REFUSED_VALUES = [
      "triclock: error: config key 'splay-tol': tol must be finite and > 0, got nan\n"),
     (["andronov", "--v0", "5", "--config", "mu = -1"],
      "triclock: error: config key 'mu': mu must be finite and >= 0, got -1.0\n"),
+    (["andronov", "--v0", "5", "--config", "mu = 0"],
+     "triclock: error: config key 'mu': the escapement fixed point requires mu > 0\n"),
+    (["andronov", "--v0", "5", "--config", "h = 0.3"],
+     "triclock: error: config key 'h': the escapement has no limit cycle at mu=0.1, h=0.3: "
+     "v_f=0.3125 is not above 4*mu = 0.4 (requires h > 4*mu)\n"),
+    (["andronov", "--v0", "5", "--h", "1", "--config", "mu = 1"],
+     "triclock: error: config key 'mu': the escapement has no limit cycle at mu=1.0, h=1.0: "
+     "v_f=2.125 is not above 4*mu = 4.0 (requires h > 4*mu)\n"),
+    (["andronov", "--v0", "5", "--config", "mu = 1e-320"],
+     "triclock: error: config key 'mu': the escapement fixed point overflows at mu=1e-320, "
+     "h=1.0\n"),
+    (["andronov", "--v0", "5", "--config", "h = 1e308"],
+     "triclock: error: config key 'h': the escapement fixed point overflows at mu=0.1, "
+     "h=1e+308\n"),
     (["andronov", "--config", "v0 = 0.3"],
      "triclock: error: config key 'v0': v=0.3 is outside the limit-cycle basin "
      "(requires v > 4*mu = 0.4)\n"),
@@ -946,6 +972,21 @@ class TestPlumbing:
         )
         assert code == 0
         assert len(parse_csv(out)) == 3
+
+    def test_a_hash_starts_a_comment_only_at_a_line_start_or_after_whitespace(
+            self, capsys, tmp_path, monkeypatch):
+        # Any other '#' belongs to the value: out = a#b.csv names the file
+        # a#b.csv, not a.
+        outdir = tmp_path / "out"
+        monkeypatch.setenv("TRICLOCK_OUTDIR", str(outdir))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# settings\neps = 0.05  # note\ncount = 2\t# two\nout = a#b.csv\n")
+        code, out, err = run_cli(capsys, "step", "--x", "1", "--y", "2", "--config", str(cfg))
+        assert (code, out, err) == (0, "", "")
+        assert [path.name for path in outdir.iterdir()] == ["a#b.csv"]
+        run_cli(capsys, "step", "--x", "1", "--y", "2", "--eps", "0.05", "-n", "2",
+                "--out", "flags.csv")
+        assert (outdir / "a#b.csv").read_bytes() == (outdir / "flags.csv").read_bytes()
 
     def test_cli_overrides_config(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

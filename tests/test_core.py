@@ -16,7 +16,6 @@ from triclock.core import (
     jacobian,
     normalize_phase,
     omega_field,
-    omega_field_xy,
     omega_jacobian,
     require_integer,
     three_clock_step,
@@ -153,6 +152,18 @@ class TestAndronov:
         with pytest.raises(ValueError):
             andronov_fixed_point(CouplingParams(0.0, mu=0.0, h=1.0))
 
+    def test_fixed_point_needs_a_limit_cycle(self):
+        # v_f = h**2/(8*mu) + 2*mu is above 4*mu exactly when h > 4*mu; at
+        # mu = 1, h = 1 it is 2.125, and a start at 5 leaves the basin.
+        for mu, h in ((1.0, 1.0), (0.125, 0.5)):
+            with pytest.raises(ValueError, match=r"no limit cycle .* \(requires h > 4\*mu\)"):
+                andronov_fixed_point(CouplingParams(0.0, mu=mu, h=h))
+        p = CouplingParams(0.0, mu=0.125, h=0.5000001)
+        vf, v = andronov_fixed_point(p), 5.0
+        for _ in range(100):
+            v = andronov_step(v, p)
+        assert 4.0 * p.mu < v and abs(v - vf) < abs(5.0 - vf)
+
     @pytest.mark.parametrize("v0", [0.41, 10.0, 100.0])
     def test_monotone_convergence(self, v0):
         p = CouplingParams(0.0, mu=0.1, h=1.0)
@@ -211,15 +222,13 @@ class TestOmegaField:
         swapped = np.ascontiguousarray(pts[:, ::-1])
         assert omega_field(swapped).tobytes() == np.ascontiguousarray(
             omega_field(pts)[:, ::-1]).tobytes()
-        f, g = omega_field_xy(pts[:, 0], pts[:, 1])
-        assert np.stack((f, g), axis=-1).tobytes() == omega_field(pts).tobytes()
 
     def test_signed_zero_corner_gives_positive_zeros(self):
         # g adds 0.0 - sin(x - y), which is +0 where sin(y - x) is, so the
         # field at (-0, -0) is (+0, +0) like its transpose.
         w = omega_field([(-0.0, -0.0)])
         assert w.tobytes() == np.zeros((1, 2)).tobytes()
-        assert np.array(omega_field_xy(-0.0, -0.0)).tobytes() == np.zeros(2).tobytes()
+        assert omega_field((-0.0, -0.0)).tobytes() == np.zeros(2).tobytes()
 
     # The two symmetries below hold only to rounding: each sine argument is
     # rounded once more than on the left-hand side, and |f|, |g| <= 4.
@@ -237,7 +246,8 @@ class TestOmegaField:
         # Measuring the differences from clock 2 instead of clock 1 maps
         # (x, y) to (-x, y - x) mod 2*pi, and the field to (-f, g - f).
         x, y = pts[:, 0], pts[:, 1]
-        f, g = omega_field_xy(x, y)
+        w = omega_field(pts)
+        f, g = w[:, 0], w[:, 1]
         relabelled = omega_field(np.stack((np.mod(-x, TWO_PI), np.mod(y - x, TWO_PI)), axis=-1))
         assert np.max(np.abs(relabelled[:, 0] + f)) < 1e-14
         assert np.max(np.abs(relabelled[:, 1] - (g - f))) < 1e-14
@@ -515,8 +525,6 @@ class TestInPlaceStepOracle:
             ex, ey = _plain_centred_step(x - PI, y - PI, eps)
             gx, gy = three_clock_step_centred(x - PI, y - PI, params)
             assert gx.tobytes() == ex.tobytes() and gy.tobytes() == ey.tobytes()
-            f, g = omega_field_xy(x, y)
-            assert f.shape == g.shape == ex.shape
 
     @settings(deadline=None, max_examples=50)
     @given(pts=oracle_point_arrays(), eps=oracle_eps)
@@ -538,13 +546,15 @@ class TestInPlaceStepOracle:
     @settings(deadline=None, max_examples=50)
     @given(pts=oracle_point_arrays())
     def test_field_of_a_column_and_a_row(self, pts):
-        # The outer form (2, n, m) in float64, each element the 0-d call's.
+        # On the (n, m, 2) stack of a column against a row: (n, m, 2) in
+        # float64, each point's field the one-point call's.
         x, y = pts[:12, 0], pts[-7:, 1]
-        w = omega_field_xy(x[:, None], y[None, :])
-        assert w.shape == (2, len(x), len(y)) and w.dtype == np.float64
-        each = np.array([[omega_field_xy(x[i, ...], y[j, ...]) for j in range(len(y))]
+        stack = np.stack(np.broadcast_arrays(x[:, None], y[None, :]), axis=-1)
+        w = omega_field(stack)
+        assert w.shape == (len(x), len(y), 2) and w.dtype == np.float64
+        each = np.array([[omega_field(stack[i, j]) for j in range(len(y))]
                          for i in range(len(x))])
-        assert np.moveaxis(each, -1, 0).tobytes() == w.tobytes()
+        assert each.tobytes() == w.tobytes()
 
     @settings(deadline=None, max_examples=200)
     @given(pts=oracle_point_arrays())

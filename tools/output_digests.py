@@ -62,14 +62,18 @@ analysis commands, ``verify --eps 0.2``, ``verify --eps 0.05,0.2``,
 ``fixed-points --eps -1``, ``basins --eps nan``, ``step --eps 0 --x 1
 --y 2`` and ``portrait --eps 5``, the malformed lists ``verify --eps
 0.05,,0.06`` and ``simulate --eps 0.05 --phases 0,1,``, the refused
-``andronov --mu -1`` and ``--h 0``, and three values refused from a
-config file: ``eps = 0.2`` for ``fixed-points``, ``tol = -1`` and
-``resolution = 1`` for ``basins`` (``CONFIGS`` holds each file, which
-the command's directory gets before it runs).  Then the refusals that a
-handler or a declared check names by origin: ``simulate`` with ``deg =
-true`` and without phases, with ``trace-out = kicks.txt`` and ``--phases``
-and with ``trace-out = kicks.jsonl`` and ``--random-starts 2``, each from a
-config file, ``step --x 7 --y 1``, ``step`` with ``format = xml`` from a
+``andronov --mu -1`` and ``--h 0``, the escapements with no finite fixed
+point or no limit cycle, ``andronov --mu 0``, ``--h 0.3``, ``--mu 1 --h 1``
+with ``--steps`` 3 and 1 and ``--mu 1e-320 --h 1e200``, and three values
+refused from a config file: ``eps = 0.2`` for ``fixed-points``, ``tol =
+-1`` and ``resolution = 1`` for ``basins`` (``CONFIGS`` holds each file,
+which the command's directory gets before it runs).  Then ``step`` from
+a config file whose values are followed by a comment and hold a ``#``,
+``out = a#b.csv``.  Then the refusals that a handler or a declared check
+names by origin: ``simulate`` with ``deg = true`` and without phases,
+with ``trace-out = kicks.txt`` and ``--phases`` and with ``trace-out =
+kicks.jsonl`` and ``--random-starts 2``, each from a config file, ``step
+--x 7 --y 1``, ``step`` with ``format = xml`` from a
 config file, and ``basins --resolution 100000000``, whose raster fails at
 once for want of memory (after about 1.6 GB of cell centres).  It ends
 with the ``triclock`` command lines of the README's ``sh`` blocks, read
@@ -100,7 +104,8 @@ from pathlib import Path
 # The config files that sweep commands name, by name.
 CONFIGS = {"eps.cfg": "eps = 0.2\n", "tol.cfg": "tol = -1\n", "resolution.cfg": "resolution = 1\n",
            "deg.cfg": "deg = true\n", "trace-suffix.cfg": "trace-out = kicks.txt\n",
-           "trace.cfg": "trace-out = kicks.jsonl\n", "format.cfg": "format = xml\n"}
+           "trace.cfg": "trace-out = kicks.jsonl\n", "format.cfg": "format = xml\n",
+           "hash.cfg": "# step\neps = 0.05  # note\ncount = 2\t# two\nout = a#b.csv\n"}
 
 
 def readme_examples(readme: str) -> list[list[str]]:
@@ -221,9 +226,14 @@ def sweep(readme: str) -> list[list[str]]:
                      ["portrait", "--eps", "5"], ["verify", "--eps", "0.05,,0.06"],
                      ["simulate", "--eps", "0.05", "--phases", "0,1,"],
                      ["andronov", "--v0", "5", "--mu", "-1"], ["andronov", "--v0", "5", "--h", "0"],
+                     ["andronov", "--v0", "5", "--mu", "0"], ["andronov", "--v0", "5", "--h", "0.3"],
+                     ["andronov", "--v0", "5", "--mu", "1", "--h", "1", "--steps", "3"],
+                     ["andronov", "--v0", "5", "--mu", "1", "--h", "1", "--steps", "1"],
+                     ["andronov", "--v0", "5", "--mu", "1e-320", "--h", "1e200"],
                      ["fixed-points", "--config", "eps.cfg"],
                      ["basins", "--eps", "0.05", "--config", "tol.cfg"],
-                     ["basins", "--eps", "0.05", "--config", "resolution.cfg"]])
+                     ["basins", "--eps", "0.05", "--config", "resolution.cfg"],
+                     ["step", "--x", "1", "--y", "2", "--config", "hash.cfg"]])
     commands.extend([["simulate", "--eps", "0.05", "--config", "deg.cfg"],
                      ["simulate", "--eps", "0.05", "--phases", "0,2,4", "--config",
                       "trace-suffix.cfg"],
