@@ -730,10 +730,15 @@ def _restriction_orbit(
 ) -> list[float]:
     """Parameters of the heteroclinic running inside a segment from its fixed
     point at ``t_src`` to the one at ``t_dst``, iterated by its restriction map."""
+    a, b, c = segment.coefficients
+    eps = params.epsilon
+    sin = math.sin
     t = t_src + math.copysign(SEED_STEP, t_dst - t_src)
     ts = [t]
     for _ in range(default_max_iterations(params)):
-        t = segment.restriction(t, params)
+        # segment.restriction(t, params), with the same operands in the same order.
+        s = sin(t)
+        t = t + eps * (a * s + b * (s if c == 1.0 else sin(c * t)))
         ts.append(t)
         if abs(t - t_dst) <= CAPTURE_TOL:
             return ts

@@ -26,7 +26,6 @@ import argparse
 import contextlib
 import csv
 import functools
-import json
 import math
 import os
 import re
@@ -45,6 +44,7 @@ from .core import (
     andronov_step,
     default_max_iterations,
     json_data,
+    json_text,
     require_basin_velocity,
     require_integer,
 )
@@ -102,7 +102,7 @@ def _write(path: str, write: Writer, binary: bool = False) -> None:
 
 
 def _json(obj: Any) -> Writer:
-    return lambda stream: stream.write(json.dumps(obj, indent=2, default=json_data) + "\n")
+    return lambda stream: stream.write(json_text(obj) + "\n")
 
 
 def _csv(header: list[str], rows: Iterable[list]) -> Writer:

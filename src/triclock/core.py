@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, is_dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -59,6 +60,7 @@ __all__ = [
     "in_square",
     "default_max_iterations",
     "json_data",
+    "json_text",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -329,15 +331,103 @@ def default_max_iterations(params: CouplingParams) -> int:
 
 
 def json_data(obj):
-    """The ``default=`` hook of every ``json.dumps`` in the package.
+    """The ``default=`` hook of every JSON writer in the package.
 
     An array or numpy scalar becomes its ``tolist()``, a dataclass the dict
-    of its fields in declaration order; ``json`` itself walks what comes
-    back, so nested dataclasses and arrays take the same hook.  Any other
-    value raises TypeError, as ``json`` does without a hook.
+    of its fields in declaration order; the writer walks what comes back,
+    so nested dataclasses and arrays take the same hook.  Any other value
+    raises TypeError, as ``json`` does without a hook.
     """
     if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
     if is_dataclass(obj):
         return {f.name: getattr(obj, f.name) for f in fields(obj)}
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _float_text(x: float) -> str:
+    """``json``'s spelling of a float: its repr, or NaN, Infinity, -Infinity."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key_text(key) -> str:
+    """A dict key as ``json`` converts it to a string, before quoting."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _put(obj, out: list[str], newline: str) -> None:
+    """Append the text of ``obj`` to ``out``; ``newline`` is a newline and
+    the indent of the line ``obj`` starts on."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(_float_text(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            _put(value, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in obj.items():
+            out.append(sep + encode_basestring_ascii(_key_text(key)) + ": ")
+            _put(value, out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        _put(json_data(obj), out, newline)
+
+
+def json_text(obj) -> str:
+    """``json.dumps(obj, indent=2, default=json_data)``, byte for byte: the
+    text of every indented JSON report.
+
+    With an indent, ``json`` runs its pure-Python generator encoder; this
+    writer appends to one list and joins once.  It tests types with
+    ``isinstance`` in ``json``'s order (str, None, True, False, int, float,
+    list or tuple, dict, then :func:`json_data`), so subclasses take their
+    base's branch and a bool is never an int; keys convert as ``json``
+    converts them, and any other key raises ``json``'s TypeError.  It keeps
+    no record of the containers it is inside: a circular reference recurses
+    until RecursionError, where ``json`` raises ValueError.  No report holds
+    one.
+    """
+    out: list[str] = []
+    _put(obj, out, "\n")
+    return "".join(out)

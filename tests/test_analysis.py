@@ -649,6 +649,28 @@ class TestHeteroclinicCensus:
         assert analysis._upper_lattice.cache_info().misses - builds <= 1
         assert all(seg.roots is kept for seg, kept in zip(invariant_segments(), roots))
 
+    @pytest.mark.parametrize("eps", [0.012, 0.05, 0.1])
+    def test_restriction_orbit_is_the_chained_restriction_map(self, eps):
+        # _restriction_orbit steps in one local loop; every root pair's orbit
+        # is the one chained through InvariantSegment.restriction, bit for bit.
+        p = params(eps)
+        pairs = 0
+        for segment in invariant_segments():
+            ts = [float(t) for t in segment.roots]
+            for lo, hi in zip(ts, ts[1:]):
+                src, dst = (lo, hi) if segment.drift(0.5 * (lo + hi)) > 0.0 else (hi, lo)
+                t = src + math.copysign(analysis.SEED_STEP, dst - src)
+                want = [t]
+                for _ in range(default_max_iterations(p)):
+                    t = segment.restriction(t, p)
+                    want.append(t)
+                    if abs(t - dst) <= analysis.CAPTURE_TOL:
+                        break
+                got = analysis._restriction_orbit(segment, src, dst, p)
+                assert [t.hex() for t in got] == [t.hex() for t in want], (segment.name, src)
+                pairs += 1
+        assert pairs == 18
+
     # The couplings of [0.01, 0.11] (201 points) and of the benchmark's verify
     # pools at which _eig2's eigenvectors at (0, pi) and (pi, 0) are not exact
     # transposes, so their seeds miss each other's mirror by a rounding.

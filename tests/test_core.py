@@ -1,4 +1,8 @@
+import enum
+import json
 import math
+from collections import Counter, OrderedDict, namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -14,6 +18,8 @@ from triclock.core import (
     andronov_step,
     in_square,
     jacobian,
+    json_data,
+    json_text,
     normalize_phase,
     omega_field,
     omega_jacobian,
@@ -628,3 +634,92 @@ class TestNormalizePhase:
         assert 0.0 <= out < TWO_PI
         assert math.isclose(math.sin(out), math.sin(phi), abs_tol=1e-9)
         assert math.isclose(math.cos(out), math.cos(phi), abs_tol=1e-9)
+
+
+@dataclass(frozen=True)
+class _Frozen:
+    first: object
+    second: object
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class _Text(str):
+    pass
+
+
+class _Items(list):
+    pass
+
+
+_Pair = namedtuple("_Pair", "left right")
+
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, math.nan, math.inf,
+                     -math.inf, 1e16, 1e-7, 1.0, 0.1]),
+)
+_STRINGS = st.one_of(
+    st.text(st.characters(exclude_categories=()), max_size=8),
+    st.sampled_from(["", "\ud800", "\udfff x", '"\\/\x00\x1f\x7f', "\u00e9\u20ac\U0001f600"]),
+)
+_INTS = st.one_of(st.integers(), st.integers(-(2**100), 2**100),
+                  st.sampled_from([0, -1, 2**63, -(2**64) - 1]))
+_KEYS = st.one_of(_STRINGS, _INTS, _FLOATS, st.booleans(), st.none())
+_NUMPY = st.one_of(
+    _FLOATS.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    _FLOATS.map(np.array),
+    st.lists(_FLOATS, min_size=0, max_size=6).map(lambda v: np.array(v).reshape(-1, 2)
+                                                   if len(v) % 2 == 0 else np.array(v)),
+    st.lists(st.integers(-5, 5), max_size=4).map(lambda v: np.array(v, dtype=np.int64)),
+)
+_LEAVES = st.one_of(
+    _STRINGS, _INTS, _FLOATS, st.booleans(), st.none(), _NUMPY,
+    _STRINGS.map(_Text), st.sampled_from(list(_Level)),
+    st.just([]), st.just(()), st.just({}), st.just(Counter()),
+)
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(children, max_size=4).map(_Items),
+        st.dictionaries(_KEYS, children, max_size=4),
+        st.dictionaries(_KEYS, children, max_size=4).map(OrderedDict),
+        st.dictionaries(_STRINGS, st.integers(), max_size=4).map(Counter),
+        st.builds(_Frozen, children, children),
+        st.builds(_Pair, children, children),
+    )
+
+
+_DOCUMENTS = st.recursive(_LEAVES, _containers, max_leaves=25)
+
+
+class TestJsonText:
+    """``json_text`` against the writer it replaces,
+    ``json.dumps(obj, indent=2, default=json_data)``."""
+
+    @settings(deadline=None, max_examples=250)
+    @given(obj=_DOCUMENTS)
+    def test_is_json_dumps_indent_2_byte_for_byte(self, obj):
+        assert json_text(obj) == json.dumps(obj, indent=2, default=json_data)
+
+    @pytest.mark.parametrize("obj", [
+        {(1, 2): 0},
+        [1.0, {"k": {(): None}}],
+        {"k": object()},
+        {np.int64(3): 1},
+    ], ids=["tuple-key", "nested-tuple-key", "unknown-type", "numpy-key"])
+    def test_both_writers_refuse_the_same_values(self, obj):
+        with pytest.raises(TypeError) as want:
+            json.dumps(obj, indent=2, default=json_data)
+        with pytest.raises(TypeError) as got:
+            json_text(obj)
+        assert str(got.value) == str(want.value)

@@ -17,6 +17,12 @@ clocks on, the first-order dynamics has neutral directions at the splay.
 One reference cycle of the event simulator is that map up to O(eps**2),
 for every N: the property below checks the error and its eps**2 scaling
 componentwise, start by start.
+
+Under a general kick ``p -> p + eps*Z(p)`` (tests/test_general_kick.py) the
+same sum gives ``Omega_j = sum_k Z(theta_j - theta_k) - sum_k Z(theta_0 -
+theta_k)``.  A second harmonic in ``Z`` moves the modes the first harmonic
+leaves alone, so the N-3 neutral directions belong to first-harmonic
+coupling (Watanabe & Strogatz, Physica D 74 (1994)).
 """
 
 import math
@@ -30,10 +36,10 @@ from triclock.core import TWO_PI, CouplingParams, omega_field
 from triclock.events import ClockEnsemble, difference_vector, run_cycle
 
 
-def omega(theta):
-    """``Omega`` at the differences ``theta_1..theta_{N-1}``."""
+def omega(theta, Z=np.sin):
+    """``Omega`` of the kick ``Z`` at the differences ``theta_1..theta_{N-1}``."""
     full = np.concatenate(([0.0], theta))
-    sums = np.sin(full[:, None] - full[None, :]).sum(axis=1)
+    sums = Z(full[:, None] - full[None, :]).sum(axis=1)
     return sums[1:] - sums[0]
 
 
@@ -91,6 +97,39 @@ def test_splay_multipliers_match_the_closed_form(n, eps):
         multipliers = np.linalg.eigvals(jac)
         assert np.max(np.abs(multipliers.imag)) < tol
         assert np.allclose(np.sort(multipliers.real), expected, rtol=0.0, atol=tol)
+
+
+# First-order rates at the splay, the eigenvalues of DOmega, under three
+# kicks: a second harmonic lifts every neutral direction, a first-harmonic
+# cosine term only turns the pair of decaying modes into a spiral.
+KICK_RATES = [
+    ("sin", np.sin, 4, [-2.0, -2.0, 0.0]),
+    ("sin", np.sin, 5, [-2.5, -2.5, 0.0, 0.0]),
+    ("sin + 0.3 sin 2p", lambda p: np.sin(p) + 0.3 * np.sin(2.0 * p), 4, [-2.4, -2.0, -2.0]),
+    ("sin + 0.3 sin 2p", lambda p: np.sin(p) + 0.3 * np.sin(2.0 * p), 5,
+     [-2.5, -2.5, -1.5, -1.5]),
+    ("sin + 0.3(1 - cos)", lambda p: np.sin(p) + 0.3 * (1.0 - np.cos(p)), 4,
+     [-2.0 - 0.6j, -2.0 + 0.6j, 0.0]),
+    ("sin + 0.3(1 - cos)", lambda p: np.sin(p) + 0.3 * (1.0 - np.cos(p)), 5,
+     [-2.5 - 0.75j, -2.5 + 0.75j, 0.0, 0.0]),
+]
+
+
+def by_real_then_imag(values):
+    return sorted(values, key=lambda z: (round(complex(z).real, 4), complex(z).imag))
+
+
+@pytest.mark.parametrize("name, Z, n, rates", KICK_RATES,
+                         ids=[f"{name}-N{n}" for name, _, n, _ in KICK_RATES])
+def test_splay_rates_under_a_general_kick(name, Z, n, rates):
+    theta, h = splay(n), 1e-6
+    columns = []
+    for m in range(n - 1):
+        e = np.zeros(n - 1)
+        e[m] = h
+        columns.append((omega(theta + e, Z) - omega(theta - e, Z)) / (2.0 * h))
+    got = by_real_then_imag(np.linalg.eigvals(np.column_stack(columns)))
+    assert np.max(np.abs(np.array(got) - np.array(by_real_then_imag(rates)))) < 1e-6
 
 
 EPS = 4e-3

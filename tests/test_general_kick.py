@@ -24,6 +24,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from triclock import events
 from triclock.core import TWO_PI
@@ -157,3 +159,58 @@ def test_the_sign_of_a_plus_b_decides_lock_or_escape(name, Z, dZ):
         if moved < 1e-12 or off > 0.1:
             break
     assert (moved < 1e-12 and off < 0.1) if attracts else off > 0.1
+
+
+def trig_kick(a, b, c):
+    """``Z(p) = sin(p) + a*(1 - cos p) + b*sin(2p) + c*sin(3p)``: ``Z(0) = 0``,
+    and ``|Z'| <= 1 + |a| + 2|b| + 3|c|``."""
+    return lambda p: (math.sin(p) + a * (1.0 - math.cos(p)) + b * math.sin(2.0 * p)
+                      + c * math.sin(3.0 * p))
+
+
+@st.composite
+def trig_kicks(draw):
+    """A kick of the family above with small coefficients, and an eps in
+    (0, 0.3] for which ``1 + eps*Z' > 0`` everywhere (by the bound on
+    ``Z'``), so the kick keeps the clocks' cyclic order."""
+    a, b, c = (draw(st.floats(-0.5, 0.5)) for _ in range(3))
+    eps = draw(st.floats(0.0, 0.3, exclude_min=True))
+    assume(eps * (1.0 + abs(a) + 2.0 * abs(b) + 3.0 * abs(c)) < 1.0)
+    return trig_kick(a, b, c), eps
+
+
+class TestTrigPolynomialKicks:
+    """The invariant sets and the splay under every kick of the family."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(kick=trig_kicks(), t=st.floats(0.0, TWO_PI))
+    def test_the_field_keeps_the_edges_the_diagonal_and_the_splay(self, kick, t):
+        # On x = 0, f = ((Z(0) - Z(-0)) - Z(-y)) + Z(-y), where Z(0) and Z(-0)
+        # are both zeros: an exact zero.  On the diagonal f and g are the same
+        # operations on the same operands.
+        Z, _ = kick
+        assert omega_Z((0.0, t), Z)[0] == 0.0
+        assert omega_Z((t, 0.0), Z)[1] == 0.0
+        f, g = omega_Z((t, t), Z)
+        assert f.hex() == g.hex()
+        assert np.max(np.abs(omega_Z(SPLAY, Z))) < 1e-12
+
+    @settings(deadline=None, max_examples=200)
+    @given(kick=trig_kicks(), t=st.floats(0.0, TWO_PI, exclude_max=True),
+           tied=st.sampled_from(((0, 1), (0, 2), (1, 2))))
+    def test_tied_clocks_stay_tied(self, kick, t, tied):
+        """The starts ``[0, 0, t]``, ``[0, t, 0]`` and ``[0, t, t]`` stay tied
+        bit for bit over 4 cycles: tied clocks take the same float
+        operations, and a clock tied to the kicker at 2*pi keeps its bits
+        through the kick when ``|eps*Z(fl(2*pi))|`` is below half an ulp of
+        2*pi, as ``TestRunCycle.test_the_edges_and_the_diagonal_are_invariant``
+        (tests/test_events.py) states for ``sin``."""
+        Z, eps = kick
+        assume(abs(eps * Z(TWO_PI)) < 0.5 * math.ulp(TWO_PI))
+        i, j = tied
+        phases = [0.0, t, t]
+        if i == 0:
+            phases[j] = 0.0
+        for _ in range(4):
+            phases, _, _ = kick_cycle(phases, eps, Z)
+            assert phases[i].hex() == phases[j].hex()
