@@ -13,8 +13,9 @@ Lyapunov functions, one per open triangle beside the main diagonal,
 certify the global pull toward the splay attractors; their decrement per
 step is evaluated in expanded form to avoid cancellation.
 
-Single orbits run on Python floats: the census traces the 2-D orbits
-through :func:`~triclock.core.three_clock_step_scalar`, and every orbit
+Single orbits run on Python floats: the census traces the 2-D orbits in
+centred coordinates through
+:func:`~triclock.core.three_clock_step_centred_scalar`, and every orbit
 end, traced or a segment root, takes the record of its fixed-point row.
 Each segment is a row of drift coefficients ``(a, b, c)`` of ``a*sin(t)
 + b*sin(c*t)``, whose drift picks ``math.sin`` for a float, as in the
@@ -34,9 +35,11 @@ several segments steps all their samples with one map call.
 
 The swap ``(x, y) -> (y, x)`` commutes with the map bit for bit, and
 the work of ``verify`` is done once per mirror pair.  The census traces
-3 of its 6 saddle orbits and takes the other 3 as their mirror images,
-paired by fixed-point row.  It iterates 4 of its 12 segment orbits,
-since the restriction map depends only on a segment's coefficient row.
+2 of its 6 saddle orbits, in centred coordinates, where the point
+reflection ``(u, v) -> (-u, -v)`` is exact too, and takes the other 4 as
+their mirror or reflected images, paired by fixed-point row.  It
+iterates 4 of its 12 segment orbits, since the restriction map depends
+only on a segment's coefficient row.
 The lower Lyapunov scan is the upper one mirrored: the decrement at
 ``(y, x)`` in the lower triangle equals the upper one at ``(x, y)`` bit
 for bit, so the last upper scan's maximum and zero set are kept for it.
@@ -73,13 +76,12 @@ from .core import (
     TWO_PI,
     CouplingParams,
     default_max_iterations,
-    in_square,
     jacobian,
     omega_field,
     omega_jacobian,
     require_integer,
     three_clock_step,
-    three_clock_step_scalar,
+    three_clock_step_centred_scalar,
 )
 
 __all__ = [
@@ -144,9 +146,20 @@ _FIXED_POINTS = np.array([
 ])
 _FIXED_POINTS.flags.writeable = False
 _FIXED_XY = [(float(fx), float(fy)) for fx, fy in _FIXED_POINTS]
-_FIXED_X = sorted({fx for fx, _ in _FIXED_XY})
-# The row of each fixed point's mirror image (fy, fx).
+# The same rows in centred coordinates (x - pi, y - pi), built from 0, pi
+# and pi/3 and their negations, so that the transpose and the point
+# reflection map each row onto a row exactly.
+_PI_3 = _PI - _THIRD
+_CENTRED_XY = [
+    (0.0, 0.0), (-_PI_3, _PI_3), (_PI_3, -_PI_3),
+    (-_PI, -_PI), (-_PI, _PI), (_PI, -_PI), (_PI, _PI),
+    (-_PI, 0.0), (_PI, 0.0), (0.0, -_PI), (0.0, _PI),
+]
+_CENTRED_X = sorted({u for u, _ in _CENTRED_XY})
+# The row of each fixed point's mirror image (fy, fx), and of its point
+# reflection (2*pi - fx, 2*pi - fy), centred (-u, -v).
 _MIRROR_ROW = tuple(_FIXED_XY.index((fy, fx)) for fx, fy in _FIXED_XY)
+_REFLECT_ROW = tuple(_CENTRED_XY.index((-u, -v)) for u, v in _CENTRED_XY)
 # Each triangle's Lyapunov function is centered on its splay point.
 _CENTERS: dict[str, tuple[float, float]] = {"upper": _FIXED_XY[1], "lower": _FIXED_XY[2]}
 
@@ -265,7 +278,7 @@ def classify_rows(locations, params: CouplingParams) -> tuple[FixedPointRecord, 
     rows = np.array(locations, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != 2:
         raise ValueError(f"locations must have shape (n, 2), got {rows.shape}")
-    residuals = np.max(np.abs(omega_field(rows)), axis=-1)
+    residuals = _max_norm(omega_field(rows))
     records = []
     for location, J, residual in zip(rows, jacobian(rows, params), residuals):
         if not residual <= RESIDUAL_TOL:
@@ -282,6 +295,14 @@ def classify_rows(locations, params: CouplingParams) -> tuple[FixedPointRecord, 
     return tuple(records)
 
 
+def _max_norm(r: np.ndarray) -> np.ndarray:
+    """``np.max(np.abs(r), axis=-1)`` for a last axis of length 2, taken by
+    columns, which is cheaper than a reduction: the same bits, except that
+    a NaN input may pass its payload on where the reduction gives the
+    default NaN (callers only compare the result)."""
+    return np.maximum(np.abs(r[..., 0]), np.abs(r[..., 1]))
+
+
 def _newton_on_drift(seeds: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Damped Newton on the drift field, iterates clamped to the square.
 
@@ -293,7 +314,7 @@ def _newton_on_drift(seeds: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndar
     Returns final iterates and a converged mask.
     """
     p = np.clip(np.asarray(seeds, dtype=float), 0.0, TWO_PI).copy()
-    res = np.max(np.abs(omega_field(p)), axis=-1)
+    res = _max_norm(omega_field(p))
     frozen = np.zeros(res.shape, dtype=bool)
     for _ in range(50):
         todo = (res > tol) & ~frozen
@@ -316,14 +337,14 @@ def _newton_on_drift(seeds: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndar
         base = res[todo]
         step = dx
         cand = np.clip(q + step, 0.0, TWO_PI)
-        cres = np.max(np.abs(omega_field(cand)), axis=-1)
+        cres = _max_norm(omega_field(cand))
         for _ in range(30):
             worse = (cres >= base) & (cres > tol)
             if not worse.any():
                 break
             step = np.where(worse[:, None], step * 0.5, step)
             cand = np.clip(q + step, 0.0, TWO_PI)
-            cres = np.max(np.abs(omega_field(cand)), axis=-1)
+            cres = _max_norm(omega_field(cand))
         p[todo] = cand
         res[todo] = cres
     return p, res <= tol
@@ -341,7 +362,7 @@ def _dedupe_roots(roots: np.ndarray, radius: float) -> list[np.ndarray]:
     while rest.shape[0]:
         first = rest[0]
         unique.append(first)
-        rest = rest[1:][~(np.max(np.abs(rest[1:] - first), axis=-1) < radius)]
+        rest = rest[1:][~(_max_norm(rest[1:] - first) < radius)]
     return unique
 
 
@@ -372,7 +393,7 @@ def find_fixed_points(
     cand = unique.copy()
     cand[np.abs(cand) < 1e-9] = 0.0
     cand[np.abs(cand - TWO_PI) < 1e-9] = TWO_PI
-    keep = np.max(np.abs(omega_field(cand)), axis=-1) <= tol
+    keep = _max_norm(omega_field(cand)) <= tol
     snapped = np.where(keep[:, None], cand, unique)
     order = sorted(range(len(snapped)),
                    key=lambda i: (round(float(snapped[i, 0]), 9), round(float(snapped[i, 1]), 9)))
@@ -663,31 +684,40 @@ def trace_heteroclinic(
 
     Seeds at ``source + SEED_STEP * direction`` (unit-normalized) and
     follows the forward orbit; terminates once within ``CAPTURE_TOL`` of a
-    different fixed point.  Raises ValueError when the seed falls outside
-    the square and RuntimeError when the iteration budget
-    (:func:`~triclock.core.default_max_iterations`) runs out without capture.
+    different fixed point.  The orbit is stepped in centred coordinates
+    (see :func:`_trace`) and its samples are given in the square's.  Raises
+    ValueError when the seed falls outside the square and RuntimeError when
+    the iteration budget (:func:`~triclock.core.default_max_iterations`)
+    runs out without capture.
     """
     params.require_analysis_range()
     seed = _seed_point(source, direction)
-    if not bool(in_square(seed)):
+    if not _in_centred_square(seed):
         raise ValueError("seed point leaves the square; try the opposite sign")
     samples, j = _trace(source, seed, params)
-    return HeteroclinicOrbit(source, classify(np.array(_FIXED_XY[j]), params), samples)
+    return HeteroclinicOrbit(source, classify(np.array(_FIXED_XY[j]), params), _PI + samples)
 
 
 def _seed_point(source: FixedPointRecord, direction) -> np.ndarray:
-    """``source + SEED_STEP * direction``, the direction unit-normalized."""
+    """``(source - pi) + SEED_STEP * direction``, the seed in centred
+    coordinates, the direction unit-normalized."""
     v = np.asarray(direction, dtype=float)
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
         raise ValueError("direction must be nonzero")
-    return np.asarray(source.location, dtype=float) + SEED_STEP * (v / norm)
+    return (np.asarray(source.location, dtype=float) - _PI) + SEED_STEP * (v / norm)
 
 
-def _fixed_row(x: float, y: float) -> int | None:
-    """The row of ``_FIXED_POINTS`` within ``CAPTURE_TOL`` (max-norm) of ``(x, y)``,
-    or None; the eleven lie at least pi/3 apart, so at most one qualifies."""
-    for j, (fx, fy) in enumerate(_FIXED_XY):
+def _in_centred_square(c: np.ndarray) -> bool:
+    """Whether the centred point ``c`` lies in ``[-pi, pi]**2`` (a NaN does not)."""
+    return bool(np.all(np.abs(c) <= _PI))
+
+
+def _fixed_row(x: float, y: float, table: list[tuple[float, float]] = _FIXED_XY) -> int | None:
+    """The row of ``table`` within ``CAPTURE_TOL`` (max-norm) of ``(x, y)``, or
+    None; the table is the eleven fixed points, in the square's coordinates
+    or centred, which lie at least pi/3 apart, so at most one qualifies."""
+    for j, (fx, fy) in enumerate(table):
         if max(abs(fx - x), abs(fy - y)) <= CAPTURE_TOL:
             return j
     return None
@@ -695,33 +725,43 @@ def _fixed_row(x: float, y: float) -> int | None:
 
 def _trace(source: FixedPointRecord, seed: np.ndarray, params: CouplingParams
            ) -> tuple[np.ndarray, int]:
-    """The samples of the orbit from ``seed`` (in the square) that
-    :func:`trace_heteroclinic` follows, and the row of ``_FIXED_POINTS`` it
-    lands on: any row but the source's own, if the source has one."""
+    """The centred samples ``(x - pi, y - pi)`` of the orbit from the centred
+    ``seed`` that :func:`trace_heteroclinic` follows, and the row of
+    ``_FIXED_POINTS`` it lands on: any row but the source's own, if the
+    source has one.
+
+    It steps :func:`~triclock.core.three_clock_step_centred_scalar` and
+    captures against ``_CENTRED_XY``.  The step commutes with the transpose
+    bit for bit and with the point reflection up to the sign of zeros, and
+    the table and the capture test ``|fu - u| <= CAPTURE_TOL`` are symmetric
+    under both, so the orbit from the transposed or negated seed is this one
+    transposed or negated, landing at the same step on ``_MIRROR_ROW[j]`` or
+    ``_REFLECT_ROW[j]``.
+    """
     max_iter = default_max_iterations(params)
-    fp_x = _FIXED_X
+    fp_x = _CENTRED_X
     src_row = _fixed_row(*(float(v) for v in source.location))
     last = len(fp_x) - 1
     eps = params.epsilon
-    x, y = float(seed[0]), float(seed[1])
-    samples = [(x, y)]
+    u, v = float(seed[0]), float(seed[1])
+    samples = [(u, v)]
     for _ in range(max_iter):
-        x, y = three_clock_step_scalar(x, y, eps)
-        if not (0.0 <= x <= TWO_PI and 0.0 <= y <= TWO_PI):  # impossible while S is invariant
-            raise RuntimeError(f"orbit escaped the square at {np.array((x, y))}")
-        samples.append((x, y))
-        # A capture needs some fixed point's x within CAPTURE_TOL.  fl(fx - x)
-        # is monotone in fx, so the nearest x is one of the two neighbours of x
+        u, v = three_clock_step_centred_scalar(u, v, eps)
+        if not (-_PI <= u <= _PI and -_PI <= v <= _PI):  # impossible while S is invariant
+            raise RuntimeError(f"orbit escaped the square at {_PI + np.array((u, v))}")
+        samples.append((u, v))
+        # A capture needs some fixed point's u within CAPTURE_TOL.  fl(fu - u)
+        # is monotone in fu, so the nearest u is one of the two neighbours of u
         # in the sorted list, and checking those equals checking all of them.
-        i = bisect_left(fp_x, x)
-        if (i > last or fp_x[i] - x > CAPTURE_TOL) and (i == 0 or x - fp_x[i - 1] > CAPTURE_TOL):
+        i = bisect_left(fp_x, u)
+        if (i > last or fp_x[i] - u > CAPTURE_TOL) and (i == 0 or u - fp_x[i - 1] > CAPTURE_TOL):
             continue
-        j = _fixed_row(x, y)
+        j = _fixed_row(u, v, _CENTRED_XY)
         if j is not None and j != src_row:
             return np.array(samples), j
     raise RuntimeError(
         f"no fixed point captured within {max_iter} iterations from "
-        f"{source.location}; last point {np.array((x, y))}"
+        f"{source.location}; last point {_PI + np.array((u, v))}"
     )
 
 
@@ -749,39 +789,51 @@ def heteroclinic_census(params: CouplingParams) -> HeteroclinicCensus:
     """Full catalog of heteroclinic orbits between the eleven fixed points.
 
     Saddle-to-attractor orbits come from 2-D tracing along every unstable
-    eigendirection (both signs, seeds outside S discarded).  The orbits
-    between the remaining fixed points live inside the invariant segments
-    and are enumerated from the segment restriction dynamics; a segment
-    orbit is not built when its endpoints make it saddle-to-attractor,
-    since tracing has already found that connection.  Each orbit end takes
-    its :func:`known_fixed_points` row's record, the eleven classified at once.
+    eigendirection (both signs, seeds outside S discarded), in centred
+    coordinates.  The orbits between the remaining fixed points live inside
+    the invariant segments and are enumerated from the segment restriction
+    dynamics; a segment orbit is not built when its endpoints make it
+    saddle-to-attractor, since tracing has already found that connection.
+    Each orbit end takes its :func:`known_fixed_points` row's record, the
+    eleven classified at once.
 
-    The map and the capture test commute with the swap ``(x, y) -> (y, x)``
-    bit for bit, so 3 orbits are traced.  A saddle whose mirror has an
-    earlier row takes that saddle's orbits in order, columns swapped and
-    landing rows mirrored; ``(pi, pi)`` is its own mirror, and its second
-    orbit is its first one's mirror image.  The restriction map depends
-    only on a segment's coefficient row, so its orbits are iterated once
-    per row and pair of end parameters.
+    In centred coordinates ``(u, v) = (x - pi, y - pi)`` the map commutes
+    with the transpose ``(u, v) -> (v, u)`` and the anti-transpose ``(u, v)
+    -> (-v, -u)``, and so with their product, the point reflection ``(u,
+    v) -> (-u, -v)``; the centred step and the capture test are exact under
+    both (see :func:`_trace`), up to the sign of zeros, which ``pi + c``
+    turns into the same sample.  The four edge saddles are one orbit class
+    of this D2, so 2 orbits are traced, from ``(pi, pi)`` and ``(0, pi)``.
+    ``(2*pi, pi)`` takes the orbits of ``(0, pi)`` negated, with reflected
+    landing rows; ``(pi, 0)`` and ``(pi, 2*pi)`` take those of ``(0, pi)``
+    and ``(2*pi, pi)`` with columns swapped and mirrored landing rows; and
+    ``(pi, pi)``, fixed by both, takes its first orbit swapped as its
+    second.  Each orbit is converted to the square's coordinates once, as
+    ``pi + c``.  The restriction map depends only on a segment's
+    coefficient row, so its orbits are iterated once per row and pair of
+    end parameters.
     """
     params.require_analysis_range()
     records = classify_rows(_FIXED_POINTS, params)
     restricted: dict[tuple, list[float]] = {}  # (coefficients, t_src, t_dst) -> orbit
     orbits: list[HeteroclinicOrbit] = []
-    paths: dict[int, list[tuple[np.ndarray, int]]] = {}  # saddle row -> samples, landing row
+    paths: dict[int, list[tuple[np.ndarray, int]]] = {}  # row -> centred samples, landing row
     for i, rec in enumerate(records):
         if rec.kind != "saddle":
             continue
-        m = _MIRROR_ROW[i]
-        if m >= i:  # traced; (pi, pi), its own mirror, traces its first seed only
+        m, r = _MIRROR_ROW[i], _REFLECT_ROW[i]
+        if m < i:  # the mirror's orbits in order, columns swapped
+            paths[i] = [(c[:, ::-1], _MIRROR_ROW[j]) for c, j in paths[m]]
+        elif r < i:  # the reflection's orbits in order, negated
+            paths[i] = [(-c, _REFLECT_ROW[j]) for c, j in paths[r]]
+        else:  # traced; (pi, pi), its own mirror, traces its first seed and mirrors it
             seeds = [_seed_point(rec, sign * u) for u in rec.unstable_directions()
                      for sign in (1.0, -1.0)]
-            seeds = [seed for seed in seeds if bool(in_square(seed))]
+            seeds = [seed for seed in seeds if _in_centred_square(seed)]
             paths[i] = [_trace(rec, seed, params) for seed in seeds[: 1 if m == i else None]]
-        if m <= i:  # then the mirror's orbits in order, columns swapped
-            mirrored = [(s[:, ::-1].copy(), _MIRROR_ROW[j]) for s, j in paths[m]]
-            paths[i] = paths.get(i, []) + mirrored
-        orbits.extend(HeteroclinicOrbit(rec, records[j], s) for s, j in paths[i])
+            if m == i:
+                paths[i] += [(c[:, ::-1], _MIRROR_ROW[j]) for c, j in paths[i]]
+        orbits.extend(HeteroclinicOrbit(rec, records[j], _PI + c) for c, j in paths[i])
     for segment in invariant_segments():
         ts = [float(t) for t in segment.roots]
         located = [records[_fixed_row(*point)] for point in map(segment.point, ts)]
@@ -899,7 +951,7 @@ class LyapunovReport:
         if not self.max_df <= MAX_DF_TOL:
             broke.append(f"max_df={self.max_df:.3e} > {MAX_DF_TOL:g}")
         fps = _REGION_POINTS[self.region]
-        dists = np.min(np.max(np.abs(self.zero_set[:, None, :] - fps), axis=-1), axis=-1)
+        dists = np.min(_max_norm(self.zero_set[:, None, :] - fps), axis=-1)
         far = int(np.count_nonzero(~(dists <= ZERO_SET_CELLS * self.cell)))
         if far:
             broke.append(

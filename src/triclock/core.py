@@ -15,12 +15,13 @@ functions of their arguments:
 
 State points for the square are plain ``(..., 2)`` float arrays; every
 array function broadcasts, so the same code serves bulk grid scans and
-the batched Newton search.  Per-point loops (orbits, the heteroclinic
-census) step Python floats through :func:`three_clock_step_scalar`, the
-same map bit for bit without numpy's per-call cost.  The square is kept
-CLOSED: there is no modular wrapping of map states, because the edges
-and the main diagonal are invariant sets that the analysis layer has to
-see exactly.  A separate
+the batched Newton search.  Per-point loops step Python floats without
+numpy's per-call cost: orbits through :func:`three_clock_step_scalar`
+and the heteroclinic census through
+:func:`three_clock_step_centred_scalar`, each its array form bit for
+bit.  The square is kept CLOSED: there is no modular wrapping of map
+states, because the edges and the main diagonal are invariant sets that
+the analysis layer has to see exactly.  A separate
 :func:`normalize_phase` exists for absolute clock phases, which do wrap.
 
 :func:`three_clock_step_centred` is the same map in the centred
@@ -56,6 +57,7 @@ __all__ = [
     "three_clock_step",
     "three_clock_step_centred",
     "three_clock_step_scalar",
+    "three_clock_step_centred_scalar",
     "jacobian",
     "in_square",
     "default_max_iterations",
@@ -311,6 +313,35 @@ def three_clock_step_scalar(x: float, y: float, eps: float) -> tuple[float, floa
     elif abs(y - TWO_PI) < BOUNDARY_SNAP_TOL:
         y = TWO_PI
     return x, y
+
+
+def three_clock_step_centred_scalar(u: float, v: float, eps: float) -> tuple[float, float]:
+    """:func:`three_clock_step_centred` of one point given as two floats, bit
+    for bit.
+
+    The per-point form for loops over a single orbit in centred
+    coordinates.  It keeps the array form's operation order and its gated
+    edge snap (written inline): only a coordinate with ``|q| > pi - 1e-12``
+    is tested against -pi, then pi.  So it commutes with the transpose bit
+    for bit and with the point reflection ``(u, v) -> (-u, -v)`` up to the
+    sign of zeros, as the array form does.
+    """
+    su = math.sin(u)
+    sv = math.sin(v)
+    suv = math.sin(u - v)
+    u = u + eps * ((0.0 - (2.0 * su + sv)) + suv)
+    v = v + eps * ((0.0 - (su + 2.0 * sv)) - suv)
+    if abs(u) > _SNAP_GATE:
+        if abs(u + math.pi) < BOUNDARY_SNAP_TOL:
+            u = -math.pi
+        elif abs(u - math.pi) < BOUNDARY_SNAP_TOL:
+            u = math.pi
+    if abs(v) > _SNAP_GATE:
+        if abs(v + math.pi) < BOUNDARY_SNAP_TOL:
+            v = -math.pi
+        elif abs(v - math.pi) < BOUNDARY_SNAP_TOL:
+            v = math.pi
+    return u, v
 
 
 def jacobian(p, params: CouplingParams) -> np.ndarray:

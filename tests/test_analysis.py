@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -37,10 +38,10 @@ from triclock.cli import main as cli_main
 from triclock.core import (
     TWO_PI,
     CouplingParams,
-    in_square,
     json_data,
     omega_field,
     three_clock_step,
+    three_clock_step_centred,
 )
 
 PI = math.pi
@@ -172,6 +173,33 @@ class TestFindFixedPoints:
         assert len(kept) > 5
         assert np.array(kept).tobytes() == np.array(expected).tobytes()
         assert _dedupe_roots(roots[:0], 1e-6) == []
+
+    # Any float, with weight on NaN, the infinities, signed zeros and subnormals.
+    any_float = st.one_of(
+        st.floats(),
+        st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                         2.2250738585072009e-308, -2.2250738585072014e-308]),
+        st.floats(-2.3e-308, 2.3e-308),
+    )
+
+    @settings(deadline=None, max_examples=300)
+    @given(values=st.lists(any_float, min_size=2, max_size=48))
+    def test_max_norm_is_the_reduction_bit_for_bit(self, values):
+        # The Newton search, classify_rows, the root dedupe and the zero-set
+        # check take max-norms by columns; a reduction gives the same bits,
+        # except for a NaN's payload, which only a NaN input with a payload
+        # carries and which every caller only compares.
+        r = np.array(values[: len(values) // 2 * 2]).reshape(-1, 2)
+        for a in (r, r[None], r[0], r[:0]):
+            got = analysis._max_norm(a)
+            want = np.max(np.abs(a), axis=-1)
+            nan = np.isnan(want)
+            assert got.shape == want.shape
+            assert np.array_equal(np.isnan(got), nan)
+            assert got[~nan].tobytes() == want[~nan].tobytes()
+            default_nan = np.abs(a).view(np.uint64) == 0x7FF8000000000000
+            if np.all(default_nan | ~np.isnan(a)):
+                assert got.tobytes() == want.tobytes()
 
     def test_zero_newton_step_freezes_the_seed(self, monkeypatch):
         # At (pi/2, pi/2) the drift Jacobian is singular, so the step is zero.
@@ -472,10 +500,16 @@ class TestTraceHeteroclinic:
         assert np.max(np.abs(orbit.target.location - LOWER_ATTRACTOR)) < 1e-12
 
     def test_consecutive_samples_related_by_map(self):
+        # The orbit is stepped in centred coordinates and given in the
+        # square's: its centred samples follow the centred step byte for
+        # byte, and the orbit's samples are pi plus those.
         p = params()
-        orbit = trace_heteroclinic(classify((0.0, PI), p), (2.0, 1.0), p)
-        stepped = three_clock_step(orbit.samples[:-1], p)
-        assert stepped.tobytes() == orbit.samples[1:].tobytes()
+        rec = classify((0.0, PI), p)
+        centred, _ = analysis._trace(rec, analysis._seed_point(rec, (2.0, 1.0)), p)
+        u, v = three_clock_step_centred(centred[:-1, 0], centred[:-1, 1], p)
+        assert np.stack((u, v), axis=-1).tobytes() == centred[1:].tobytes()
+        orbit = trace_heteroclinic(rec, (2.0, 1.0), p)
+        assert orbit.samples.tobytes() == (PI + centred).tobytes()
 
     def test_seed_outside_square_rejected(self):
         p = params()
@@ -507,7 +541,7 @@ class TestTraceHeteroclinic:
             want = trace_heteroclinic(table, direction, p)
             seed = analysis._seed_point(table, direction)
             got_samples, j = analysis._trace(nudged, seed, p)
-            assert got_samples.tobytes() == want.samples.tobytes()
+            assert (PI + got_samples).tobytes() == want.samples.tobytes()
             assert known_fixed_points()[j].tobytes() == want.target.location.tobytes()
             got = trace_heteroclinic(nudged, direction, p)
             assert got.target.location.tobytes() == want.target.location.tobytes()
@@ -526,7 +560,7 @@ class TestTraceHeteroclinic:
             for u in rec.unstable_directions():
                 for sign in (1.0, -1.0):
                     seed = analysis._seed_point(rec, sign * u)
-                    if not in_square(seed):
+                    if not analysis._in_centred_square(seed):
                         continue
                     samples, j = analysis._trace(rec, seed, p)
                     mirror, k = analysis._trace(records[loc[::-1]], seed[::-1].copy(), p)
@@ -619,9 +653,9 @@ class TestHeteroclinicCensus:
             HeteroclinicOrbit(source=orbit.source, target=orbit.target, kind="sa",
                               samples=orbit.samples)
 
-    @pytest.mark.parametrize("eps, traces", [(0.01, 3), (0.05, 3), (0.1, 3), (0.109, 3)])
+    @pytest.mark.parametrize("eps, traces", [(0.01, 2), (0.05, 2), (0.1, 2), (0.109, 2)])
     def test_verify_computes_each_mirror_pair_once(self, monkeypatch, eps, traces):
-        # One verify traces 3 of the 6 saddle orbits, iterates 4 of the 12
+        # One verify traces 2 of the 6 saddle orbits, iterates 4 of the 12
         # segment orbits and combines one Lyapunov triangle's terms with eps.
         # At eps 0.109 the seeds off (0, pi) and (pi, 0) are each other's
         # mirror only up to the last bit, and the mirror saddle still takes
@@ -685,20 +719,71 @@ class TestHeteroclinicCensus:
         real = analysis._trace
 
         def counted(*args):
-            traces.append(args)
-            return real(*args)
+            traces.append(real(*args))
+            return traces[-1]
 
         monkeypatch.setattr(analysis, "_trace", counted)
         row = {tuple(xy): i for i, xy in enumerate(known_fixed_points().tolist())}
         for eps in self.SEED_MISSES_MIRROR:
             traces.clear()
             sa = [o for o in heteroclinic_census(params(eps)).orbits if o.kind == "sa"]
-            assert len(traces) == 3
+            assert len(traces) == 2
+            landed = [row[tuple(o.target.location.tolist())] for o in sa]
             # (pi, pi) twice, then (0, pi), (2*pi, pi), (pi, 0) and (pi, 2*pi).
             for a, b in ((0, 1), (2, 4), (3, 5)):
                 assert sa[b].samples.tobytes() == sa[a].samples[:, ::-1].copy().tobytes()
-                landed = [row[tuple(sa[k].target.location.tolist())] for k in (a, b)]
-                assert landed[1] == analysis._MIRROR_ROW[landed[0]]
+                assert landed[b] == analysis._MIRROR_ROW[landed[a]]
+            # (2*pi, pi) is (0, pi) point-reflected, and (pi, 2*pi) is (pi, 0)
+            # point-reflected, each against the traced centred orbit.
+            c, _ = traces[1]
+            for k, centred in ((2, c), (3, -c), (4, c[:, ::-1]), (5, -c[:, ::-1])):
+                assert sa[k].samples.tobytes() == (PI + centred).tobytes()
+            for a, b in ((2, 3), (4, 5)):
+                assert landed[b] == analysis._REFLECT_ROW[landed[a]]
+
+    @staticmethod
+    def _check_each_edge_saddle_traced_alone(eps):
+        # The D2 census's oracle: each edge saddle traced from its own seed
+        # gives the census's orbit length and landing row, and the orbit of
+        # (2*pi, pi) is that of (0, pi) negated, in centred samples.
+        p = params(eps)
+        table = known_fixed_points().tolist()
+        records = classify_rows(np.array(table), p)
+        sa = [o for o in heteroclinic_census(p).orbits if o.kind == "sa"]
+        own = {}
+        for orbit in sa[2:]:
+            i = table.index(orbit.source.location.tolist())
+            seeds = [analysis._seed_point(records[i], sign * u)
+                     for u in records[i].unstable_directions() for sign in (1.0, -1.0)]
+            (seed,) = [seed for seed in seeds if analysis._in_centred_square(seed)]
+            own[i], j = analysis._trace(records[i], seed, p)
+            assert len(own[i]) == len(orbit.samples), (eps, i)
+            assert table[j] == orbit.target.location.tolist(), (eps, i)
+        left, right = table.index([0.0, PI]), table.index([TWO_PI, PI])
+        assert np.array_equal(own[right], -own[left])
+        assert np.array_equal(sa[2].samples, PI + own[left])
+        assert np.array_equal(sa[3].samples, PI + own[right])
+
+    @settings(deadline=None, max_examples=20)
+    @given(eps=st.floats(0.01, 1 / 9, exclude_max=True))
+    def test_each_edge_saddle_traced_alone_gives_the_census(self, eps):
+        self._check_each_edge_saddle_traced_alone(eps)
+
+    def test_each_edge_saddle_traced_alone_where_seeds_miss_their_mirror(self):
+        for eps in self.SEED_MISSES_MIRROR:
+            self._check_each_edge_saddle_traced_alone(eps)
+
+    def test_the_output_digests_draw_portraits_where_seeds_miss_their_mirror(self):
+        # tools/output_digests.py digests a heteroclinic portrait at each of
+        # these couplings, where a reflected orbit's .3f polyline would show.
+        path = Path(__file__).resolve().parents[1] / "tools" / "output_digests.py"
+        spec = importlib.util.spec_from_file_location("output_digests", path)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        assert tuple(map(float, tool.SEED_MISSES_MIRROR)) == self.SEED_MISSES_MIRROR
+        portraits = [args[2] for args in tool.sweep("")
+                     if args[0] == "portrait" and args[3:] == ["--layers", "heteroclinics"]]
+        assert set(tool.SEED_MISSES_MIRROR) <= set(portraits)
 
     def test_repeller_to_attractor_orbits_on_anti_diagonal(self, census):
         ra = [o for o in census.orbits if o.kind == "ra"]
@@ -1076,7 +1161,9 @@ def test_analysis_outcomes_match_the_recorded_numpy_loops():
 
     ``data/analysis_outcomes.json`` is ``analysis_outcomes()`` recorded with
     the analysis layer that stepped the census through ``three_clock_step``
-    one 2-vector at a time and deduplicated roots pairwise.
+    one 2-vector at a time and deduplicated roots pairwise.  The digests of
+    the ``sa`` orbits were re-recorded when the census began to trace in
+    centred coordinates; their lengths and targets did not change.
     """
     pinned = json.loads((Path(__file__).parent / "data" / "analysis_outcomes.json").read_text())
     got = analysis_outcomes()

@@ -26,6 +26,7 @@ from triclock.core import (
     require_integer,
     three_clock_step,
     three_clock_step_centred,
+    three_clock_step_centred_scalar,
     three_clock_step_scalar,
 )
 
@@ -43,6 +44,28 @@ square_coords = st.one_of(
     st.floats(0.0, 2 * BOUNDARY_SNAP_TOL),
     st.floats(TWO_PI - 2 * BOUNDARY_SNAP_TOL, TWO_PI),
 )
+
+
+# Centred coordinates of S: the edges -pi and pi, the snap band on both
+# sides of each, signed zeros and the whole range.
+centred_coords = st.one_of(
+    st.floats(-PI, PI),
+    st.sampled_from([-PI, PI, 0.0, -0.0]),
+    st.floats(-PI - 2 * BOUNDARY_SNAP_TOL, -PI + 2 * BOUNDARY_SNAP_TOL),
+    st.floats(PI - 2 * BOUNDARY_SNAP_TOL, PI + 2 * BOUNDARY_SNAP_TOL),
+)
+
+
+@st.composite
+def centred_point_arrays(draw):
+    """An (n, 2) array of centred points: drawn edge, snap-band and points on
+    both diagonals, then a seeded uniform batch."""
+    point = st.one_of(st.tuples(centred_coords, centred_coords),
+                      centred_coords.map(lambda v: (v, v)), centred_coords.map(lambda v: (v, -v)))
+    special = np.array(draw(st.lists(point, min_size=1, max_size=50)), dtype=float)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bulk = rng.uniform(-PI, PI, size=(draw(st.integers(0, 200)), 2))
+    return np.concatenate((special, bulk))
 
 
 @st.composite
@@ -347,7 +370,7 @@ class TestThreeClockStep:
         eps=st.floats(1e-8, 1 / 9, exclude_min=True, exclude_max=True),
     )
     def test_scalar_step_is_the_same_map(self, pts, eps):
-        # The census and orbits step floats and verify steps square arrays
+        # Orbits step floats and verify steps square arrays
         # (the raster steps centred ones).  Both must walk the same orbit,
         # snapping included.
         stepped = [three_clock_step_scalar(x, y, eps) for x, y in pts.tolist()]
@@ -357,12 +380,25 @@ class TestThreeClockStep:
 
     @settings(deadline=None, max_examples=200)
     @given(
+        pts=centred_point_arrays(),
+        eps=st.floats(1e-8, 1 / 9, exclude_min=True, exclude_max=True),
+    )
+    def test_scalar_centred_step_is_the_same_map(self, pts, eps):
+        # The census traces its saddle orbits with the scalar centred step;
+        # it must walk the array form's orbit, signed zeros and snap included.
+        stepped = [three_clock_step_centred_scalar(u, v, eps) for u, v in pts.tolist()]
+        assert all(type(c) is float for uv in stepped for c in uv)
+        u, v = three_clock_step_centred(pts[:, 0], pts[:, 1], CouplingParams(epsilon=eps))
+        assert np.array(stepped).tobytes() == np.stack((u, v), axis=-1).tobytes()
+
+    @settings(deadline=None, max_examples=200)
+    @given(
         t=square_coords,
         line=st.sampled_from([(0, 0.0), (0, TWO_PI), (1, 0.0), (1, TWO_PI), None]),
         eps=st.floats(1e-8, 1 / 9, exclude_min=True, exclude_max=True),
     )
     def test_scalar_step_keeps_edges_and_diagonal_exactly(self, t, line, eps):
-        # The census and orbits step floats; their edge and diagonal points
+        # Orbits step floats; their edge and diagonal points
         # must stay exactly on their invariant line.  ``line`` is an edge as
         # (coordinate index, its value) or None for the main diagonal.
         point = [t, t]
@@ -379,7 +415,7 @@ class TestThreeClockStep:
     @settings(deadline=None, max_examples=500)
     @given(t=st.floats(allow_nan=False, allow_infinity=False))
     def test_math_sin_is_numpy_sin(self, t):
-        # three_clock_step_scalar equals three_clock_step only while this holds.
+        # The scalar steps equal their array forms only while this holds.
         expected = np.sin(np.full(16, t))
         assert np.array([math.sin(t)]).tobytes() == expected[:1].tobytes()
         assert np.float64(np.sin(t)).tobytes() == expected[:1].tobytes()

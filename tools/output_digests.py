@@ -17,7 +17,11 @@ evicted and rebuilt, as calls in one process do), in JSON at coupling
 coupling 0.1111, the top of the analysis range, ``fixed-points`` in JSON
 and CSV at 4 couplings and seed grids 16, 33 and 50, ``portrait`` with all
 five layers, with each layer alone, with the heteroclinics alone at
-couplings 0.02 and 0.1, with the rejected ``--layers ''`` and
+couplings 0.02 and 0.1 and at the 16 couplings of ``SEED_MISSES_MIRROR``
+(where the seeds off ``(0, pi)`` and ``(pi, 0)`` miss each other's mirror
+by a rounding; the census takes four of its six saddle orbits as mirror
+or point-reflected images of traced ones, so a ``.3f`` flip in one of
+those polylines shows), with the rejected ``--layers ''`` and
 ``--layers bogus`` and with the rejected ``--resolution 1``, one
 refused value for each other size or count option (``step -n 0``,
 ``simulate --n-clocks 1``, ``--random-starts 0`` and ``--max-cycles 0``,
@@ -101,6 +105,13 @@ import sys
 import tempfile
 from pathlib import Path
 
+# The couplings of tests/test_analysis.py's SEED_MISSES_MIRROR.
+SEED_MISSES_MIRROR = (
+    "0.0155", "0.0165", "0.019000000000000003", "0.033", "0.0545", "0.059000000000000004",
+    "0.060500000000000005", "0.075", "0.107", "0.109",
+    "0.012242", "0.01412", "0.096679", "0.09702", "0.097732", "0.098819",
+)
+
 # The config files that sweep commands name, by name.
 CONFIGS = {"eps.cfg": "eps = 0.2\n", "tol.cfg": "tol = -1\n", "resolution.cfg": "resolution = 1\n",
            "deg.cfg": "deg = true\n", "trace-suffix.cfg": "trace-out = kicks.txt\n",
@@ -145,7 +156,7 @@ def sweep(readme: str) -> list[list[str]]:
               "sample_orbits"]
     for layer in (",".join(layers), *layers, "", "bogus"):
         commands.append(["portrait", "--eps", "0.05", "--resolution", "64", "--layers", layer])
-    for eps in ("0.02", "0.1"):
+    for eps in ("0.02", "0.1", *SEED_MISSES_MIRROR):
         commands.append(["portrait", "--eps", eps, "--layers", "heteroclinics"])
     commands.append(["portrait", "--eps", "0.05", "--resolution", "1"])
     # One refused value per other size or count option.
